@@ -14,7 +14,7 @@ from . import (  # noqa: F401
     temporal,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "chain",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PAULI_X, DensityOperator, RandomSource, StateVector
+from .qcore import PAULI_X, RandomSource, StateVector
 from .temporal import (
     TemporalError,
     TemporalRegister,
@@ -83,10 +83,6 @@ class QuantumChain:
         self.valid = True
 
     # -- derived views --
-
-    @property
-    def num_photons(self) -> int:
-        return 2 * len(self.records)
 
     @property
     def timestamps(self) -> list[int]:

@@ -84,7 +84,7 @@ def _plain(obj):
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}." if prefix or True else k)
+            yield from _flatten(obj[k], f"{prefix}{k}.")
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
@@ -99,8 +99,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = ["key,value"]
         for key, val in _flatten(plain):
-            cell = json.dumps(val) if isinstance(val, str) else json.dumps(val)
-            lines.append(f"{key},{cell}")
+            lines.append(f"{key},{json.dumps(val)}")
         return "\n".join(lines)
     width = max((len(k) for k, _ in _flatten(plain)), default=0)
     return "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in _flatten(plain))
@@ -555,13 +554,16 @@ def gleason_roundtrip(dim, frames, seed, trials, as_json, as_csv, out, tol):
 # ---------------------------------------------------------------------------
 
 
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+
 @main.group("lg")
 def lg_group():
     """Temporal inequalities on the precession model."""
 
 
 @lg_group.command("k3")
-@click.option("--omega", type=float, default=1.0, show_default=True)
+@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
 @common_options
 def lg_k3_cmd(omega, seed, trials, as_json, as_csv, out, tol):
     """Maximize the three-time correlator K3 over the spacing tau."""
@@ -573,7 +575,7 @@ def lg_k3_cmd(omega, seed, trials, as_json, as_csv, out, tol):
 
 
 @lg_group.command("temporal-chsh")
-@click.option("--omega", type=float, default=1.0, show_default=True)
+@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--dt", type=float, default=0.7, show_default=True)
 @common_options
 def lg_temporal_chsh(omega, dt, seed, trials, as_json, as_csv, out, tol):
@@ -586,7 +588,7 @@ def lg_temporal_chsh(omega, dt, seed, trials, as_json, as_csv, out, tol):
 
 
 @lg_group.command("entropic")
-@click.option("--omega", type=float, default=1.0, show_default=True)
+@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
 @common_options
 def lg_entropic(omega, seed, trials, as_json, as_csv, out, tol):
     """Scan for the strongest entropic violation at equal spacings."""

@@ -8,6 +8,14 @@ state passes with probability 1, and the pass rate lower-bounds the GHZ
 fidelity: F >= 2P - 1 for honest nodes, F' >= 4P - 3 when some nodes cheat
 (F' being the best fidelity reachable by local corrections on the cheaters'
 qubits).
+
+The bound checks are one-sided tests on the sampled pass rate P^: a bound
+is reported broken only when P^ exceeds the largest pass rate the bound
+allows, P0 = (1 + F)/2 (honest) or (3 + F')/4 (dishonest), by more than
+three standard errors of the bound's left side evaluated at P0, i.e.
+3 * 2 se(P0) for 2P - 1 and 3 * 4 se(P0) for 4P - 3, where
+se(P) = sqrt(P (1 - P) / rounds).  The standard error of P^ itself vanishes
+as P^ -> 1 and would turn sampling noise into false alarms.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import numpy as np
 
 from .qcore import (
     DensityOperator,
-    QcoreError,
     RandomSource,
     StateVector,
     ghz_state,
@@ -263,8 +270,10 @@ def check_fidelity_bounds(
 ) -> dict:
     """Verify the pass-rate fidelity bounds on a candidate state.
 
-    Honest: F >= 2P - 1 within 3 standard errors.  Dishonest: the corrected
-    fidelity F' (optimizer lower bound) satisfies 4P - 3 <= F' + slack.
+    Honest: F >= 2P - 1 within 3 standard errors of 2P - 1 at P0 = (1 + F)/2.
+    Dishonest: the corrected fidelity F' (optimizer lower bound) satisfies
+    4P - 3 <= F' + slack within 3 standard errors of 4P - 3 at
+    P0 = (3 + F')/4.  ``std_err`` reports se(P^) of the sample.
     """
     n = network.size
     rho = state.to_density() if isinstance(state, StateVector) else state
@@ -286,7 +295,11 @@ def check_fidelity_bounds(
         if rng.uniform() < p_pass:
             passes += 1
     p_hat = passes / rounds
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds)
+
+    def std_err(p: float) -> float:
+        return math.sqrt(max(p * (1.0 - p), 0.0) / rounds)
+
+    se = std_err(p_hat)
 
     report = {
         "n": n,
@@ -297,7 +310,9 @@ def check_fidelity_bounds(
     if honest:
         f = ghz_fidelity(rho_played)
         report["fidelity"] = f
-        report["honest_bound_ok"] = f >= 2.0 * p_hat - 1.0 - 3.0 * se - 1e-9
+        report["honest_bound_ok"] = (
+            f >= 2.0 * p_hat - 1.0 - 3.0 * 2.0 * std_err((1.0 + f) / 2.0) - 1e-9
+        )
         report["dishonest_bound_ok"] = None
     else:
         dishonest = [j for j, node in enumerate(network.nodes) if not node.honest]
@@ -305,7 +320,8 @@ def check_fidelity_bounds(
         report["fidelity"] = f_prime
         report["honest_bound_ok"] = None
         report["dishonest_bound_ok"] = (
-            4.0 * p_hat - 3.0 <= f_prime + DISHONEST_BOUND_SLACK + 3.0 * se
+            4.0 * p_hat - 3.0
+            <= f_prime + DISHONEST_BOUND_SLACK + 3.0 * 4.0 * std_err((3.0 + f_prime) / 4.0)
         )
     return report
 

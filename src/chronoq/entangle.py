@@ -1,8 +1,8 @@
 """Entanglement detection and measures.
 
 Schmidt decomposition, PPT criterion, concurrence, fidelity / trace distance,
-entanglement witnesses, and CHSH evaluation with deterministic settings
-optimization.
+entanglement witnesses, and CHSH evaluation with the closed-form (Horodecki)
+maximum and settings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    TOL_ALG,
     DensityOperator,
     QcoreError,
     StateVector,
@@ -220,108 +219,44 @@ def correlation_matrix(rho: DensityOperator) -> np.ndarray:
 
 
 def _axis_observable(axis: np.ndarray) -> np.ndarray:
+    """a . sigma for the unit vector along ``axis``."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
     return axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
 
 
-def chsh_axis_optimize(t: np.ndarray, grid: int = 24, refine_steps: int = 40) -> dict:
-    """Deterministic maximization of a1.T.b1 + a2.T.b1 + a2.T.b2 - a1.T.b2
-    over unit axes, for a given 3x3 correlation matrix t.
+def chsh_axis_optimize(t: np.ndarray) -> dict:
+    """Maximum of a1.T.b1 + a2.T.b1 + a2.T.b2 - a1.T.b2 over unit axes, for a
+    3x3 correlation matrix t (Horodecki criterion).
 
-    The search is restricted to the plane spanned by the top two right/left
-    singular directions of the correlation matrix (where the optimum lives),
-    then swept on a coarse angle grid and refined by coordinate descent.
+    With t = U S V^T the maximum is 2 sqrt(s1^2 + s2^2), reached at A1 = u2,
+    A2 = u1 and B1, B2 = (s1 v1 +- s2 v2) / sqrt(s1^2 + s2^2).
     """
-    t = np.asarray(t, dtype=float)
-    u, s, vh = np.linalg.svd(t)
-    # Alice axes live in span(u[:,0], u[:,1]); Bob axes in span(vh[0], vh[1]).
-    ua, va = u[:, 0], u[:, 1]
-    ub, vb = vh[0, :], vh[1, :]
-
-    def value(angles: np.ndarray) -> float:
-        a1, a2, b1, b2 = angles
-        axes_a = [math.cos(a1) * ua + math.sin(a1) * va,
-                  math.cos(a2) * ua + math.sin(a2) * va]
-        axes_b = [math.cos(b1) * ub + math.sin(b1) * vb,
-                  math.cos(b2) * ub + math.sin(b2) * vb]
-        e = [[float(axes_a[i] @ t @ axes_b[j]) for j in range(2)] for i in range(2)]
-        return e[0][0] + e[1][0] + e[1][1] - e[0][1]
-
-    # Coarse grid, exploiting separability of the CHSH sum: with
-    # g(alpha, beta) = a(alpha) . T . b(beta) the objective is
-    # g(a1,b1) + g(a2,b1) + g(a2,b2) - g(a1,b2), so for each (b1,b2) the
-    # optimal a1 and a2 decouple.
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    m = np.array([[ua @ t @ ub, ua @ t @ vb], [va @ t @ ub, va @ t @ vb]])
-    alice = np.stack([cos_t, sin_t], axis=1)  # (grid, 2)
-    bob = np.stack([cos_t, sin_t], axis=1)
-    g = alice @ m @ bob.T  # g[i, j] = g(theta_i, theta_j)
-    best_val = -np.inf
-    best_idx = (0, 0, 0, 0)
-    for j1 in range(grid):
-        for j2 in range(grid):
-            i2 = int(np.argmax(g[:, j1] + g[:, j2]))
-            i1 = int(np.argmax(g[:, j1] - g[:, j2]))
-            v = g[i1, j1] - g[i1, j2] + g[i2, j1] + g[i2, j2]
-            if v > best_val:
-                best_val = v
-                best_idx = (i1, i2, j1, j2)
-    angles = np.array([thetas[k] for k in best_idx])
-
-    # Deterministic coordinate refinement.
-    step = 2.0 * math.pi / grid
-    current = value(angles)
-    for _ in range(refine_steps):
-        improved = False
-        for i in range(4):
-            for delta in (step, -step):
-                trial = angles.copy()
-                trial[i] += delta
-                v = value(trial)
-                if v > current + 1e-15:
-                    angles, current = trial, v
-                    improved = True
-        if not improved:
-            step /= 2.0
-            if step < 1e-12:
-                break
-
-    a1, a2, b1, b2 = angles
-    axes = {
-        "A1": math.cos(a1) * ua + math.sin(a1) * va,
-        "A2": math.cos(a2) * ua + math.sin(a2) * va,
-        "B1": math.cos(b1) * ub + math.sin(b1) * vb,
-        "B2": math.cos(b2) * ub + math.sin(b2) * vb,
-    }
-    return {"value": current, "axes": axes}
+    u, s, vh = np.linalg.svd(np.asarray(t, dtype=float))
+    norm = math.hypot(s[0], s[1])
+    if norm == 0.0:
+        b1 = b2 = vh[0]
+    else:
+        b1 = (s[0] * vh[0] + s[1] * vh[1]) / norm
+        b2 = (s[0] * vh[0] - s[1] * vh[1]) / norm
+    return {"value": 2.0 * norm, "axes": {"A1": u[:, 1], "A2": u[:, 0], "B1": b1, "B2": b2}}
 
 
-def chsh_optimize(rho: DensityOperator, grid: int = 24, refine_steps: int = 40) -> dict:
-    """Deterministic CHSH maximization over observable settings for a 2-qubit state."""
-    result = chsh_axis_optimize(correlation_matrix(rho), grid, refine_steps)
-    axes = result["axes"]
+def chsh_optimize(rho: DensityOperator) -> dict:
+    """CHSH maximum and the settings that reach it for a 2-qubit state."""
+    result = chsh_axis_optimize(correlation_matrix(rho))
     settings = ObservableSettings(
-        A1=_axis_observable(axes["A1"]),
-        A2=_axis_observable(axes["A2"]),
-        B1=_axis_observable(axes["B1"]),
-        B2=_axis_observable(axes["B2"]),
+        **{name: _axis_observable(axis) for name, axis in result["axes"].items()}
     )
     return {"value": result["value"], "settings": settings}
 
 
-def werner_chsh_crossing(tol: float = 1e-6) -> float:
-    """F where the optimized Werner CHSH value crosses 2 (bisection)."""
-    def gap(f: float) -> float:
-        return chsh_optimize(WernerState(f).rho, grid=12)["value"] - 2.0
+def werner_chsh_crossing() -> float:
+    """F where the maximal Werner CHSH value 2 sqrt(2) (4F - 1) / 3 crosses 2.
 
-    lo, hi = 0.5, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if gap(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    The Werner correlation matrix is -(4F - 1)/3 * I.
+    """
+    return (1.0 + 3.0 / SQRT2) / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .infotheory import derived_entropies
-from .entangle import chsh_axis_optimize
+from .entangle import PAULIS, _axis_observable, chsh_axis_optimize
 from .qcore import (
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     DensityOperator,
     QcoreError,
@@ -238,6 +237,8 @@ class PrecessionModel:
     observable: np.ndarray = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise FoundationsError("omega must be a finite positive rate")
         if self.initial is None:
             object.__setattr__(self, "initial", StateVector([1.0, 0.0]))
         if self.observable is None:
@@ -251,16 +252,19 @@ class PrecessionModel:
         return rotation(PAULI_X, self.omega * dt)
 
 
-def two_time_correlator(model: PrecessionModel, t_i: float, t_j: float) -> float:
-    """C_ij from an actual two-measurement sequential run (measure at t_i,
-    evolve, measure at t_j)."""
-    u0 = model.unitary(t_i)
+def _two_time_joint(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) -> dict:
+    """Joint outcome distribution of measuring a_obs at t1, then b_obs at t2."""
+    u0 = model.unitary(t1)
     state = DensityOperator(
         u0 @ model.initial.to_density().matrix @ u0.conj().T, validate=False
     )
-    dist = sequential_joint(
-        state, [model.observable, model.observable], [model.unitary(t_j - t_i)]
-    )
+    return sequential_joint(state, [a_obs, b_obs], [model.unitary(t2 - t1)])
+
+
+def two_time_correlator(model: PrecessionModel, t_i: float, t_j: float) -> float:
+    """C_ij from an actual two-measurement sequential run (measure at t_i,
+    evolve, measure at t_j)."""
+    dist = _two_time_joint(model, model.observable, model.observable, t_i, t_j)
     return correlator_from_joint(dist, 0, 1)
 
 
@@ -279,27 +283,11 @@ def lg_k3_analytic(model: PrecessionModel, tau: float) -> float:
     return 2.0 * math.cos(model.omega * tau) - math.cos(2.0 * model.omega * tau)
 
 
-def lg_k3_max(model: PrecessionModel, grid: int = 720) -> dict:
-    """Grid + bisection refinement of K3 over tau in (0, pi/omega)."""
-    taus = np.linspace(1e-6, math.pi / model.omega, grid)
-    values = [lg_k3_analytic(model, float(t)) for t in taus]
-    best = int(np.argmax(values))
-    lo = taus[max(best - 1, 0)]
-    hi = taus[min(best + 1, grid - 1)]
-    # Golden-section refinement on the analytic curve, then confirm with the
-    # sequential-measurement engine.
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    while b - a > 1e-12:
-        if lg_k3_analytic(model, c) > lg_k3_analytic(model, d):
-            b, d = d, c
-            c = b - phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + phi * (b - a)
-    tau_star = (a + b) / 2.0
+def lg_k3_max(model: PrecessionModel) -> dict:
+    """K3 at its maximiser tau* = pi / (3 omega), where the analytic curve
+    2 cos(w tau) - cos(2 w tau) peaks at 3/2; the value comes from the
+    sequential-measurement engine."""
+    tau_star = math.pi / (3.0 * model.omega)
     return {"k3_max": lg_k3(model, tau_star), "tau_star": tau_star}
 
 
@@ -307,23 +295,9 @@ def lg_k3_max(model: PrecessionModel, grid: int = 720) -> dict:
 # Temporal CHSH
 # ---------------------------------------------------------------------------
 
-_PAULI_VEC = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
-def _axis_obs(axis: np.ndarray) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return sum(a * s for a, s in zip(axis, _PAULI_VEC))
-
-
 def sequential_correlator(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) -> float:
     """E(A at t1, then B at t2) via the sequential engine."""
-    u0 = model.unitary(t1)
-    state = DensityOperator(
-        u0 @ model.initial.to_density().matrix @ u0.conj().T, validate=False
-    )
-    dist = sequential_joint(state, [a_obs, b_obs], [model.unitary(t2 - t1)])
-    return correlator_from_joint(dist, 0, 1)
+    return correlator_from_joint(_two_time_joint(model, a_obs, b_obs, t1, t2), 0, 1)
 
 
 def temporal_chsh(model: PrecessionModel, settings: dict, t1: float, t2: float) -> float:
@@ -338,23 +312,23 @@ def temporal_chsh(model: PrecessionModel, settings: dict, t1: float, t2: float) 
     )
 
 
-def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float, grid: int = 24) -> dict:
+def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict:
     """Optimized temporal CHSH value.
 
     For a qubit, the sequential correlator of axis observables is
     E(a, b) = a . R b with R the Heisenberg rotation between the two
-    measurement times, independent of the state; the same plane-restricted
-    grid + refinement used for the spatial case applies.
+    measurement times, independent of the state; the closed-form CHSH
+    maximum of the spatial case applies to R.  The value is then measured
+    with those settings through the sequential engine.
     """
     u = model.unitary(t2 - t1)
     r = np.zeros((3, 3))
-    for i, si in enumerate(_PAULI_VEC):
+    for i, si in enumerate(PAULIS):
         evolved = u.conj().T @ si @ u
-        for j, sj in enumerate(_PAULI_VEC):
+        for j, sj in enumerate(PAULIS):
             r[j, i] = float(np.real(np.trace(evolved @ sj))) / 2.0
-    # E(a, b) = a . (R b) with R the Heisenberg rotation of Bob's axis.
-    result = chsh_axis_optimize(r, grid=grid)
-    settings = {name: _axis_obs(axis) for name, axis in result["axes"].items()}
+    result = chsh_axis_optimize(r)
+    settings = {name: _axis_observable(axis) for name, axis in result["axes"].items()}
     value = temporal_chsh(model, settings, t1, t2)
     return {"value": value, "settings": settings}
 
@@ -366,13 +340,7 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float, grid: i
 
 def _pair_joint_table(model: PrecessionModel, ti: float, tj: float) -> np.ndarray:
     """2x2 table p(Q_j, Q_i) (later outcome indexes rows) from a two-time run."""
-    u0 = model.unitary(ti)
-    state = DensityOperator(
-        u0 @ model.initial.to_density().matrix @ u0.conj().T, validate=False
-    )
-    dist = sequential_joint(
-        state, [model.observable, model.observable], [model.unitary(tj - ti)]
-    )
+    dist = _two_time_joint(model, model.observable, model.observable, ti, tj)
     table = np.zeros((2, 2))
     for (qi, qj), p in dist.items():
         table[(1 - qj) // 2, (1 - qi) // 2] += p

@@ -326,10 +326,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def quantum_joint_entropy(rho_ab: DensityOperator) -> float:
-    return von_neumann_entropy(rho_ab)
-
-
 def quantum_conditional_entropy(rho_ab: DensityOperator, dims: Sequence[int]) -> float:
     """S(A|B) = S(A,B) - S(B); negative values witness entanglement."""
     if len(dims) != 2 or dims[0] * dims[1] != rho_ab.dim:

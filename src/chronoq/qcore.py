@@ -202,11 +202,6 @@ def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[in
 # ---------------------------------------------------------------------------
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.asarray(m, dtype=np.complex128).conj().T
-
-
 def is_unitary(m: np.ndarray, tol: float = TOL_ALG) -> bool:
     m = np.asarray(m, dtype=np.complex128)
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
@@ -461,10 +456,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        return state.to_density()
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import chronoq
 from chronoq.cli import main
 
 
@@ -129,3 +132,21 @@ def test_byte_identical_reruns():
         b = run(cmd)
         assert a.exit_code == 0
         assert a.output.encode() == b.output.encode()
+
+
+@pytest.mark.parametrize("command", ["k3", "temporal-chsh", "entropic"])
+@pytest.mark.parametrize("omega", ["0", "-1"])
+def test_lg_rejects_non_positive_omega(command, omega):
+    assert run(["lg", command, "--omega", omega, "--json"]).exit_code == 2
+
+
+def test_consensus_bounds_seed_13_honest():
+    res = run(["consensus", "bounds", "--seed", "13", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["honest_bound_ok"] is True
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
+    assert chronoq.__version__ == version

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chronoq import consensus
 from chronoq.consensus import (
     DEFAULT_ROUNDS,
     DEFAULT_THRESHOLD,
@@ -116,6 +117,33 @@ def test_honest_bound_on_noisy_states():
         rho = DensityOperator((1 - eps) * g.matrix + eps * np.eye(8) / 8)
         report = check_fidelity_bounds(rho, network, 300, rng, honest=True)
         assert report["honest_bound_ok"]
+
+
+def _noisy_ghz(n, eps=0.1):
+    g = ghz_state(n).to_density()
+    return DensityOperator((1 - eps) * g.matrix + eps * np.eye(2**n) / 2**n)
+
+
+def test_honest_bound_no_false_alarms():
+    # A sample pass rate near 1 has a vanishing standard error; the check
+    # must still not call the honest bound broken on an honest network.
+    rho = _noisy_ghz(4)
+    alarms = 0
+    for seed in range(100):
+        rng = RandomSource(seed, 0)
+        report = check_fidelity_bounds(rho, _network(4, rng), 100, rng)
+        alarms += report["honest_bound_ok"] is False
+    assert alarms == 0
+
+
+def test_honest_bound_detects_overstated_pass_rate(monkeypatch):
+    # A fidelity 0.2 below the true one is incompatible with the observed
+    # pass rate, so the check must fail.
+    true_fidelity = consensus.ghz_fidelity
+    monkeypatch.setattr(consensus, "ghz_fidelity", lambda rho: true_fidelity(rho) - 0.2)
+    rng = RandomSource(39, 0)
+    report = check_fidelity_bounds(_noisy_ghz(4), _network(4, rng), 1000, rng)
+    assert report["honest_bound_ok"] is False
 
 
 def test_dishonest_bound():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoq.entangle import (
     ObservableSettings,
@@ -23,6 +25,7 @@ from chronoq.entangle import (
 )
 from chronoq.qcore import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DensityOperator,
     RandomSource,
@@ -129,7 +132,7 @@ def test_correlation_matrix_singlet():
 
 
 def test_chsh_optimize_reaches_tsirelson():
-    res = chsh_optimize(bell_state("phi+").to_density(), grid=12)
+    res = chsh_optimize(bell_state("phi+").to_density())
     assert res["value"] == pytest.approx(SQRT8, abs=1e-6)
 
 
@@ -141,17 +144,66 @@ def test_chsh_optimize_matches_horodecki():
         t = correlation_matrix(rho)
         s = np.sort(np.linalg.svd(t, compute_uv=False))[::-1]
         horodecki = 2 * math.sqrt(s[0] ** 2 + s[1] ** 2)
-        res = chsh_optimize(rho, grid=12)
+        res = chsh_optimize(rho)
         assert res["value"] == pytest.approx(horodecki, abs=1e-5)
         assert chsh_value(rho, res["settings"]) == pytest.approx(res["value"], abs=1e-9)
+
+
+_unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+_axis = st.lists(_unit_floats, min_size=3, max_size=3).filter(
+    lambda a: np.linalg.norm(a) > 1e-3
+)
+
+
+def _observable(axis):
+    a = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(a)
+    a = a / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
+    return a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gram=st.lists(_unit_floats, min_size=32, max_size=32),
+    axes=st.lists(_axis, min_size=4, max_size=4),
+)
+def test_no_settings_beat_chsh_optimize(gram, axes):
+    # Any state rho = G G^dag / tr and any unit axes: the closed-form maximum
+    # is never exceeded, neither by four random axes nor by Bob's best
+    # response B1 ~ T^t (a1 + a2), B2 ~ T^t (a2 - a1) to random Alice axes.
+    g = np.array(gram[:16]).reshape(4, 4) + 1j * np.array(gram[16:]).reshape(4, 4)
+    m = g @ g.conj().T
+    if np.trace(m).real < 1e-6:
+        m = np.eye(4)
+    rho = DensityOperator(m / np.trace(m))
+    best = chsh_optimize(rho)["value"]
+    a1, a2, b1, b2 = (np.asarray(a) / np.linalg.norm(a) for a in axes)
+    trial = ObservableSettings(*(_observable(a) for a in (a1, a2, b1, b2)))
+    assert chsh_value(rho, trial) <= best + 1e-9
+    t = correlation_matrix(rho)
+    response = ObservableSettings(
+        _observable(a1),
+        _observable(a2),
+        _observable(t.T @ (a1 + a2)),
+        _observable(t.T @ (a2 - a1)),
+    )
+    assert chsh_value(rho, response) <= best + 1e-9
+
+
+def test_chsh_optimize_maximally_mixed():
+    rho = DensityOperator.maximally_mixed(4)
+    res = chsh_optimize(rho)
+    assert res["value"] == 0.0
+    assert chsh_value(rho, res["settings"]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_werner_chsh_crossing():
     crossing = werner_chsh_crossing()
     # Analytic crossing: optimized CHSH is 2*sqrt(2)*(4F-1)/3, equal to 2 at
     # F = (3/sqrt(2)+1)/4.
-    assert abs(crossing - (3 / math.sqrt(2) + 1) / 4) < 5e-3
+    assert abs(crossing - (3 / math.sqrt(2) + 1) / 4) < 1e-12
     assert abs(crossing - 0.7803) < 5e-3
+    assert chsh_optimize(WernerState(crossing).rho)["value"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ghz_witness():

@@ -127,11 +127,17 @@ def test_lg_k3_max_scales_with_omega():
     assert res["tau_star"] == pytest.approx(math.pi / 3 / 2.5, abs=1e-4)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+def test_precession_model_rejects_bad_omega(omega):
+    with pytest.raises(FoundationsError):
+        PrecessionModel(omega=omega)
+
+
 def test_temporal_chsh_optimum():
     model = PrecessionModel(omega=1.0)
     for dt in (0.4, 0.7, 1.3):
         res = temporal_chsh_optimize(model, 0.0, dt)
-        assert res["value"] == pytest.approx(SQRT8, abs=1e-3)
+        assert res["value"] == pytest.approx(SQRT8, abs=1e-9)
         # The reported settings reproduce the value through actual
         # sequential measurements.
         direct = temporal_chsh(model, res["settings"], 0.0, dt)
