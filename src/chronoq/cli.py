@@ -24,6 +24,7 @@ from . import chain as chain_mod
 from . import consensus as consensus_mod
 from . import entangle, foundations, games, infotheory, temporal
 from .qcore import (
+    MAX_QUBITS,
     PAULI_X,
     PAULI_Z,
     HADAMARD,
@@ -328,9 +329,14 @@ def chain_contrast(blocks, index, seed, trials, as_json, as_csv, out, tol):
 # ---------------------------------------------------------------------------
 
 
+# run/admit sample state vectors (the register cap); bounds builds a dense
+# 4^n density operator, 64 MiB at 11 nodes.
+_NODES = click.IntRange(2, MAX_QUBITS)
+_BOUNDS_NODES = click.IntRange(2, 11)
+_ROUNDS = click.IntRange(min=1)
+
+
 def _build_network(nodes: int, dishonest: int, rng: RandomSource) -> consensus_mod.Network:
-    if nodes < 2:
-        raise click.UsageError("--nodes must be at least 2")
     if not 0 <= dishonest <= nodes:
         raise click.UsageError("--dishonest must lie in [0, nodes]")
     cheat = (PAULI_Z + PAULI_X) / math.sqrt(2.0)
@@ -347,8 +353,8 @@ def consensus_group():
 
 
 @consensus_group.command("run")
-@click.option("--nodes", type=int, default=4, show_default=True)
-@click.option("--rounds", type=int, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--nodes", type=_NODES, default=4, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @common_options
 def consensus_run(nodes, rounds, dishonest, seed, trials, as_json, as_csv, out, tol):
@@ -362,13 +368,15 @@ def consensus_run(nodes, rounds, dishonest, seed, trials, as_json, as_csv, out, 
 
 
 @consensus_group.command("bounds")
-@click.option("--nodes", type=int, default=4, show_default=True)
-@click.option("--rounds", type=int, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--nodes", type=_BOUNDS_NODES, default=4, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @click.option("--noise", type=float, default=0.1, show_default=True)
 @common_options
 def consensus_bounds(nodes, rounds, dishonest, noise, seed, trials, as_json, as_csv, out, tol):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
+    if not 0.0 <= noise <= 1.0:  # also rejects nan, which a FloatRange lets through
+        raise click.BadParameter(f"{noise} is not in [0, 1]", param_hint="'--noise'")
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
     g = ghz_state(nodes).to_density()
@@ -384,8 +392,8 @@ def consensus_bounds(nodes, rounds, dishonest, noise, seed, trials, as_json, as_
 
 
 @consensus_group.command("admit")
-@click.option("--nodes", type=int, default=4, show_default=True)
-@click.option("--rounds", type=int, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--nodes", type=_NODES, default=4, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option(
     "--threshold", type=float, default=consensus_mod.DEFAULT_THRESHOLD, show_default=True
 )
@@ -554,7 +562,16 @@ def gleason_roundtrip(dim, frames, seed, trials, as_json, as_csv, out, tol):
 # ---------------------------------------------------------------------------
 
 
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+def _precession_model(ctx, param, omega: float) -> foundations.PrecessionModel:
+    try:
+        return foundations.PrecessionModel(omega=omega)
+    except foundations.FoundationsError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+_OMEGA = click.option(
+    "--omega", "model", type=float, default=1.0, show_default=True, callback=_precession_model
+)
 
 
 @main.group("lg")
@@ -563,11 +580,10 @@ def lg_group():
 
 
 @lg_group.command("k3")
-@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
+@_OMEGA
 @common_options
-def lg_k3_cmd(omega, seed, trials, as_json, as_csv, out, tol):
+def lg_k3_cmd(model, seed, trials, as_json, as_csv, out, tol):
     """Maximize the three-time correlator K3 over the spacing tau."""
-    model = foundations.PrecessionModel(omega=omega)
     res = foundations.lg_k3_max(model)
     report = {"k3_max": res["k3_max"], "tau_star": res["tau_star"], "classical_bound": 1.0}
     ok = abs(res["k3_max"] - 1.5) <= max(tol, 1e-6)
@@ -575,12 +591,11 @@ def lg_k3_cmd(omega, seed, trials, as_json, as_csv, out, tol):
 
 
 @lg_group.command("temporal-chsh")
-@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
+@_OMEGA
 @click.option("--dt", type=float, default=0.7, show_default=True)
 @common_options
-def lg_temporal_chsh(omega, dt, seed, trials, as_json, as_csv, out, tol):
+def lg_temporal_chsh(model, dt, seed, trials, as_json, as_csv, out, tol):
     """Optimized two-time CHSH value (quantum maximum is 2*sqrt(2))."""
-    model = foundations.PrecessionModel(omega=omega)
     res = foundations.temporal_chsh_optimize(model, 0.0, dt)
     report = {"value": res["value"], "tsirelson": SQRT8}
     ok = abs(res["value"] - SQRT8) <= max(tol, 1e-3)
@@ -588,11 +603,10 @@ def lg_temporal_chsh(omega, dt, seed, trials, as_json, as_csv, out, tol):
 
 
 @lg_group.command("entropic")
-@click.option("--omega", type=_POSITIVE, default=1.0, show_default=True)
+@_OMEGA
 @common_options
-def lg_entropic(omega, seed, trials, as_json, as_csv, out, tol):
+def lg_entropic(model, seed, trials, as_json, as_csv, out, tol):
     """Scan for the strongest entropic violation at equal spacings."""
-    model = foundations.PrecessionModel(omega=omega)
     best = foundations.entropic_lg_scan(model)
     report = {
         "lhs": best["lhs"],

@@ -20,6 +20,7 @@ as P^ -> 1 and would turn sampling noise into false alarms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,14 +29,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcore import (
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityOperator,
     RandomSource,
     StateVector,
-    ghz_state,
-    kron_all,
+    _apply_to_targets,
 )
 
 TWO_PI = 2.0 * math.pi
+_GHZ_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
 DEFAULT_ROUNDS = 100
 DEFAULT_THRESHOLD = 0.99
@@ -116,30 +121,56 @@ def theta_basis(theta: float) -> np.ndarray:
     )
 
 
+def _conjugate_per_qubit(matrix: np.ndarray, mats: Sequence) -> np.ndarray:
+    """(x)_j mats[j] @ matrix @ ((x)_j mats[j])^dag, one qubit at a time on
+    the ket and bra axes; a None entry is the identity."""
+    n = len(mats)
+    flat = matrix.reshape(-1)
+    for j, u in enumerate(mats):
+        if u is not None:
+            flat = _apply_to_targets(flat, 2 * n, u, [j])
+            flat = _apply_to_targets(flat, 2 * n, u.conj(), [n + j])
+    return flat.reshape(matrix.shape)
+
+
 def _rotated_probabilities(state, angles: Sequence[float]) -> np.ndarray:
-    """Born distribution over joint theta-basis outcomes (bit j = node j's Y)."""
-    u = kron_all([theta_basis(t) for t in angles])
+    """Born distribution over joint theta-basis outcomes (bit j = node j's Y);
+    each node's 2x2 basis acts on its own qubit axis."""
+    bases = [theta_basis(t) for t in angles]
     if isinstance(state, StateVector):
-        return np.abs(u @ state.amplitudes) ** 2
+        # Apply the basis to the leading qubit, then move that qubit to the
+        # back; after n steps the qubit order is restored.
+        amps = state.amplitudes.reshape(2, -1)
+        for b in bases:
+            amps = (b @ amps).T.reshape(2, -1)
+        return np.abs(amps.reshape(-1)) ** 2
     if isinstance(state, DensityOperator):
-        return np.clip(np.real(np.diag(u @ state.matrix @ u.conj().T)), 0.0, None)
+        rotated = _conjugate_per_qubit(state.matrix, bases)
+        return np.clip(np.real(np.diag(rotated)), 0.0, None)
     raise ConsensusError("state must be a StateVector or DensityOperator")
 
 
-def _parity_vector(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    parity = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        parity ^= (idx >> b) & 1
-    return parity
-
-
 def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:
-    """Sum of Born probabilities over outcomes with XOR(Y) == m (mod 2)."""
-    n = len(angles)
-    probs = _rotated_probabilities(state, angles)
-    parity = _parity_vector(n)
-    return float(probs[parity == (m % 2)].sum())
+    """P(XOR(Y) == m mod 2) = (1 + (-1)^m <O>) / 2 for the parity observable
+    O = (x)_j (cos theta_j X + sin theta_j Y).
+
+    O maps |a> to c(a) |a-bar> (a-bar the bitwise complement of a,
+    c(a) = prod_j e^{i theta_j (1 - 2 a_j)}), so <O> = sum_a c(a) rho[a, a-bar]
+    reads only the anti-diagonal of rho, psi_a conj(psi_{a-bar}) for a ket.
+    """
+    phases = np.ones(1, dtype=np.complex128)
+    for t in angles:
+        phases = np.multiply.outer(phases, [np.exp(1j * t), np.exp(-1j * t)]).ravel()
+    if isinstance(state, StateVector):
+        anti = state.amplitudes * state.amplitudes[::-1].conj()
+    elif isinstance(state, DensityOperator):
+        anti = np.fliplr(state.matrix).diagonal()
+    else:
+        raise ConsensusError("state must be a StateVector or DensityOperator")
+    if anti.shape != phases.shape:
+        raise ConsensusError("angle count must match the state's qubit count")
+    parity = (-1) ** (m % 2) * float(np.real(phases @ anti))
+    return min(max(0.5 * (1.0 + parity), 0.0), 1.0)
 
 
 def theta_measure(state: StateVector, angles: Sequence[float], rng: RandomSource) -> tuple:
@@ -200,12 +231,19 @@ def estimate_pass_probability(
 
 
 def ghz_fidelity(rho) -> float:
-    """F = <GHZ_n| rho |GHZ_n>."""
+    """F = <GHZ_n| rho |GHZ_n>, read from rho[0, 0], rho[0, L], rho[L, 0] and
+    rho[L, L] with L = 2^n - 1; for a ket, |psi_0 + psi_L|^2 / 2.
+
+    The four entries are combined in the order of the row-vector contraction
+    g^dag rho g, so a fidelity keeps the last digits that contraction gives.
+    """
     if isinstance(rho, StateVector):
-        rho = rho.to_density()
-    n = rho.dim.bit_length() - 1
-    g = ghz_state(n).amplitudes
-    return float(np.real(g.conj() @ rho.matrix @ g))
+        amps = rho.amplitudes
+        return float(abs(amps[0] + amps[-1]) ** 2 / 2.0)
+    mat, g = rho.matrix, _GHZ_AMPLITUDE
+    first = g * mat[0, 0].real + g * mat[-1, 0].real
+    last = g * mat[0, -1].real + g * mat[-1, -1].real
+    return float(first * g + last * g)
 
 
 def _single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -219,44 +257,77 @@ def _single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray
     )
 
 
+# u^dag = q0 I + i (q1 X + q2 Y + q3 Z): a unit quaternion q spans every
+# single-qubit unitary up to a global phase, and u^dag is linear in q.
+_QUATERNION_BASIS = np.array([I2, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z])
+_MAX_SWEEPS = 200
+_SWEEP_GAIN = 1e-14
+
+
+def _ascend(block: np.ndarray, mats: list) -> float:
+    """Block-coordinate ascent of <phi| block |phi> over the cheaters' u^dag.
+
+    phi = U^dag |GHZ> restricted to the honest-all-0 and honest-all-1 halves
+    is (x)_c mats[c][:, h] / sqrt(2) in half h (cheater bits big-endian), so
+    with the other cheaters fixed the fidelity is a real quadratic form
+    q^T M q in one cheater's quaternion, maximized by M's top eigenvector.
+    """
+    value = -math.inf
+    for _ in range(_MAX_SWEEPS):
+        previous = value
+        for i in range(len(mats)):
+            halves = []
+            for h in (0, 1):
+                left = functools.reduce(np.kron, [u[:, h] for u in mats[:i]], np.ones(1))
+                right = functools.reduce(np.kron, [u[:, h] for u in mats[i + 1 :]], np.ones(1))
+                cols = _QUATERNION_BASIS[:, :, h]
+                halves.append(np.einsum("a,jb,c->abcj", left, cols, right).reshape(-1, 4))
+            kets = np.concatenate(halves) * _GHZ_AMPLITUDE
+            form = np.real(kets.conj().T @ block @ kets)
+            eigvals, eigvecs = np.linalg.eigh((form + form.T) / 2.0)
+            mats[i] = np.tensordot(eigvecs[:, -1], _QUATERNION_BASIS, axes=1)
+            value = float(eigvals[-1])
+        if value - previous <= _SWEEP_GAIN:
+            break
+    return value
+
+
 def optimize_corrected_fidelity(
     rho: DensityOperator, dishonest: Sequence[int], starts: int = 8
 ) -> float:
     """Lower bound on max_U <GHZ| (I (x) U) rho (I (x) U)^dag |GHZ>, where U
     is a product of single-qubit unitaries on the dishonest qubits.
 
-    Each unitary is parameterized by ZYZ Euler angles; a quasi-Newton search
-    runs from several deterministic starting points and the best value wins.
-    Any local maximum is still a valid lower bound on the true optimum.
+    Only the four 2^k x 2^k blocks <h_H| rho |h'_H> with the honest register
+    all-0 or all-1 enter.  Each cheater's unitary is a unit quaternion and
+    block-coordinate ascent takes the top eigenvector of a 4x4 form per step,
+    which is the exact optimum for one cheater.  For several cheaters the
+    ascent runs from deterministic golden-ratio starts and the best value
+    wins; any local maximum is still a valid lower bound on the optimum.
     """
-    from scipy.optimize import minimize
-
     n = rho.dim.bit_length() - 1
-    qubits = list(dishonest)
+    qubits = sorted(set(dishonest))
     if not qubits:
         return ghz_fidelity(rho)
+    if qubits[0] < 0 or qubits[-1] >= n:
+        raise ConsensusError("dishonest qubit index out of range")
     k = len(qubits)
 
-    def corrected(x: np.ndarray) -> float:
-        mats = [np.eye(2, dtype=np.complex128)] * n
-        for i, q in enumerate(qubits):
-            mats[q] = _single_qubit_unitary(*x[3 * i : 3 * i + 3])
-        u = kron_all(mats)
-        return ghz_fidelity(DensityOperator(u @ rho.matrix @ u.conj().T, validate=False))
+    # Basis indices with the honest bits all 0, then all 1; cheater bits vary.
+    offsets = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        offsets = np.add.outer(offsets, [0, 1 << (n - 1 - q)]).ravel()
+    honest_ones = (1 << n) - 1 - int(offsets[-1])
+    index = np.concatenate([offsets, honest_ones + offsets])
+    block = rho.matrix[np.ix_(index, index)]
 
     # Deterministic low-discrepancy starting points (golden-ratio lattice).
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    start_points = [np.zeros(3 * k)]
-    for s in range(1, starts):
-        start_points.append(
-            TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
-        )
-
-    best = corrected(np.zeros(3 * k))
-    for x0 in start_points:
-        res = minimize(lambda x: -corrected(x), x0, method="Nelder-Mead",
-                       options={"maxiter": 400 * k, "xatol": 1e-7, "fatol": 1e-10})
-        best = max(best, float(-res.fun))
+    best = -math.inf
+    for s in range(starts):
+        x = TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
+        mats = [_single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
+        best = max(best, _ascend(block, mats))
     return min(best, 1.0)
 
 
@@ -275,18 +346,21 @@ def check_fidelity_bounds(
     4P - 3 <= F' + slack within 3 standard errors of 4P - 3 at
     P0 = (3 + F')/4.  ``std_err`` reports se(P^) of the sample.
     """
+    if rounds < 1:
+        raise ConsensusError("rounds must be positive")
     n = network.size
     rho = state.to_density() if isinstance(state, StateVector) else state
+    if rho.dim != 1 << n:
+        raise ConsensusError("state qubit count must match node count")
 
     # Pass rate of the (possibly cheated) state.
-    cheat_mats = [
+    cheats = [
         np.asarray(node.cheat, dtype=np.complex128)
         if (not node.honest and node.cheat is not None)
-        else np.eye(2, dtype=np.complex128)
+        else None
         for node in network.nodes
     ]
-    u_cheat = kron_all(cheat_mats)
-    rho_played = DensityOperator(u_cheat @ rho.matrix @ u_cheat.conj().T, validate=False)
+    rho_played = DensityOperator(_conjugate_per_qubit(rho.matrix, cheats), validate=False)
 
     passes = 0
     for _ in range(rounds):

@@ -237,8 +237,14 @@ class PrecessionModel:
     observable: np.ndarray = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise FoundationsError("omega must be a finite positive rate")
+        # The K3 spacing pi/(3 omega) must be finite too: a subnormal omega
+        # overflows it.
+        if not (
+            math.isfinite(self.omega)
+            and self.omega > 0.0
+            and math.isfinite(math.pi / (3.0 * self.omega))
+        ):
+            raise FoundationsError(f"omega must be a finite positive rate, got {self.omega!r}")
         if self.initial is None:
             object.__setattr__(self, "initial", StateVector([1.0, 0.0]))
         if self.observable is None:

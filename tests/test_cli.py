@@ -134,10 +134,42 @@ def test_byte_identical_reruns():
         assert a.output.encode() == b.output.encode()
 
 
+# nan and inf are not finite rates; 1e-320 makes pi / (3 omega) overflow.
 @pytest.mark.parametrize("command", ["k3", "temporal-chsh", "entropic"])
-@pytest.mark.parametrize("omega", ["0", "-1"])
+@pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf", "1e-320"])
 def test_lg_rejects_non_positive_omega(command, omega):
-    assert run(["lg", command, "--omega", omega, "--json"]).exit_code == 2
+    res = run(["lg", command, "--omega", omega, "--json"])
+    assert res.exit_code == 2
+    assert "--omega" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--rounds", "0"],
+        ["bounds", "--rounds", "0"],
+        ["admit", "--rounds", "0"],
+        ["run", "--nodes", "21"],
+        ["bounds", "--nodes", "21"],
+        ["admit", "--nodes", "21"],
+        ["run", "--nodes", "1"],
+        ["bounds", "--nodes", "12"],
+        ["bounds", "--noise", "nan"],
+        ["bounds", "--noise", "inf"],
+        ["bounds", "--noise", "-0.1"],
+        ["bounds", "--noise", "1.5"],
+    ],
+)
+def test_consensus_usage_errors_exit_2(args):
+    res = run(["consensus", *args, "--json"])
+    assert res.exit_code == 2
+    assert args[1] in res.output
+
+
+def test_consensus_run_at_register_cap():
+    res = run(["consensus", "run", "--nodes", "20", "--rounds", "2", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["pass_rate"] == 1.0
 
 
 def test_consensus_bounds_seed_13_honest():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoq import consensus
 from chronoq.consensus import (
@@ -25,11 +27,13 @@ from chronoq.consensus import (
 )
 from chronoq.qcore import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DensityOperator,
     RandomSource,
     StateVector,
     ghz_state,
+    kron_all,
     rotation,
 )
 
@@ -188,3 +192,147 @@ def test_invalid_configs():
         run_round(network, ghz_state(4), rng)
     assert DEFAULT_ROUNDS == 100
     assert DEFAULT_THRESHOLD == 0.99
+
+
+def test_check_fidelity_bounds_rejects_no_rounds():
+    rng = RandomSource(41, 0)
+    with pytest.raises(ConsensusError):
+        check_fidelity_bounds(ghz_state(3), _network(3, rng), 0, rng)
+
+
+def test_theta_rounds_at_register_cap():
+    # The round path never forms a 4^n operator, so the 20-qubit cap holds.
+    rng = RandomSource(42, 0)
+    est = estimate_pass_probability(ghz_state(20), _network(20, rng), 2, rng)
+    assert est["pass_rate"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Properties against dense references built from Kronecker products
+# ---------------------------------------------------------------------------
+
+
+def _random_state(n, seed, density):
+    gen = np.random.default_rng(seed)
+    if not density:
+        return StateVector(gen.normal(size=2**n) + 1j * gen.normal(size=2**n), normalize=True)
+    a = gen.normal(size=(2**n, 3)) + 1j * gen.normal(size=(2**n, 3))
+    rho = a @ a.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
+
+
+def _random_unitary(gen):
+    q, r = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _dense_born(state, angles):
+    u = kron_all([theta_basis(t) for t in angles])
+    if isinstance(state, StateVector):
+        return np.abs(u @ state.amplitudes) ** 2
+    return np.real(np.diag(u @ state.matrix @ u.conj().T))
+
+
+def _dense_corrected_fidelity(rho, n, unitaries):
+    """<GHZ| U rho U^dag |GHZ> with U = (x) unitaries (identity where None)."""
+    u = kron_all([np.eye(2) if m is None else m for m in unitaries])
+    g = ghz_state(n).amplitudes
+    return float(np.real(g.conj() @ u @ rho.matrix @ u.conj().T @ g))
+
+
+_angles = st.floats(0.0, math.pi, allow_nan=False, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.booleans(),
+    data=st.data(),
+)
+def test_theta_kernels_match_dense_reference(n, seed, density, data):
+    state = _random_state(n, seed, density)
+    angles = data.draw(st.lists(_angles, min_size=n, max_size=n))
+    m = data.draw(st.integers(0, n))
+    dense = _dense_born(state, angles)
+    born = consensus._rotated_probabilities(state, angles)
+    assert np.max(np.abs(born - dense)) <= 1e-12
+    assert born.sum() == pytest.approx(1.0, abs=1e-12)
+    parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+    for mm in (m, m + 1):  # both parities
+        expected = dense[parity == mm % 2].sum()
+        assert exact_pass_probability(state, angles, mm) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_corrected_fidelity_beats_random_product_corrections(n, seed, data):
+    cheaters = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))
+    rho = _random_state(n, seed, density=True)
+    best = optimize_corrected_fidelity(rho, sorted(cheaters))
+    gen = np.random.default_rng(seed + 1)
+    for _ in range(10):
+        unitaries = [_random_unitary(gen) if j in cheaters else None for j in range(n)]
+        assert best >= _dense_corrected_fidelity(rho, n, unitaries) - 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_corrected_fidelity_exact_for_one_cheater(n, seed, data):
+    # With u^dag = sum_i q_i P_i (P = I, iX, iY, iZ) the corrected fidelity is
+    # a quadratic form q^T M q; recover M densely by polarization and take its
+    # largest eigenvalue, the maximum over all single-qubit unitaries.
+    cheater = data.draw(st.integers(0, n - 1))
+    rho = _random_state(n, seed, density=True)
+    basis = [np.eye(2), 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z]
+
+    def f(q):
+        u_dag = sum(c * b for c, b in zip(q, basis))
+        unitaries = [u_dag.conj().T if j == cheater else None for j in range(n)]
+        return _dense_corrected_fidelity(rho, n, unitaries)
+
+    eye = np.eye(4)
+    form = np.diag([f(eye[i]) for i in range(4)])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            form[i, j] = form[j, i] = f((eye[i] + eye[j]) / math.sqrt(2)) - (
+                form[i, i] + form[j, j]
+            ) / 2
+    reference = min(np.linalg.eigvalsh(form)[-1], 1.0)
+    assert optimize_corrected_fidelity(rho, [cheater]) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, cheaters", [(3, [0, 2]), (4, [1, 2, 3]), (5, [0, 1, 3, 4])])
+def test_corrected_fidelity_undoes_local_damage(n, cheaters):
+    # Local unitaries leave white noise unchanged, so the best correction of
+    # a damaged noisy GHZ state restores exactly (1 - eps) + eps / 2^n.
+    gen = np.random.default_rng(n)
+    g = ghz_state(n)
+    for q in cheaters:
+        g = g.apply(_random_unitary(gen), [q])
+    eps = 0.2
+    rho = DensityOperator((1 - eps) * g.to_density().matrix + eps * np.eye(2**n) / 2**n)
+    expected = (1 - eps) + eps / 2**n
+    assert optimize_corrected_fidelity(rho, cheaters) == pytest.approx(expected, abs=1e-10)
+
+
+# Values of the Nelder-Mead search over ZYZ Euler angles (8 golden-ratio
+# starts) that the eigenvector ascent replaced, on seeded rank-3 states.
+@pytest.mark.parametrize(
+    "n, cheaters, seed, previous",
+    [
+        (3, [0, 1], 11, 0.4664875638687168),
+        (3, [0, 1, 2], 12, 0.45688163857197084),
+        (4, [1, 3], 13, 0.14403975564657198),
+        (4, [0, 1, 2], 14, 0.36171877573655675),
+        (5, [0, 2, 4], 15, 0.11332801779274217),
+        (4, [0, 1, 2, 3], 16, 0.274129519012527),
+    ],
+)
+def test_corrected_fidelity_no_worse_than_previous_search(n, cheaters, seed, previous):
+    rho = _random_state(n, seed, density=True)
+    assert optimize_corrected_fidelity(rho, cheaters) >= previous - 1e-10

@@ -127,7 +127,8 @@ def test_lg_k3_max_scales_with_omega():
     assert res["tau_star"] == pytest.approx(math.pi / 3 / 2.5, abs=1e-4)
 
 
-@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+# 1e-320 is subnormal: pi / (3 omega), the K3 spacing, overflows.
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan, 1e-320])
 def test_precession_model_rejects_bad_omega(omega):
     with pytest.raises(FoundationsError):
         PrecessionModel(omega=omega)
