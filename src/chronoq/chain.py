@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PAULI_X, RandomSource, StateVector
+from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector
 from .temporal import (
     TemporalError,
     TemporalRegister,
@@ -268,13 +268,11 @@ def decode_by_statistics(make_copy, num_copies: int, rng: RandomSource) -> str:
     bits = [(lead >> (n - 1 - q)) & 1 for q in range(n)]
 
     # X-basis: product of +-1 outcomes estimates the branch sign.
-    h1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-    hadamard_all = h1
-    for _ in range(n - 1):
-        hadamard_all = np.kron(hadamard_all, h1)
     parity_sum = 0
     for _ in range(x_shots):
-        state = make_copy().apply(hadamard_all)
+        state = make_copy()
+        for q in range(n):
+            state = state.apply(HADAMARD, [q])
         idx = rng.choice_index(state.probabilities())
         parity_sum += 1 if bin(idx).count("1") % 2 == 0 else -1
     r1 = 0 if parity_sum > 0 else 1

@@ -122,12 +122,14 @@ def common_options(f):
     f = click.option(
         "--seed", type=int, default=42, envvar="CHRONOQ_SEED", show_default=True
     )(f)
-    f = click.option("--trials", type=int, default=100_000, show_default=True)(f)
     f = click.option("--json", "as_json", is_flag=True, help="Canonical JSON output.")(f)
     f = click.option("--csv", "as_csv", is_flag=True, help="Flattened key,value CSV.")(f)
     f = click.option("--out", type=click.Path(dir_okay=False), default=None)(f)
-    f = click.option("--tol", type=float, default=1e-9, show_default=True)(f)
     return f
+
+
+_TRIALS = click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+_TOL = click.option("--tol", type=float, default=1e-9, show_default=True)
 
 
 @click.group()
@@ -144,7 +146,7 @@ def main():
 @click.option("--bell", "bell_label", default=None, help="Bell label phi+/phi-/psi+/psi-.")
 @click.option("--ghz", "ghz_n", type=int, default=None, help="GHZ qubit count.")
 @common_options
-def state_cmd(bell_label, ghz_n, seed, trials, as_json, as_csv, out, tol):
+def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
     """Inspect a Bell or GHZ state (amplitudes and Born probabilities)."""
     if bell_label is not None and ghz_n is not None:
         raise click.UsageError("--bell and --ghz are mutually exclusive")
@@ -171,7 +173,8 @@ def state_cmd(bell_label, ghz_n, seed, trials, as_json, as_csv, out, tol):
 @main.command("entangle")
 @click.option("--werner-points", type=int, default=11, show_default=True)
 @common_options
-def entangle_cmd(werner_points, seed, trials, as_json, as_csv, out, tol):
+@_TOL
+def entangle_cmd(werner_points, seed, as_json, as_csv, out, tol):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
@@ -206,7 +209,9 @@ def entangle_cmd(werner_points, seed, trials, as_json, as_csv, out, tol):
 @click.option("--p", type=float, default=0.11, show_default=True)
 @click.option("--rate", type=float, default=0.75, show_default=True)
 @common_options
-def entropy_cmd(n, p, rate, seed, trials, as_json, as_csv, out, tol):
+@_TRIALS
+@_TOL
+def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials, tol):
     """Typical-set codec demo plus the entropic uncertainty bound."""
     rng = _rng(seed, "entropy")
     source = [1.0 - p, p]
@@ -235,7 +240,8 @@ def entropy_cmd(n, p, rate, seed, trials, as_json, as_csv, out, tol):
 
 @main.command("swap")
 @common_options
-def swap_cmd(seed, trials, as_json, as_csv, out, tol):
+@_TOL
+def swap_cmd(seed, as_json, as_csv, out, tol):
     """Entanglement-swap demo with the temporal event log."""
     rng = _rng(seed, "swap")
     demo = temporal.swap_demo(rng)
@@ -266,7 +272,7 @@ def _parse_records(text: str) -> list[str]:
 @chain_group.command("demo")
 @click.option("--records", default="00,10,11", show_default=True)
 @common_options
-def chain_demo(records, seed, trials, as_json, as_csv, out, tol):
+def chain_demo(records, seed, as_json, as_csv, out):
     """Encode records into a temporal-GHZ chain and decode them back."""
     rng = _rng(seed, "chain")
     qc = chain_mod.build_chain(_parse_records(records), rng)
@@ -284,7 +290,7 @@ def chain_demo(records, seed, trials, as_json, as_csv, out, tol):
 @click.option("--records", default="00,10,11", show_default=True)
 @click.option("--target", default=None, help="Photon label, e.g. p6 (default: last).")
 @common_options
-def chain_tamper(records, target, seed, trials, as_json, as_csv, out, tol):
+def chain_tamper(records, target, seed, as_json, as_csv, out):
     """Tamper one photon and report the damage."""
     rng = _rng(seed, "chain")
     recs = _parse_records(records)
@@ -314,7 +320,7 @@ def chain_tamper(records, target, seed, trials, as_json, as_csv, out, tol):
 @click.option("--blocks", type=int, default=5, show_default=True)
 @click.option("--index", type=int, default=1, show_default=True)
 @common_options
-def chain_contrast(blocks, index, seed, trials, as_json, as_csv, out, tol):
+def chain_contrast(blocks, index, seed, as_json, as_csv, out):
     """Classical-vs-quantum tamper damage comparison."""
     rng = _rng(seed, "chain")
     report = chain_mod.classical_chain_tamper_contrast(blocks, index, rng)
@@ -357,7 +363,7 @@ def consensus_group():
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @common_options
-def consensus_run(nodes, rounds, dishonest, seed, trials, as_json, as_csv, out, tol):
+def consensus_run(nodes, rounds, dishonest, seed, as_json, as_csv, out):
     """Estimate the pass rate of a GHZ candidate over verification rounds."""
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
@@ -373,15 +379,17 @@ def consensus_run(nodes, rounds, dishonest, seed, trials, as_json, as_csv, out, 
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @click.option("--noise", type=float, default=0.1, show_default=True)
 @common_options
-def consensus_bounds(nodes, rounds, dishonest, noise, seed, trials, as_json, as_csv, out, tol):
+def consensus_bounds(nodes, rounds, dishonest, noise, seed, as_json, as_csv, out):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
     if not 0.0 <= noise <= 1.0:  # also rejects nan, which a FloatRange lets through
         raise click.BadParameter(f"{noise} is not in [0, 1]", param_hint="'--noise'")
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
-    g = ghz_state(nodes).to_density()
-    dim = g.dim
-    rho = DensityOperator((1.0 - noise) * g.matrix + noise * np.eye(dim) / dim)
+    # (1 - noise)|GHZ><GHZ| + noise I/d: the GHZ part sits on the four corners.
+    dim = 1 << nodes
+    mat = np.eye(dim, dtype=np.complex128) * (noise / dim)
+    mat[np.ix_([0, -1], [0, -1])] += (1.0 - noise) / 2.0
+    rho = DensityOperator(mat, validate=False)
     report = consensus_mod.check_fidelity_bounds(
         rho, network, rounds, rng, honest=dishonest == 0
     )
@@ -399,7 +407,7 @@ def consensus_bounds(nodes, rounds, dishonest, noise, seed, trials, as_json, as_
 )
 @click.option("--label", default="block-1", show_default=True)
 @common_options
-def consensus_admit(nodes, rounds, threshold, label, seed, trials, as_json, as_csv, out, tol):
+def consensus_admit(nodes, rounds, threshold, label, seed, as_json, as_csv, out):
     """Admit a block backed by fresh GHZ copies."""
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, 0, rng)
@@ -451,7 +459,9 @@ def _collect_stats(obj) -> list[games.GameStats]:
 )
 @click.option("--key-bits", type=int, default=128, show_default=True)
 @common_options
-def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, trials, as_json, as_csv, out, tol):
+@_TRIALS
+@_TOL
+def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, out, trials, tol):
     """Run one of the quantum game demonstrations."""
     rng = _rng(seed, "game")
     if name == "teleport":
@@ -538,7 +548,7 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 @click.option("--dim", type=int, default=3, show_default=True)
 @click.option("--frames", type=int, default=2000, show_default=True)
 @common_options
-def gleason_roundtrip(dim, frames, seed, trials, as_json, as_csv, out, tol):
+def gleason_roundtrip(dim, frames, seed, as_json, as_csv, out):
     """Reconstruct a random density matrix from its valuation; frame-average check."""
     rng = _rng(seed, "gleason")
     rho = _random_density(dim, rng)
@@ -582,7 +592,8 @@ def lg_group():
 @lg_group.command("k3")
 @_OMEGA
 @common_options
-def lg_k3_cmd(model, seed, trials, as_json, as_csv, out, tol):
+@_TOL
+def lg_k3_cmd(model, seed, as_json, as_csv, out, tol):
     """Maximize the three-time correlator K3 over the spacing tau."""
     res = foundations.lg_k3_max(model)
     report = {"k3_max": res["k3_max"], "tau_star": res["tau_star"], "classical_bound": 1.0}
@@ -594,7 +605,8 @@ def lg_k3_cmd(model, seed, trials, as_json, as_csv, out, tol):
 @_OMEGA
 @click.option("--dt", type=float, default=0.7, show_default=True)
 @common_options
-def lg_temporal_chsh(model, dt, seed, trials, as_json, as_csv, out, tol):
+@_TOL
+def lg_temporal_chsh(model, dt, seed, as_json, as_csv, out, tol):
     """Optimized two-time CHSH value (quantum maximum is 2*sqrt(2))."""
     res = foundations.temporal_chsh_optimize(model, 0.0, dt)
     report = {"value": res["value"], "tsirelson": SQRT8}
@@ -605,7 +617,7 @@ def lg_temporal_chsh(model, dt, seed, trials, as_json, as_csv, out, tol):
 @lg_group.command("entropic")
 @_OMEGA
 @common_options
-def lg_entropic(model, seed, trials, as_json, as_csv, out, tol):
+def lg_entropic(model, seed, as_json, as_csv, out):
     """Scan for the strongest entropic violation at equal spacings."""
     best = foundations.entropic_lg_scan(model)
     report = {

@@ -235,6 +235,12 @@ def bell_measure(
     return BellOutcome(label, prob)
 
 
+def _equal_bits(n_qubits: int, q1: int, q2: int) -> np.ndarray:
+    """Diagonal of F = |hh><hh| + |vv><vv| on qubits (q1, q2): True where the bits agree."""
+    idx = np.arange(1 << n_qubits)
+    return ((idx >> (n_qubits - 1 - q1)) & 1) == ((idx >> (n_qubits - 1 - q2)) & 1)
+
+
 def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
     """Post-selected PBS fusion F = |hh><hh| + |vv><vv| on two live modes.
 
@@ -252,39 +258,19 @@ def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool
         reg.modes[reg._find(s2)][0].time_step,
         reg.last_event_time,
     )
-    n = reg.state.num_qubits
-    psi = reg.state.amplitudes.reshape([2] * n)
-    rest = [i for i in range(n) if i not in (q1, q2)]
-    ordered = np.transpose(psi, [q1, q2] + rest).reshape(2, 2, -1)
-    projected = ordered.copy()
-    projected[0, 1] = 0.0
-    projected[1, 0] = 0.0
+    projected = np.where(_equal_bits(reg.state.num_qubits, q1, q2), reg.state.amplitudes, 0.0)
     p_success = float(np.sum(np.abs(projected) ** 2))
     reg._log("fuse", [s1, s2], t)
     if rng.uniform() >= p_success:
         reg.valid = False
         return False
-    inverse = np.argsort([q1, q2] + rest)
-    new_amp = np.transpose(projected.reshape([2] * n), inverse).reshape(-1)
-    reg.state = StateVector(new_amp, normalize=True)
+    reg.state = StateVector(projected, normalize=True)
     return True
 
 
 # ---------------------------------------------------------------------------
 # Closed forms and the recursive density construction
 # ---------------------------------------------------------------------------
-
-
-def fusion_projector(n_qubits: int, q1: int, q2: int) -> np.ndarray:
-    """F acting on qubits (q1, q2) of an n-qubit register."""
-    dim = 1 << n_qubits
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        bit1 = (b >> (n_qubits - 1 - q1)) & 1
-        bit2 = (b >> (n_qubits - 1 - q2)) & 1
-        if bit1 == bit2:
-            proj[b, b] = 1.0
-    return proj
 
 
 def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOperator:
@@ -301,14 +287,16 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
     n_qubits = 2 * n_pairs
     if n_qubits > MAX_QUBITS:
         raise TemporalError(f"register would exceed {MAX_QUBITS} qubits")
-    big = kron_all([pair_rho.matrix] * n_pairs)
+    keep = np.ones(1 << n_qubits, dtype=bool)
     for k in range(1, n_pairs):
-        proj = fusion_projector(n_qubits, 2 * k - 1, 2 * k)
-        big = proj @ big @ proj
+        keep &= _equal_bits(n_qubits, 2 * k - 1, 2 * k)
+    # F is diagonal, so F rho F keeps the rows and columns where every
+    # boundary agrees; FρF/tr of a validated rho needs no second check.
+    big = np.where(keep[:, None] & keep[None, :], kron_all([pair_rho.matrix] * n_pairs), 0.0)
     tr = float(np.real(np.trace(big)))
     if tr <= 1e-15:
         raise TemporalError("fusion annihilated the state")
-    return DensityOperator(big / tr)
+    return DensityOperator(big / tr, validate=False)
 
 
 def temporal_ghz_closed_form(n_pairs: int) -> StateVector:

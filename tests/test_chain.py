@@ -109,6 +109,14 @@ def test_decode_by_statistics():
     assert decode_by_statistics(make_copy, 64, rng) == "001011"
 
 
+def test_decode_by_statistics_fourteen_qubits():
+    records = ["00", "10", "11", "01", "10", "00", "11"]
+    chain = build_chain(records, RandomSource(29, 1))
+    assert chain.register.state.num_qubits == 14
+    decoded = decode_by_statistics(lambda: chain.register.state, 64, RandomSource(29, 0))
+    assert decoded == chain.record_string
+
+
 def test_mix_is_documented_bit_exactly():
     # Values recomputed from the docstring recipe.
     def reference(x):

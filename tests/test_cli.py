@@ -178,6 +178,30 @@ def test_consensus_bounds_seed_13_honest():
     assert json.loads(res.output)["honest_bound_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["state", "--tol", "1"],
+        ["consensus", "run", "--trials", "5"],
+        ["chain", "demo", "--tol", "1e-3"],
+        ["lg", "entropic", "--trials", "10"],
+        ["game", "monty-classic", "--trials", "0"],
+        ["game", "monty-classic", "--trials", "-1"],
+        ["entropy", "--trials", "0"],
+    ],
+)
+def test_unread_or_invalid_trials_and_tol_exit_2(args):
+    res = run([*args, "--json"])
+    assert res.exit_code == 2
+    assert ("--trials" if "--trials" in args else "--tol") in res.output
+
+
+def test_consensus_bounds_at_eleven_nodes():
+    res = run(["consensus", "bounds", "--nodes", "11", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["fidelity"] == pytest.approx(0.9 + 0.1 / 2**11, abs=1e-12)
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronoq.qcore import PAULI_X, RandomSource, StateVector, bell_state
+from chronoq.qcore import PAULI_X, DensityOperator, RandomSource, StateVector, bell_state
 from chronoq.entangle import fidelity
 from chronoq.temporal import (
     ModeId,
@@ -14,7 +16,6 @@ from chronoq.temporal import (
     bell_measure,
     create_pair,
     delay,
-    fusion_projector,
     ghz_density_recursive,
     measure_mode,
     pbs_fuse,
@@ -121,9 +122,96 @@ def test_snapshot_supports_retry():
     assert reg.valid
 
 
-def test_fusion_projector_matches_pbs():
-    p = fusion_projector(2, 0, 1)
-    assert np.allclose(p, np.diag([1, 0, 0, 1]))
+def _dense_fusion_projector(n_qubits, q1, q2):
+    """Reference F = |hh><hh| + |vv><vv| on qubits (q1, q2), built entry by entry."""
+    dim = 1 << n_qubits
+    proj = np.zeros((dim, dim), dtype=np.complex128)
+    for b in range(dim):
+        bit1 = (b >> (n_qubits - 1 - q1)) & 1
+        bit2 = (b >> (n_qubits - 1 - q2)) & 1
+        if bit1 == bit2:
+            proj[b, b] = 1.0
+    return proj
+
+
+class _FixedDraw:
+    """Stands in for RandomSource: uniform() always returns the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pbs_fuse_matches_dense_projector(n, seed, data):
+    q1, q2 = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    )
+    gen = np.random.default_rng(seed)
+    psi = StateVector(gen.normal(size=2**n) + 1j * gen.normal(size=2**n), normalize=True)
+    projected = _dense_fusion_projector(n, q1, q2) @ psi.amplitudes
+    p_dense = float(np.vdot(projected, projected).real)
+
+    def register():
+        reg = TemporalRegister()
+        reg.state = psi
+        reg.modes = [[ModeId(f"m{q}", 0), False] for q in range(n)]
+        return reg
+
+    # A draw of 0 always succeeds (p_success > 0 for a generic state).
+    reg = register()
+    assert pbs_fuse(reg, f"m{q1}", f"m{q2}", _FixedDraw(0.0))
+    assert np.max(np.abs(reg.state.amplitudes - projected / math.sqrt(p_dense))) <= 1e-12
+    assert reg.event_log == [{"event": "fuse", "modes": sorted([f"m{q1}", f"m{q2}"]), "t": 0}]
+    # The draw succeeds exactly below p_success.
+    assert pbs_fuse(register(), f"m{q1}", f"m{q2}", _FixedDraw(p_dense - 1e-12))
+    failed = register()
+    assert not pbs_fuse(failed, f"m{q1}", f"m{q2}", _FixedDraw(p_dense + 1e-12))
+    assert not failed.valid
+
+
+def _random_pair_density(seed):
+    gen = np.random.default_rng(seed)
+    rank = int(gen.integers(1, 5))
+    a = gen.normal(size=(4, rank)) + 1j * gen.normal(size=(4, rank))
+    rho = a @ a.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_ghz_density_recursive_matches_dense_projectors(n_pairs, seed):
+    pair = _random_pair_density(seed)
+    n = 2 * n_pairs
+    big = pair.matrix
+    for _ in range(n_pairs - 1):
+        big = np.kron(big, pair.matrix)
+    for k in range(1, n_pairs):
+        proj = _dense_fusion_projector(n, 2 * k - 1, 2 * k)
+        big = proj @ big @ proj
+    expected = big / np.trace(big).real
+
+    rho = ghz_density_recursive(pair, n_pairs).matrix
+    assert np.max(np.abs(rho - expected)) <= 1e-12
+    # Hermitian, unit trace and PSD by construction: the result is built unvalidated.
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+def test_ghz_density_recursive_rejects_annihilated_state():
+    # Pairs in |hv><hv| disagree at every fusion boundary.
+    hv = np.zeros((4, 4))
+    hv[1, 1] = 1.0
+    with pytest.raises(TemporalError):
+        ghz_density_recursive(DensityOperator(hv), 2)
 
 
 def test_ghz_density_recursive_matches_closed_form():
