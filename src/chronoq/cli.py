@@ -128,6 +128,16 @@ def common_options(f):
     return f
 
 
+class _FloatRange(click.FloatRange):
+    """A FloatRange that also rejects nan, which compares false with both bounds."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return rv
+
+
 _TRIALS = click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
 _TOL = click.option("--tol", type=float, default=1e-9, show_default=True)
 
@@ -205,8 +215,11 @@ def entangle_cmd(werner_points, seed, as_json, as_csv, out, tol):
 
 
 @main.command("entropy")
-@click.option("--block", "n", type=int, default=20, show_default=True)
-@click.option("--p", type=float, default=0.11, show_default=True)
+@click.option(
+    "--block", "n", type=click.IntRange(1, infotheory.MAX_CODEC_BLOCK), default=20,
+    show_default=True,
+)
+@click.option("--p", type=_FloatRange(0.0, 1.0), default=0.11, show_default=True)
 @click.option("--rate", type=float, default=0.75, show_default=True)
 @common_options
 @_TRIALS
@@ -377,12 +390,10 @@ def consensus_run(nodes, rounds, dishonest, seed, as_json, as_csv, out):
 @click.option("--nodes", type=_BOUNDS_NODES, default=4, show_default=True)
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
-@click.option("--noise", type=float, default=0.1, show_default=True)
+@click.option("--noise", type=_FloatRange(0.0, 1.0), default=0.1, show_default=True)
 @common_options
 def consensus_bounds(nodes, rounds, dishonest, noise, seed, as_json, as_csv, out):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
-    if not 0.0 <= noise <= 1.0:  # also rejects nan, which a FloatRange lets through
-        raise click.BadParameter(f"{noise} is not in [0, 1]", param_hint="'--noise'")
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
     # (1 - noise)|GHZ><GHZ| + noise I/d: the GHZ part sits on the four corners.
@@ -449,7 +460,11 @@ def _collect_stats(obj) -> list[games.GameStats]:
 @main.command("game")
 @click.argument("name", type=click.Choice(GAME_NAMES))
 @click.option("--strategy", default=None, help="stick/switch (or classical/quantum for chsh).")
-@click.option("--q", type=float, default=0.125, show_default=True, help="PBR epistemic overlap.")
+# Above q = 3/4 the doors 1 and 2 would get the negative probability 1/4 - q/3.
+@click.option(
+    "--q", type=_FloatRange(0.0, 0.75), default=0.125, show_default=True,
+    help="PBR epistemic overlap.",
+)
 @click.option("--protocol", default="BB84", show_default=True, help="qkd: BB84 or E91.")
 @click.option(
     "--eve",
@@ -505,23 +520,31 @@ def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, 
         _emit(report, ok, as_json, as_csv, out)
     if name == "chsh":
         strategy = strategy or "quantum"
-        result = games.chsh_game(strategy, trials, rng)
+        allowed = ("classical", "quantum")
     else:
-        strategy = strategy or "switch"
-        if name == "monty-classic":
-            result = games.monty_classic(strategy, trials, rng)
-        elif name == "monty-ignorant":
-            result = games.monty_ignorant(strategy, trials, rng)
-        elif name == "monty-teleport":
-            result = games.monty_teleport(strategy, trials, rng)
-        elif name == "unreliable-teleport":
-            result = games.unreliable_teleport(strategy, trials, rng)
-        elif name == "pbr-ontic":
-            result = games.pbr_game("ontic", strategy, trials, rng)
-        else:  # pbr-epistemic
-            result = games.pbr_game(
-                "epistemic", strategy, trials, rng, q=Fraction(q).limit_denominator(10**6)
-            )
+        strategy = strategy or games.SWITCH
+        allowed = (games.STICK, games.SWITCH)
+    if strategy not in allowed:
+        raise click.BadParameter(
+            f"{strategy!r} is not one of {', '.join(allowed)} for {name}",
+            param_hint="'--strategy'",
+        )
+    if name == "chsh":
+        result = games.chsh_game(strategy, trials, rng)
+    elif name == "monty-classic":
+        result = games.monty_classic(strategy, trials, rng)
+    elif name == "monty-ignorant":
+        result = games.monty_ignorant(strategy, trials, rng)
+    elif name == "monty-teleport":
+        result = games.monty_teleport(strategy, trials, rng)
+    elif name == "unreliable-teleport":
+        result = games.unreliable_teleport(strategy, trials, rng)
+    elif name == "pbr-ontic":
+        result = games.pbr_game("ontic", strategy, trials, rng)
+    else:  # pbr-epistemic
+        result = games.pbr_game(
+            "epistemic", strategy, trials, rng, q=Fraction(q).limit_denominator(10**6)
+        )
     stats = _collect_stats(result)
     report = result.to_dict() if isinstance(result, games.GameStats) else result
     _emit(report, all(s.passed for s in stats), as_json, as_csv, out)
@@ -545,8 +568,8 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 
 
 @gleason_group.command("roundtrip")
-@click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--frames", type=int, default=2000, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--frames", type=click.IntRange(min=1), default=2000, show_default=True)
 @common_options
 def gleason_roundtrip(dim, frames, seed, as_json, as_csv, out):
     """Reconstruct a random density matrix from its valuation; frame-average check."""

@@ -6,6 +6,14 @@ Every game exposes two independent engines: an exact probability-tree
 evaluator (rationals via ``fractions.Fraction`` wherever the game is
 rational) and a seeded Monte Carlo simulation.  Agreement within three
 standard errors is the standing cross-check, carried in :class:`GameStats`.
+
+The Monte Carlo engines draw every random number of a game up front as
+arrays, then decide all trials at once: door choices are lookup tables
+indexed by the draws, and the CHSH outcomes one Born-CDF ``searchsorted``
+per measurement setting.  The draws are the same generator calls in the
+same order as a trial-by-trial loop, so every count is exactly the loop's
+for any seed.  QKD sessions stay a loop, because the number of draws per
+qubit depends on earlier draws; their Born probabilities are tabulated once.
 """
 
 from __future__ import annotations
@@ -269,20 +277,22 @@ def monty_teleport(
     ab = gen.choice(4, size=trials, p=probs / probs.sum())
     u = gen.random(trials)
     pick2 = gen.integers(0, 2, trials)
-    wins = 0
-    others_by_door = {d: [o for o in range(4) if o != d] for d in range(4)}
-    for k in range(trials):
-        prize = int(ab[k])
-        if prize == xy_door:
-            cd = others_by_door[xy_door][int(u[k] * 3)]
-        else:
-            opts = [d for d in range(4) if d not in (xy_door, prize)]
-            cd = opts[int(u[k] * 2)]
-        if strategy == STICK:
-            wins += prize == xy_door
-        else:
-            options = [d for d in range(4) if d not in (xy_door, cd)]
-            wins += options[pick2[k]] == prize
+    if strategy == STICK:
+        wins = int(np.sum(ab == xy_door))
+    else:
+        others = [d for d in range(4) if d != xy_door]
+        # Monty opens monty_door[prize, int(u * k)]: any of the k = 3 other
+        # doors when the prize is behind the contestant's, else one of the
+        # k = 2 that hide neither (-1 pads those rows).
+        monty_door = np.array(
+            [others if prize == xy_door else [d for d in others if d != prize] + [-1]
+             for prize in range(4)]
+        )
+        monty = monty_door[ab, (u * np.where(ab == xy_door, 3, 2)).astype(int)]
+        # The switch takes switch_door[monty, pick2] of the two doors left;
+        # the row of the contestant's door, which Monty never opens, is unused.
+        switch_door = np.array([[d for d in others if d != cd][:2] for cd in range(4)])
+        wins = int(np.count_nonzero(switch_door[monty, pick2] == ab))
     return _stats("monty_teleport", strategy, wins, trials, monty_teleport_analytic(strategy))
 
 
@@ -413,32 +423,31 @@ def chsh_game_analytic(strategy: str) -> float:
 
 
 def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
-    """Referee sends x, y uniform; players win iff x*y == a xor b."""
+    """Referee sends x, y uniform; players win iff x*y == a xor b.
+
+    The quantum players sample their outcome pair ab by inverting the Born
+    CDF of their (x, y) setting at a uniform draw, one searchsorted per
+    setting over all its trials."""
+    analytic = chsh_game_analytic(strategy)
     gen = rng.generator
     x = gen.integers(0, 2, trials)
     y = gen.integers(0, 2, trials)
     if strategy == "classical":
         # Best deterministic strategy: both always answer 0.
         wins = int(np.sum((x & y) == 0))
-    elif strategy == "quantum":
+    else:
         settings = chsh_game_settings()
         psi = bell_state("psi-").amplitudes
-        dists = {}
+        u = gen.random(trials)
+        outcome = np.empty(trials, dtype=np.int8)
         for qx, qy in product(range(2), range(2)):
             ua = _dichotomic_eigenbasis(settings["A"][qx])
             ub = _dichotomic_eigenbasis(settings["B"][qy])
-            amps = np.kron(ua, ub) @ psi
-            dists[(qx, qy)] = np.abs(amps) ** 2
-        wins = 0
-        u = gen.random(trials)
-        for k in range(trials):
-            p = dists[(int(x[k]), int(y[k]))]
-            outcome = int(np.searchsorted(np.cumsum(p), u[k]))
-            a, b = outcome >> 1, outcome & 1
-            wins += int((x[k] & y[k]) == (a ^ b))
-    else:
-        raise GameError("strategy must be 'classical' or 'quantum'")
-    return _stats("chsh_game", strategy, int(wins), trials, chsh_game_analytic(strategy))
+            cdf = np.cumsum(np.abs(np.kron(ua, ub) @ psi) ** 2)
+            sel = (x == qx) & (y == qy)
+            outcome[sel] = np.searchsorted(cdf, u[sel])
+        wins = int(np.count_nonzero((x & y) == ((outcome >> 1) ^ (outcome & 1))))
+    return _stats("chsh_game", strategy, wins, trials, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +561,12 @@ def pbr_game(
     if strategy == STICK:
         wins = int(np.sum(goat & (contestant == prize)))
     else:
-        wins = 0
-        for k in np.flatnonzero(goat):
-            options = [d for d in range(4) if d not in (int(contestant[k]), int(monty[k]))]
-            wins += options[switch_pick[k]] == prize[k]
+        # options[c, m] lists the two doors that are neither the contestant's
+        # c nor Monty's m (Monty never opens the contestant's door).
+        options = np.array(
+            [[[d for d in range(4) if d not in (c, m)][:2] for m in range(4)] for c in range(4)]
+        )
+        wins = int(np.sum(goat & (options[contestant, monty, switch_pick] == prize)))
     analytic = pbr_analytic(strategy, ontology, q, split)
     return {
         "conditional": _stats(
@@ -580,16 +591,22 @@ _BB84_STATES = {
 }
 
 
-def _measure_qubit_in_basis(amp: np.ndarray, basis: int, rng: RandomSource) -> int:
-    b0 = _BB84_STATES[(basis, 0)]
-    p0 = abs(np.vdot(b0, amp)) ** 2
-    return 0 if rng.uniform() < p0 else 1
+# Probability of outcome 0 when the state _BB84_STATES[prep] is measured in
+# ``basis``, keyed (basis, prep).
+_BB84_P0 = {
+    (basis, prep): float(abs(np.vdot(_BB84_STATES[(basis, 0)], amp)) ** 2)
+    for basis in (0, 1)
+    for prep, amp in _BB84_STATES.items()
+}
 
 
 def qkd_session(
     protocol: str, key_bits: int, eavesdropper: str, rng: RandomSource
 ) -> dict:
-    """BB84 or E91 key exchange; returns sifted keys and the quantum bit error rate."""
+    """BB84 or E91 key exchange; returns sifted keys and the quantum bit error rate.
+
+    Each qubit costs a variable number of draws, so the session stays a
+    loop; the measurement probabilities are tabulated once."""
     if key_bits < 1:
         raise GameError("key_bits must be positive")
     if eavesdropper not in ("none", "intercept_resend"):
@@ -600,29 +617,30 @@ def qkd_session(
         while len(alice_key) < key_bits:
             bit = int(rng.integers(0, 2))
             basis_a = int(rng.integers(0, 2))
-            amp = _BB84_STATES[(basis_a, bit)]
+            prep = (basis_a, bit)
             if eavesdropper == "intercept_resend":
                 basis_e = int(rng.integers(0, 2))
-                outcome_e = _measure_qubit_in_basis(amp, basis_e, rng)
-                amp = _BB84_STATES[(basis_e, outcome_e)]
+                prep = (basis_e, 0 if rng.uniform() < _BB84_P0[basis_e, prep] else 1)
             basis_b = int(rng.integers(0, 2))
-            outcome_b = _measure_qubit_in_basis(amp, basis_b, rng)
+            outcome_b = 0 if rng.uniform() < _BB84_P0[basis_b, prep] else 1
             if basis_a == basis_b:
                 alice_key.append(bit)
                 bob_key.append(outcome_b)
     elif protocol == "E91":
         if eavesdropper != "none":
             raise GameError("the eavesdropper model is only wired for BB84")
-        pair = bell_state("phi+")
+        pair = bell_state("phi+").amplitudes
+        # Born probabilities of the four outcome pairs, both sides measuring Z or X.
+        probs = [
+            np.abs(np.kron(ua, ua) @ pair) ** 2
+            for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
+        ]
         while len(alice_key) < key_bits:
             basis_a = int(rng.integers(0, 2))
             basis_b = int(rng.integers(0, 2))
             if basis_a != basis_b:
                 continue
-            ua = _dichotomic_eigenbasis(PAULI_Z if basis_a == 0 else PAULI_X)
-            amps = np.kron(ua, ua) @ pair.amplitudes
-            probs = np.abs(amps) ** 2
-            outcome = rng.choice_index(probs)
+            outcome = rng.choice_index(probs[basis_a])
             alice_key.append(outcome >> 1)
             bob_key.append(outcome & 1)
     else:

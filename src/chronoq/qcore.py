@@ -431,6 +431,26 @@ def measure_qubit(
 # ---------------------------------------------------------------------------
 
 
+def validated_densities(mats: np.ndarray) -> np.ndarray:
+    """Check a density matrix, or each of a stack ``(..., d, d)`` of them:
+    Hermitian to 1e-8, unit trace to 1e-8 and no eigenvalue below -1e-8.
+    Returns each as (M + M^dagger) / 2 divided by its trace."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    # The adjoint is formed twice rather than kept: holding it would add a
+    # full copy of the input to the peak memory.
+    if not np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-8:  # nan fails too
+        raise QcoreError("density operator must be Hermitian")
+    tr = mats.trace(axis1=-2, axis2=-1).real
+    off = abs(tr - 1.0) > 1e-8
+    if off.any():
+        bad = float(np.asarray(tr)[off].flat[0])
+        raise QcoreError(f"density operator must have unit trace (got {bad!r})")
+    sym = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
+    if np.linalg.eigvalsh(sym).min() < -1e-8:
+        raise QcoreError("density operator must be positive semidefinite")
+    return sym / tr[..., None, None]
+
+
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
@@ -441,15 +461,7 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QcoreError("density operator must be square")
         if validate:
-            if not is_hermitian(mat, 1e-8):
-                raise QcoreError("density operator must be Hermitian")
-            tr = complex(np.trace(mat)).real
-            if abs(tr - 1.0) > 1e-8:
-                raise QcoreError(f"density operator must have unit trace (got {tr!r})")
-            sym = (mat + mat.conj().T) / 2.0
-            if np.linalg.eigvalsh(sym).min() < -1e-8:
-                raise QcoreError("density operator must be positive semidefinite")
-            mat = sym / tr
+            mat = validated_densities(mat)
         mat.setflags(write=False)
         self.matrix = mat
 

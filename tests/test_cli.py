@@ -206,3 +206,84 @@ def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
     assert chronoq.__version__ == version
+
+
+# Canonical JSON of the seeded Monte Carlo commands.  A change to any
+# engine's random stream, or to the order of its draws, shows up here.
+PINNED_OUTPUTS = [
+    (
+        ["game", "chsh"],
+        '{"analytic":0.8535533905932737,"empirical":0.85222,"game":"chsh_game","passed":true,"std_err":0.001118033988749895,"strategy":"quantum","trials":100000,"wins":85222}',
+    ),
+    (
+        ["game", "monty-teleport", "--trials", "100000", "--seed", "7"],
+        '{"analytic":0.375,"empirical":0.37502,"game":"monty_teleport","passed":true,"std_err":0.0015309310892394862,"strategy":"switch","trials":100000,"wins":37502}',
+    ),
+    (
+        ["game", "pbr-ontic"],
+        '{"conditional":{"analytic":0.36363636363636365,"empirical":0.3635598500333381,"game":"pbr_ontic","passed":true,"std_err":0.001590400989257205,"strategy":"switch","trials":91487,"wins":33261},"opens_prize":{"analytic":0.08333333333333333,"empirical":0.08513,"game":"pbr_ontic_opens_prize","passed":true,"std_err":0.0008740073734751263,"strategy":"switch","trials":100000,"wins":8513}}',
+    ),
+    (
+        ["game", "pbr-epistemic"],
+        '{"conditional":{"analytic":0.35,"empirical":0.3492344146549754,"game":"pbr_epistemic","passed":true,"std_err":0.0016542010884575485,"strategy":"switch","trials":83139,"wins":29035},"opens_prize":{"analytic":0.16666666666666666,"empirical":0.16861,"game":"pbr_epistemic_opens_prize","passed":true,"std_err":0.0011785113019775792,"strategy":"switch","trials":100000,"wins":16861}}',
+    ),
+    (
+        ["game", "qkd", "--protocol", "BB84", "--eve", "intercept_resend"],
+        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":128,"keys_match":false,"protocol":"BB84","qber":0.2578125}',
+    ),
+    (
+        ["game", "qkd", "--protocol", "E91"],
+        '{"eavesdropper":"none","game":"qkd","key_bits":128,"keys_match":true,"protocol":"E91","qber":0.0}',
+    ),
+    (
+        ["entropy", "--trials", "10000"],
+        '{"block":20,"codeword_width":15,"rate":0.75,"roundtrip":{"rate_bits_per_symbol":0.75,"success_rate":0.9857},"source_entropy":0.499915958164528,"uncertainty_bound_mub":1.0000000000000002}',
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", PINNED_OUTPUTS)
+def test_pinned_monte_carlo_outputs(args, expected):
+    res = run([*args, "--json"])
+    assert res.exit_code == 0
+    assert res.output == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["gleason", "roundtrip", "--dim", "0"], "--dim"),
+        (["gleason", "roundtrip", "--frames", "0"], "--frames"),
+        (["gleason", "roundtrip", "--frames", "-2"], "--frames"),
+        (["entropy", "--block", "0"], "--block"),
+        (["entropy", "--block", "25"], "--block"),
+        (["entropy", "--p", "1.5"], "--p"),
+        (["entropy", "--p", "-0.1"], "--p"),
+        (["entropy", "--p", "nan"], "--p"),
+        (["game", "pbr-epistemic", "--q", "2"], "--q"),
+        (["game", "pbr-epistemic", "--q", "0.76"], "--q"),
+        (["game", "pbr-epistemic", "--q", "-0.1"], "--q"),
+        (["game", "pbr-epistemic", "--q", "nan"], "--q"),
+        (["game", "chsh", "--strategy", "stick"], "--strategy"),
+        (["game", "monty-classic", "--strategy", "quantum"], "--strategy"),
+    ],
+)
+def test_out_of_range_options_exit_2(args, option):
+    res = run([*args, "--json"])
+    assert res.exit_code == 2
+    assert option in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gleason", "roundtrip", "--dim", "1", "--frames", "1"],
+        ["entropy", "--block", "1", "--trials", "50"],
+        ["entropy", "--block", "24", "--p", "0", "--trials", "50"],
+        ["entropy", "--p", "1", "--trials", "50"],
+        ["game", "pbr-epistemic", "--q", "0.75", "--trials", "5000"],
+    ],
+)
+def test_option_range_endpoints_run(args):
+    assert run([*args, "--json"]).exit_code == 0

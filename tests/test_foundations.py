@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chronoq import foundations
 from chronoq.foundations import (
     FoundationsError,
     PrecessionModel,
@@ -28,6 +29,7 @@ from chronoq.foundations import (
 )
 from chronoq.qcore import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DensityOperator,
     RandomSource,
@@ -153,6 +155,61 @@ def test_entropic_lg_violation_found():
     # Small equal spacings violate; a recheck at the reported tau agrees.
     res = entropic_lg_check(model, 0.0, best["tau"], 2 * best["tau"])
     assert res["violated"]
+
+
+def _binary_entropy(p):
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def _entropic_gap(x):
+    """h(sin^2 x) - 2 h(sin^2(x/2)): the equal-spacing gap at x = omega tau."""
+    return _binary_entropy(math.sin(x) ** 2) - 2.0 * _binary_entropy(math.sin(x / 2) ** 2)
+
+
+def test_entropic_optimum_is_a_root_of_the_gap_slope():
+    x = foundations._ENTROPIC_X_STAR
+    assert x == pytest.approx(0.3968766315, abs=1e-10)
+    # gap'(x) from the chain rule, with h'(p) = ln((1 - p)/p) / ln 2.
+    s1, s2 = math.sin(x) ** 2, math.sin(x / 2) ** 2
+    slope = (
+        math.sin(2 * x) * math.log((1 - s1) / s1) - math.sin(x) * math.log((1 - s2) / s2)
+    ) / math.log(2)
+    assert abs(slope) <= 1e-12
+    assert abs(foundations._entropic_gap_slope(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [0.7, 1.0, 1.3])
+def test_entropic_optimum_beats_the_old_grid(omega):
+    model = PrecessionModel(omega=omega)
+    best = entropic_lg_scan(model)
+    assert best["tau"] == pytest.approx(foundations._ENTROPIC_X_STAR / omega, rel=1e-15)
+    for tau in np.linspace(1e-3, math.pi / omega, 200):
+        res = entropic_lg_check(model, 0.0, float(tau), 2.0 * float(tau))
+        assert best["gap"] >= res["lhs"] - res["rhs"]
+    reference = entropic_lg_scan(PrecessionModel(omega=1.0))["gap"]
+    assert best["gap"] == pytest.approx(reference, abs=1e-14)
+    assert best["gap"] == pytest.approx(_entropic_gap(foundations._ENTROPIC_X_STAR), abs=1e-14)
+
+
+@pytest.mark.parametrize("observable", [PAULI_Z, PAULI_Y, (PAULI_Z - PAULI_Y) / math.sqrt(2.0)])
+def test_entropic_closed_form_holds_for_any_initial_state(observable):
+    # A readout perpendicular to the x rotation axis collapses the state, so
+    # only the flip probabilities sin^2(omega dt / 2) enter the entropies.
+    model = PrecessionModel(omega=1.3, initial=StateVector([0.6, 0.8j]), observable=observable)
+    for tau in (0.05, 0.3, 0.9, 1.7, 2.3):
+        res = entropic_lg_check(model, 0.0, tau, 2 * tau)
+        assert res["lhs"] - res["rhs"] == pytest.approx(_entropic_gap(1.3 * tau), abs=1e-12)
+    assert entropic_lg_scan(model)["gap"] == pytest.approx(
+        _entropic_gap(foundations._ENTROPIC_X_STAR), abs=1e-14
+    )
+
+
+def test_entropic_optimum_rejects_a_readout_along_the_rotation_axis():
+    # Tilted toward x, the flip probabilities shrink and the optimum moves
+    # (about tau = 0.526 for this axis), so the closed form does not apply.
+    model = PrecessionModel(observable=(PAULI_X + PAULI_Z) / math.sqrt(2.0))
+    with pytest.raises(FoundationsError, match="perpendicular"):
+        entropic_lg_scan(model)
 
 
 def test_entropic_lg_requires_ordered_times():
