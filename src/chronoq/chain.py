@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector
+from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector, branch_pair
 from .temporal import (
     TemporalError,
     TemporalRegister,
@@ -60,6 +60,13 @@ class Record:
     def __post_init__(self):
         if self.r1 not in (0, 1) or self.r2 not in (0, 1):
             raise ChainError("record bits must be 0 or 1")
+
+    @classmethod
+    def parse(cls, text: str) -> "Record":
+        """A record from exactly two 0/1 characters, r1 first."""
+        if len(text) != 2 or any(c not in "01" for c in text):
+            raise ChainError(f"a record is two 0/1 characters, got {text!r}")
+        return cls(int(text[0]), int(text[1]))
 
     @property
     def bits(self) -> str:
@@ -100,20 +107,12 @@ class QuantumChain:
         """The target chain state for the stored record string."""
         if not self.records:
             raise ChainError("empty chain")
-        bits = [0]
-        for i, rec in enumerate(self.records):
-            if i > 0:
-                bits.append(rec.r1)
-            bits.append(rec.r2)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        n = len(bits)
-        comp = (1 << n) - 1 - idx
-        amp = np.zeros(1 << n, dtype=np.complex128)
-        amp[idx] = _INV_SQRT2
-        amp[comp] = (-1) ** self.records[0].r1 * _INV_SQRT2
-        return StateVector(amp)
+        # The leading branch starts at 0 and then lists every record bit but
+        # the first r1, which is the relative sign.
+        bits = [0, self.records[0].r2]
+        for rec in self.records[1:]:
+            bits += [rec.r1, rec.r2]
+        return branch_pair(bits, (-1) ** self.records[0].r1)
 
     def fidelity(self) -> float:
         if not self.records:
@@ -172,9 +171,7 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
 def build_chain(records, rng: RandomSource) -> QuantumChain:
     chain = QuantumChain()
     for rec in records:
-        if isinstance(rec, str):
-            rec = Record(int(rec[0]), int(rec[1]))
-        append(chain, rec, rng)
+        append(chain, Record.parse(rec) if isinstance(rec, str) else rec, rng)
     return chain
 
 

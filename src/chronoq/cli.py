@@ -24,7 +24,9 @@ from . import chain as chain_mod
 from . import consensus as consensus_mod
 from . import entangle, foundations, games, infotheory, temporal
 from .qcore import (
+    _BELL_ALIASES,
     MAX_QUBITS,
+    TOL_ALG,
     PAULI_X,
     PAULI_Z,
     HADAMARD,
@@ -32,6 +34,7 @@ from .qcore import (
     RandomSource,
     StateVector,
     bell_state,
+    computational_basis,
     ghz_state,
 )
 
@@ -129,17 +132,19 @@ def common_options(f):
 
 
 class _FloatRange(click.FloatRange):
-    """A FloatRange that also rejects nan, which compares false with both bounds."""
+    """A FloatRange that also rejects nan, which compares false with both
+    bounds, and +-inf, which an open side lets through."""
 
     def convert(self, value, param, ctx):
         rv = super().convert(value, param, ctx)
-        if math.isnan(rv):
-            self.fail(f"{value!r} is not a number.", param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
         return rv
 
 
 _TRIALS = click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
-_TOL = click.option("--tol", type=float, default=1e-9, show_default=True)
+# Two photons per record, within the register cap.
+_MAX_RECORDS = MAX_QUBITS // 2
 
 
 @click.group()
@@ -153,8 +158,13 @@ def main():
 
 
 @main.command("state")
-@click.option("--bell", "bell_label", default=None, help="Bell label phi+/phi-/psi+/psi-.")
-@click.option("--ghz", "ghz_n", type=int, default=None, help="GHZ qubit count.")
+@click.option(
+    "--bell", "bell_label", type=click.Choice(list(_BELL_ALIASES)), default=None,
+    help="Bell label phi+/phi-/psi+/psi-.",
+)
+@click.option(
+    "--ghz", "ghz_n", type=click.IntRange(2, MAX_QUBITS), default=None, help="GHZ qubit count."
+)
 @common_options
 def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
     """Inspect a Bell or GHZ state (amplitudes and Born probabilities)."""
@@ -181,10 +191,9 @@ def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
 
 
 @main.command("entangle")
-@click.option("--werner-points", type=int, default=11, show_default=True)
+@click.option("--werner-points", type=click.IntRange(min=1), default=11, show_default=True)
 @common_options
-@_TOL
-def entangle_cmd(werner_points, seed, as_json, as_csv, out, tol):
+def entangle_cmd(werner_points, seed, as_json, as_csv, out):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
@@ -205,7 +214,7 @@ def entangle_cmd(werner_points, seed, as_json, as_csv, out, tol):
         "werner_sweep": sweep,
         "werner_chsh_crossing": crossing,
     }
-    ok = abs(chsh - SQRT8) <= tol and abs(crossing - 0.7803) <= 0.005
+    ok = abs(chsh - SQRT8) <= TOL_ALG and abs(crossing - 0.7803) <= 0.005
     _emit(report, ok, as_json, as_csv, out)
 
 
@@ -220,11 +229,10 @@ def entangle_cmd(werner_points, seed, as_json, as_csv, out, tol):
     show_default=True,
 )
 @click.option("--p", type=_FloatRange(0.0, 1.0), default=0.11, show_default=True)
-@click.option("--rate", type=float, default=0.75, show_default=True)
+@click.option("--rate", type=_FloatRange(0.0, 1.0), default=0.75, show_default=True)
 @common_options
 @_TRIALS
-@_TOL
-def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials, tol):
+def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials):
     """Typical-set codec demo plus the entropic uncertainty bound."""
     rng = _rng(seed, "entropy")
     source = [1.0 - p, p]
@@ -232,7 +240,7 @@ def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials, tol):
     codec = infotheory.TypicalCodec(n=n, epsilon=rate - h, source=source)
     roundtrip = infotheory.typical_codec_roundtrip(codec, min(trials, 10_000), rng)
     x_basis = [StateVector(np.ascontiguousarray(HADAMARD[:, j])) for j in range(2)]
-    z_basis = [StateVector(np.eye(2, dtype=np.complex128)[:, j]) for j in range(2)]
+    z_basis = computational_basis(2)
     bound = infotheory.entropic_uncertainty_bound(x_basis, z_basis)
     report = {
         "source_entropy": h,
@@ -242,7 +250,7 @@ def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials, tol):
         "roundtrip": roundtrip,
         "uncertainty_bound_mub": bound,
     }
-    ok = bound >= 1.0 - tol
+    ok = bound >= 1.0 - TOL_ALG
     _emit(report, ok, as_json, as_csv, out)
 
 
@@ -253,14 +261,13 @@ def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials, tol):
 
 @main.command("swap")
 @common_options
-@_TOL
-def swap_cmd(seed, as_json, as_csv, out, tol):
+def swap_cmd(seed, as_json, as_csv, out):
     """Entanglement-swap demo with the temporal event log."""
     rng = _rng(seed, "swap")
     demo = temporal.swap_demo(rng)
     ok = (
         demo["photon1_consumed_before_photon4_created"]
-        and abs(demo["outer_pair_fidelity"] - 1.0) <= tol
+        and abs(demo["outer_pair_fidelity"] - 1.0) <= TOL_ALG
     )
     _emit(demo, ok, as_json, as_csv, out)
 
@@ -275,20 +282,28 @@ def chain_group():
     """Quantum/classical block-chain demos."""
 
 
-def _parse_records(text: str) -> list[str]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise click.UsageError("--records must list at least one 2-bit record")
-    return parts
+def _parse_records(ctx, param, text: str) -> list[chain_mod.Record]:
+    parts = [p.strip() for p in text.split(",")]
+    if not 1 <= len(parts) <= _MAX_RECORDS:
+        raise click.BadParameter(f"list 1 to {_MAX_RECORDS} comma-separated records")
+    try:
+        return [chain_mod.Record.parse(p) for p in parts]
+    except chain_mod.ChainError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+_RECORDS = click.option(
+    "--records", default="00,10,11", show_default=True, callback=_parse_records
+)
 
 
 @chain_group.command("demo")
-@click.option("--records", default="00,10,11", show_default=True)
+@_RECORDS
 @common_options
 def chain_demo(records, seed, as_json, as_csv, out):
     """Encode records into a temporal-GHZ chain and decode them back."""
     rng = _rng(seed, "chain")
-    qc = chain_mod.build_chain(_parse_records(records), rng)
+    qc = chain_mod.build_chain(records, rng)
     decoded = chain_mod.decode(qc)
     report = {
         "records": decoded,
@@ -300,15 +315,17 @@ def chain_demo(records, seed, as_json, as_csv, out):
 
 
 @chain_group.command("tamper")
-@click.option("--records", default="00,10,11", show_default=True)
+@_RECORDS
 @click.option("--target", default=None, help="Photon label, e.g. p6 (default: last).")
 @common_options
 def chain_tamper(records, target, seed, as_json, as_csv, out):
     """Tamper one photon and report the damage."""
+    photons = [f"p{i}" for i in range(1, 2 * len(records) + 1)]
+    target = target or photons[-1]
+    if target not in photons:
+        raise click.BadParameter(f"must be one of p1...{photons[-1]}", param_hint="'--target'")
     rng = _rng(seed, "chain")
-    recs = _parse_records(records)
-    qc = chain_mod.build_chain(recs, rng)
-    target = target or f"p{2 * len(recs)}"
+    qc = chain_mod.build_chain(records, rng)
     report = {"target": target}
     try:
         chain_mod.tamper(qc, target, PAULI_X)
@@ -330,11 +347,14 @@ def chain_tamper(records, target, seed, as_json, as_csv, out):
 
 
 @chain_group.command("contrast")
-@click.option("--blocks", type=int, default=5, show_default=True)
+@click.option("--blocks", type=click.IntRange(1, _MAX_RECORDS), default=5, show_default=True)
 @click.option("--index", type=int, default=1, show_default=True)
 @common_options
 def chain_contrast(blocks, index, seed, as_json, as_csv, out):
     """Classical-vs-quantum tamper damage comparison."""
+    if not 0 <= index < blocks:
+        raise click.BadParameter(f"must lie in [0, {blocks}) for {blocks} blocks",
+                                 param_hint="'--index'")
     rng = _rng(seed, "chain")
     report = chain_mod.classical_chain_tamper_contrast(blocks, index, rng)
     ok = report["invalidated_range_classical"] == [index, blocks] and report[
@@ -414,16 +434,16 @@ def consensus_bounds(nodes, rounds, dishonest, noise, seed, as_json, as_csv, out
 @click.option("--nodes", type=_NODES, default=4, show_default=True)
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option(
-    "--threshold", type=float, default=consensus_mod.DEFAULT_THRESHOLD, show_default=True
+    "--threshold", type=_FloatRange(0.0, 1.0, min_open=True),
+    default=consensus_mod.DEFAULT_THRESHOLD, show_default=True,
 )
-@click.option("--label", default="block-1", show_default=True)
 @common_options
-def consensus_admit(nodes, rounds, threshold, label, seed, as_json, as_csv, out):
+def consensus_admit(nodes, rounds, threshold, seed, as_json, as_csv, out):
     """Admit a block backed by fresh GHZ copies."""
     rng = _rng(seed, "consensus")
     network = _build_network(nodes, 0, rng)
     report = consensus_mod.admit_block(
-        network, lambda: ghz_state(nodes), label, rounds, threshold
+        network, lambda: ghz_state(nodes), "block-1", rounds, threshold
     )
     report["local_chain_lengths"] = {
         str(nid): len(blocks) for nid, blocks in network.local_chains.items()
@@ -475,8 +495,7 @@ def _collect_stats(obj) -> list[games.GameStats]:
 @click.option("--key-bits", type=int, default=128, show_default=True)
 @common_options
 @_TRIALS
-@_TOL
-def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, out, trials, tol):
+def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, out, trials):
     """Run one of the quantum game demonstrations."""
     rng = _rng(seed, "game")
     if name == "teleport":
@@ -496,7 +515,7 @@ def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, 
             "min_fidelity": worst,
             "max_premeasure_deviation": max_premeasure_dev,
         }
-        ok = abs(worst - 1.0) <= tol and max_premeasure_dev <= tol
+        ok = abs(worst - 1.0) <= TOL_ALG and max_premeasure_dev <= TOL_ALG
         _emit(report, ok, as_json, as_csv, out)
     if name == "superdense":
         results = {bits: games.superdense_roundtrip(bits, rng) for bits in
@@ -615,25 +634,23 @@ def lg_group():
 @lg_group.command("k3")
 @_OMEGA
 @common_options
-@_TOL
-def lg_k3_cmd(model, seed, as_json, as_csv, out, tol):
+def lg_k3_cmd(model, seed, as_json, as_csv, out):
     """Maximize the three-time correlator K3 over the spacing tau."""
     res = foundations.lg_k3_max(model)
     report = {"k3_max": res["k3_max"], "tau_star": res["tau_star"], "classical_bound": 1.0}
-    ok = abs(res["k3_max"] - 1.5) <= max(tol, 1e-6)
+    ok = abs(res["k3_max"] - 1.5) <= 1e-6
     _emit(report, ok, as_json, as_csv, out)
 
 
 @lg_group.command("temporal-chsh")
 @_OMEGA
-@click.option("--dt", type=float, default=0.7, show_default=True)
+@click.option("--dt", type=_FloatRange(), default=0.7, show_default=True)
 @common_options
-@_TOL
-def lg_temporal_chsh(model, dt, seed, as_json, as_csv, out, tol):
+def lg_temporal_chsh(model, dt, seed, as_json, as_csv, out):
     """Optimized two-time CHSH value (quantum maximum is 2*sqrt(2))."""
     res = foundations.temporal_chsh_optimize(model, 0.0, dt)
     report = {"value": res["value"], "tsirelson": SQRT8}
-    ok = abs(res["value"] - SQRT8) <= max(tol, 1e-3)
+    ok = abs(res["value"] - SQRT8) <= 1e-3
     _emit(report, ok, as_json, as_csv, out)
 
 

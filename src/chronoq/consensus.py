@@ -21,7 +21,6 @@ as P^ -> 1 and would turn sampling noise into false alarms.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -261,6 +260,7 @@ def _single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray
 # single-qubit unitary up to a global phase, and u^dag is linear in q.
 _QUATERNION_BASIS = np.array([I2, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z])
 _MAX_SWEEPS = 200
+_STARTS = 8
 _SWEEP_GAIN = 1e-14
 
 
@@ -292,9 +292,7 @@ def _ascend(block: np.ndarray, mats: list) -> float:
     return value
 
 
-def optimize_corrected_fidelity(
-    rho: DensityOperator, dishonest: Sequence[int], starts: int = 8
-) -> float:
+def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) -> float:
     """Lower bound on max_U <GHZ| (I (x) U) rho (I (x) U)^dag |GHZ>, where U
     is a product of single-qubit unitaries on the dishonest qubits.
 
@@ -324,7 +322,7 @@ def optimize_corrected_fidelity(
     # Deterministic low-discrepancy starting points (golden-ratio lattice).
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     best = -math.inf
-    for s in range(starts):
+    for s in range(_STARTS):
         x = TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
         mats = [_single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
         best = max(best, _ascend(block, mats))
@@ -434,7 +432,3 @@ def admit_block(
         "rounds": rounds,
         "threshold": threshold,
     }
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)

@@ -22,6 +22,7 @@ from .qcore import (
     StateVector,
     bell_state,
     ghz_state,
+    is_dichotomic,
     is_hermitian,
     partial_trace,
 )
@@ -97,20 +98,17 @@ class WernerState:
         return DensityOperator(self.F * singlet + (1.0 - self.F) / 3.0 * rest)
 
 
-def partial_transpose(rho: DensityOperator, dims: Sequence[int], side: int = 1) -> np.ndarray:
-    """Partial transpose of a bipartite operator on subsystem ``side``."""
+def partial_transpose(rho: DensityOperator, dims: Sequence[int]) -> np.ndarray:
+    """Partial transpose of a bipartite operator on its second subsystem."""
     if len(dims) != 2 or dims[0] * dims[1] != rho.dim:
         raise EntangleError("dims must be a bipartition of the operator")
-    if side not in (0, 1):
-        raise EntangleError("side must be 0 or 1")
     tensor = rho.matrix.reshape(dims[0], dims[1], dims[0], dims[1])
-    axes = (2, 1, 0, 3) if side == 0 else (0, 3, 2, 1)
-    return np.transpose(tensor, axes).reshape(rho.dim, rho.dim)
+    return np.transpose(tensor, (0, 3, 2, 1)).reshape(rho.dim, rho.dim)
 
 
-def ppt_min_eigenvalue(rho: DensityOperator, dims: Sequence[int], side: int = 1) -> float:
+def ppt_min_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
-    pt = partial_transpose(rho, dims, side)
+    pt = partial_transpose(rho, dims)
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0).min())
 
 
@@ -176,10 +174,8 @@ class ObservableSettings:
     def __post_init__(self):
         for name in ("A1", "A2", "B1", "B2"):
             m = np.asarray(getattr(self, name), dtype=np.complex128)
-            if m.shape != (2, 2) or not is_hermitian(m, 1e-8):
-                raise EntangleError(f"{name} must be a 2x2 Hermitian matrix")
-            if np.max(np.abs(m @ m - np.eye(2))) > 1e-8:
-                raise EntangleError(f"{name} must square to the identity")
+            if m.shape != (2, 2) or not is_dichotomic(m):
+                raise EntangleError(f"{name} must be a 2x2 Hermitian matrix squaring to I")
             object.__setattr__(self, name, m)
 
 
@@ -275,7 +271,7 @@ def ghz_witness(n: int = 3) -> np.ndarray:
 
 def witness_value(w: np.ndarray, rho: DensityOperator) -> float:
     w = np.asarray(w, dtype=np.complex128)
-    if not is_hermitian(w, 1e-8):
+    if not is_hermitian(w):
         raise QcoreError("witness must be Hermitian")
     if w.shape[0] != rho.dim:
         raise EntangleError("dimension mismatch")

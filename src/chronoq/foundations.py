@@ -31,7 +31,8 @@ from .qcore import (
     QcoreError,
     RandomSource,
     StateVector,
-    is_hermitian,
+    is_dichotomic,
+    is_unitary,
     rotation,
     validated_densities,
 )
@@ -90,10 +91,8 @@ class Valuation:
 
 def _check_frames(rows: np.ndarray, dim: int) -> None:
     """Every (dim, dim) block of ``rows`` (frame vectors as rows) must be an
-    orthonormal basis to 1e-8."""
-    if rows.shape[-2:] != (dim, dim) or np.max(
-        np.abs(rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(dim))
-    ) > 1e-8:
+    orthonormal basis."""
+    if rows.shape[-2:] != (dim, dim) or not is_unitary(rows):
         raise QcoreError("frame is not an orthonormal basis")
 
 
@@ -224,10 +223,8 @@ def frame_average_reconstruct(
 def _dichotomic_projectors(obs: np.ndarray) -> dict:
     """Projectors onto the +1 and -1 eigenspaces of a dichotomic observable."""
     obs = np.asarray(obs, dtype=np.complex128)
-    if not is_hermitian(obs, 1e-8):
-        raise FoundationsError("observable must be Hermitian")
-    if np.max(np.abs(obs @ obs - np.eye(obs.shape[0]))) > 1e-8:
-        raise FoundationsError("observable must square to the identity")
+    if not is_dichotomic(obs):
+        raise FoundationsError("observable must be Hermitian and square to the identity")
     plus = (np.eye(obs.shape[0]) + obs) / 2.0
     minus = (np.eye(obs.shape[0]) - obs) / 2.0
     return {+1: plus, -1: minus}
@@ -289,9 +286,8 @@ class PrecessionModel:
             object.__setattr__(self, "initial", StateVector([1.0, 0.0]))
         if self.observable is None:
             object.__setattr__(self, "observable", PAULI_Z)
-        obs = np.asarray(self.observable, dtype=np.complex128)
-        if np.max(np.abs(obs @ obs - np.eye(obs.shape[0]))) > 1e-8:
-            raise FoundationsError("observable must square to the identity")
+        if not is_dichotomic(self.observable):
+            raise FoundationsError("observable must be Hermitian and square to the identity")
 
     def unitary(self, dt: float) -> np.ndarray:
         """Rotation about x by angle omega * dt."""

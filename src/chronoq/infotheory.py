@@ -19,6 +19,7 @@ from .qcore import (
     QcoreError,
     RandomSource,
     StateVector,
+    is_unitary,
     partial_trace,
 )
 
@@ -360,8 +361,7 @@ def entropic_uncertainty_bound(
     xm = np.stack([b.amplitudes for b in x_basis])
     zm = np.stack([b.amplitudes for b in z_basis])
     for mat in (xm, zm):
-        gram = mat.conj() @ mat.T
-        if mat.shape != (dim, dim) or np.max(np.abs(gram - np.eye(dim))) > 1e-8:
+        if mat.shape != (dim, dim) or not is_unitary(mat):
             raise QcoreError("basis is not orthonormal")
     c = float(np.max(np.abs(xm.conj() @ zm.T) ** 2))
     return float(-math.log2(c))

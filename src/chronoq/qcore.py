@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * Qubit ordering is big-endian: the leftmost ket factor is qubit 0, and a
   computational basis index decomposes as ``b = sum(bit_i * 2**(n-1-i))``.
 * Tolerances: ``TOL_ALG`` for algebraic identities, ``TOL_NORM`` for
-  normalization checks.
+  normalization checks.  The operator predicates (:func:`is_unitary`,
+  :func:`is_hermitian`, :func:`is_dichotomic`) and the density-operator
+  checks hold to 1e-8; every other module states these rules through them.
 * States and operators are immutable values; every operation returns a new
   object.  The only mutable object is :class:`RandomSource`, which owns a
   seeded pseudo-random stream.
@@ -164,17 +166,17 @@ class StateVector:
             normalize=True,
         )
 
-    def equals_up_to_phase(self, other: "StateVector", tol: float = 1e-8) -> bool:
-        """Global-phase-insensitive equality predicate."""
+    def equals_up_to_phase(self, other: "StateVector") -> bool:
+        """Global-phase-insensitive equality predicate: |<self|other>| = 1 to 1e-8."""
         if self.dim != other.dim:
             return False
         overlap = abs(np.vdot(self.amplitudes, other.amplitudes))
-        return bool(abs(overlap - 1.0) <= tol)
+        return bool(abs(overlap - 1.0) <= 1e-8)
 
-    def allclose(self, other: "StateVector", tol: float = TOL_ALG) -> bool:
-        """Exact-amplitude comparison (phase-sensitive)."""
+    def allclose(self, other: "StateVector") -> bool:
+        """Exact-amplitude comparison (phase-sensitive), to ``TOL_ALG``."""
         return self.dim == other.dim and bool(
-            np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol
+            np.max(np.abs(self.amplitudes - other.amplitudes)) <= TOL_ALG
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -202,22 +204,31 @@ def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[in
 # ---------------------------------------------------------------------------
 
 
-def is_unitary(m: np.ndarray, tol: float = TOL_ALG) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
+    """Rows orthonormal to 1e-8: one square matrix, or every one of a stack
+    ``(..., d, d)``."""
     m = np.asarray(m, dtype=np.complex128)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    return (
+        m.ndim >= 2
+        and m.shape[-1] == m.shape[-2]
+        and bool(np.max(np.abs(m.conj() @ m.swapaxes(-1, -2) - np.eye(m.shape[-1]))) <= 1e-8)
+    )
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_ALG) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """M = M^dagger to 1e-8."""
     m = np.asarray(m, dtype=np.complex128)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return (
+        m.ndim >= 2
+        and m.shape[-1] == m.shape[-2]
+        and bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-8)
+    )
 
 
-def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:
+def is_dichotomic(m: np.ndarray) -> bool:
+    """A +-1-valued observable: Hermitian and squaring to I, both to 1e-8."""
     m = np.asarray(m, dtype=np.complex128)
-    if not is_hermitian(m, max(tol, 1e-8)):
-        return False
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return bool(eigs.min() >= -tol)
+    return is_hermitian(m) and bool(np.max(np.abs(m @ m - np.eye(m.shape[-1]))) <= 1e-8)
 
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -293,6 +304,20 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
 # Standard states
 # ---------------------------------------------------------------------------
 
+
+def branch_pair(bits: Sequence[int], sign: int = 1) -> StateVector:
+    """(|b> + sign |b-bar>)/sqrt(2) for the bit string b (leftmost bit = qubit 0)
+    and its bitwise complement b-bar; sign is +1 or -1."""
+    n = len(bits)
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    amp = np.zeros(1 << n, dtype=np.complex128)
+    amp[idx] = _INV_SQRT2
+    amp[(1 << n) - 1 - idx] = sign * _INV_SQRT2
+    return StateVector(amp)
+
+
 _BELL_ALIASES = {
     "phi+": "phi+", "Φ+": "phi+", "phi_plus": "phi+", "00": "phi+",
     "phi-": "phi-", "Φ-": "phi-", "phi_minus": "phi-", "10": "phi-",
@@ -308,16 +333,8 @@ def bell_state(label: str) -> StateVector:
     key = _BELL_ALIASES.get(label)
     if key is None:
         raise QcoreError(f"unknown Bell label {label!r}")
-    amp = np.zeros(4, dtype=np.complex128)
-    if key == "phi+":
-        amp[0] = amp[3] = _INV_SQRT2
-    elif key == "phi-":
-        amp[0], amp[3] = _INV_SQRT2, -_INV_SQRT2
-    elif key == "psi+":
-        amp[1] = amp[2] = _INV_SQRT2
-    else:
-        amp[1], amp[2] = _INV_SQRT2, -_INV_SQRT2
-    return StateVector(amp)
+    # phi = (|00> +- |11>)/sqrt(2), psi = (|01> +- |10>)/sqrt(2).
+    return branch_pair([0, int(key.startswith("psi"))], 1 if key.endswith("+") else -1)
 
 
 def ghz_state(n: int) -> StateVector:
@@ -326,9 +343,7 @@ def ghz_state(n: int) -> StateVector:
         raise QcoreError("GHZ state needs at least 2 qubits")
     if n > MAX_QUBITS:
         raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
-    amp = np.zeros(1 << n, dtype=np.complex128)
-    amp[0] = amp[-1] = _INV_SQRT2
-    return StateVector(amp)
+    return branch_pair([0] * n)
 
 
 def computational_basis(dim: int) -> list[StateVector]:
@@ -347,19 +362,13 @@ class MeasurementOutcome:
     post_state: "StateVector"
 
 
-def _check_orthonormal(basis: Sequence[StateVector], dim: int) -> np.ndarray:
-    mat = np.stack([b.amplitudes for b in basis])  # rows are basis vectors
-    if mat.shape != (dim, dim):
-        raise QcoreError("basis must be complete")
-    gram = mat.conj() @ mat.T
-    if np.max(np.abs(gram - np.eye(dim))) > 1e-8:
-        raise QcoreError("basis is not orthonormal")
-    return mat
-
-
 def born_distribution(state: StateVector, basis: Sequence[StateVector]) -> np.ndarray:
     """Born-rule probabilities ``p(m) = |<m|psi>|^2`` over an orthonormal basis."""
-    mat = _check_orthonormal(basis, state.dim)
+    mat = np.stack([b.amplitudes for b in basis])  # rows are basis vectors
+    if mat.shape != (state.dim, state.dim):
+        raise QcoreError("basis must be complete")
+    if not is_unitary(mat):
+        raise QcoreError("basis is not orthonormal")
     amps = mat.conj() @ state.amplitudes
     probs = np.abs(amps) ** 2
     total = probs.sum()
@@ -396,7 +405,7 @@ def measure_qubit(
     vec = state.amplitudes
     if basis_1q is not None:
         u = np.asarray(basis_1q, dtype=np.complex128)
-        if not is_unitary(u, 1e-8):
+        if not is_unitary(u):
             raise QcoreError("measurement basis is not orthonormal")
         vec = _apply_to_targets(vec, n, u.conj(), [qubit])
     psi = vec.reshape([2] * n)

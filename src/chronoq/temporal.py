@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy as _copy
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,14 +22,12 @@ from .qcore import (
     MAX_QUBITS,
     BELL_LABELS,
     DensityOperator,
-    QcoreError,
     RandomSource,
     StateVector,
     bell_state,
+    branch_pair,
     kron_all,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class TemporalError(ValueError):
@@ -300,23 +297,12 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
 
 
 def temporal_ghz_closed_form(n_pairs: int) -> StateVector:
-    """The state produced by fusing n psi+ pairs: (|h (vvhh)* ...> + complement)/sqrt(2)."""
-    n = 2 * n_pairs
-    bits = []
-    current = 0
-    for k in range(n):
-        bits.append(current)
-        # Within a pair the two photons are opposite (psi+); across a fusion
-        # boundary they are equal.
-        current ^= 1 if k % 2 == 0 else 0
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    comp = (1 << n) - 1 - idx
-    amp = np.zeros(1 << n, dtype=np.complex128)
-    amp[idx] = _INV_SQRT2
-    amp[comp] = _INV_SQRT2
-    return StateVector(amp)
+    """The state produced by fusing n psi+ pairs: (|h (vvhh)* ...> + complement)/sqrt(2).
+
+    Within a pair the two photons are opposite (psi+); across a fusion
+    boundary they are equal, so photon k carries bit ((k + 1) // 2) mod 2.
+    """
+    return branch_pair([(k + 1) // 2 % 2 for k in range(2 * n_pairs)])
 
 
 def swap_demo(rng: RandomSource, forced_label: str | None = None) -> dict:

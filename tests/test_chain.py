@@ -30,6 +30,15 @@ def test_record_validation():
         Record(2, 0)
 
 
+def test_record_parse():
+    assert Record.parse("10") == Record(1, 0)
+    for text in ("2x", "0", "000", "", " 1"):
+        with pytest.raises(ChainError):
+            Record.parse(text)
+    with pytest.raises(ChainError):
+        build_chain(["01", "1"], RandomSource(1, 0))
+
+
 def test_worked_three_block_chain():
     rng = RandomSource(21, 0)
     chain = build_chain(["00", "10", "11"], rng)

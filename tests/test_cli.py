@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -266,6 +267,31 @@ def test_pinned_monte_carlo_outputs(args, expected):
         (["game", "pbr-epistemic", "--q", "nan"], "--q"),
         (["game", "chsh", "--strategy", "stick"], "--strategy"),
         (["game", "monty-classic", "--strategy", "quantum"], "--strategy"),
+        (["chain", "demo", "--records", "2x"], "--records"),
+        (["chain", "demo", "--records", "0"], "--records"),
+        (["chain", "demo", "--records", "000"], "--records"),
+        (["chain", "demo", "--records", ",".join(["01"] * 11)], "--records"),
+        (["chain", "demo", "--records", "00,,10"], "--records"),
+        (["chain", "tamper", "--target", "p99"], "--target"),
+        (["chain", "tamper", "--records", "00,11", "--target", "p5"], "--target"),
+        (["state", "--ghz", "1"], "--ghz"),
+        (["state", "--ghz", "21"], "--ghz"),
+        (["state", "--bell", "foo"], "--bell"),
+        (["entangle", "--werner-points", "-3"], "--werner-points"),
+        (["entangle", "--werner-points", "0"], "--werner-points"),
+        (["chain", "contrast", "--blocks", "0"], "--blocks"),
+        (["chain", "contrast", "--blocks", "11"], "--blocks"),
+        (["chain", "contrast", "--index", "9"], "--index"),
+        (["chain", "contrast", "--blocks", "3", "--index", "-1"], "--index"),
+        (["consensus", "admit", "--threshold", "nan"], "--threshold"),
+        (["consensus", "admit", "--threshold", "0"], "--threshold"),
+        (["consensus", "admit", "--threshold", "1.5"], "--threshold"),
+        (["entropy", "--rate", "nan"], "--rate"),
+        (["entropy", "--rate", "-1"], "--rate"),
+        (["entropy", "--rate", "1.5"], "--rate"),
+        (["lg", "temporal-chsh", "--dt", "nan"], "--dt"),
+        (["lg", "temporal-chsh", "--dt", "inf"], "--dt"),
+        (["lg", "temporal-chsh", "--dt", "-inf"], "--dt"),
     ],
 )
 def test_out_of_range_options_exit_2(args, option):
@@ -283,7 +309,33 @@ def test_out_of_range_options_exit_2(args, option):
         ["entropy", "--block", "24", "--p", "0", "--trials", "50"],
         ["entropy", "--p", "1", "--trials", "50"],
         ["game", "pbr-epistemic", "--q", "0.75", "--trials", "5000"],
+        ["state", "--ghz", "2"],
+        ["state", "--bell", "Ψ-"],
+        ["entangle", "--werner-points", "1"],
+        ["chain", "demo", "--records", ",".join(["10"] * 10)],
+        ["chain", "tamper", "--records", "00,11", "--target", "p1"],
+        ["chain", "contrast", "--blocks", "1", "--index", "0"],
+        ["consensus", "admit", "--threshold", "1"],
+        ["entropy", "--rate", "0", "--trials", "50"],
+        ["entropy", "--rate", "1", "--trials", "50"],
+        ["lg", "temporal-chsh", "--dt", "-2.5"],
     ],
 )
 def test_option_range_endpoints_run(args):
     assert run([*args, "--json"]).exit_code == 0
+
+
+def _leaf_commands(group, prefix=""):
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", cmd
+
+
+def test_cli_knob_budget():
+    """Every option and argument of every command, counted: adding one is a
+    visible edit here."""
+    commands = dict(_leaf_commands(main))
+    assert len(commands) == 15
+    assert sum(len(cmd.params) for cmd in commands.values()) == 95

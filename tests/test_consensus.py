@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from chronoq.consensus import (
     exact_pass_probability,
     ghz_fidelity,
     optimize_corrected_fidelity,
-    report_json,
     run_round,
     sample_theta_angles,
     theta_basis,
@@ -174,11 +172,6 @@ def test_admit_block_warns_on_degenerate_threshold():
     network = _network(3, rng)
     with pytest.warns(UserWarning):
         admit_block(network, lambda: ghz_state(3), "block-B", rounds=5, threshold=0.0)
-
-
-def test_report_json_sorted():
-    blob = report_json({"b": 1, "a": 2})
-    assert blob == json.dumps({"a": 2, "b": 1}, sort_keys=True)
 
 
 def test_invalid_configs():

@@ -136,6 +136,12 @@ def test_precession_model_rejects_bad_omega(omega):
         PrecessionModel(omega=omega)
 
 
+def test_precession_model_rejects_non_hermitian_observable():
+    # [[1, 1], [0, -1]] squares to I but is not Hermitian.
+    with pytest.raises(FoundationsError, match="Hermitian"):
+        PrecessionModel(observable=np.array([[1, 1], [0, -1]]))
+
+
 def test_temporal_chsh_optimum():
     model = PrecessionModel(omega=1.0)
     for dt in (0.4, 0.7, 1.3):

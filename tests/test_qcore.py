@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chronoq.chain import Record, build_chain
 from chronoq.qcore import (
     BELL_LABELS,
     CNOT,
@@ -17,10 +18,11 @@ from chronoq.qcore import (
     StateVector,
     bell_state,
     born_distribution,
+    branch_pair,
     computational_basis,
     ghz_state,
+    is_dichotomic,
     is_hermitian,
-    is_psd,
     is_unitary,
     kron_all,
     measure,
@@ -30,6 +32,7 @@ from chronoq.qcore import (
     rotation,
     standard_gate,
 )
+from chronoq.temporal import temporal_ghz_closed_form
 
 
 def test_random_source_reproducible():
@@ -85,8 +88,6 @@ def test_gate_predicates():
         assert is_unitary(g)
     assert is_hermitian(PAULI_Y)
     assert not is_hermitian(standard_gate("S"))
-    assert is_psd(np.eye(2))
-    assert not is_psd(PAULI_Z)
 
 
 def test_rotation_gate():
@@ -181,3 +182,51 @@ def test_partial_trace_product():
 
 def test_kron_all():
     assert np.allclose(kron_all([PAULI_X, PAULI_X]), np.kron(PAULI_X, PAULI_X))
+
+
+def test_operator_predicates_batched_and_square():
+    # The identity, the 3-point Fourier matrix and the identity again.
+    frames = np.stack([np.eye(3), np.fft.fft(np.eye(3)) / math.sqrt(3), np.eye(3)])
+    assert is_unitary(frames)
+    skewed = frames.copy()
+    skewed[1, 0, 0] += 1e-6
+    assert not is_unitary(skewed)
+    assert not is_unitary(np.ones((2, 3)))
+    assert not is_hermitian(np.ones((2, 1)))
+    assert is_dichotomic(PAULI_Z) and is_dichotomic((PAULI_X + PAULI_Z) / math.sqrt(2))
+    assert not is_dichotomic(np.array([[1, 1], [0, -1]]))  # squares to I, not Hermitian
+    assert not is_dichotomic(2 * PAULI_Z)  # Hermitian, squares to 4 I
+
+
+def _hand_folded(bits, sign):
+    """The index fold ghz_state, temporal_ghz_closed_form and
+    QuantumChain.expected_state each wrote out before branch_pair."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    amp = np.zeros(1 << len(bits), dtype=np.complex128)
+    amp[idx] = 1.0 / math.sqrt(2.0)
+    amp[(1 << len(bits)) - 1 - idx] = sign * (1.0 / math.sqrt(2.0))
+    return StateVector(amp).amplitudes
+
+
+def test_branch_pair_reproduces_hand_built_states():
+    for n in (2, 3, 7, MAX_QUBITS):
+        assert np.array_equal(ghz_state(n).amplitudes, _hand_folded([0] * n, 1))
+    for n_pairs in range(1, 6):
+        bits, current = [], 0
+        for k in range(2 * n_pairs):
+            bits.append(current)
+            current ^= 1 if k % 2 == 0 else 0
+        assert np.array_equal(temporal_ghz_closed_form(n_pairs).amplitudes, _hand_folded(bits, 1))
+    rng = RandomSource(5, 0)
+    for count in (1, 2, 5):
+        recs = [Record(int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(count)]
+        bits = [0]
+        for i, rec in enumerate(recs):
+            if i > 0:
+                bits.append(rec.r1)
+            bits.append(rec.r2)
+        expected = _hand_folded(bits, (-1) ** recs[0].r1)
+        assert np.array_equal(build_chain(recs, rng).expected_state().amplitudes, expected)
+    assert np.array_equal(branch_pair([1, 0], -1).amplitudes, _hand_folded([1, 0], -1))
