@@ -26,10 +26,10 @@ from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector, branch_pair
 from .temporal import (
     TemporalError,
     TemporalRegister,
+    _post_selected_fuse,
     apply_op,
     create_pair,
     delay,
-    pbs_fuse,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -139,8 +139,10 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
     extended chain state exactly: the pair encodes (0, r2 xor last-bit), and
     when r1 of the new record differs from the chain's leading-branch last
     bit, an X correction is applied to the first new photon after fusion.
-    Post-selection failures are retried from a snapshot with fresh
-    randomness, up to FUSION_RETRY_CAP.
+    Post-selection failures are retried with fresh randomness, up to
+    FUSION_RETRY_CAP draws.  Every retry would rebuild the same candidate, so
+    it is built and projected once and each retry is one draw against the
+    same success probability.
     """
     if not chain.valid:
         raise ChainError("cannot append to an invalidated chain")
@@ -155,17 +157,18 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
     new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
     pair = Record(0, record.r2 ^ last_bit)
 
-    for _ in range(FUSION_RETRY_CAP):
-        snap = chain.register.snapshot()
-        create_pair(snap, pair.bits, (new1, new2), t=k)
-        delay(snap, new2, 1)
-        if pbs_fuse(snap, last_label, new1, rng):
-            if record.r1 != last_bit:
-                apply_op(snap, PAULI_X, [new1])
-            chain.register = snap
-            chain.records.append(record)
-            return chain
-    raise ChainError("fusion retry cap exceeded")
+    candidate = chain.register.snapshot()
+    create_pair(candidate, pair.bits, (new1, new2), t=k)
+    delay(candidate, new2, 1)
+    if not _post_selected_fuse(candidate, last_label, new1, rng, FUSION_RETRY_CAP):
+        raise ChainError("fusion retry cap exceeded")
+    # The fusion has already dropped the unprojected state and its projection
+    # buffer, so the correction's copies sit beside one 2^n vector only.
+    if record.r1 != last_bit:
+        apply_op(candidate, PAULI_X, [new1])
+    chain.register = candidate
+    chain.records.append(record)
+    return chain
 
 
 def build_chain(records, rng: RandomSource) -> QuantumChain:

@@ -587,7 +587,7 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 
 
 @gleason_group.command("roundtrip")
-@click.option("--dim", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--dim", type=click.IntRange(1, 32), default=3, show_default=True)
 @click.option("--frames", type=click.IntRange(min=1), default=2000, show_default=True)
 @common_options
 def gleason_roundtrip(dim, frames, seed, as_json, as_csv, out):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -289,15 +289,6 @@ def tensor_product(
     if a.shape[0] * b.shape[0] > (1 << MAX_QUBITS):
         raise QcoreError(f"operator would exceed {MAX_QUBITS} qubits")
     return np.kron(a, b)
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    out = None
-    for m in mats:
-        out = np.asarray(m, dtype=np.complex128) if out is None else np.kron(out, m)
-    if out is None:
-        raise QcoreError("empty tensor product")
-    return out
 
 
 # ---------------------------------------------------------------------------

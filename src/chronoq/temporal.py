@@ -11,7 +11,6 @@ coexist while staying inside the dense-simulation qubit budget.
 
 from __future__ import annotations
 
-import copy as _copy
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,6 @@ from .qcore import (
     StateVector,
     bell_state,
     branch_pair,
-    kron_all,
 )
 
 
@@ -91,8 +89,17 @@ class TemporalRegister:
         self.event_log.append({"event": event, "modes": sorted(spatials), "t": int(t)})
 
     def snapshot(self) -> "TemporalRegister":
-        """Deep copy; the copy is independent of the live register."""
-        return _copy.deepcopy(self)
+        """Independent copy: its own mode entries, event log and validity flag.
+
+        The immutable :class:`StateVector` is shared, not copied; every
+        operation replaces ``state`` rather than writing into it.
+        """
+        copy = TemporalRegister()
+        copy.state = self.state
+        copy.modes = [list(entry) for entry in self.modes]
+        copy.event_log = [dict(e, modes=list(e["modes"])) for e in self.event_log]
+        copy.valid = self.valid
+        return copy
 
     def event_log_jsonl(self) -> str:
         return "\n".join(json.dumps(e, sort_keys=True) for e in self.event_log)
@@ -234,8 +241,11 @@ def bell_measure(
 
 def _equal_bits(n_qubits: int, q1: int, q2: int) -> np.ndarray:
     """Diagonal of F = |hh><hh| + |vv><vv| on qubits (q1, q2): True where the bits agree."""
-    idx = np.arange(1 << n_qubits)
-    return ((idx >> (n_qubits - 1 - q1)) & 1) == ((idx >> (n_qubits - 1 - q2)) & 1)
+
+    def bit(q):  # qubit q's value at every basis index: runs of 2^(n-1-q)
+        return np.tile(np.repeat([False, True], 1 << (n_qubits - 1 - q)), 1 << q)
+
+    return bit(q1) == bit(q2)
 
 
 def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
@@ -244,6 +254,19 @@ def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool
     On success the state is projected and renormalized; both modes stay
     live.  On failure the register is marked invalid — retrying is the
     caller's policy (typically from a prior snapshot).
+    """
+    return _post_selected_fuse(reg, s1, s2, rng, attempts=1)
+
+
+def _post_selected_fuse(
+    reg: TemporalRegister, s1: str, s2: str, rng: RandomSource, attempts: int
+) -> bool:
+    """:func:`pbs_fuse` retried up to ``attempts`` times on the same input.
+
+    F|psi> and p_success = <psi|F|psi> are computed once; each attempt is one
+    ``rng.uniform()`` draw, which succeeds below p_success.  The draws, the
+    one "fuse" event and the resulting register are those of calling
+    :func:`pbs_fuse` on fresh snapshots of ``reg`` until one succeeds.
     """
     if not reg.valid:
         raise TemporalError("register invalidated by a failed fusion")
@@ -258,7 +281,7 @@ def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool
     projected = np.where(_equal_bits(reg.state.num_qubits, q1, q2), reg.state.amplitudes, 0.0)
     p_success = float(np.sum(np.abs(projected) ** 2))
     reg._log("fuse", [s1, s2], t)
-    if rng.uniform() >= p_success:
+    if not any(rng.uniform() < p_success for _ in range(attempts)):
         reg.valid = False
         return False
     reg.state = StateVector(projected, normalize=True)
@@ -284,16 +307,25 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
     n_qubits = 2 * n_pairs
     if n_qubits > MAX_QUBITS:
         raise TemporalError(f"register would exceed {MAX_QUBITS} qubits")
+    # F is diagonal, so F rho F keeps only the rows and columns where every
+    # fusion boundary agrees: 2^(n_pairs+1) of them.  On that block each
+    # entry is the product of the per-pair entries, taken left to right as
+    # the Kronecker product would.
     keep = np.ones(1 << n_qubits, dtype=bool)
     for k in range(1, n_pairs):
         keep &= _equal_bits(n_qubits, 2 * k - 1, 2 * k)
-    # F is diagonal, so F rho F keeps the rows and columns where every
-    # boundary agrees; FρF/tr of a validated rho needs no second check.
-    big = np.where(keep[:, None] & keep[None, :], kron_all([pair_rho.matrix] * n_pairs), 0.0)
-    tr = float(np.real(np.trace(big)))
+    support = np.flatnonzero(keep)
+    block = np.ones((support.size, support.size), dtype=np.complex128)
+    for k in range(n_pairs):
+        digit = (support >> (n_qubits - 2 - 2 * k)) & 3
+        block *= pair_rho.matrix[digit[:, None], digit[None, :]]
+    tr = float(np.real(np.trace(block)))
     if tr <= 1e-15:
         raise TemporalError("fusion annihilated the state")
-    return DensityOperator(big / tr, validate=False)
+    # FρF/tr of a validated rho needs no second check.
+    rho = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=np.complex128)
+    rho[np.ix_(support, support)] = block / tr
+    return DensityOperator(rho, validate=False)
 
 
 def temporal_ghz_closed_form(n_pairs: int) -> StateVector:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from chronoq.chain import (
     tamper,
 )
 from chronoq.qcore import PAULI_X, PAULI_Z, RandomSource, StateVector
+from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
 
 def test_record_validation():
@@ -160,10 +162,70 @@ def test_contrast_report():
     assert report["quantum_fidelity_after_tamper"] < 1 - 1e-6
 
 
+class _CountingDraw:
+    """Stands in for RandomSource: uniform() returns u and counts the draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def uniform(self):
+        self.draws += 1
+        return self.u
+
+
 def test_fusion_retry_cap_enforced():
-    assert FUSION_RETRY_CAP >= 1
-    rng = RandomSource(30, 0)
-    chain = QuantumChain()
-    append(chain, Record(0, 0), rng)
-    append(chain, Record(1, 1), rng)
-    assert decode(chain) == "0011"
+    chain = build_chain(["01", "10"], RandomSource(30, 0))
+    register, state = chain.register, chain.register.state
+    log = copy.deepcopy(register.event_log)
+    modes = copy.deepcopy(register.modes)
+    # Fusing a fresh Bell pair onto the chain succeeds with p = 1/2.
+    draw = _CountingDraw(0.75)
+    with pytest.raises(ChainError, match="retry cap"):
+        append(chain, Record(1, 1), draw)
+    assert draw.draws == FUSION_RETRY_CAP
+    assert chain.records == [Record(0, 1), Record(1, 0)]
+    assert chain.valid
+    assert chain.register is register and register.state is state
+    assert register.event_log == log and register.modes == modes
+    assert register.valid
+    assert decode(chain) == "0110"
+
+
+def _append_per_attempt(chain, record, rng):
+    """Reference append: each retry deep-copies the register and repeats the
+    pair creation, delay and fusion."""
+    if not chain.records:
+        return append(chain, record, rng)
+    k = len(chain.records)
+    last_bit = chain.records[-1].r2
+    new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
+    pair = Record(0, record.r2 ^ last_bit)
+    for _ in range(FUSION_RETRY_CAP):
+        snap = copy.deepcopy(chain.register)
+        create_pair(snap, pair.bits, (new1, new2), t=k)
+        delay(snap, new2, 1)
+        if pbs_fuse(snap, f"p{2 * k}", new1, rng):
+            if record.r1 != last_bit:
+                apply_op(snap, PAULI_X, [new1])
+            chain.register = snap
+            chain.records.append(record)
+            return chain
+    raise ChainError("fusion retry cap exceeded")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_append_matches_per_attempt_reference(seed):
+    gen = np.random.default_rng(seed)
+    n_records = 1 + seed % 10
+    records = [Record(int(a), int(b)) for a, b in gen.integers(0, 2, size=(n_records, 2))]
+    rng, ref_rng = RandomSource(seed, 5), RandomSource(seed, 5)
+    chain = build_chain(records, rng)
+    ref = QuantumChain()
+    for rec in records:
+        _append_per_attempt(ref, rec, ref_rng)
+    assert chain.records == ref.records
+    assert chain.register.event_log == ref.register.event_log
+    assert chain.register.modes == ref.register.modes
+    assert np.array_equal(chain.register.state.amplitudes, ref.register.state.amplitudes)
+    assert rng.uniform() == ref_rng.uniform()

@@ -292,6 +292,7 @@ def test_pinned_monte_carlo_outputs(args, expected):
         (["lg", "temporal-chsh", "--dt", "nan"], "--dt"),
         (["lg", "temporal-chsh", "--dt", "inf"], "--dt"),
         (["lg", "temporal-chsh", "--dt", "-inf"], "--dt"),
+        (["gleason", "roundtrip", "--dim", "33"], "--dim"),
     ],
 )
 def test_out_of_range_options_exit_2(args, option):
@@ -319,6 +320,7 @@ def test_out_of_range_options_exit_2(args, option):
         ["entropy", "--rate", "0", "--trials", "50"],
         ["entropy", "--rate", "1", "--trials", "50"],
         ["lg", "temporal-chsh", "--dt", "-2.5"],
+        ["gleason", "roundtrip", "--dim", "32", "--frames", "1"],
     ],
 )
 def test_option_range_endpoints_run(args):

@@ -31,9 +31,10 @@ from chronoq.qcore import (
     RandomSource,
     StateVector,
     ghz_state,
-    kron_all,
     rotation,
 )
+
+from dense_reference import kron_all
 
 
 def _network(n, rng, dishonest=0, cheat=None):

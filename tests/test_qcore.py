@@ -24,15 +24,17 @@ from chronoq.qcore import (
     is_dichotomic,
     is_hermitian,
     is_unitary,
-    kron_all,
     measure,
     measure_qubit,
     partial_trace,
     purity,
     rotation,
     standard_gate,
+    tensor_product,
 )
 from chronoq.temporal import temporal_ghz_closed_form
+
+from dense_reference import kron_all
 
 
 def test_random_source_reproducible():
@@ -181,7 +183,9 @@ def test_partial_trace_product():
 
 
 def test_kron_all():
-    assert np.allclose(kron_all([PAULI_X, PAULI_X]), np.kron(PAULI_X, PAULI_X))
+    # The dense test reference agrees with the library's own tensor product.
+    expected = tensor_product(tensor_product(PAULI_X, PAULI_Y), PAULI_Z)
+    assert np.array_equal(kron_all([PAULI_X, PAULI_Y, PAULI_Z]), expected)
 
 
 def test_operator_predicates_batched_and_square():

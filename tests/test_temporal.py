@@ -122,6 +122,31 @@ def test_snapshot_supports_retry():
     assert reg.valid
 
 
+def test_snapshot_is_independent_of_original():
+    reg = TemporalRegister()
+    create_pair(reg, "phi+", ("a", "b"), t=0)
+    create_pair(reg, "psi-", ("c", "d"), t=0)
+    state = reg.state
+    amplitudes = state.amplitudes.copy()
+    modes = [list(entry) for entry in reg.modes]
+    log = [dict(e, modes=list(e["modes"])) for e in reg.event_log]
+
+    for act in (
+        lambda snap: delay(snap, "b", 2),
+        lambda snap: measure_mode(snap, "a", RandomSource(17, 0)),
+        lambda snap: pbs_fuse(snap, "b", "c", _FixedDraw(1.0)),
+        lambda snap: snap.event_log[0]["modes"].append("z"),
+    ):
+        snap = reg.snapshot()
+        assert snap.state is state
+        act(snap)
+        assert reg.modes == modes
+        assert reg.event_log == log
+        assert reg.valid
+        assert reg.state is state
+        assert np.array_equal(state.amplitudes, amplitudes)
+
+
 def _dense_fusion_projector(n_qubits, q1, q2):
     """Reference F = |hh><hh| + |vv><vv| on qubits (q1, q2), built entry by entry."""
     dim = 1 << n_qubits
