@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector, branch_pair
+from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector, _branch_index, branch_pair
 from .temporal import (
     TemporalError,
     TemporalRegister,
@@ -103,8 +103,8 @@ class QuantumChain:
     def record_string(self) -> str:
         return "".join(r.bits for r in self.records)
 
-    def expected_state(self) -> StateVector:
-        """The target chain state for the stored record string."""
+    def _expected_branch(self) -> tuple[list[int], int]:
+        """Leading-branch bits and relative sign of :meth:`expected_state`."""
         if not self.records:
             raise ChainError("empty chain")
         # The leading branch starts at 0 and then lists every record bit but
@@ -112,12 +112,20 @@ class QuantumChain:
         bits = [0, self.records[0].r2]
         for rec in self.records[1:]:
             bits += [rec.r1, rec.r2]
-        return branch_pair(bits, (-1) ** self.records[0].r1)
+        return bits, (-1) ** self.records[0].r1
+
+    def expected_state(self) -> StateVector:
+        """The target chain state for the stored record string."""
+        return branch_pair(*self._expected_branch())
 
     def fidelity(self) -> float:
+        """|<expected|psi>|^2, read from psi at the two branch indices only."""
         if not self.records:
             return 1.0
-        overlap = self.expected_state().inner(self.register.state)
+        bits, sign = self._expected_branch()
+        lead = _branch_index(bits)
+        psi = self.register.state.amplitudes
+        overlap = _INV_SQRT2 * psi[lead] + sign * _INV_SQRT2 * psi[psi.size - 1 - lead]
         return float(abs(overlap) ** 2)
 
     def to_json(self) -> str:

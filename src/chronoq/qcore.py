@@ -11,6 +11,12 @@ Conventions used throughout the package:
 * States and operators are immutable values; every operation returns a new
   object.  The only mutable object is :class:`RandomSource`, which owns a
   seeded pseudo-random stream.
+* Buffer ownership: no public function writes into an array its caller
+  passed in, and every ``StateVector.amplitudes`` is read-only.  A kernel
+  that has just allocated a 2^n result hands it to ``StateVector._adopt``,
+  which renormalizes it in place; the public constructor renormalizes into
+  a new array instead.  Each 2^n step thus reads the state once and
+  allocates at most one new 2^n buffer.
 * Two state vectors are considered equal when they agree up to a global
   phase (see :meth:`StateVector.equals_up_to_phase`); exact amplitude
   comparison is available separately via :meth:`StateVector.allclose`.
@@ -84,32 +90,47 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
-def _as_complex_vector(amplitudes) -> np.ndarray:
-    vec = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(vec.view(np.float64))):
-        raise QcoreError("amplitudes must be finite")
-    return vec
-
-
 class StateVector:
     """A normalized complex amplitude vector."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes, *, normalize: bool = False):
-        vec = _as_complex_vector(amplitudes)
+        vec = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+        # A fresh view, so that freezing it below leaves the caller's flags alone.
+        self._own(vec.reshape(-1), normalize, in_place=False)
+
+    @classmethod
+    def _adopt(cls, buffer: np.ndarray, *, normalize: bool = False) -> "StateVector":
+        """A state over ``buffer``, a 1-D complex128 array the caller has just
+        allocated and hands over: renormalization writes into it."""
+        state = cls.__new__(cls)
+        state._own(buffer, normalize, in_place=True)
+        return state
+
+    def _own(self, vec: np.ndarray, normalize: bool, in_place: bool):
         if vec.shape[0] > (1 << MAX_QUBITS):
             raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
-        norm = float(np.linalg.norm(vec))
+        # One pass: the squared norm is finite iff every amplitude is (and
+        # their squares do not overflow).
+        norm_sq = float(np.vdot(vec, vec).real)
+        if not math.isfinite(norm_sq):
+            raise QcoreError(f"amplitudes and their squared norm must be finite (got {norm_sq!r})")
+        norm = math.sqrt(norm_sq)
         if normalize:
             if norm <= TOL_ALG:
                 raise QcoreError("cannot normalize a (near-)zero vector")
-            vec = vec / norm
+            rescale = norm != 1.0
         elif abs(norm - 1.0) > 1e-6:
             raise QcoreError(f"state vector not normalized (norm={norm!r})")
-        elif abs(norm - 1.0) > TOL_NORM:
+        else:
             # Small numerical drift: renormalize silently.
-            vec = vec / norm
+            rescale = abs(norm - 1.0) > TOL_NORM
+        if rescale:
+            if in_place:
+                vec *= 1.0 / norm
+            else:
+                vec = vec * (1.0 / norm)
         vec.setflags(write=False)
         self.amplitudes = vec
 
@@ -134,11 +155,7 @@ class StateVector:
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "StateVector":
-        n = len(bits)
-        index = 0
-        for b in bits:
-            index = (index << 1) | (int(b) & 1)
-        return cls.basis(1 << n, index)
+        return cls.basis(1 << len(bits), _branch_index([int(b) & 1 for b in bits]))
 
     # -- algebra --
 
@@ -160,8 +177,8 @@ class StateVector:
         if targets is None:
             if mat.shape != (self.dim, self.dim):
                 raise QcoreError("operator dimension mismatch")
-            return StateVector(mat @ self.amplitudes, normalize=True)
-        return StateVector(
+            return StateVector._adopt(mat @ self.amplitudes, normalize=True)
+        return StateVector._adopt(
             _apply_to_targets(self.amplitudes, self.num_qubits, mat, list(targets)),
             normalize=True,
         )
@@ -184,11 +201,22 @@ class StateVector:
 
 
 def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[int]) -> np.ndarray:
+    """``mat`` on the target qubits of a 2^n vector, as a new 1-D array.
+
+    One target q needs no transpose: the vector is a ``(2^q, 2, R)`` block
+    array with R = 2^(n-q-1).  For R <= 32 it is one GEMM against
+    kron(mat, I_R); above, mat is broadcast over the 2^q blocks.
+    """
     k = len(targets)
     if mat.shape != (1 << k, 1 << k):
         raise QcoreError("operator shape does not match target count")
     if any(t < 0 or t >= n for t in targets) or len(set(targets)) != k:
         raise QcoreError("invalid target qubits")
+    if k == 1:
+        r = 1 << (n - targets[0] - 1)
+        if r <= 32:
+            return (vec.reshape(-1, 2 * r) @ np.kron(mat, np.eye(r)).T).reshape(-1)
+        return np.matmul(mat, vec.reshape(-1, 2, r)).reshape(-1)
     psi = vec.reshape([2] * n)
     rest = [i for i in range(n) if i not in targets]
     psi = np.transpose(psi, targets + rest)
@@ -283,7 +311,7 @@ def tensor_product(
         dim = a.dim * b.dim
         if dim > (1 << MAX_QUBITS):
             raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
+        return StateVector._adopt(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape[0] * b.shape[0] > (1 << MAX_QUBITS):
@@ -300,13 +328,19 @@ def branch_pair(bits: Sequence[int], sign: int = 1) -> StateVector:
     """(|b> + sign |b-bar>)/sqrt(2) for the bit string b (leftmost bit = qubit 0)
     and its bitwise complement b-bar; sign is +1 or -1."""
     n = len(bits)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
+    idx = _branch_index(bits)
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[idx] = _INV_SQRT2
     amp[(1 << n) - 1 - idx] = sign * _INV_SQRT2
     return StateVector(amp)
+
+
+def _branch_index(bits: Sequence[int]) -> int:
+    """Basis index of the bit string b (leftmost bit = qubit 0)."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    return idx
 
 
 _BELL_ALIASES = {
@@ -419,11 +453,10 @@ def measure_qubit(
     collapsed = np.zeros_like(moved)
     collapsed[outcome] = moved[outcome]
     post = np.moveaxis(collapsed, 0, qubit).reshape(-1)
-    post = post / np.linalg.norm(post)
     if basis_1q is not None:
         # Rotate back to the computational frame.
         post = _apply_to_targets(post, n, np.asarray(basis_1q).T, [qubit])
-    return outcome, prob, StateVector(post, normalize=True)
+    return outcome, prob, StateVector._adopt(post, normalize=True)
 
 
 # ---------------------------------------------------------------------------

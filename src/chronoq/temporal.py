@@ -239,13 +239,13 @@ def bell_measure(
     return BellOutcome(label, prob)
 
 
-def _equal_bits(n_qubits: int, q1: int, q2: int) -> np.ndarray:
-    """Diagonal of F = |hh><hh| + |vv><vv| on qubits (q1, q2): True where the bits agree."""
-
-    def bit(q):  # qubit q's value at every basis index: runs of 2^(n-1-q)
-        return np.tile(np.repeat([False, True], 1 << (n_qubits - 1 - q)), 1 << q)
-
-    return bit(q1) == bit(q2)
+def _project_equal_bits(buffer: np.ndarray, n_qubits: int, q1: int, q2: int) -> None:
+    """Apply the diagonal F = |hh><hh| + |vv><vv| on qubits (q1, q2) in place:
+    zero the entries of a contiguous 2^n buffer where the two bits differ."""
+    a, b = sorted((q1, q2))
+    blocks = buffer.reshape(1 << a, 2, 1 << (b - a - 1), 2, 1 << (n_qubits - b - 1))
+    blocks[:, 0, :, 1] = 0
+    blocks[:, 1, :, 0] = 0
 
 
 def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
@@ -278,13 +278,14 @@ def _post_selected_fuse(
         reg.modes[reg._find(s2)][0].time_step,
         reg.last_event_time,
     )
-    projected = np.where(_equal_bits(reg.state.num_qubits, q1, q2), reg.state.amplitudes, 0.0)
-    p_success = float(np.sum(np.abs(projected) ** 2))
+    projected = reg.state.amplitudes.copy()
+    _project_equal_bits(projected, reg.state.num_qubits, q1, q2)
+    p_success = float(np.vdot(projected, projected).real)
     reg._log("fuse", [s1, s2], t)
     if not any(rng.uniform() < p_success for _ in range(attempts)):
         reg.valid = False
         return False
-    reg.state = StateVector(projected, normalize=True)
+    reg.state = StateVector._adopt(projected, normalize=True)
     return True
 
 
@@ -313,7 +314,7 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
     # the Kronecker product would.
     keep = np.ones(1 << n_qubits, dtype=bool)
     for k in range(1, n_pairs):
-        keep &= _equal_bits(n_qubits, 2 * k - 1, 2 * k)
+        _project_equal_bits(keep, n_qubits, 2 * k - 1, 2 * k)
     support = np.flatnonzero(keep)
     block = np.ones((support.size, support.size), dtype=np.complex128)
     for k in range(n_pairs):

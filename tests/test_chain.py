@@ -22,7 +22,7 @@ from chronoq.chain import (
     mix,
     tamper,
 )
-from chronoq.qcore import PAULI_X, PAULI_Z, RandomSource, StateVector
+from chronoq.qcore import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, RandomSource, StateVector, rotation
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
 
@@ -229,3 +229,23 @@ def test_append_matches_per_attempt_reference(seed):
     assert chain.register.modes == ref.register.modes
     assert np.array_equal(chain.register.state.amplitudes, ref.register.state.amplitudes)
     assert rng.uniform() == ref_rng.uniform()
+
+
+def _dense_fidelity(chain):
+    return abs(chain.expected_state().inner(chain.register.state)) ** 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fidelity_from_two_entries_matches_dense_overlap(seed):
+    gen = RandomSource(61, seed)
+    records = [f"{gen.integers(0, 2)}{gen.integers(0, 2)}" for _ in range(1 + seed % 6)]
+    intact = build_chain(records, RandomSource(62, seed))
+    assert intact.fidelity() == _dense_fidelity(intact)
+    assert intact.fidelity() == pytest.approx(1.0, abs=1e-12)
+    # H splits each branch so that the two overlaps cancel; Ry(pi/3) keeps
+    # cos(pi/6) of both.
+    for op, expected in ((PAULI_X, 0.0), (HADAMARD, 0.0), (rotation(PAULI_Y, math.pi / 3), 0.75)):
+        chain = build_chain(records, RandomSource(62, seed))
+        tamper(chain, f"p{2 * len(records)}", op)  # the one live photon
+        assert chain.fidelity() == pytest.approx(_dense_fidelity(chain), abs=1e-15)
+        assert chain.fidelity() == pytest.approx(expected, abs=1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoq.chain import Record, build_chain
 from chronoq.qcore import (
@@ -31,10 +33,11 @@ from chronoq.qcore import (
     rotation,
     standard_gate,
     tensor_product,
+    _apply_to_targets,
 )
 from chronoq.temporal import temporal_ghz_closed_form
 
-from dense_reference import kron_all
+from dense_reference import apply_to_targets_transposed, kron_all
 
 
 def test_random_source_reproducible():
@@ -63,6 +66,100 @@ def test_state_normalization_enforced():
 def test_state_zero_vector_rejected():
     with pytest.raises(QcoreError):
         StateVector([0.0, 0.0], normalize=True)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[math.nan, 0.0], [complex(0.0, math.nan), 1.0], [math.inf, 0.0], [-math.inf, 0.0],
+     [1e200, 1e200], [1e200, 0.0]],
+)
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_rejects_non_finite_squared_norm(amplitudes, normalize):
+    # 1e200 is finite, but its square overflows: normalizing used to return 0.
+    with pytest.raises(QcoreError, match="finite"):
+        StateVector(amplitudes, normalize=normalize)
+
+
+def _caller_argument(kind, scale):
+    values = [0.6 * scale, 0.8j * scale]
+    if kind == "list":
+        return values
+    arr = np.array(values, dtype=np.complex128)
+    if kind == "2d":
+        return arr.reshape(2, 1)
+    if kind == "readonly":
+        arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("kind", ["complex1d", "2d", "readonly", "list"])
+@pytest.mark.parametrize(
+    "scale, normalize",
+    [(5.0, True), (1.0, True), (1.0 + 1e-8, False), (1.0, False)],
+    ids=["renormalized", "unit-normalize", "drift", "unit"],
+)
+def test_public_constructor_leaves_its_argument_alone(kind, scale, normalize):
+    arg = _caller_argument(kind, scale)
+    before = np.array(arg, dtype=np.complex128)
+    writeable = isinstance(arg, np.ndarray) and arg.flags.writeable
+    state = StateVector(arg, normalize=normalize)
+    assert np.array_equal(np.asarray(arg), before)
+    if isinstance(arg, np.ndarray):
+        assert arg.flags.writeable == writeable
+    assert not state.amplitudes.flags.writeable
+    assert np.max(np.abs(state.amplitudes - np.array([0.6, 0.8j]))) <= 1e-15
+
+
+def test_amplitudes_always_read_only():
+    rng = RandomSource(3, 0)
+    base = StateVector([0.6, 0.8j]).tensor(bell_state("psi-"))
+    states = [
+        base,
+        StateVector.basis(4, 2),
+        base.apply(HADAMARD, [1]),
+        base.apply(CNOT, [2, 0]),
+        base.apply(np.eye(8)),
+        measure_qubit(base, 0, rng)[2],
+        measure_qubit(base, 2, rng, basis_1q=HADAMARD)[2],
+    ]
+    for state in states:
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+
+
+def _random_operator(gen, dim, unitary):
+    m = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    return np.linalg.qr(m)[0] if unitary else m
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    unitary=st.booleans(),
+    data=st.data(),
+)
+def test_target_kernel_matches_transposed_reference(n, seed, unitary, data):
+    gen = np.random.default_rng(seed)
+    vec = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    one = _random_operator(gen, 2, unitary)
+    for q in range(n):
+        got = _apply_to_targets(vec, n, one, [q])
+        assert np.max(np.abs(got - apply_to_targets_transposed(vec, n, one, [q]))) <= 1e-12
+    if n >= 2:
+        pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        two = _random_operator(gen, 4, unitary)
+        got = _apply_to_targets(vec, n, two, pair)
+        assert np.max(np.abs(got - apply_to_targets_transposed(vec, n, two, pair))) <= 1e-12
+    # Through the state: the same result, renormalized, and the input untouched.
+    psi = StateVector(vec, normalize=True)
+    before = psi.amplitudes.copy()
+    q = data.draw(st.integers(0, n - 1))
+    ref = apply_to_targets_transposed(psi.amplitudes, n, one, [q])
+    ref = ref / np.linalg.norm(ref)
+    assert np.max(np.abs(psi.apply(one, [q]).amplitudes - ref)) <= 1e-12
+    assert np.array_equal(psi.amplitudes, before)
 
 
 def test_max_qubits_cap():

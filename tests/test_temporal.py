@@ -10,6 +10,7 @@ from chronoq.qcore import PAULI_X, DensityOperator, RandomSource, StateVector, b
 from chronoq.entangle import fidelity
 from chronoq.temporal import (
     ModeId,
+    _project_equal_bits,
     TemporalError,
     TemporalRegister,
     apply_op,
@@ -22,6 +23,8 @@ from chronoq.temporal import (
     swap_demo,
     temporal_ghz_closed_form,
 )
+
+from dense_reference import equal_bits, project_equal_bits
 
 
 def test_create_pair_and_modes():
@@ -200,6 +203,21 @@ def test_pbs_fuse_matches_dense_projector(n, seed, data):
     failed = register()
     assert not pbs_fuse(failed, f"m{q1}", f"m{q2}", _FixedDraw(p_dense + 1e-12))
     assert not failed.valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_equal_bits_projection_matches_mask_reference(n, seed, data):
+    q1, q2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    gen = np.random.default_rng(seed)
+    vec = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    got = vec.copy()
+    _project_equal_bits(got, n, q1, q2)
+    assert np.array_equal(got, project_equal_bits(vec, n, q1, q2))
+    # The boolean support that ghz_density_recursive builds from the same helper.
+    keep = np.ones(2**n, dtype=bool)
+    _project_equal_bits(keep, n, q1, q2)
+    assert np.array_equal(keep, equal_bits(n, q1, q2))
 
 
 def _random_pair_density(seed):
