@@ -12,6 +12,7 @@ analytic value beyond three standard errors (or an exact check fails),
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -39,25 +40,6 @@ from .qcore import (
 )
 
 SQRT8 = 2.0 * math.sqrt(2.0)
-
-# Fixed per-command stream ids so commands draw independent random streams
-# from the one global seed.
-_STREAMS = {
-    "state": 1,
-    "entangle": 2,
-    "entropy": 3,
-    "swap": 4,
-    "chain": 5,
-    "consensus": 6,
-    "game": 7,
-    "gleason": 8,
-    "lg": 9,
-}
-
-
-def _rng(seed: int, command: str) -> RandomSource:
-    return RandomSource(seed, _STREAMS[command])
-
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -109,26 +91,37 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in _flatten(plain))
 
 
-def _emit(report: dict, ok: bool, as_json: bool, as_csv: bool, out: str | None):
-    if as_json and as_csv:
-        raise click.UsageError("--json and --csv are mutually exclusive")
-    fmt = "json" if as_json else "csv" if as_csv else "table"
-    text = render_report(report, fmt)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        click.echo(text)
-    raise SystemExit(0 if ok else 1)
+def _command(group: click.Group, name: str, stream: int):
+    """Register ``fn(rng, **options) -> (report, ok)`` as command ``name`` of
+    ``group``, adding ``--seed``, ``--json``, ``--csv`` and ``--out``.
 
+    ``rng`` is ``RandomSource(seed, stream)``: each command has a fixed stream
+    id, so commands draw independent streams from the one seed.  The report
+    is rendered once, to stdout or ``--out``; the exit code is 0 if ``ok``,
+    else 1.
+    """
 
-def common_options(f):
-    f = click.option(
-        "--seed", type=int, default=42, envvar="CHRONOQ_SEED", show_default=True
-    )(f)
-    f = click.option("--json", "as_json", is_flag=True, help="Canonical JSON output.")(f)
-    f = click.option("--csv", "as_csv", is_flag=True, help="Flattened key,value CSV.")(f)
-    f = click.option("--out", type=click.Path(dir_okay=False), default=None)(f)
-    return f
+    def register(fn):
+        @group.command(name)
+        @click.option("--seed", type=int, default=42, envvar="CHRONOQ_SEED", show_default=True)
+        @click.option("--json", "as_json", is_flag=True, help="Canonical JSON output.")
+        @click.option("--csv", "as_csv", is_flag=True, help="Flattened key,value CSV.")
+        @click.option("--out", type=click.Path(dir_okay=False), default=None)
+        @functools.wraps(fn)  # carries fn's docstring and its own options
+        def run(seed, as_json, as_csv, out, **options):
+            if as_json and as_csv:
+                raise click.UsageError("--json and --csv are mutually exclusive")
+            report, ok = fn(RandomSource(seed, stream), **options)
+            text = render_report(report, "json" if as_json else "csv" if as_csv else "table")
+            if out:
+                Path(out).write_text(text + "\n")
+            else:
+                click.echo(text)
+            raise SystemExit(0 if ok else 1)
+
+        return run
+
+    return register
 
 
 class _FloatRange(click.FloatRange):
@@ -142,7 +135,10 @@ class _FloatRange(click.FloatRange):
         return rv
 
 
-_TRIALS = click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+# A game draws all its trials as arrays: 10^7 trials take about 1 s and 0.5 GB.
+_TRIALS = click.option(
+    "--trials", type=click.IntRange(1, 10_000_000), default=100_000, show_default=True
+)
 # Two photons per record, within the register cap.
 _MAX_RECORDS = MAX_QUBITS // 2
 
@@ -157,7 +153,7 @@ def main():
 # ---------------------------------------------------------------------------
 
 
-@main.command("state")
+@_command(main, "state", 1)
 @click.option(
     "--bell", "bell_label", type=click.Choice(list(_BELL_ALIASES)), default=None,
     help="Bell label phi+/phi-/psi+/psi-.",
@@ -165,8 +161,7 @@ def main():
 @click.option(
     "--ghz", "ghz_n", type=click.IntRange(2, MAX_QUBITS), default=None, help="GHZ qubit count."
 )
-@common_options
-def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
+def state_cmd(rng, bell_label, ghz_n):
     """Inspect a Bell or GHZ state (amplitudes and Born probabilities)."""
     if bell_label is not None and ghz_n is not None:
         raise click.UsageError("--bell and --ghz are mutually exclusive")
@@ -182,7 +177,7 @@ def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
         "probabilities": list(psi.probabilities()),
         "num_qubits": psi.num_qubits,
     }
-    _emit(report, True, as_json, as_csv, out)
+    return report, True
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +185,9 @@ def state_cmd(bell_label, ghz_n, seed, as_json, as_csv, out):
 # ---------------------------------------------------------------------------
 
 
-@main.command("entangle")
+@_command(main, "entangle", 2)
 @click.option("--werner-points", type=click.IntRange(min=1), default=11, show_default=True)
-@common_options
-def entangle_cmd(werner_points, seed, as_json, as_csv, out):
+def entangle_cmd(rng, werner_points):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
@@ -214,8 +208,7 @@ def entangle_cmd(werner_points, seed, as_json, as_csv, out):
         "werner_sweep": sweep,
         "werner_chsh_crossing": crossing,
     }
-    ok = abs(chsh - SQRT8) <= TOL_ALG and abs(crossing - 0.7803) <= 0.005
-    _emit(report, ok, as_json, as_csv, out)
+    return report, abs(chsh - SQRT8) <= TOL_ALG and abs(crossing - 0.7803) <= 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +216,16 @@ def entangle_cmd(werner_points, seed, as_json, as_csv, out):
 # ---------------------------------------------------------------------------
 
 
-@main.command("entropy")
+@_command(main, "entropy", 3)
 @click.option(
     "--block", "n", type=click.IntRange(1, infotheory.MAX_CODEC_BLOCK), default=20,
     show_default=True,
 )
 @click.option("--p", type=_FloatRange(0.0, 1.0), default=0.11, show_default=True)
 @click.option("--rate", type=_FloatRange(0.0, 1.0), default=0.75, show_default=True)
-@common_options
 @_TRIALS
-def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials):
+def entropy_cmd(rng, n, p, rate, trials):
     """Typical-set codec demo plus the entropic uncertainty bound."""
-    rng = _rng(seed, "entropy")
     source = [1.0 - p, p]
     h = infotheory.shannon_entropy(source)
     codec = infotheory.TypicalCodec(n=n, epsilon=rate - h, source=source)
@@ -250,8 +241,7 @@ def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials):
         "roundtrip": roundtrip,
         "uncertainty_bound_mub": bound,
     }
-    ok = bound >= 1.0 - TOL_ALG
-    _emit(report, ok, as_json, as_csv, out)
+    return report, bound >= 1.0 - TOL_ALG
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +249,15 @@ def entropy_cmd(n, p, rate, seed, as_json, as_csv, out, trials):
 # ---------------------------------------------------------------------------
 
 
-@main.command("swap")
-@common_options
-def swap_cmd(seed, as_json, as_csv, out):
+@_command(main, "swap", 4)
+def swap_cmd(rng):
     """Entanglement-swap demo with the temporal event log."""
-    rng = _rng(seed, "swap")
     demo = temporal.swap_demo(rng)
     ok = (
         demo["photon1_consumed_before_photon4_created"]
         and abs(demo["outer_pair_fidelity"] - 1.0) <= TOL_ALG
     )
-    _emit(demo, ok, as_json, as_csv, out)
+    return demo, ok
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +285,10 @@ _RECORDS = click.option(
 )
 
 
-@chain_group.command("demo")
+@_command(chain_group, "demo", 5)
 @_RECORDS
-@common_options
-def chain_demo(records, seed, as_json, as_csv, out):
+def chain_demo(rng, records):
     """Encode records into a temporal-GHZ chain and decode them back."""
-    rng = _rng(seed, "chain")
     qc = chain_mod.build_chain(records, rng)
     decoded = chain_mod.decode(qc)
     report = {
@@ -311,20 +297,18 @@ def chain_demo(records, seed, as_json, as_csv, out):
         "fidelity": qc.fidelity(),
         "valid": decoded == qc.record_string,
     }
-    _emit(report, report["valid"], as_json, as_csv, out)
+    return report, report["valid"]
 
 
-@chain_group.command("tamper")
+@_command(chain_group, "tamper", 5)
 @_RECORDS
 @click.option("--target", default=None, help="Photon label, e.g. p6 (default: last).")
-@common_options
-def chain_tamper(records, target, seed, as_json, as_csv, out):
+def chain_tamper(rng, records, target):
     """Tamper one photon and report the damage."""
     photons = [f"p{i}" for i in range(1, 2 * len(records) + 1)]
     target = target or photons[-1]
     if target not in photons:
         raise click.BadParameter(f"must be one of p1...{photons[-1]}", param_hint="'--target'")
-    rng = _rng(seed, "chain")
     qc = chain_mod.build_chain(records, rng)
     report = {"target": target}
     try:
@@ -343,24 +327,22 @@ def chain_tamper(records, target, seed, as_json, as_csv, out):
     detected = report["decode_error"] == "DECODE_MISMATCH" or (
         report["past_mode_access"] == "TEMPORAL_INACCESSIBLE"
     )
-    _emit(report, detected, as_json, as_csv, out)
+    return report, detected
 
 
-@chain_group.command("contrast")
+@_command(chain_group, "contrast", 5)
 @click.option("--blocks", type=click.IntRange(1, _MAX_RECORDS), default=5, show_default=True)
 @click.option("--index", type=int, default=1, show_default=True)
-@common_options
-def chain_contrast(blocks, index, seed, as_json, as_csv, out):
+def chain_contrast(rng, blocks, index):
     """Classical-vs-quantum tamper damage comparison."""
     if not 0 <= index < blocks:
         raise click.BadParameter(f"must lie in [0, {blocks}) for {blocks} blocks",
                                  param_hint="'--index'")
-    rng = _rng(seed, "chain")
     report = chain_mod.classical_chain_tamper_contrast(blocks, index, rng)
     ok = report["invalidated_range_classical"] == [index, blocks] and report[
         "invalidated_range_quantum"
     ] == [0, blocks]
-    _emit(report, ok, as_json, as_csv, out)
+    return report, ok
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +373,25 @@ def consensus_group():
     """Theta-protocol GHZ verification."""
 
 
-@consensus_group.command("run")
+@_command(consensus_group, "run", 6)
 @click.option("--nodes", type=_NODES, default=4, show_default=True)
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
-@common_options
-def consensus_run(nodes, rounds, dishonest, seed, as_json, as_csv, out):
+def consensus_run(rng, nodes, rounds, dishonest):
     """Estimate the pass rate of a GHZ candidate over verification rounds."""
-    rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
     est = consensus_mod.estimate_pass_probability(ghz_state(nodes), network, rounds, rng)
     report = {"n": nodes, "dishonest": dishonest, **est}
-    ok = est["pass_rate"] == 1.0 if dishonest == 0 else True
-    _emit(report, ok, as_json, as_csv, out)
+    return report, est["pass_rate"] == 1.0 if dishonest == 0 else True
 
 
-@consensus_group.command("bounds")
+@_command(consensus_group, "bounds", 6)
 @click.option("--nodes", type=_BOUNDS_NODES, default=4, show_default=True)
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @click.option("--noise", type=_FloatRange(0.0, 1.0), default=0.1, show_default=True)
-@common_options
-def consensus_bounds(nodes, rounds, dishonest, noise, seed, as_json, as_csv, out):
+def consensus_bounds(rng, nodes, rounds, dishonest, noise):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
-    rng = _rng(seed, "consensus")
     network = _build_network(nodes, dishonest, rng)
     # (1 - noise)|GHZ><GHZ| + noise I/d: the GHZ part sits on the four corners.
     dim = 1 << nodes
@@ -424,23 +401,19 @@ def consensus_bounds(nodes, rounds, dishonest, noise, seed, as_json, as_csv, out
     report = consensus_mod.check_fidelity_bounds(
         rho, network, rounds, rng, honest=dishonest == 0
     )
-    ok = (
-        report["honest_bound_ok"] if dishonest == 0 else report["dishonest_bound_ok"]
-    )
-    _emit(report, bool(ok), as_json, as_csv, out)
+    ok = report["honest_bound_ok"] if dishonest == 0 else report["dishonest_bound_ok"]
+    return report, bool(ok)
 
 
-@consensus_group.command("admit")
+@_command(consensus_group, "admit", 6)
 @click.option("--nodes", type=_NODES, default=4, show_default=True)
 @click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
 @click.option(
     "--threshold", type=_FloatRange(0.0, 1.0, min_open=True),
     default=consensus_mod.DEFAULT_THRESHOLD, show_default=True,
 )
-@common_options
-def consensus_admit(nodes, rounds, threshold, seed, as_json, as_csv, out):
+def consensus_admit(rng, nodes, rounds, threshold):
     """Admit a block backed by fresh GHZ copies."""
-    rng = _rng(seed, "consensus")
     network = _build_network(nodes, 0, rng)
     report = consensus_mod.admit_block(
         network, lambda: ghz_state(nodes), "block-1", rounds, threshold
@@ -448,125 +421,119 @@ def consensus_admit(nodes, rounds, threshold, seed, as_json, as_csv, out):
     report["local_chain_lengths"] = {
         str(nid): len(blocks) for nid, blocks in network.local_chains.items()
     }
-    _emit(report, report["accepted"], as_json, as_csv, out)
+    return report, report["accepted"]
 
 
 # ---------------------------------------------------------------------------
 # game
 # ---------------------------------------------------------------------------
 
-GAME_NAMES = (
-    "monty-classic",
-    "monty-ignorant",
-    "teleport",
-    "monty-teleport",
-    "unreliable-teleport",
-    "superdense",
-    "chsh",
-    "pbr-ontic",
-    "pbr-epistemic",
-    "qkd",
-)
+
+def _teleport(rng, trials, **unused):
+    worst = 1.0
+    max_premeasure_dev = 0.0
+    gen = rng.generator
+    n_states = min(trials, 200)
+    for _ in range(n_states):
+        amps = gen.normal(size=2) + 1j * gen.normal(size=2)
+        res = games.teleport_standard(StateVector(amps, normalize=True), rng)
+        worst = min(worst, res["fidelity"])
+        dev = np.max(np.abs(res["bob_premeasure_reduced"].matrix - np.eye(2) / 2))
+        max_premeasure_dev = max(max_premeasure_dev, float(dev))
+    report = {
+        "game": "teleport",
+        "states": n_states,
+        "min_fidelity": worst,
+        "max_premeasure_deviation": max_premeasure_dev,
+    }
+    return report, abs(worst - 1.0) <= TOL_ALG and max_premeasure_dev <= TOL_ALG
 
 
-def _collect_stats(obj) -> list[games.GameStats]:
-    if isinstance(obj, games.GameStats):
-        return [obj]
-    if isinstance(obj, dict):
-        return [s for v in obj.values() for s in _collect_stats(v)]
-    return []
+def _superdense(rng, **unused):
+    results = {bits: games.superdense_roundtrip(bits, rng) for bits in ("00", "01", "10", "11")}
+    return {"game": "superdense", "roundtrip": results}, all(k == v for k, v in results.items())
 
 
-@main.command("game")
-@click.argument("name", type=click.Choice(GAME_NAMES))
+def _qkd(rng, protocol, eve, key_bits, **unused):
+    try:
+        session = games.qkd_session(protocol, key_bits, eve, rng)
+    except games.GameError as exc:  # E91 has no intercept-resend attack
+        raise click.UsageError(str(exc))
+    report = {
+        "game": "qkd",
+        "protocol": protocol,
+        "eavesdropper": eve,
+        "key_bits": key_bits,
+        "qber": session["qber"],
+        "keys_match": session["alice_key"] == session["bob_key"],
+    }
+    return report, report["keys_match"] if eve == "none" else session["qber"] > 0.1
+
+
+def _scored(play):
+    """The engine of a Monte Carlo game: it passes when every GameStats of
+    its result does."""
+
+    def engine(rng, strategy, trials, q, **unused):
+        result = play(strategy, trials, rng, Fraction(q).limit_denominator(10**6))
+        stats = result.values() if isinstance(result, dict) else [result]
+        return result, all(s.passed for s in stats)
+
+    return engine
+
+
+_MONTY = (games.STICK, games.SWITCH)
+# Game name -> (the strategies it plays, the last one by default; its engine,
+# which returns (report, ok)).
+_GAMES = {
+    "monty-classic": (_MONTY, _scored(lambda s, n, rng, q: games.monty_classic(s, n, rng))),
+    "monty-ignorant": (_MONTY, _scored(lambda s, n, rng, q: games.monty_ignorant(s, n, rng))),
+    "teleport": ((), _teleport),
+    "monty-teleport": (_MONTY, _scored(lambda s, n, rng, q: games.monty_teleport(s, n, rng))),
+    "unreliable-teleport": (
+        _MONTY, _scored(lambda s, n, rng, q: games.unreliable_teleport(s, n, rng))
+    ),
+    "superdense": ((), _superdense),
+    "chsh": (("classical", "quantum"), _scored(lambda s, n, rng, q: games.chsh_game(s, n, rng))),
+    "pbr-ontic": (_MONTY, _scored(lambda s, n, rng, q: games.pbr_game("ontic", s, n, rng))),
+    "pbr-epistemic": (
+        _MONTY, _scored(lambda s, n, rng, q: games.pbr_game("epistemic", s, n, rng, q=q))
+    ),
+    "qkd": ((), _qkd),
+}
+
+
+@_command(main, "game", 7)
+@click.argument("name", type=click.Choice(list(_GAMES)))
 @click.option("--strategy", default=None, help="stick/switch (or classical/quantum for chsh).")
 # Above q = 3/4 the doors 1 and 2 would get the negative probability 1/4 - q/3.
 @click.option(
     "--q", type=_FloatRange(0.0, 0.75), default=0.125, show_default=True,
     help="PBR epistemic overlap.",
 )
-@click.option("--protocol", default="BB84", show_default=True, help="qkd: BB84 or E91.")
+@click.option(
+    "--protocol", type=click.Choice(["BB84", "E91"]), default="BB84", show_default=True,
+    help="qkd: BB84 or E91.",
+)
 @click.option(
     "--eve",
     default="none",
     show_default=True,
     type=click.Choice(["none", "intercept_resend"]),
 )
-@click.option("--key-bits", type=int, default=128, show_default=True)
-@common_options
+@click.option("--key-bits", type=click.IntRange(min=1), default=128, show_default=True)
 @_TRIALS
-def game_cmd(name, strategy, q, protocol, eve, key_bits, seed, as_json, as_csv, out, trials):
+def game_cmd(rng, name, strategy, **options):
     """Run one of the quantum game demonstrations."""
-    rng = _rng(seed, "game")
-    if name == "teleport":
-        worst = 1.0
-        max_premeasure_dev = 0.0
-        gen = rng.generator
-        n_states = min(trials, 200)
-        for _ in range(n_states):
-            amps = gen.normal(size=2) + 1j * gen.normal(size=2)
-            res = games.teleport_standard(StateVector(amps, normalize=True), rng)
-            worst = min(worst, res["fidelity"])
-            dev = np.max(np.abs(res["bob_premeasure_reduced"].matrix - np.eye(2) / 2))
-            max_premeasure_dev = max(max_premeasure_dev, float(dev))
-        report = {
-            "game": "teleport",
-            "states": n_states,
-            "min_fidelity": worst,
-            "max_premeasure_deviation": max_premeasure_dev,
-        }
-        ok = abs(worst - 1.0) <= TOL_ALG and max_premeasure_dev <= TOL_ALG
-        _emit(report, ok, as_json, as_csv, out)
-    if name == "superdense":
-        results = {bits: games.superdense_roundtrip(bits, rng) for bits in
-                   ("00", "01", "10", "11")}
-        ok = all(k == v for k, v in results.items())
-        _emit({"game": "superdense", "roundtrip": results}, ok, as_json, as_csv, out)
-    if name == "qkd":
-        try:
-            session = games.qkd_session(protocol, key_bits, eve, rng)
-        except games.GameError as exc:
-            raise click.UsageError(str(exc))
-        report = {
-            "game": "qkd",
-            "protocol": protocol,
-            "eavesdropper": eve,
-            "key_bits": key_bits,
-            "qber": session["qber"],
-            "keys_match": session["alice_key"] == session["bob_key"],
-        }
-        ok = report["keys_match"] if eve == "none" else session["qber"] > 0.1
-        _emit(report, ok, as_json, as_csv, out)
-    if name == "chsh":
-        strategy = strategy or "quantum"
-        allowed = ("classical", "quantum")
-    else:
-        strategy = strategy or games.SWITCH
-        allowed = (games.STICK, games.SWITCH)
-    if strategy not in allowed:
+    strategies, engine = _GAMES[name]
+    if strategy and strategy not in strategies:
         raise click.BadParameter(
-            f"{strategy!r} is not one of {', '.join(allowed)} for {name}",
+            f"{name} plays {' or '.join(strategies) or 'no strategy'}, not {strategy!r}",
             param_hint="'--strategy'",
         )
-    if name == "chsh":
-        result = games.chsh_game(strategy, trials, rng)
-    elif name == "monty-classic":
-        result = games.monty_classic(strategy, trials, rng)
-    elif name == "monty-ignorant":
-        result = games.monty_ignorant(strategy, trials, rng)
-    elif name == "monty-teleport":
-        result = games.monty_teleport(strategy, trials, rng)
-    elif name == "unreliable-teleport":
-        result = games.unreliable_teleport(strategy, trials, rng)
-    elif name == "pbr-ontic":
-        result = games.pbr_game("ontic", strategy, trials, rng)
-    else:  # pbr-epistemic
-        result = games.pbr_game(
-            "epistemic", strategy, trials, rng, q=Fraction(q).limit_denominator(10**6)
-        )
-    stats = _collect_stats(result)
-    report = result.to_dict() if isinstance(result, games.GameStats) else result
-    _emit(report, all(s.passed for s in stats), as_json, as_csv, out)
+    if strategies:
+        options["strategy"] = strategy or strategies[-1]
+    return engine(rng, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +553,11 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
     return DensityOperator(m / np.trace(m))
 
 
-@gleason_group.command("roundtrip")
+@_command(gleason_group, "roundtrip", 8)
 @click.option("--dim", type=click.IntRange(1, 32), default=3, show_default=True)
 @click.option("--frames", type=click.IntRange(min=1), default=2000, show_default=True)
-@common_options
-def gleason_roundtrip(dim, frames, seed, as_json, as_csv, out):
+def gleason_roundtrip(rng, dim, frames):
     """Reconstruct a random density matrix from its valuation; frame-average check."""
-    rng = _rng(seed, "gleason")
     rho = _random_density(dim, rng)
     frame = foundations.sample_haar_frame(dim, rng)
     val = foundations.Valuation.from_density(rho, frame)
@@ -606,7 +571,7 @@ def gleason_roundtrip(dim, frames, seed, as_json, as_csv, out):
         "frames": frames,
         "frame_average_error": avg_err,
     }
-    _emit(report, err <= foundations.TOL_RECON, as_json, as_csv, out)
+    return report, err <= foundations.TOL_RECON
 
 
 # ---------------------------------------------------------------------------
@@ -631,33 +596,27 @@ def lg_group():
     """Temporal inequalities on the precession model."""
 
 
-@lg_group.command("k3")
+@_command(lg_group, "k3", 9)
 @_OMEGA
-@common_options
-def lg_k3_cmd(model, seed, as_json, as_csv, out):
+def lg_k3_cmd(rng, model):
     """Maximize the three-time correlator K3 over the spacing tau."""
     res = foundations.lg_k3_max(model)
     report = {"k3_max": res["k3_max"], "tau_star": res["tau_star"], "classical_bound": 1.0}
-    ok = abs(res["k3_max"] - 1.5) <= 1e-6
-    _emit(report, ok, as_json, as_csv, out)
+    return report, abs(res["k3_max"] - 1.5) <= 1e-6
 
 
-@lg_group.command("temporal-chsh")
+@_command(lg_group, "temporal-chsh", 9)
 @_OMEGA
 @click.option("--dt", type=_FloatRange(), default=0.7, show_default=True)
-@common_options
-def lg_temporal_chsh(model, dt, seed, as_json, as_csv, out):
+def lg_temporal_chsh(rng, model, dt):
     """Optimized two-time CHSH value (quantum maximum is 2*sqrt(2))."""
     res = foundations.temporal_chsh_optimize(model, 0.0, dt)
-    report = {"value": res["value"], "tsirelson": SQRT8}
-    ok = abs(res["value"] - SQRT8) <= 1e-3
-    _emit(report, ok, as_json, as_csv, out)
+    return {"value": res["value"], "tsirelson": SQRT8}, abs(res["value"] - SQRT8) <= 1e-3
 
 
-@lg_group.command("entropic")
+@_command(lg_group, "entropic", 9)
 @_OMEGA
-@common_options
-def lg_entropic(model, seed, as_json, as_csv, out):
+def lg_entropic(rng, model):
     """Scan for the strongest entropic violation at equal spacings."""
     best = foundations.entropic_lg_scan(model)
     report = {
@@ -667,7 +626,7 @@ def lg_entropic(model, seed, as_json, as_csv, out):
         "gap": best["gap"],
         "violated": best["violated"],
     }
-    _emit(report, bool(best["violated"]), as_json, as_csv, out)
+    return report, bool(best["violated"])
 
 
 if __name__ == "__main__":  # pragma: no cover

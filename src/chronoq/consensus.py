@@ -132,21 +132,15 @@ def _conjugate_per_qubit(matrix: np.ndarray, mats: Sequence) -> np.ndarray:
     return flat.reshape(matrix.shape)
 
 
-def _rotated_probabilities(state, angles: Sequence[float]) -> np.ndarray:
+def _rotated_probabilities(state: StateVector, angles: Sequence[float]) -> np.ndarray:
     """Born distribution over joint theta-basis outcomes (bit j = node j's Y);
     each node's 2x2 basis acts on its own qubit axis."""
-    bases = [theta_basis(t) for t in angles]
-    if isinstance(state, StateVector):
-        # Apply the basis to the leading qubit, then move that qubit to the
-        # back; after n steps the qubit order is restored.
-        amps = state.amplitudes.reshape(2, -1)
-        for b in bases:
-            amps = (b @ amps).T.reshape(2, -1)
-        return np.abs(amps.reshape(-1)) ** 2
-    if isinstance(state, DensityOperator):
-        rotated = _conjugate_per_qubit(state.matrix, bases)
-        return np.clip(np.real(np.diag(rotated)), 0.0, None)
-    raise ConsensusError("state must be a StateVector or DensityOperator")
+    # Apply the basis to the leading qubit, then move that qubit to the back;
+    # after n steps the qubit order is restored.
+    amps = state.amplitudes.reshape(2, -1)
+    for t in angles:
+        amps = (theta_basis(t) @ amps).T.reshape(2, -1)
+    return np.abs(amps.reshape(-1)) ** 2
 
 
 def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:

@@ -19,7 +19,7 @@ qubit depends on earlier draws; their Born probabilities are tabulated once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -60,16 +60,7 @@ class GameStats:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "wins": self.wins,
-            "empirical": self.empirical,
-            "analytic": self.analytic,
-            "std_err": self.std_err,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _stats(game: str, strategy: str, wins: int, trials: int, analytic) -> GameStats:

@@ -92,19 +92,6 @@ def test_entropy_command():
     assert blob["roundtrip"]["success_rate"] >= 0.9
 
 
-def test_csv_and_json_flags_conflict():
-    res = run(["state", "--json", "--csv"])
-    assert res.exit_code == 2
-
-
-def test_csv_rendering():
-    res = run(["state", "--bell", "phi+", "--csv"])
-    assert res.exit_code == 0
-    lines = res.output.strip().splitlines()
-    assert lines[0] == "key,value"
-    assert any(line.startswith("state,") for line in lines)
-
-
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     res = run(["state", "--bell", "phi+", "--json", "--out", str(target)])
@@ -293,6 +280,10 @@ def test_pinned_monte_carlo_outputs(args, expected):
         (["lg", "temporal-chsh", "--dt", "inf"], "--dt"),
         (["lg", "temporal-chsh", "--dt", "-inf"], "--dt"),
         (["gleason", "roundtrip", "--dim", "33"], "--dim"),
+        (["game", "monty-classic", "--trials", "10000001"], "--trials"),
+        (["game", "qkd", "--key-bits", "0"], "--key-bits"),
+        (["game", "qkd", "--protocol", "foo"], "--protocol"),
+        (["game", "teleport", "--strategy", "bogus"], "--strategy"),
     ],
 )
 def test_out_of_range_options_exit_2(args, option):
@@ -321,6 +312,7 @@ def test_out_of_range_options_exit_2(args, option):
         ["entropy", "--rate", "1", "--trials", "50"],
         ["lg", "temporal-chsh", "--dt", "-2.5"],
         ["gleason", "roundtrip", "--dim", "32", "--frames", "1"],
+        ["entropy", "--trials", "10000000", "--block", "1"],
     ],
 )
 def test_option_range_endpoints_run(args):
@@ -341,3 +333,32 @@ def test_cli_knob_budget():
     commands = dict(_leaf_commands(main))
     assert len(commands) == 15
     assert sum(len(cmd.params) for cmd in commands.values()) == 95
+
+
+# Arguments that keep each command cheap; a command missing here runs on its
+# defaults.
+_CHEAP_ARGS = {
+    "entangle": ["--werner-points", "2"],
+    "entropy": ["--block", "4", "--trials", "50"],
+    "chain demo": ["--records", "01"],
+    "chain tamper": ["--records", "01"],
+    "chain contrast": ["--blocks", "2", "--index", "0"],
+    "consensus run": ["--rounds", "5"],
+    "consensus bounds": ["--nodes", "2", "--rounds", "20"],
+    "consensus admit": ["--rounds", "5"],
+    "game": ["monty-classic", "--trials", "100"],
+    "gleason roundtrip": ["--dim", "2", "--frames", "10"],
+}
+
+
+@pytest.mark.parametrize("command", [name for name, _ in _leaf_commands(main)])
+def test_every_command_renders_csv_and_rejects_json_with_csv(command):
+    args = [*command.split(), *_CHEAP_ARGS.get(command, [])]
+    assert run([*args, "--json", "--csv"]).exit_code == 2
+    res = run([*args, "--csv"])
+    assert res.exit_code == 0
+    lines = res.stdout.splitlines()
+    assert lines[0] == "key,value"
+    # The rows cover exactly the top-level keys of the JSON report.
+    report = json.loads(run([*args, "--json"]).stdout)
+    assert {line.split(",")[0].split(".")[0] for line in lines[1:]} == set(report)
