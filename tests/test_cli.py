@@ -92,6 +92,19 @@ def test_entropy_command():
     assert blob["roundtrip"]["success_rate"] >= 0.9
 
 
+def test_csv_and_json_flags_conflict():
+    res = run(["state", "--json", "--csv"])
+    assert res.exit_code == 2
+
+
+def test_csv_rendering():
+    res = run(["state", "--bell", "phi+", "--csv"])
+    assert res.exit_code == 0
+    lines = res.output.strip().splitlines()
+    assert lines[0] == "key,value"
+    assert any(line.startswith("state,") for line in lines)
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     res = run(["state", "--bell", "phi+", "--json", "--out", str(target)])
