@@ -186,7 +186,7 @@ def state_cmd(rng, bell_label, ghz_n):
 
 
 @_command(main, "entangle", 2)
-@click.option("--werner-points", type=click.IntRange(min=1), default=11, show_default=True)
+@click.option("--werner-points", type=click.IntRange(1, 10_000), default=11, show_default=True)
 def entangle_cmd(rng, werner_points):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
     psi_minus = bell_state("psi-").to_density()
@@ -521,7 +521,7 @@ _GAMES = {
     show_default=True,
     type=click.Choice(["none", "intercept_resend"]),
 )
-@click.option("--key-bits", type=click.IntRange(min=1), default=128, show_default=True)
+@click.option("--key-bits", type=click.IntRange(1, 100_000), default=128, show_default=True)
 @_TRIALS
 def game_cmd(rng, name, strategy, **options):
     """Run one of the quantum game demonstrations."""

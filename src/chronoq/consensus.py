@@ -9,11 +9,11 @@ fidelity: F >= 2P - 1 for honest nodes, F' >= 4P - 3 when some nodes cheat
 (F' being the best fidelity reachable by local corrections on the cheaters'
 qubits).
 
-The bound checks are one-sided tests on the sampled pass rate P^: a bound
-is reported broken only when P^ exceeds the largest pass rate the bound
-allows, P0 = (1 + F)/2 (honest) or (3 + F')/4 (dishonest), by more than
-three standard errors of the bound's left side evaluated at P0, i.e.
-3 * 2 se(P0) for 2P - 1 and 3 * 4 se(P0) for 4P - 3, where
+The bound checks are one-sided tests on the sampled pass rate P^ of one
+rule, c P - (c - 1) <= F with c = 2 (honest, F the GHZ fidelity) or c = 4
+(dishonest, F = F'): a bound is reported broken only when P^ exceeds the
+largest pass rate the bound allows, P0 = (c - 1 + F)/c, by more than three
+standard errors of the bound's left side evaluated at P0, 3 c se(P0), where
 se(P) = sqrt(P (1 - P) / rounds).  The standard error of P^ itself vanishes
 as P^ -> 1 and would turn sampling noise into false alarms.
 """
@@ -35,7 +35,7 @@ from .qcore import (
     DensityOperator,
     RandomSource,
     StateVector,
-    _apply_to_targets,
+    is_unitary,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +43,6 @@ _GHZ_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
 DEFAULT_ROUNDS = 100
 DEFAULT_THRESHOLD = 0.99
-DISHONEST_BOUND_SLACK = 0.02  # optimizer slack on the corrected-fidelity maximum
 
 
 class ConsensusError(ValueError):
@@ -55,6 +54,11 @@ class Node:
     id: int
     honest: bool = True
     cheat: np.ndarray | None = None  # unitary applied to this node's qubit
+
+    def __post_init__(self):
+        cheat = self.cheat
+        if cheat is not None and (np.shape(cheat) != (2, 2) or not is_unitary(cheat)):
+            raise ConsensusError(f"node {self.id}: cheat must be a 2x2 unitary")
 
 
 @dataclass
@@ -120,18 +124,6 @@ def theta_basis(theta: float) -> np.ndarray:
     )
 
 
-def _conjugate_per_qubit(matrix: np.ndarray, mats: Sequence) -> np.ndarray:
-    """(x)_j mats[j] @ matrix @ ((x)_j mats[j])^dag, one qubit at a time on
-    the ket and bra axes; a None entry is the identity."""
-    n = len(mats)
-    flat = matrix.reshape(-1)
-    for j, u in enumerate(mats):
-        if u is not None:
-            flat = _apply_to_targets(flat, 2 * n, u, [j])
-            flat = _apply_to_targets(flat, 2 * n, u.conj(), [n + j])
-    return flat.reshape(matrix.shape)
-
-
 def _rotated_probabilities(state: StateVector, angles: Sequence[float]) -> np.ndarray:
     """Born distribution over joint theta-basis outcomes (bit j = node j's Y);
     each node's 2x2 basis acts on its own qubit axis."""
@@ -174,11 +166,12 @@ def theta_measure(state: StateVector, angles: Sequence[float], rng: RandomSource
     return tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def _apply_cheats(state: StateVector, nodes: Sequence[Node]) -> StateVector:
+def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
+    """Each dishonest node's cheat on its own qubit."""
     out = state
     for j, node in enumerate(nodes):
         if not node.honest and node.cheat is not None:
-            out = out.apply(np.asarray(node.cheat, dtype=np.complex128), [j])
+            out = out.apply(node.cheat, [j])
     return out
 
 
@@ -335,8 +328,9 @@ def check_fidelity_bounds(
 
     Honest: F >= 2P - 1 within 3 standard errors of 2P - 1 at P0 = (1 + F)/2.
     Dishonest: the corrected fidelity F' (optimizer lower bound) satisfies
-    4P - 3 <= F' + slack within 3 standard errors of 4P - 3 at
-    P0 = (3 + F')/4.  ``std_err`` reports se(P^) of the sample.
+    4P - 3 <= F' within 3 standard errors of 4P - 3 at P0 = (3 + F')/4, with
+    no slack: F' >= F >= 2P - 1 >= 4P - 3 for the mean pass rate P.
+    ``std_err`` reports se(P^) of the sample.
     """
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
@@ -346,13 +340,7 @@ def check_fidelity_bounds(
         raise ConsensusError("state qubit count must match node count")
 
     # Pass rate of the (possibly cheated) state.
-    cheats = [
-        np.asarray(node.cheat, dtype=np.complex128)
-        if (not node.honest and node.cheat is not None)
-        else None
-        for node in network.nodes
-    ]
-    rho_played = DensityOperator(_conjugate_per_qubit(rho.matrix, cheats), validate=False)
+    rho_played = _apply_cheats(rho, network.nodes)
 
     passes = 0
     for _ in range(rounds):
@@ -365,31 +353,20 @@ def check_fidelity_bounds(
     def std_err(p: float) -> float:
         return math.sqrt(max(p * (1.0 - p), 0.0) / rounds)
 
-    se = std_err(p_hat)
-
-    report = {
+    # With no cheater to correct, F' is the GHZ fidelity F.
+    dishonest = [] if honest else [j for j, node in enumerate(network.nodes) if not node.honest]
+    c = 2.0 if honest else 4.0
+    f = optimize_corrected_fidelity(rho_played, dishonest)
+    ok = c * p_hat - (c - 1.0) <= f + 3.0 * c * std_err((c - 1.0 + f) / c) + 1e-9
+    return {
         "n": n,
         "rounds": rounds,
         "pass_rate": p_hat,
-        "std_err": se,
+        "std_err": std_err(p_hat),
+        "fidelity": f,
+        "honest_bound_ok": ok if honest else None,
+        "dishonest_bound_ok": None if honest else ok,
     }
-    if honest:
-        f = ghz_fidelity(rho_played)
-        report["fidelity"] = f
-        report["honest_bound_ok"] = (
-            f >= 2.0 * p_hat - 1.0 - 3.0 * 2.0 * std_err((1.0 + f) / 2.0) - 1e-9
-        )
-        report["dishonest_bound_ok"] = None
-    else:
-        dishonest = [j for j, node in enumerate(network.nodes) if not node.honest]
-        f_prime = optimize_corrected_fidelity(rho_played, dishonest)
-        report["fidelity"] = f_prime
-        report["honest_bound_ok"] = None
-        report["dishonest_bound_ok"] = (
-            4.0 * p_hat - 3.0
-            <= f_prime + DISHONEST_BOUND_SLACK + 3.0 * 4.0 * std_err((3.0 + f_prime) / 4.0)
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

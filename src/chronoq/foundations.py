@@ -296,10 +296,7 @@ class PrecessionModel:
 
 def _two_time_joint(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) -> dict:
     """Joint outcome distribution of measuring a_obs at t1, then b_obs at t2."""
-    u0 = model.unitary(t1)
-    state = DensityOperator(
-        u0 @ model.initial.to_density().matrix @ u0.conj().T, validate=False
-    )
+    state = model.initial.to_density().apply(model.unitary(t1))
     return sequential_joint(state, [a_obs, b_obs], [model.unitary(t2 - t1)])
 
 
@@ -478,8 +475,7 @@ def classical_k3(instance: dict) -> float:
     rho = instance["initial"].to_density()
 
     def corr(steps_before: int, steps_between: int) -> float:
-        m = np.linalg.matrix_power(u, steps_before)
-        state = DensityOperator(m @ rho.matrix @ m.conj().T, validate=False)
+        state = rho.apply(np.linalg.matrix_power(u, steps_before))
         dist = sequential_joint(
             state, [obs, obs], [np.linalg.matrix_power(u, steps_between)]
         )

@@ -426,13 +426,15 @@ def measure_qubit(
     ``(outcome, probability, post_state)`` with the full register kept.
     Pass ``forced_outcome`` to post-select a branch instead of sampling.
     """
+    if forced_outcome not in (None, 0, 1):
+        raise QcoreError(f"forced_outcome must be 0 or 1, got {forced_outcome!r}")
     n = state.num_qubits
     vec = state.amplitudes
     if basis_1q is not None:
         u = np.asarray(basis_1q, dtype=np.complex128)
         if not is_unitary(u):
             raise QcoreError("measurement basis is not orthonormal")
-        vec = _apply_to_targets(vec, n, u.conj(), [qubit])
+        vec = _apply_to_targets(vec, n, u, [qubit])
     psi = vec.reshape([2] * n)
     moved = np.moveaxis(psi, qubit, 0)
     p0 = float(np.sum(np.abs(moved[0]) ** 2))
@@ -455,7 +457,7 @@ def measure_qubit(
     post = np.moveaxis(collapsed, 0, qubit).reshape(-1)
     if basis_1q is not None:
         # Rotate back to the computational frame.
-        post = _apply_to_targets(post, n, np.asarray(basis_1q).T, [qubit])
+        post = _apply_to_targets(post, n, u.conj().T, [qubit])
     return outcome, prob, StateVector._adopt(post, normalize=True)
 
 
@@ -509,9 +511,22 @@ class DensityOperator:
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(np.kron(self.matrix, other.matrix))
 
-    def evolve(self, u: np.ndarray) -> "DensityOperator":
-        u = np.asarray(u, dtype=np.complex128)
-        return DensityOperator(u @ self.matrix @ u.conj().T)
+    def apply(self, op: np.ndarray, targets: Sequence[int] | None = None) -> "DensityOperator":
+        """U rho U^dagger for a unitary on the whole register or on the given
+        qubits: U on their ket axes, then U conjugated on their bra axes."""
+        mat = np.asarray(op, dtype=np.complex128)
+        if not is_unitary(mat):
+            raise QcoreError("operator is not unitary")
+        if targets is None:
+            if mat.shape != (self.dim, self.dim):
+                raise QcoreError("operator dimension mismatch")
+            return DensityOperator(mat @ self.matrix @ mat.conj().T, validate=False)
+        n, targets = self.dim.bit_length() - 1, list(targets)
+        if 1 << n != self.dim or any(t < 0 or t >= n for t in targets):
+            raise QcoreError("targets must be qubits of a register of dimension 2^n")
+        flat = _apply_to_targets(self.matrix.reshape(-1), 2 * n, mat, targets)
+        flat = _apply_to_targets(flat, 2 * n, mat.conj(), [n + t for t in targets])
+        return DensityOperator(flat.reshape(self.dim, self.dim), validate=False)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

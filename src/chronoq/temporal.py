@@ -20,6 +20,7 @@ import numpy as np
 from .qcore import (
     MAX_QUBITS,
     BELL_LABELS,
+    I2,
     DensityOperator,
     RandomSource,
     StateVector,
@@ -30,6 +31,10 @@ from .qcore import (
 
 class TemporalError(ValueError):
     pass
+
+
+# Rows are the bras <phi+|, <phi-|, <psi+|, <psi-| on two modes.
+_BELL_BRAS = np.array([bell_state(label).amplitudes.conj() for label in BELL_LABELS])
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,12 @@ class TemporalRegister:
 # ---------------------------------------------------------------------------
 
 
+def _event_time(reg: TemporalRegister, spatials: Sequence[str]) -> int:
+    """An operation on ``spatials`` happens at the latest of their time steps
+    and the last logged event."""
+    return max([reg.modes[reg._find(s)][0].time_step for s in spatials] + [reg.last_event_time])
+
+
 def create_pair(
     reg: TemporalRegister, label: str, spatial_pair: Sequence[str], t: int
 ) -> TemporalRegister:
@@ -142,10 +153,10 @@ def delay(reg: TemporalRegister, spatial: str, dt: int) -> TemporalRegister:
     mode, consumed = reg.modes[idx]
     if consumed:
         raise TemporalError(f"mode {spatial!r} already consumed")
-    new_t = mode.time_step + int(dt)
-    reg.modes[idx][0] = ModeId(mode.spatial, new_t)
     # The delay line is entered at the mode's original time step.
-    reg._log("delay", [spatial], max(mode.time_step, reg.last_event_time))
+    t = _event_time(reg, [spatial])
+    reg.modes[idx][0] = ModeId(mode.spatial, mode.time_step + int(dt))
+    reg._log("delay", [spatial], t)
     return reg
 
 
@@ -158,13 +169,38 @@ def apply_op(reg: TemporalRegister, op: np.ndarray, spatials: Sequence[str]) -> 
     return reg
 
 
-def _drop_modes(reg: TemporalRegister, spatials: Sequence[str], kept_state: np.ndarray):
+def _measure(
+    reg: TemporalRegister, spatials: Sequence[str], bras: np.ndarray, rng: RandomSource, forced
+) -> tuple[int, float]:
+    """Projective measurement of live modes; they are consumed and dropped
+    from the state vector.
+
+    Row k of ``bras`` is the k-th outcome's bra on ``spatials`` (first mode
+    most significant).  The outcome is drawn by the Born rule, or is row
+    ``forced``; returns ``(row, probability)``.
+    """
+    if not reg.valid:
+        raise TemporalError("register invalidated by a failed fusion")
+    targets = [reg._live_index(s) for s in spatials]
+    t = _event_time(reg, spatials)
+    n = reg.state.num_qubits
+    rest = [i for i in range(n) if i not in targets]
+    psi = np.transpose(reg.state.amplitudes.reshape([2] * n), targets + rest)
+    psi = psi.reshape(len(bras), -1)
+    branches = [bra @ psi for bra in bras]  # amplitudes of the remaining modes
+    probs = [float(np.sum(np.abs(branch) ** 2)) for branch in branches]
+    if forced is None:
+        row = rng.choice_index(probs)
+    elif probs[forced] <= 1e-12:
+        raise TemporalError("forced outcome has zero probability")
+    else:
+        row = forced
     for s in spatials:
         reg.modes[reg._find(s)][1] = True
-    if kept_state.size > 1:
-        reg.state = StateVector(kept_state, normalize=True)
-    else:
-        reg.state = None
+    kept = branches[row]
+    reg.state = StateVector(kept, normalize=True) if kept.size > 1 else None
+    reg._log("measure", spatials, t)
+    return row, probs[row]
 
 
 def measure_mode(
@@ -175,24 +211,10 @@ def measure_mode(
     forced_outcome: int | None = None,
 ) -> int:
     """Z-basis measurement of one live mode; the mode is consumed."""
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
-    q = reg._live_index(spatial)
-    mode = reg.modes[reg._find(spatial)][0]
-    t = max(mode.time_step, reg.last_event_time)
-    n = reg.state.num_qubits
-    psi = np.moveaxis(reg.state.amplitudes.reshape([2] * n), q, 0)
-    probs = [float(np.sum(np.abs(psi[b]) ** 2)) for b in (0, 1)]
-    if forced_outcome is None:
-        outcome = rng.choice_index(probs)
-    else:
-        outcome = int(forced_outcome)
-        if probs[outcome] <= 1e-12:
-            raise TemporalError("forced outcome has zero probability")
-    kept = psi[outcome].reshape(-1)
-    _drop_modes(reg, [spatial], kept)
-    reg._log("measure", [spatial], t)
-    return outcome
+    if forced_outcome not in (None, 0, 1):
+        raise TemporalError(f"forced_outcome must be 0 or 1, got {forced_outcome!r}")
+    forced = None if forced_outcome is None else int(forced_outcome)
+    return _measure(reg, [spatial], I2, rng, forced)[0]
 
 
 def bell_measure(
@@ -204,39 +226,13 @@ def bell_measure(
     forced_label: str | None = None,
 ) -> BellOutcome:
     """Bell-state measurement on two live modes; both are consumed."""
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
     if s1 == s2:
         raise TemporalError("cannot Bell-measure a mode against itself")
-    q1, q2 = reg._live_index(s1), reg._live_index(s2)
-    t = max(
-        reg.modes[reg._find(s1)][0].time_step,
-        reg.modes[reg._find(s2)][0].time_step,
-        reg.last_event_time,
-    )
-    n = reg.state.num_qubits
-    psi = reg.state.amplitudes.reshape([2] * n)
-    rest = [i for i in range(n) if i not in (q1, q2)]
-    psi = np.transpose(psi, [q1, q2] + rest).reshape(4, -1)
-    branches = {}
-    probs = []
-    for label in BELL_LABELS:
-        bra = bell_state(label).amplitudes.conj()
-        branch = bra @ psi  # amplitudes of the remaining modes
-        branches[label] = branch
-        probs.append(float(np.sum(np.abs(branch) ** 2)))
-    if forced_label is None:
-        label = BELL_LABELS[rng.choice_index(probs)]
-    else:
-        if forced_label not in BELL_LABELS:
-            raise TemporalError(f"unknown Bell label {forced_label!r}")
-        label = forced_label
-        if probs[BELL_LABELS.index(label)] <= 1e-12:
-            raise TemporalError("forced outcome has zero probability")
-    prob = probs[BELL_LABELS.index(label)]
-    _drop_modes(reg, [s1, s2], branches[label])
-    reg._log("measure", [s1, s2], t)
-    return BellOutcome(label, prob)
+    if forced_label not in (None, *BELL_LABELS):
+        raise TemporalError(f"unknown Bell label {forced_label!r}")
+    forced = None if forced_label is None else BELL_LABELS.index(forced_label)
+    row, prob = _measure(reg, [s1, s2], _BELL_BRAS, rng, forced)
+    return BellOutcome(BELL_LABELS[row], prob)
 
 
 def _project_equal_bits(buffer: np.ndarray, n_qubits: int, q1: int, q2: int) -> None:
@@ -273,11 +269,7 @@ def _post_selected_fuse(
     if s1 == s2:
         raise TemporalError("cannot fuse a mode with itself")
     q1, q2 = reg._live_index(s1), reg._live_index(s2)
-    t = max(
-        reg.modes[reg._find(s1)][0].time_step,
-        reg.modes[reg._find(s2)][0].time_step,
-        reg.last_event_time,
-    )
+    t = _event_time(reg, [s1, s2])
     projected = reg.state.amplitudes.copy()
     _project_equal_bits(projected, reg.state.num_qubits, q1, q2)
     p_success = float(np.vdot(projected, projected).real)

@@ -297,6 +297,8 @@ def test_pinned_monte_carlo_outputs(args, expected):
         (["game", "qkd", "--key-bits", "0"], "--key-bits"),
         (["game", "qkd", "--protocol", "foo"], "--protocol"),
         (["game", "teleport", "--strategy", "bogus"], "--strategy"),
+        (["entangle", "--werner-points", "10001"], "--werner-points"),
+        (["game", "qkd", "--key-bits", "100001"], "--key-bits"),
     ],
 )
 def test_out_of_range_options_exit_2(args, option):
@@ -326,6 +328,8 @@ def test_out_of_range_options_exit_2(args, option):
         ["lg", "temporal-chsh", "--dt", "-2.5"],
         ["gleason", "roundtrip", "--dim", "32", "--frames", "1"],
         ["entropy", "--trials", "10000000", "--block", "1"],
+        ["entangle", "--werner-points", "10000"],
+        ["game", "qkd", "--key-bits", "100000"],
     ],
 )
 def test_option_range_endpoints_run(args):

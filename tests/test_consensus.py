@@ -184,6 +184,9 @@ def test_invalid_configs():
     network = _network(3, rng)
     with pytest.raises(ConsensusError):
         run_round(network, ghz_state(4), rng)
+    for cheat in (2.0 * np.eye(2), np.eye(4), PAULI_X + PAULI_Z):
+        with pytest.raises(ConsensusError):
+            Node(0, honest=False, cheat=cheat)
     assert DEFAULT_ROUNDS == 100
     assert DEFAULT_THRESHOLD == 0.99
 
@@ -257,6 +260,21 @@ def test_theta_kernels_match_dense_reference(n, seed, density, data):
     for mm in (m, m + 1):  # both parities
         expected = dense[parity == mm % 2].sum()
         assert exact_pass_probability(state, angles, mm) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cheats_agree_on_ket_and_density(n, seed, data):
+    cheaters = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    gen = np.random.default_rng(seed)
+    nodes = [
+        Node(j, honest=j not in cheaters, cheat=_random_unitary(gen) if j in cheaters else None)
+        for j in range(n)
+    ]
+    ket = _random_state(n, seed, density=False)
+    from_ket = consensus._apply_cheats(ket, nodes).to_density().matrix
+    from_rho = consensus._apply_cheats(ket.to_density(), nodes).matrix
+    assert np.max(np.abs(from_ket - from_rho)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -256,6 +256,15 @@ def test_measure_qubit_collapse_and_rotate_back():
     assert post_x.equals_up_to_phase(minus)
 
 
+def test_measure_qubit_basis_rows_are_bras():
+    plus_i = np.array([1.0, 1j]) / math.sqrt(2.0)
+    minus_i = np.array([1.0, -1j]) / math.sqrt(2.0)
+    bras = np.array([plus_i.conj(), minus_i.conj()])  # <+i|, <-i|
+    outcome, prob, post = measure_qubit(StateVector(plus_i), 0, RandomSource(3, 0), basis_1q=bras)
+    assert outcome == 0 and abs(prob - 1.0) < 1e-12
+    assert post.equals_up_to_phase(StateVector(plus_i))
+
+
 def test_density_operator_validation():
     with pytest.raises(QcoreError):
         DensityOperator(np.array([[1.0, 0.0], [0.0, 1.0]]))  # trace 2
@@ -263,6 +272,49 @@ def test_density_operator_validation():
         DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
     rho = DensityOperator.maximally_mixed(4)
     assert abs(purity(rho) - 0.25) < 1e-12
+    with pytest.raises(QcoreError):
+        rho.apply(PAULI_X, [2])  # two qubits
+    with pytest.raises(QcoreError):
+        DensityOperator(np.eye(3) / 3).apply(PAULI_X, [0])  # dimension not 2^n
+
+
+def _random_density(gen, n):
+    a = gen.normal(size=(2**n, 3)) + 1j * gen.normal(size=(2**n, 3))
+    rho = a @ a.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
+
+
+def _dense_two_qubit(op, n, a, b):
+    """op on qubits (a, b) of n as a dense 2^n matrix: the sum over its
+    entries of |i><k| on a times |j><l| on b."""
+    total = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        factors = [np.eye(2)] * n
+        factors[a] = np.outer(np.eye(2)[i], np.eye(2)[k])
+        factors[b] = np.outer(np.eye(2)[j], np.eye(2)[l])
+        total += op[2 * i + j, 2 * k + l] * kron_all(factors)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_density_apply_matches_dense_conjugation(n, seed, data):
+    gen = np.random.default_rng(seed)
+    rho = _random_density(gen, n)
+    q = data.draw(st.integers(0, n - 1))
+    one = _random_operator(gen, 2, unitary=True)
+    cases = [(one, [q], kron_all([one if j == q else np.eye(2) for j in range(n)]))]
+    if n >= 2:
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        two = _random_operator(gen, 4, unitary=True)
+        cases.append((two, [a, b], _dense_two_qubit(two, n, a, b)))
+    whole = _random_operator(gen, 2**n, unitary=True)
+    cases.append((whole, None, whole))
+    for op, targets, dense in cases:
+        got = rho.apply(op, targets).matrix
+        assert np.max(np.abs(got - dense @ rho.matrix @ dense.conj().T)) <= 1e-12
+        with pytest.raises(QcoreError):
+            rho.apply(2.0 * op, targets)
 
 
 def test_partial_trace_bell():

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronoq.qcore import PAULI_X, DensityOperator, RandomSource, StateVector, bell_state
+from chronoq.qcore import (
+    PAULI_X,
+    DensityOperator,
+    QcoreError,
+    RandomSource,
+    StateVector,
+    bell_state,
+    measure_qubit,
+)
 from chronoq.entangle import fidelity
 from chronoq.temporal import (
     ModeId,
@@ -78,6 +86,16 @@ def test_measure_mode_consumes():
     assert measure_mode(reg, "b", rng) == outcome
     with pytest.raises(TemporalError):
         measure_mode(reg, "a", rng)
+
+
+@pytest.mark.parametrize("forced", [-1, 2])
+def test_forced_outcome_outside_0_1_rejected(forced):
+    reg = TemporalRegister()
+    create_pair(reg, "phi+", ("a", "b"), t=0)
+    with pytest.raises(TemporalError, match="0 or 1"):
+        measure_mode(reg, "a", RandomSource(13, 0), forced_outcome=forced)
+    with pytest.raises(QcoreError, match="0 or 1"):
+        measure_qubit(bell_state("phi+"), 0, RandomSource(13, 0), forced_outcome=forced)
 
 
 def test_bell_measure_all_outcomes():
