@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HADAMARD, PAULI_X, RandomSource, StateVector, _branch_index, branch_pair
+from .qcore import (
+    HADAMARD,
+    PAULI_X,
+    RandomSource,
+    StateVector,
+    _branch_index,
+    branch_pair,
+    product_probabilities,
+)
 from .temporal import (
     TemporalError,
     TemporalRegister,
@@ -248,42 +256,34 @@ def tamper(chain: QuantumChain, spatial: str, op: np.ndarray) -> QuantumChain:
     return chain
 
 
-def decode_by_statistics(make_copy, num_copies: int, rng: RandomSource) -> str:
+def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource) -> str:
     """Many-copy decoder: Z-basis shots give the branch bit pattern, X-basis
     parity gives the relative sign (r1).
 
-    ``make_copy`` returns a fresh StateVector of the chain state per call.
+    Every copy is ``state``, the chain's state vector: each basis's Born
+    distribution is computed once and each shot is one draw from it.
     """
     if num_copies < 2:
         raise ChainError("need at least two copies")
     z_shots = num_copies // 2
     x_shots = num_copies - z_shots
+    n = state.num_qubits
 
     # Z-basis: every shot lands in one of the two branches; canonicalize to
-    # the branch whose leading bit is 0.
-    first = make_copy()
-    n = first.num_qubits
-    patterns = set()
-    for s in range(z_shots):
-        state = first if s == 0 else make_copy()
-        idx = rng.choice_index(state.probabilities())
-        if (idx >> (n - 1)) & 1:
-            idx = (1 << n) - 1 - idx
-        patterns.add(idx)
+    # the branch whose leading bit is 0, the smaller of the two indices.
+    z_probs = state.probabilities()
+    draws = [rng.choice_index(z_probs) for _ in range(z_shots)]
+    patterns = {min(idx, (1 << n) - 1 - idx) for idx in draws}
     if len(patterns) != 1:
         raise DecodeMismatch("inconsistent branch patterns across copies")
     lead = patterns.pop()
     bits = [(lead >> (n - 1 - q)) & 1 for q in range(n)]
 
-    # X-basis: product of +-1 outcomes estimates the branch sign.
-    parity_sum = 0
-    for _ in range(x_shots):
-        state = make_copy()
-        for q in range(n):
-            state = state.apply(HADAMARD, [q])
-        idx = rng.choice_index(state.probabilities())
-        parity_sum += 1 if bin(idx).count("1") % 2 == 0 else -1
-    r1 = 0 if parity_sum > 0 else 1
+    # X-basis: the product of the +-1 outcomes estimates the branch sign;
+    # r1 = 0 when most shots have even parity.
+    x_probs = product_probabilities(state, [HADAMARD] * n)
+    odd = sum(bin(rng.choice_index(x_probs)).count("1") % 2 for _ in range(x_shots))
+    r1 = 0 if 2 * odd < x_shots else 1
     return "".join(str(b) for b in [r1] + bits[1:])
 
 

@@ -36,6 +36,7 @@ from .qcore import (
     RandomSource,
     StateVector,
     is_unitary,
+    product_probabilities,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -102,17 +103,12 @@ def sample_theta_angles(n: int, rng: RandomSource) -> tuple[list[float], int]:
     head = [float(x) for x in rng.uniform(0.0, math.pi, n - 1)]
     partial = sum(head)
     m = math.ceil(partial / math.pi - 1e-12)
+    # m < partial / pi + 1, so last < pi; last < 0 only if 0 < partial / pi - m <= 1e-12.
     last = m * math.pi - partial
-    if last >= math.pi:  # partial hit an exact multiple of pi
-        last -= math.pi
-        m += 1
     if last < 0.0:
         last += math.pi
-        m += 1
     angles = head + [last]
-    total = sum(angles)
-    m = round(total / math.pi)
-    return angles, m
+    return angles, round(sum(angles) / math.pi)
 
 
 def theta_basis(theta: float) -> np.ndarray:
@@ -122,17 +118,6 @@ def theta_basis(theta: float) -> np.ndarray:
         [[inv, inv * np.exp(-1j * theta)], [inv, -inv * np.exp(-1j * theta)]],
         dtype=np.complex128,
     )
-
-
-def _rotated_probabilities(state: StateVector, angles: Sequence[float]) -> np.ndarray:
-    """Born distribution over joint theta-basis outcomes (bit j = node j's Y);
-    each node's 2x2 basis acts on its own qubit axis."""
-    # Apply the basis to the leading qubit, then move that qubit to the back;
-    # after n steps the qubit order is restored.
-    amps = state.amplitudes.reshape(2, -1)
-    for t in angles:
-        amps = (theta_basis(t) @ amps).T.reshape(2, -1)
-    return np.abs(amps.reshape(-1)) ** 2
 
 
 def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:
@@ -158,11 +143,25 @@ def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:
     return min(max(0.5 * (1.0 + parity), 0.0), 1.0)
 
 
+def mean_pass_probability(state) -> float:
+    """The pass probability averaged over :func:`sample_theta_angles`,
+    1/2 + Re rho[0, L] with L = 2^n - 1 (for a ket, 1/2 + Re psi_0 conj(psi_L)).
+
+    With sum(theta_j) = m pi, (-1)^m c(a) in :func:`exact_pass_probability`
+    is exp(-2i sum_j theta_j a_j).  The first n - 1 angles are i.i.d. uniform
+    on [0, pi) and fix the last, so only a = 0...0 and 1...1 survive the
+    average."""
+    if isinstance(state, StateVector):
+        corner = state.amplitudes[0] * state.amplitudes[-1].conjugate()
+    else:
+        corner = state.matrix[0, -1]
+    return min(max(0.5 + float(corner.real), 0.0), 1.0)
+
+
 def theta_measure(state: StateVector, angles: Sequence[float], rng: RandomSource) -> tuple:
     """Sample every node's outcome jointly; returns Y bits, leftmost node first."""
     n = len(angles)
-    probs = _rotated_probabilities(state, angles)
-    idx = rng.choice_index(probs)
+    idx = rng.choice_index(product_probabilities(state, [theta_basis(t) for t in angles]))
     return tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
 
 
@@ -188,22 +187,13 @@ def run_round(network: Network, candidate: StateVector, rng: RandomSource) -> Ro
 
 
 def estimate_pass_probability(
-    candidate_supplier: Callable[[], StateVector] | StateVector,
-    network: Network,
-    rounds: int,
-    rng: RandomSource,
+    candidate: StateVector, network: Network, rounds: int, rng: RandomSource
 ) -> dict:
-    """Bernoulli pass-rate estimate with its standard error."""
+    """Bernoulli pass-rate estimate with its standard error; every round
+    measures a copy of ``candidate``, the same immutable state vector."""
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
-    passes = 0
-    for _ in range(rounds):
-        candidate = (
-            candidate_supplier() if callable(candidate_supplier) else candidate_supplier
-        )
-        if run_round(network, candidate, rng).passed:
-            passes += 1
-    p_hat = passes / rounds
+    p_hat = sum(run_round(network, candidate, rng).passed for _ in range(rounds)) / rounds
     return {
         "pass_rate": p_hat,
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),
@@ -363,6 +353,7 @@ def check_fidelity_bounds(
         "rounds": rounds,
         "pass_rate": p_hat,
         "std_err": std_err(p_hat),
+        "mean_pass_probability": mean_pass_probability(rho_played),
         "fidelity": f,
         "honest_bound_ok": ok if honest else None,
         "dishonest_bound_ok": None if honest else ok,
@@ -381,17 +372,18 @@ def admit_block(
     rounds: int = DEFAULT_ROUNDS,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> dict:
-    """Run verification rounds on fresh candidate copies; admit on pass rate.
+    """Run verification rounds on copies of the block state; admit on pass rate.
 
-    The block source shares as many copies as needed (one per round).  On
-    acceptance every honest node appends the block to its local chain.
+    The block source is called once: every round measures a copy of the
+    same immutable state vector.  On acceptance every honest node appends
+    the block to its local chain.
     """
     if threshold <= 0.0:
         # Degenerate configuration: everything is accepted.
         import warnings
 
         warnings.warn("threshold <= 0 accepts every block", stacklevel=2)
-    est = estimate_pass_probability(candidate_supplier, network, rounds, network.rng)
+    est = estimate_pass_probability(candidate_supplier(), network, rounds, network.rng)
     accepted = est["pass_rate"] >= threshold
     if accepted:
         for node in network.nodes:

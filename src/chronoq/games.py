@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +30,12 @@ from .qcore import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
-    DensityOperator,
-    QcoreError,
     RandomSource,
     StateVector,
     bell_state,
+    born_distribution,
     partial_trace,
+    product_probabilities,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -261,8 +260,7 @@ def monty_teleport(
     xy_door = 2 * xy[0] + xy[1]
     # A generic input state; the outcome distribution is uniform regardless.
     psi = StateVector(np.array([0.6, 0.8j]), normalize=True)
-    state = _teleport_premeasure(psi, channel)
-    probs = np.sum(np.abs(state.amplitudes.reshape(4, 2)) ** 2, axis=1)
+    probs = np.array([b["probability"] for b in teleport_branches(psi, channel)])
 
     gen = rng.generator
     ab = gen.choice(4, size=trials, p=probs / probs.sum())
@@ -338,8 +336,7 @@ def unreliable_teleport_analytic(strategy: str) -> dict:
 def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
     _check_strategy(strategy)
     psi = StateVector(np.array([0.6, 0.8]), normalize=True)
-    state = _teleport_premeasure(psi, "00")
-    probs = np.sum(np.abs(state.amplitudes.reshape(4, 2)) ** 2, axis=1)
+    probs = np.array([b["probability"] for b in teleport_branches(psi, "00")])
 
     gen = rng.generator
     ab = gen.choice(4, size=trials, p=probs / probs.sum())
@@ -428,13 +425,13 @@ def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
         wins = int(np.sum((x & y) == 0))
     else:
         settings = chsh_game_settings()
-        psi = bell_state("psi-").amplitudes
+        psi = bell_state("psi-")
         u = gen.random(trials)
         outcome = np.empty(trials, dtype=np.int8)
         for qx, qy in product(range(2), range(2)):
             ua = _dichotomic_eigenbasis(settings["A"][qx])
             ub = _dichotomic_eigenbasis(settings["B"][qy])
-            cdf = np.cumsum(np.abs(np.kron(ua, ub) @ psi) ** 2)
+            cdf = np.cumsum(product_probabilities(psi, [ua, ub]))
             sel = (x == qx) & (y == qy)
             outcome[sel] = np.searchsorted(cdf, u[sel])
         wins = int(np.count_nonzero((x & y) == ((outcome >> 1) ^ (outcome & 1))))
@@ -532,12 +529,7 @@ def pbr_game(
     actual measurement of Psi_1 in the antidistinguishing basis."""
     _check_strategy(strategy)
     if ontology == "ontic":
-        psi1 = pbr_states()[0]
-        basis = pbr_measurement_basis()
-        born = np.array(
-            [abs(complex(np.vdot(b.amplitudes, psi1.amplitudes))) ** 2 for b in basis]
-        )
-        prize_probs = born / born.sum()
+        prize_probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
     else:
         prize_probs = np.array(
             [float(p) for p in pbr_prize_distribution(ontology, q, split)]
@@ -620,10 +612,10 @@ def qkd_session(
     elif protocol == "E91":
         if eavesdropper != "none":
             raise GameError("the eavesdropper model is only wired for BB84")
-        pair = bell_state("phi+").amplitudes
+        pair = bell_state("phi+")
         # Born probabilities of the four outcome pairs, both sides measuring Z or X.
         probs = [
-            np.abs(np.kron(ua, ua) @ pair) ** 2
+            product_probabilities(pair, [ua, ua])
             for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
         ]
         while len(alice_key) < key_bits:

@@ -200,6 +200,16 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+def _check_targets(mat: np.ndarray, n: int, targets: list[int]) -> int:
+    """k, once ``mat`` is 2^k x 2^k and ``targets`` are k distinct qubits of n."""
+    k = len(targets)
+    if np.shape(mat) != (1 << k, 1 << k):
+        raise QcoreError("operator shape does not match target count")
+    if any(t < 0 or t >= n for t in targets) or len(set(targets)) != k:
+        raise QcoreError("invalid target qubits")
+    return k
+
+
 def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[int]) -> np.ndarray:
     """``mat`` on the target qubits of a 2^n vector, as a new 1-D array.
 
@@ -207,11 +217,7 @@ def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[in
     array with R = 2^(n-q-1).  For R <= 32 it is one GEMM against
     kron(mat, I_R); above, mat is broadcast over the 2^q blocks.
     """
-    k = len(targets)
-    if mat.shape != (1 << k, 1 << k):
-        raise QcoreError("operator shape does not match target count")
-    if any(t < 0 or t >= n for t in targets) or len(set(targets)) != k:
-        raise QcoreError("invalid target qubits")
+    k = _check_targets(mat, n, targets)
     if k == 1:
         r = 1 << (n - targets[0] - 1)
         if r <= 32:
@@ -411,6 +417,32 @@ def measure(
     return MeasurementOutcome(idx, float(probs[idx]), basis[idx])
 
 
+def collapse(
+    state: StateVector, targets: Sequence[int], bras: np.ndarray, rng: RandomSource, forced=None
+) -> tuple[int, float, np.ndarray]:
+    """Projective measurement of the ``targets`` qubits of a register.
+
+    Row k of ``bras`` is the k-th outcome's bra on ``targets`` (first target
+    most significant).  The outcome is drawn by the Born rule, or is row
+    ``forced``.  Returns ``(row, probability, branch)``, ``branch`` being the
+    unnormalized amplitudes of the other qubits in register order.
+    """
+    n, targets = state.num_qubits, list(targets)
+    _check_targets(bras, n, targets)
+    rest = [i for i in range(n) if i not in targets]
+    psi = np.transpose(state.amplitudes.reshape([2] * n), targets + rest)
+    psi = psi.reshape(len(bras), -1)
+    branches = [bra @ psi for bra in bras]
+    probs = [float(np.sum(np.abs(branch) ** 2)) for branch in branches]
+    if forced is None:
+        row = rng.choice_index(probs)
+    elif probs[forced] <= 1e-12:
+        raise QcoreError("forced outcome has zero probability")
+    else:
+        row = int(forced)
+    return row, probs[row], branches[row]
+
+
 def measure_qubit(
     state: StateVector,
     qubit: int,
@@ -428,37 +460,29 @@ def measure_qubit(
     """
     if forced_outcome not in (None, 0, 1):
         raise QcoreError(f"forced_outcome must be 0 or 1, got {forced_outcome!r}")
-    n = state.num_qubits
-    vec = state.amplitudes
-    if basis_1q is not None:
-        u = np.asarray(basis_1q, dtype=np.complex128)
-        if not is_unitary(u):
-            raise QcoreError("measurement basis is not orthonormal")
-        vec = _apply_to_targets(vec, n, u, [qubit])
-    psi = vec.reshape([2] * n)
-    moved = np.moveaxis(psi, qubit, 0)
-    p0 = float(np.sum(np.abs(moved[0]) ** 2))
-    p1 = float(np.sum(np.abs(moved[1]) ** 2))
-    total = p0 + p1
-    if total <= TOL_ALG:
-        raise QcoreError("degenerate measurement: all probabilities zero")
-    if abs(total - 1.0) > 1e-6:
-        raise QcoreError("state norm drifted beyond tolerance")
-    p0, p1 = p0 / total, p1 / total
-    if forced_outcome is None:
-        outcome = 0 if rng.uniform() < p0 else 1
-    else:
-        outcome = int(forced_outcome)
-    prob = p0 if outcome == 0 else p1
-    if prob <= TOL_ALG:
-        raise QcoreError("post-selected branch has zero probability")
-    collapsed = np.zeros_like(moved)
-    collapsed[outcome] = moved[outcome]
-    post = np.moveaxis(collapsed, 0, qubit).reshape(-1)
-    if basis_1q is not None:
-        # Rotate back to the computational frame.
-        post = _apply_to_targets(post, n, u.conj().T, [qubit])
-    return outcome, prob, StateVector._adopt(post, normalize=True)
+    bras = I2 if basis_1q is None else np.asarray(basis_1q, dtype=np.complex128)
+    if not is_unitary(bras):
+        raise QcoreError("measurement basis is not orthonormal")
+    outcome, prob, branch = collapse(state, [qubit], bras, rng, forced_outcome)
+    post = branch.reshape(1 << qubit, 1, -1) * bras[outcome].conj()[:, None]
+    return outcome, prob, StateVector._adopt(post.reshape(-1), normalize=True)
+
+
+def product_probabilities(state: StateVector, bases: Sequence[np.ndarray]) -> np.ndarray:
+    """Born distribution over the joint outcomes of one 2x2 basis per qubit:
+    the rows of ``bases[j]`` are qubit j's bras, and bit j of an outcome index
+    (big-endian) is qubit j's row.
+
+    Each basis is applied to the leading qubit, which then moves to the
+    back; after n steps the qubit order is restored.  No 2^n x 2^n operator
+    is built.
+    """
+    if len(bases) != state.num_qubits:
+        raise QcoreError("need one basis per qubit")
+    amps = state.amplitudes.reshape(2, -1)
+    for basis in bases:
+        amps = (basis @ amps).T.reshape(2, -1)
+    return np.abs(amps.reshape(-1)) ** 2
 
 
 # ---------------------------------------------------------------------------

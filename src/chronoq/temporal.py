@@ -22,10 +22,12 @@ from .qcore import (
     BELL_LABELS,
     I2,
     DensityOperator,
+    QcoreError,
     RandomSource,
     StateVector,
     bell_state,
     branch_pair,
+    collapse,
 )
 
 
@@ -172,35 +174,22 @@ def apply_op(reg: TemporalRegister, op: np.ndarray, spatials: Sequence[str]) -> 
 def _measure(
     reg: TemporalRegister, spatials: Sequence[str], bras: np.ndarray, rng: RandomSource, forced
 ) -> tuple[int, float]:
-    """Projective measurement of live modes; they are consumed and dropped
-    from the state vector.
-
-    Row k of ``bras`` is the k-th outcome's bra on ``spatials`` (first mode
-    most significant).  The outcome is drawn by the Born rule, or is row
-    ``forced``; returns ``(row, probability)``.
-    """
+    """:func:`qcore.collapse` on live modes, which are consumed and dropped
+    from the state vector: row k of ``bras`` is the k-th outcome's bra on
+    ``spatials``.  Returns ``(row, probability)``."""
     if not reg.valid:
         raise TemporalError("register invalidated by a failed fusion")
     targets = [reg._live_index(s) for s in spatials]
     t = _event_time(reg, spatials)
-    n = reg.state.num_qubits
-    rest = [i for i in range(n) if i not in targets]
-    psi = np.transpose(reg.state.amplitudes.reshape([2] * n), targets + rest)
-    psi = psi.reshape(len(bras), -1)
-    branches = [bra @ psi for bra in bras]  # amplitudes of the remaining modes
-    probs = [float(np.sum(np.abs(branch) ** 2)) for branch in branches]
-    if forced is None:
-        row = rng.choice_index(probs)
-    elif probs[forced] <= 1e-12:
-        raise TemporalError("forced outcome has zero probability")
-    else:
-        row = forced
+    try:
+        row, prob, kept = collapse(reg.state, targets, bras, rng, forced)
+    except QcoreError as exc:
+        raise TemporalError(str(exc)) from exc
     for s in spatials:
         reg.modes[reg._find(s)][1] = True
-    kept = branches[row]
     reg.state = StateVector(kept, normalize=True) if kept.size > 1 else None
     reg._log("measure", spatials, t)
-    return row, probs[row]
+    return row, prob
 
 
 def measure_mode(
@@ -213,8 +202,7 @@ def measure_mode(
     """Z-basis measurement of one live mode; the mode is consumed."""
     if forced_outcome not in (None, 0, 1):
         raise TemporalError(f"forced_outcome must be 0 or 1, got {forced_outcome!r}")
-    forced = None if forced_outcome is None else int(forced_outcome)
-    return _measure(reg, [spatial], I2, rng, forced)[0]
+    return _measure(reg, [spatial], I2, rng, forced_outcome)[0]
 
 
 def bell_measure(

@@ -112,19 +112,15 @@ def test_tamper_phase_flip_detected():
 
 def test_decode_by_statistics():
     rng = RandomSource(28, 0)
-
-    def make_copy():
-        local = RandomSource(28, 1)
-        return build_chain(["00", "10", "11"], local).register.state
-
-    assert decode_by_statistics(make_copy, 64, rng) == "001011"
+    state = build_chain(["00", "10", "11"], RandomSource(28, 1)).register.state
+    assert decode_by_statistics(state, 64, rng) == "001011"
 
 
 def test_decode_by_statistics_fourteen_qubits():
     records = ["00", "10", "11", "01", "10", "00", "11"]
     chain = build_chain(records, RandomSource(29, 1))
     assert chain.register.state.num_qubits == 14
-    decoded = decode_by_statistics(lambda: chain.register.state, 64, RandomSource(29, 0))
+    decoded = decode_by_statistics(chain.register.state, 64, RandomSource(29, 0))
     assert decoded == chain.record_string
 
 

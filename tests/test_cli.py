@@ -173,6 +173,24 @@ def test_consensus_run_at_register_cap():
     assert json.loads(res.output)["pass_rate"] == 1.0
 
 
+# The CLI cheat (X + Z)/sqrt(2) on k < n qubits of GHZ: P = 1/2 + (-1)^k / 2^(k+1).
+@pytest.mark.parametrize("dishonest, mean", [(0, 1.0), (1, 0.25), (2, 0.625), (3, 0.4375)])
+def test_consensus_run_checks_the_mean_pass_probability(dishonest, mean):
+    args = ["consensus", "run", "--nodes", "6", "--dishonest", str(dishonest), "--json"]
+    for seed in ("1", "2", "42"):
+        res = run([*args, "--seed", seed])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["mean_pass_probability"] == pytest.approx(mean, abs=1e-12)
+
+
+def test_consensus_run_fails_a_pass_rate_off_the_mean(monkeypatch):
+    from chronoq import consensus
+
+    monkeypatch.setattr(consensus, "mean_pass_probability", lambda state: 0.9)
+    res = run(["consensus", "run", "--nodes", "6", "--dishonest", "1", "--json"])
+    assert res.exit_code == 1
+
+
 def test_consensus_bounds_seed_13_honest():
     res = run(["consensus", "bounds", "--seed", "13", "--json"])
     assert res.exit_code == 0
@@ -299,6 +317,8 @@ def test_pinned_monte_carlo_outputs(args, expected):
         (["game", "teleport", "--strategy", "bogus"], "--strategy"),
         (["entangle", "--werner-points", "10001"], "--werner-points"),
         (["game", "qkd", "--key-bits", "100001"], "--key-bits"),
+        (["entropy", "--trials", "10001"], "--trials"),
+        (["gleason", "roundtrip", "--frames", "20001"], "--frames"),
     ],
 )
 def test_out_of_range_options_exit_2(args, option):
@@ -327,9 +347,10 @@ def test_out_of_range_options_exit_2(args, option):
         ["entropy", "--rate", "1", "--trials", "50"],
         ["lg", "temporal-chsh", "--dt", "-2.5"],
         ["gleason", "roundtrip", "--dim", "32", "--frames", "1"],
-        ["entropy", "--trials", "10000000", "--block", "1"],
+        ["entropy", "--trials", "10000", "--block", "1"],
         ["entangle", "--werner-points", "10000"],
         ["game", "qkd", "--key-bits", "100000"],
+        ["gleason", "roundtrip", "--frames", "20000"],
     ],
 )
 def test_option_range_endpoints_run(args):

@@ -31,6 +31,7 @@ from chronoq.qcore import (
     RandomSource,
     StateVector,
     ghz_state,
+    product_probabilities,
     rotation,
 )
 
@@ -253,7 +254,7 @@ def test_theta_kernels_match_dense_reference(n, seed, density, data):
     m = data.draw(st.integers(0, n))
     dense = _dense_born(state, angles)
     if not density:  # theta_measure samples kets only
-        born = consensus._rotated_probabilities(state, angles)
+        born = product_probabilities(state, [theta_basis(t) for t in angles])
         assert np.max(np.abs(born - dense)) <= 1e-12
         assert born.sum() == pytest.approx(1.0, abs=1e-12)
     parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
@@ -349,3 +350,45 @@ def test_corrected_fidelity_undoes_local_damage(n, cheaters):
 def test_corrected_fidelity_no_worse_than_previous_search(n, cheaters, seed, previous):
     rho = _random_state(n, seed, density=True)
     assert optimize_corrected_fidelity(rho, cheaters) >= previous - 1e-10
+
+
+def _random_cheaters(n, gen, data):
+    cheaters = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [
+        Node(j, honest=j not in cheaters, cheat=_random_unitary(gen) if j in cheaters else None)
+        for j in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.booleans(),
+    data=st.data(),
+)
+def test_mean_pass_probability_bounded_by_fidelity(n, seed, density, data):
+    # |rho[0, L]| <= sqrt(rho[0, 0] rho[L, L]) <= (rho[0, 0] + rho[L, L]) / 2, so
+    # 2 P - 1 = 2 Re rho[0, L] <= F = (rho[0, 0] + rho[L, L]) / 2 + Re rho[0, L].
+    played = consensus._apply_cheats(
+        _random_state(n, seed, density), _random_cheaters(n, np.random.default_rng(seed), data)
+    )
+    mean = consensus.mean_pass_probability(played)
+    assert 0.0 <= mean <= 1.0
+    assert 2.0 * mean - 1.0 <= ghz_fidelity(played) + 1e-12
+    if not density:
+        assert consensus.mean_pass_probability(played.to_density()) == pytest.approx(
+            mean, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mean_pass_probability_is_the_angle_average(n):
+    rho = _random_state(n, 100 + n, density=True)  # rank 3
+    rng = RandomSource(37, n)
+    samples = np.array(
+        [exact_pass_probability(rho, *sample_theta_angles(n, rng)) for _ in range(4000)]
+    )
+    se = samples.std() / math.sqrt(samples.size)
+    assert abs(samples.mean() - consensus.mean_pass_probability(rho)) <= 3.0 * se
+

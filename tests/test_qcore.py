@@ -21,6 +21,7 @@ from chronoq.qcore import (
     bell_state,
     born_distribution,
     branch_pair,
+    collapse,
     computational_basis,
     ghz_state,
     is_dichotomic,
@@ -29,6 +30,7 @@ from chronoq.qcore import (
     measure,
     measure_qubit,
     partial_trace,
+    product_probabilities,
     purity,
     rotation,
     standard_gate,
@@ -263,6 +265,28 @@ def test_measure_qubit_basis_rows_are_bras():
     outcome, prob, post = measure_qubit(StateVector(plus_i), 0, RandomSource(3, 0), basis_1q=bras)
     assert outcome == 0 and abs(prob - 1.0) < 1e-12
     assert post.equals_up_to_phase(StateVector(plus_i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_product_probabilities_match_dense_basis(n, seed):
+    gen = np.random.default_rng(seed)
+    psi = StateVector(gen.normal(size=2**n) + 1j * gen.normal(size=2**n), normalize=True)
+    bases = [_random_operator(gen, 2, unitary=True) for _ in range(n)]
+    got = product_probabilities(psi, bases)
+    assert np.max(np.abs(got - np.abs(kron_all(bases) @ psi.amplitudes) ** 2)) <= 1e-12
+    with pytest.raises(QcoreError):
+        product_probabilities(psi, bases[1:])
+
+
+def test_forced_zero_probability_row_raises():
+    zero = StateVector.from_bits([0, 0])
+    with pytest.raises(QcoreError, match="zero probability"):
+        measure_qubit(zero, 1, RandomSource(4, 0), forced_outcome=1)
+    with pytest.raises(QcoreError, match="zero probability"):
+        collapse(bell_state("phi+"), [0, 1], np.eye(4), RandomSource(4, 0), forced=1)
+    with pytest.raises(QcoreError, match="invalid target"):
+        collapse(zero, [2], np.eye(2), RandomSource(4, 0))
 
 
 def test_density_operator_validation():

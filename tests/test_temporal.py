@@ -98,6 +98,36 @@ def test_forced_outcome_outside_0_1_rejected(forced):
         measure_qubit(bell_state("phi+"), 0, RandomSource(13, 0), forced_outcome=forced)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_measure_mode_and_measure_qubit_agree(seed):
+    # A generic 6-qubit register: three pairs, then a gate on two modes.
+    reg = TemporalRegister()
+    for k, label in enumerate(("phi+", "psi-", "phi-")):
+        create_pair(reg, label, (f"a{k}", f"b{k}"), t=0)
+    gen = np.random.default_rng(seed)
+    u = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
+    apply_op(reg, u, ["b0", "a2"])
+    before = reg.state
+    qubit = seed % 6
+    outcome, prob, post = measure_qubit(before, qubit, RandomSource(seed, 1))
+    assert measure_mode(reg, reg.live_modes[qubit].spatial, RandomSource(seed, 1)) == outcome
+    # The qubit kept by measure_qubit holds |outcome>; the rest is the
+    # temporal register's remaining state.
+    kept = np.take(post.amplitudes.reshape([2] * 6), outcome, axis=qubit).reshape(-1)
+    assert np.max(np.abs(kept - reg.state.amplitudes)) <= 1e-12
+    assert np.max(np.abs(np.take(post.amplitudes.reshape([2] * 6), 1 - outcome, axis=qubit))) == 0
+
+
+def test_forced_zero_probability_row_raises_temporal_error():
+    reg = TemporalRegister()
+    create_pair(reg, "phi+", ("a", "b"), t=0)
+    with pytest.raises(TemporalError, match="zero probability"):
+        bell_measure(reg, "a", "b", RandomSource(4, 0), forced_label="psi-")
+    measure_mode(reg, "a", RandomSource(4, 0), forced_outcome=0)
+    with pytest.raises(TemporalError, match="zero probability"):
+        measure_mode(reg, "b", RandomSource(4, 0), forced_outcome=1)
+
+
 def test_bell_measure_all_outcomes():
     rng = RandomSource(12, 0)
     for label in ("phi+", "phi-", "psi+", "psi-"):
