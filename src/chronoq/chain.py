@@ -8,6 +8,11 @@ fresh encoded pair onto the last chain photon through a PBS, yielding a
 of each other; the relative sign carries r1 of the first record while every
 other record bit appears literally in the leading branch.
 
+The register holds that state as a ``qcore._SparseKet``: its two branches,
+or after a tamper on the live photon at most four entries.  Appends, decode
+and fidelity read and write those entries; the dense 2^n vector is built
+only on request (``state.amplitudes``).
+
 Temporal discipline: all photons remain part of the state, but only photons
 at the chain's current (latest) time step are physically present; tampering
 with an earlier photon raises :class:`TemporalInaccessible` — that is the
@@ -27,6 +32,7 @@ from .qcore import (
     PAULI_X,
     RandomSource,
     StateVector,
+    _SparseKet,
     _branch_index,
     branch_pair,
     product_probabilities,
@@ -132,8 +138,9 @@ class QuantumChain:
             return 1.0
         bits, sign = self._expected_branch()
         lead = _branch_index(bits)
-        psi = self.register.state.amplitudes
-        overlap = _INV_SQRT2 * psi[lead] + sign * _INV_SQRT2 * psi[psi.size - 1 - lead]
+        state = self.register.state
+        last = (1 << state.num_qubits) - 1
+        overlap = _INV_SQRT2 * state.entry(lead) + sign * _INV_SQRT2 * state.entry(last - lead)
         return float(abs(overlap) ** 2)
 
     def to_json(self) -> str:
@@ -164,6 +171,7 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
         raise ChainError("cannot append to an invalidated chain")
     if not chain.records:
         chain.register = encode_block(record, t=0)
+        chain.register.state = _SparseKet.from_state(chain.register.state)
         chain.records.append(record)
         return chain
 
@@ -178,8 +186,6 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
     delay(candidate, new2, 1)
     if not _post_selected_fuse(candidate, last_label, new1, rng, FUSION_RETRY_CAP):
         raise ChainError("fusion retry cap exceeded")
-    # The fusion has already dropped the unprojected state and its projection
-    # buffer, so the correction's copies sit beside one 2^n vector only.
     if record.r1 != last_bit:
         apply_op(candidate, PAULI_X, [new1])
     chain.register = candidate
@@ -197,27 +203,27 @@ def build_chain(records, rng: RandomSource) -> QuantumChain:
 def decode(chain: QuantumChain) -> str:
     """Read the record string back out of the register state.
 
-    The decoder is simulator-privileged: it inspects amplitudes directly.
-    It verifies the two-branch chain structure and that the extracted string
-    matches the stored records; any deviation raises :class:`DecodeMismatch`.
+    The decoder is simulator-privileged: it inspects the stored amplitudes
+    directly.  It verifies the two-branch chain structure and that the
+    extracted string matches the stored records; any deviation raises
+    :class:`DecodeMismatch`.
     """
     if not chain.records:
         raise ChainError("empty chain")
-    if chain.register.state is None:
+    state = chain.register.state
+    if state is None:
         raise DecodeMismatch("register state missing")
-    amp = chain.register.state.amplitudes
-    n = chain.register.state.num_qubits
-    nonzero = np.flatnonzero(np.abs(amp) > 1e-8)
-    if len(nonzero) != 2:
+    n = state.num_qubits
+    branch = np.abs(state.values) > 1e-8
+    if np.count_nonzero(branch) != 2:
         raise DecodeMismatch("state does not have exactly two branches")
-    i, j = int(nonzero[0]), int(nonzero[1])
+    (i, j), (amp_i, amp_j) = state.indices[branch].tolist(), state.values[branch]
     if i + j != (1 << n) - 1:
         raise DecodeMismatch("branches are not bit-complements")
-    lead = i if not (i >> (n - 1)) & 1 else j
-    other = j if lead == i else i
-    if abs(abs(amp[lead]) - _INV_SQRT2) > 1e-8:
+    lead, amp_lead, amp_other = (i, amp_i, amp_j) if not (i >> (n - 1)) & 1 else (j, amp_j, amp_i)
+    if abs(abs(amp_lead) - _INV_SQRT2) > 1e-8:
         raise DecodeMismatch("branch amplitudes are not balanced")
-    ratio = amp[other] / amp[lead]
+    ratio = amp_other / amp_lead
     if abs(ratio - 1.0) <= 1e-8:
         r1 = 0
     elif abs(ratio + 1.0) <= 1e-8:
@@ -260,8 +266,9 @@ def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource)
     """Many-copy decoder: Z-basis shots give the branch bit pattern, X-basis
     parity gives the relative sign (r1).
 
-    Every copy is ``state``, the chain's state vector: each basis's Born
-    distribution is computed once and each shot is one draw from it.
+    Every copy is ``state``, the chain's state, as a dense vector: each
+    basis's Born distribution is computed once and each shot is one draw
+    from it.
     """
     if num_copies < 2:
         raise ChainError("need at least two copies")
@@ -271,7 +278,7 @@ def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource)
 
     # Z-basis: every shot lands in one of the two branches; canonicalize to
     # the branch whose leading bit is 0, the smaller of the two indices.
-    z_probs = state.probabilities()
+    z_probs = np.abs(state.amplitudes) ** 2
     draws = [rng.choice_index(z_probs) for _ in range(z_shots)]
     patterns = {min(idx, (1 << n) - 1 - idx) for idx in draws}
     if len(patterns) != 1:

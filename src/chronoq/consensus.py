@@ -174,14 +174,18 @@ def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
     return out
 
 
-def run_round(network: Network, candidate: StateVector, rng: RandomSource) -> RoundResult:
-    n = network.size
-    if candidate.dim != (1 << n):
+def _check_candidate(network: Network, candidate: StateVector):
+    if candidate.dim != (1 << network.size):
         raise ConsensusError("candidate qubit count must match node count")
+
+
+def run_round(network: Network, played: StateVector, rng: RandomSource) -> RoundResult:
+    """One θ round on ``played``, the candidate after the dishonest nodes'
+    cheats (for an honest network, the candidate itself)."""
+    _check_candidate(network, played)
     verifier = network.pick_verifier()
-    angles, m = sample_theta_angles(n, rng)
-    state = _apply_cheats(candidate, network.nodes)
-    outcomes = theta_measure(state, angles, rng)
+    angles, m = sample_theta_angles(network.size, rng)
+    outcomes = theta_measure(played, angles, rng)
     passed = (sum(outcomes) % 2) == (m % 2)
     return RoundResult(verifier, tuple(angles), outcomes, m, passed)
 
@@ -189,11 +193,14 @@ def run_round(network: Network, candidate: StateVector, rng: RandomSource) -> Ro
 def estimate_pass_probability(
     candidate: StateVector, network: Network, rounds: int, rng: RandomSource
 ) -> dict:
-    """Bernoulli pass-rate estimate with its standard error; every round
-    measures a copy of ``candidate``, the same immutable state vector."""
+    """Bernoulli pass-rate estimate with its standard error.  The cheats are
+    applied once, and every round measures a copy of the same immutable
+    played state."""
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
-    p_hat = sum(run_round(network, candidate, rng).passed for _ in range(rounds)) / rounds
+    _check_candidate(network, candidate)
+    played = _apply_cheats(candidate, network.nodes)
+    p_hat = sum(run_round(network, played, rng).passed for _ in range(rounds)) / rounds
     return {
         "pass_rate": p_hat,
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),

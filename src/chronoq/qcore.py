@@ -1,4 +1,5 @@
-"""Dense complex linear algebra core: states, gates, measurement, density operators.
+"""Dense complex linear algebra core: states, gates, measurement, density
+operators, and a sparse ket for states with few branches.
 
 Conventions used throughout the package:
 
@@ -17,6 +18,14 @@ Conventions used throughout the package:
   which renormalizes it in place; the public constructor renormalizes into
   a new array instead.  Each 2^n step thus reads the state once and
   allocates at most one new 2^n buffer.
+* The private ``_SparseKet`` holds a state as sorted basis indices and
+  their amplitudes, both read-only; the temporal chain keeps its register in
+  it.  Its operations allocate arrays the size of its entries, never 2^n.
+  Only its ``amplitudes`` property builds the dense 2^n vector, as a new
+  read-only array on every request.  Its results equal the dense ones to
+  the last bit wherever each output amplitude has one nonzero term, as on
+  the chain's path; a one-target operator mixing two nonzero terms may
+  round differently.
 * Two state vectors are considered equal when they agree up to a global
   phase (see :meth:`StateVector.equals_up_to_phase`); exact amplitude
   comparison is available separately via :meth:`StateVector.allclose`.
@@ -26,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import partial
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -113,24 +123,12 @@ class StateVector:
             raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
         # One pass: the squared norm is finite iff every amplitude is (and
         # their squares do not overflow).
-        norm_sq = float(np.vdot(vec, vec).real)
-        if not math.isfinite(norm_sq):
-            raise QcoreError(f"amplitudes and their squared norm must be finite (got {norm_sq!r})")
-        norm = math.sqrt(norm_sq)
-        if normalize:
-            if norm <= TOL_ALG:
-                raise QcoreError("cannot normalize a (near-)zero vector")
-            rescale = norm != 1.0
-        elif abs(norm - 1.0) > 1e-6:
-            raise QcoreError(f"state vector not normalized (norm={norm!r})")
-        else:
-            # Small numerical drift: renormalize silently.
-            rescale = abs(norm - 1.0) > TOL_NORM
-        if rescale:
+        scale = _rescale_factor(float(np.vdot(vec, vec).real), normalize)
+        if scale is not None:
             if in_place:
-                vec *= 1.0 / norm
+                vec *= scale
             else:
-                vec = vec * (1.0 / norm)
+                vec = vec * scale
         vec.setflags(write=False)
         self.amplitudes = vec
 
@@ -183,6 +181,16 @@ class StateVector:
             normalize=True,
         )
 
+    def project_equal_bits(self, q1: int, q2: int) -> tuple[float, Callable[[], "StateVector"]]:
+        """F = |00><00| + |11><11| on qubits (q1, q2): p = <psi|F|psi> and a
+        callable that builds F|psi>/sqrt(p), so that a failed post-selection
+        builds no state."""
+        _check_qubits(self.num_qubits, [q1, q2])
+        projected = self.amplitudes.copy()
+        _project_equal_bits(projected, self.num_qubits, q1, q2)
+        p = float(np.vdot(projected, projected).real)
+        return p, partial(StateVector._adopt, projected, normalize=True)
+
     def equals_up_to_phase(self, other: "StateVector") -> bool:
         """Global-phase-insensitive equality predicate: |<self|other>| = 1 to 1e-8."""
         if self.dim != other.dim:
@@ -200,14 +208,46 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+def _rescale_factor(norm_sq: float, normalize: bool) -> float | None:
+    """The factor 1/norm by which a state of squared norm ``norm_sq`` is
+    rescaled, or None if it is kept as it is.
+
+    ``normalize`` rescales every norm but 1.0.  Without it a drift of the
+    norm above ``TOL_NORM`` is corrected silently and one above 1e-6 raises.
+    """
+    if not math.isfinite(norm_sq):
+        raise QcoreError(f"amplitudes and their squared norm must be finite (got {norm_sq!r})")
+    norm = math.sqrt(norm_sq)
+    if normalize:
+        if norm <= TOL_ALG:
+            raise QcoreError("cannot normalize a (near-)zero vector")
+        return 1.0 / norm if norm != 1.0 else None
+    if abs(norm - 1.0) > 1e-6:
+        raise QcoreError(f"state vector not normalized (norm={norm!r})")
+    return 1.0 / norm if abs(norm - 1.0) > TOL_NORM else None
+
+
+def _check_qubits(n: int, qubits: list[int]):
+    if any(q < 0 or q >= n for q in qubits) or len(set(qubits)) != len(qubits):
+        raise QcoreError("invalid target qubits")
+
+
 def _check_targets(mat: np.ndarray, n: int, targets: list[int]) -> int:
     """k, once ``mat`` is 2^k x 2^k and ``targets`` are k distinct qubits of n."""
     k = len(targets)
     if np.shape(mat) != (1 << k, 1 << k):
         raise QcoreError("operator shape does not match target count")
-    if any(t < 0 or t >= n for t in targets) or len(set(targets)) != k:
-        raise QcoreError("invalid target qubits")
+    _check_qubits(n, targets)
     return k
+
+
+def _project_equal_bits(buffer: np.ndarray, n_qubits: int, q1: int, q2: int) -> None:
+    """Apply the diagonal F = |00><00| + |11><11| on qubits (q1, q2) in place:
+    zero the entries of a contiguous 2^n buffer where the two bits differ."""
+    a, b = sorted((q1, q2))
+    blocks = buffer.reshape(1 << a, 2, 1 << (b - a - 1), 2, 1 << (n_qubits - b - 1))
+    blocks[:, 0, :, 1] = 0
+    blocks[:, 1, :, 0] = 0
 
 
 def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[int]) -> np.ndarray:
@@ -231,6 +271,110 @@ def _apply_to_targets(vec: np.ndarray, n: int, mat: np.ndarray, targets: list[in
     psi = psi.reshape([2] * n)
     inverse = np.argsort(targets + rest)
     return np.transpose(psi, inverse).reshape(-1)
+
+
+class _SparseKet:
+    """A normalized ket stored as its nonzero entries: sorted basis indices
+    and their complex128 amplitudes, for states with few branches.
+
+    It offers the register operations a temporal chain needs: ``tensor``
+    with a dense state, ``apply`` of a 2x2 operator on one target and
+    ``project_equal_bits``, plus ``amplitudes``, the dense 2^n vector built
+    on request.  It renormalizes when :class:`StateVector` does, from the
+    same squared norm, so the two forms agree as the module docstring says.
+    """
+
+    __slots__ = ("num_qubits", "indices", "values")
+
+    def __init__(self, num_qubits: int, indices, values, *, normalize: bool = False):
+        if num_qubits > MAX_QUBITS:
+            raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
+        nonzero = values != 0
+        indices, values = indices[nonzero], values[nonzero]
+        scale = _rescale_factor(_dense_norm_sq(num_qubits, indices, values), normalize)
+        if scale is not None:
+            values = values * scale
+        indices.setflags(write=False)
+        values.setflags(write=False)
+        self.num_qubits, self.indices, self.values = num_qubits, indices, values
+
+    @classmethod
+    def from_state(cls, state: StateVector) -> "_SparseKet":
+        """The nonzero entries of a dense state, as they are: its norm has
+        passed the same rule, so they are not rescaled."""
+        indices = np.flatnonzero(state.amplitudes)
+        return cls(state.num_qubits, indices, state.amplitudes[indices])
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense 2^n vector, a new read-only array on every request."""
+        vec = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        vec[self.indices] = self.values
+        vec.setflags(write=False)
+        return vec
+
+    def entry(self, index: int) -> np.complex128:
+        """The amplitude of basis state ``index``."""
+        k = int(np.searchsorted(self.indices, index))
+        if k < self.indices.size and self.indices[k] == index:
+            return self.values[k]
+        return np.complex128(0)
+
+    def tensor(self, other: StateVector) -> "_SparseKet":
+        m = other.num_qubits
+        if self.num_qubits + m > MAX_QUBITS:
+            raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
+        right = np.flatnonzero(other.amplitudes)
+        indices = (self.indices[:, None] << m) | right
+        values = np.outer(self.values, other.amplitudes[right])
+        return _SparseKet(self.num_qubits + m, indices.reshape(-1), values.reshape(-1))
+
+    def apply(self, op: np.ndarray, targets: Sequence[int]) -> "_SparseKet":
+        """A 2x2 operator on one target qubit."""
+        mat = np.asarray(op, dtype=np.complex128)
+        targets = list(targets)
+        if _check_targets(mat, self.num_qubits, targets) != 1:
+            raise QcoreError("a sparse ket takes a 2x2 operator on one target")
+        shift = self.num_qubits - 1 - targets[0]
+        # Row k holds the target's |0> and |1> amplitudes beside the other
+        # qubits' basis state base[k]; each row goes through mat as in the
+        # dense kernel.
+        rest = self.indices & ~(1 << shift)
+        base = np.unique(rest)
+        pairs = np.zeros((base.size, 2), dtype=np.complex128)
+        pairs[np.searchsorted(base, rest), (self.indices >> shift) & 1] = self.values
+        indices = np.stack([base, base | (1 << shift)], axis=1).reshape(-1)
+        order = np.argsort(indices)
+        values = (pairs @ mat.T).reshape(-1)
+        return _SparseKet(self.num_qubits, indices[order], values[order], normalize=True)
+
+    def project_equal_bits(self, q1: int, q2: int) -> tuple[float, Callable[[], "_SparseKet"]]:
+        """:meth:`StateVector.project_equal_bits` on the stored entries."""
+        n = self.num_qubits
+        _check_qubits(n, [q1, q2])
+        equal = ((self.indices >> (n - 1 - q1)) ^ (self.indices >> (n - 1 - q2))) & 1 == 0
+        indices, values = self.indices[equal], self.values[equal]
+        p = _dense_norm_sq(n, indices, values)
+        return p, partial(_SparseKet, n, indices, values, normalize=True)
+
+
+def _dense_norm_sq(n: int, indices: np.ndarray, values: np.ndarray) -> float:
+    """The squared norm that ``np.vdot`` gives for the dense 2^n vector.
+
+    Only the vector's 64-entry blocks that hold an entry are summed, in
+    index order.  An all-zero block adds exact zeros, and the accumulators
+    of a BLAS dot repeat with a period that divides 64 entries, so the
+    partial sums round as in the dense sum.  (A plain ``vdot`` of the
+    entries does not: it differed in the last bit on tampered chains.)
+    """
+    width = min(64, 1 << n)
+    block = indices // width
+    blocks = np.unique(block)
+    buffer = np.zeros((blocks.size, width), dtype=np.complex128)
+    buffer[np.searchsorted(blocks, block), indices % width] = values
+    return float(np.vdot(buffer, buffer).real)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ steps are dimensionless integers; only their ordering matters.  Consumed
 (measured) modes are dropped from the state vector rather than kept as dead
 tensor factors, which is what lets protocols entangle photons that never
 coexist while staying inside the dense-simulation qubit budget.
+
+The register's state is a :class:`qcore.StateVector`, or a
+``qcore._SparseKet`` that holds only its nonzero entries; pair creation,
+one-mode operators and fusion call it through the methods both forms
+provide.  A temporal chain keeps its state sparse: it is two complementary
+branches, and dense only on request.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .qcore import (
     QcoreError,
     RandomSource,
     StateVector,
+    _project_equal_bits,
+    _SparseKet,
     bell_state,
     branch_pair,
     collapse,
@@ -55,14 +63,14 @@ class TemporalRegister:
     """Single-owner mutable register of temporal modes.
 
     ``modes`` is an ordered list of ``[ModeId, consumed]`` entries; the state
-    vector covers the live (unconsumed) modes in list order.  ``event_log``
+    covers the live (unconsumed) modes in list order.  ``event_log``
     is append-only with non-decreasing time steps.  ``valid`` flips to False
     when a fusion attempt fails (post-selection miss); retry policy belongs
     to the caller, who should work from a :meth:`snapshot`.
     """
 
     def __init__(self):
-        self.state: StateVector | None = None
+        self.state: StateVector | _SparseKet | None = None
         self.modes: list[list] = []  # [ModeId, consumed]
         self.event_log: list[dict] = []
         self.valid: bool = True
@@ -98,7 +106,7 @@ class TemporalRegister:
     def snapshot(self) -> "TemporalRegister":
         """Independent copy: its own mode entries, event log and validity flag.
 
-        The immutable :class:`StateVector` is shared, not copied; every
+        The immutable state is shared, not copied; every
         operation replaces ``state`` rather than writing into it.
         """
         copy = TemporalRegister()
@@ -163,7 +171,9 @@ def delay(reg: TemporalRegister, spatial: str, dt: int) -> TemporalRegister:
 
 
 def apply_op(reg: TemporalRegister, op: np.ndarray, spatials: Sequence[str]) -> TemporalRegister:
-    """Apply a unitary to the given live modes (not logged: local instantaneous op)."""
+    """Apply a unitary to the given live modes (not logged: local instantaneous op).
+
+    A sparse state takes one mode at a time."""
     if not reg.valid:
         raise TemporalError("register invalidated by a failed fusion")
     targets = [reg._live_index(s) for s in spatials]
@@ -223,15 +233,6 @@ def bell_measure(
     return BellOutcome(BELL_LABELS[row], prob)
 
 
-def _project_equal_bits(buffer: np.ndarray, n_qubits: int, q1: int, q2: int) -> None:
-    """Apply the diagonal F = |hh><hh| + |vv><vv| on qubits (q1, q2) in place:
-    zero the entries of a contiguous 2^n buffer where the two bits differ."""
-    a, b = sorted((q1, q2))
-    blocks = buffer.reshape(1 << a, 2, 1 << (b - a - 1), 2, 1 << (n_qubits - b - 1))
-    blocks[:, 0, :, 1] = 0
-    blocks[:, 1, :, 0] = 0
-
-
 def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
     """Post-selected PBS fusion F = |hh><hh| + |vv><vv| on two live modes.
 
@@ -258,14 +259,12 @@ def _post_selected_fuse(
         raise TemporalError("cannot fuse a mode with itself")
     q1, q2 = reg._live_index(s1), reg._live_index(s2)
     t = _event_time(reg, [s1, s2])
-    projected = reg.state.amplitudes.copy()
-    _project_equal_bits(projected, reg.state.num_qubits, q1, q2)
-    p_success = float(np.vdot(projected, projected).real)
+    p_success, fused = reg.state.project_equal_bits(q1, q2)
     reg._log("fuse", [s1, s2], t)
     if not any(rng.uniform() < p_success for _ in range(attempts)):
         reg.valid = False
         return False
-    reg.state = StateVector._adopt(projected, normalize=True)
+    reg.state = fused()
     return True
 
 

@@ -1,8 +1,23 @@
 """Dense constructions that the package avoids, kept as test references."""
 
+import copy
+import math
 from functools import reduce
 
 import numpy as np
+
+from chronoq.chain import (
+    FUSION_RETRY_CAP,
+    ChainError,
+    DecodeMismatch,
+    QuantumChain,
+    Record,
+    encode_block,
+)
+from chronoq.qcore import PAULI_X, _branch_index
+from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def kron_all(mats) -> np.ndarray:
@@ -31,3 +46,71 @@ def equal_bits(n_qubits: int, q1: int, q2: int) -> np.ndarray:
 def project_equal_bits(amplitudes, n_qubits: int, q1: int, q2: int) -> np.ndarray:
     """F applied to a 2^n vector through a boolean mask of the equal-bit indices."""
     return np.where(equal_bits(n_qubits, q1, q2), amplitudes, 0.0)
+
+
+def dense_append(chain, record, rng):
+    """The chain append on a dense register: each fusion retry deep-copies the
+    register and repeats the pair creation, delay and fusion."""
+    if not chain.records:
+        chain.register = encode_block(record, t=0)
+        chain.records.append(record)
+        return chain
+    k = len(chain.records)
+    last_bit = chain.records[-1].r2
+    new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
+    pair = Record(0, record.r2 ^ last_bit)
+    for _ in range(FUSION_RETRY_CAP):
+        snap = copy.deepcopy(chain.register)
+        create_pair(snap, pair.bits, (new1, new2), t=k)
+        delay(snap, new2, 1)
+        if pbs_fuse(snap, f"p{2 * k}", new1, rng):
+            if record.r1 != last_bit:
+                apply_op(snap, PAULI_X, [new1])
+            chain.register = snap
+            chain.records.append(record)
+            return chain
+    raise ChainError("fusion retry cap exceeded")
+
+
+def dense_chain(records, rng):
+    """A QuantumChain whose register holds a dense StateVector throughout."""
+    chain = QuantumChain()
+    for record in records:
+        dense_append(chain, record, rng)
+    return chain
+
+
+def dense_fidelity(chain) -> float:
+    """QuantumChain.fidelity read from the dense vector at the two branch indices."""
+    bits, sign = chain._expected_branch()
+    lead = _branch_index(bits)
+    psi = chain.register.state.amplitudes
+    overlap = _INV_SQRT2 * psi[lead] + sign * _INV_SQRT2 * psi[psi.size - 1 - lead]
+    return float(abs(overlap) ** 2)
+
+
+def dense_decode(chain) -> str:
+    """chain.decode from a scan of the dense vector."""
+    amp = chain.register.state.amplitudes
+    n = chain.register.state.num_qubits
+    nonzero = np.flatnonzero(np.abs(amp) > 1e-8)
+    if len(nonzero) != 2:
+        raise DecodeMismatch("state does not have exactly two branches")
+    i, j = int(nonzero[0]), int(nonzero[1])
+    if i + j != (1 << n) - 1:
+        raise DecodeMismatch("branches are not bit-complements")
+    lead = i if not (i >> (n - 1)) & 1 else j
+    other = j if lead == i else i
+    if abs(abs(amp[lead]) - _INV_SQRT2) > 1e-8:
+        raise DecodeMismatch("branch amplitudes are not balanced")
+    ratio = amp[other] / amp[lead]
+    if abs(ratio - 1.0) <= 1e-8:
+        r1 = 0
+    elif abs(ratio + 1.0) <= 1e-8:
+        r1 = 1
+    else:
+        raise DecodeMismatch("relative branch phase is not +-1")
+    decoded = "".join(str(b) for b in [r1] + [(lead >> (n - 1 - q)) & 1 for q in range(1, n)])
+    if decoded != chain.record_string:
+        raise DecodeMismatch("decoded record string does not match the chain")
+    return decoded

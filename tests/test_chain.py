@@ -2,16 +2,17 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chronoq.chain import (
     FUSION_RETRY_CAP,
+    VALIDITY_FIDELITY,
     ChainError,
     ClassicalChain,
     DecodeMismatch,
-    QuantumChain,
     Record,
     TemporalInaccessible,
     append,
@@ -22,8 +23,19 @@ from chronoq.chain import (
     mix,
     tamper,
 )
-from chronoq.qcore import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, RandomSource, StateVector, rotation
-from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
+from chronoq.qcore import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    RandomSource,
+    StateVector,
+    _SparseKet,
+    rotation,
+)
+from chronoq.temporal import apply_op
+
+from dense_reference import dense_chain, dense_decode, dense_fidelity
 
 
 def test_record_validation():
@@ -188,28 +200,6 @@ def test_fusion_retry_cap_enforced():
     assert decode(chain) == "0110"
 
 
-def _append_per_attempt(chain, record, rng):
-    """Reference append: each retry deep-copies the register and repeats the
-    pair creation, delay and fusion."""
-    if not chain.records:
-        return append(chain, record, rng)
-    k = len(chain.records)
-    last_bit = chain.records[-1].r2
-    new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
-    pair = Record(0, record.r2 ^ last_bit)
-    for _ in range(FUSION_RETRY_CAP):
-        snap = copy.deepcopy(chain.register)
-        create_pair(snap, pair.bits, (new1, new2), t=k)
-        delay(snap, new2, 1)
-        if pbs_fuse(snap, f"p{2 * k}", new1, rng):
-            if record.r1 != last_bit:
-                apply_op(snap, PAULI_X, [new1])
-            chain.register = snap
-            chain.records.append(record)
-            return chain
-    raise ChainError("fusion retry cap exceeded")
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_append_matches_per_attempt_reference(seed):
     gen = np.random.default_rng(seed)
@@ -217,9 +207,8 @@ def test_append_matches_per_attempt_reference(seed):
     records = [Record(int(a), int(b)) for a, b in gen.integers(0, 2, size=(n_records, 2))]
     rng, ref_rng = RandomSource(seed, 5), RandomSource(seed, 5)
     chain = build_chain(records, rng)
-    ref = QuantumChain()
-    for rec in records:
-        _append_per_attempt(ref, rec, ref_rng)
+    ref = dense_chain(records, ref_rng)
+    assert isinstance(ref.register.state, StateVector)
     assert chain.records == ref.records
     assert chain.register.event_log == ref.register.event_log
     assert chain.register.modes == ref.register.modes
@@ -227,7 +216,39 @@ def test_append_matches_per_attempt_reference(seed):
     assert rng.uniform() == ref_rng.uniform()
 
 
-def _dense_fidelity(chain):
+def _decoded_or_error(decoder, chain):
+    try:
+        return decoder(chain)
+    except DecodeMismatch as exc:
+        return f"DecodeMismatch: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_records", range(1, 11))
+def test_sparse_chain_matches_dense_chain(n_records, seed):
+    gen = RandomSource(63, seed)
+    records = [f"{gen.integers(0, 2)}{gen.integers(0, 2)}" for _ in range(n_records)]
+    live = f"p{2 * n_records}"
+    for op in (None, PAULI_X, HADAMARD, rotation(PAULI_Y, math.pi / 3)):
+        chain = build_chain(records, RandomSource(64, seed))
+        ref = dense_chain([Record.parse(r) for r in records], RandomSource(64, seed))
+        if op is not None:
+            tamper(chain, live, op)
+            apply_op(ref.register, op, [live])
+            ref.valid = dense_fidelity(ref) >= VALIDITY_FIDELITY
+        assert isinstance(chain.register.state, _SparseKet)
+        assert np.array_equal(chain.register.state.amplitudes, ref.register.state.amplitudes)
+        assert chain.fidelity() == dense_fidelity(ref)
+        expected_json = json.dumps(
+            {"records": records, "timestamps": ref.timestamps, "valid": ref.valid,
+             "fidelity": dense_fidelity(ref)},
+            sort_keys=True,
+        )
+        assert chain.to_json() == expected_json
+        assert _decoded_or_error(decode, chain) == _decoded_or_error(dense_decode, ref)
+
+
+def _inner_fidelity(chain):
     return abs(chain.expected_state().inner(chain.register.state)) ** 2
 
 
@@ -236,12 +257,29 @@ def test_fidelity_from_two_entries_matches_dense_overlap(seed):
     gen = RandomSource(61, seed)
     records = [f"{gen.integers(0, 2)}{gen.integers(0, 2)}" for _ in range(1 + seed % 6)]
     intact = build_chain(records, RandomSource(62, seed))
-    assert intact.fidelity() == _dense_fidelity(intact)
+    assert intact.fidelity() == _inner_fidelity(intact)
     assert intact.fidelity() == pytest.approx(1.0, abs=1e-12)
     # H splits each branch so that the two overlaps cancel; Ry(pi/3) keeps
     # cos(pi/6) of both.
     for op, expected in ((PAULI_X, 0.0), (HADAMARD, 0.0), (rotation(PAULI_Y, math.pi / 3), 0.75)):
         chain = build_chain(records, RandomSource(62, seed))
         tamper(chain, f"p{2 * len(records)}", op)  # the one live photon
-        assert chain.fidelity() == pytest.approx(_dense_fidelity(chain), abs=1e-15)
+        assert chain.fidelity() == pytest.approx(_inner_fidelity(chain), abs=1e-15)
         assert chain.fidelity() == pytest.approx(expected, abs=1e-12)
+
+
+def test_ten_record_chain_stays_small():
+    """The chain holds its branches, not a 2^20 vector (16.8 MB)."""
+    records = ["01", "10", "11", "00", "10", "01", "11", "00", "10", "11"]
+    rng = RandomSource(65, 0)  # outside the trace: its first use imports numpy.random
+    tracemalloc.start()
+    try:
+        chain = build_chain(records, rng)
+        assert decode(chain) == chain.record_string
+        assert chain.fidelity() == pytest.approx(1.0, abs=1e-12)
+        tamper(chain, "p20", PAULI_X)
+        assert not chain.valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -35,6 +35,7 @@ from chronoq.qcore import (
     rotation,
     standard_gate,
     tensor_product,
+    _SparseKet,
     _apply_to_targets,
 )
 from chronoq.temporal import temporal_ghz_closed_form
@@ -407,3 +408,81 @@ def test_branch_pair_reproduces_hand_built_states():
         expected = _hand_folded(bits, (-1) ** recs[0].r1)
         assert np.array_equal(build_chain(recs, rng).expected_state().amplitudes, expected)
     assert np.array_equal(branch_pair([1, 0], -1).amplitudes, _hand_folded([1, 0], -1))
+
+
+def _sparse_and_dense(gen, n, count):
+    """A random normalized ket on ``count`` basis states of n qubits, as a
+    sparse ket and as a StateVector."""
+    indices = np.sort(gen.choice(1 << n, size=min(count, 1 << n), replace=False))
+    values = gen.normal(size=indices.size) + 1j * gen.normal(size=indices.size)
+    dense = np.zeros(1 << n, dtype=np.complex128)
+    dense[indices] = values
+    return _SparseKet(n, indices, values, normalize=True), StateVector(dense, normalize=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    unitary=st.booleans(),
+    data=st.data(),
+)
+def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
+    gen = np.random.default_rng(seed)
+    ket, psi = _sparse_and_dense(gen, n, count)
+    assert np.max(np.abs(ket.amplitudes - psi.amplitudes)) <= 1e-15
+    assert ket.num_qubits == psi.num_qubits == n
+
+    m = data.draw(st.integers(1, min(2, MAX_QUBITS - n))) if n < MAX_QUBITS else 0
+    if m:
+        # Some of its amplitudes are zero, as in a Bell pair.
+        amps = gen.normal(size=1 << m) * gen.integers(0, 2, size=1 << m)
+        amps[0] += 1.0
+        pair = StateVector(amps, normalize=True)
+        got, ref = ket.tensor(pair), psi.tensor(pair)
+        assert got.num_qubits == n + m
+        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-15
+
+    q = data.draw(st.integers(0, n - 1))
+    op = _random_operator(gen, 2, unitary)
+    got, ref = ket.apply(op, [q]), psi.apply(op, [q])
+    assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-15
+
+    if n >= 2:
+        q1, q2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        p, fused = ket.project_equal_bits(q1, q2)
+        p_ref, fused_ref = psi.project_equal_bits(q1, q2)
+        assert abs(p - p_ref) <= 1e-15
+        if p > 0.0:
+            assert np.max(np.abs(fused().amplitudes - fused_ref().amplitudes)) <= 1e-15
+        else:
+            for build in (fused, fused_ref):
+                with pytest.raises(QcoreError, match="zero"):
+                    build()
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf, 1e200])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_sparse_ket_rejects_what_state_vector_rejects(bad, normalize):
+    dense = np.zeros(8, dtype=np.complex128)
+    dense[[2, 5]] = [bad, 0.5]
+    for build in (lambda: _SparseKet(3, [2, 5], [bad, 0.5], normalize=normalize),
+                  lambda: StateVector(dense, normalize=normalize)):
+        with pytest.raises(QcoreError, match="finite"):
+            build()
+
+
+def test_sparse_ket_rejects_zero_norm_as_state_vector_does():
+    ket = _SparseKet(3, [2, 5], [0.6, 0.8])
+    psi = StateVector(ket.amplitudes)
+    for state in (ket, psi):
+        with pytest.raises(QcoreError, match="zero"):
+            state.apply(np.zeros((2, 2)), [1])
+        # |010> and |101> both differ in qubits 0 and 1.
+        p, fused = state.project_equal_bits(0, 1)
+        assert p == 0.0
+        with pytest.raises(QcoreError, match="zero"):
+            fused()
+    with pytest.raises(QcoreError, match="zero"):
+        _SparseKet(3, [1], [0.0], normalize=True)
