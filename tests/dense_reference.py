@@ -6,6 +6,7 @@ from functools import reduce
 
 import numpy as np
 
+from chronoq import consensus
 from chronoq.chain import (
     FUSION_RETRY_CAP,
     ChainError,
@@ -14,7 +15,7 @@ from chronoq.chain import (
     Record,
     encode_block,
 )
-from chronoq.qcore import PAULI_X, _branch_index
+from chronoq.qcore import PAULI_X, DensityOperator, StateVector, _branch_index
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -114,3 +115,79 @@ def dense_decode(chain) -> str:
     if decoded != chain.record_string:
         raise DecodeMismatch("decoded record string does not match the chain")
     return decoded
+
+
+def per_round_theta_angles(n: int, rng) -> tuple[list[float], int]:
+    """consensus.sample_theta_angles as a Python loop, with sequential sums."""
+    head = [float(x) for x in rng.uniform(0.0, math.pi, n - 1)]
+    partial = 0.0
+    for x in head:
+        partial += x
+    m = math.ceil(partial / math.pi - 1e-12)
+    last = m * math.pi - partial
+    if last < 0.0:
+        last += math.pi
+    return head + [last], round((partial + last) / math.pi)
+
+
+def per_round_pass_probability(state, angles, m: int) -> float:
+    """consensus.exact_pass_probability with every one of the 2^n phases built."""
+    phases = np.ones(1, dtype=np.complex128)
+    for t in angles:
+        phases = np.multiply.outer(phases, [np.exp(1j * t), np.exp(-1j * t)]).ravel()
+    if isinstance(state, DensityOperator):
+        anti = np.fliplr(state.matrix).diagonal()
+    else:
+        anti = state.amplitudes * state.amplitudes[::-1].conj()
+    parity = (-1) ** (m % 2) * float(np.real(phases @ anti))
+    return min(max(0.5 * (1.0 + parity), 0.0), 1.0)
+
+
+def dense_estimate(candidate, network, rounds: int, rng) -> dict:
+    """consensus.estimate_pass_probability on the dense played state: each
+    round samples the Born distribution of all 2^n outcomes."""
+    played = consensus._apply_cheats(candidate, network.nodes)
+    passes = 0
+    for _ in range(rounds):
+        network.pick_verifier()
+        angles, m = per_round_theta_angles(network.size, rng)
+        outcomes = consensus.theta_measure(played, angles, rng)
+        passes += sum(outcomes) % 2 == m % 2
+    p_hat = passes / rounds
+    return {
+        "pass_rate": p_hat,
+        "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),
+        "rounds": rounds,
+    }
+
+
+def per_round_bounds(state, network, rounds: int, rng, *, honest: bool = True) -> dict:
+    """consensus.check_fidelity_bounds with one angle draw, one 2^n phase
+    vector and one uniform() draw per round."""
+    n = network.size
+    rho = state.to_density() if isinstance(state, StateVector) else state
+    rho_played = consensus._apply_cheats(rho, network.nodes)
+    passes = 0
+    for _ in range(rounds):
+        angles, m = per_round_theta_angles(n, rng)
+        if rng.uniform() < per_round_pass_probability(rho_played, angles, m):
+            passes += 1
+    p_hat = passes / rounds
+
+    def std_err(p: float) -> float:
+        return math.sqrt(max(p * (1.0 - p), 0.0) / rounds)
+
+    dishonest = [] if honest else [j for j, node in enumerate(network.nodes) if not node.honest]
+    c = 2.0 if honest else 4.0
+    f = consensus.optimize_corrected_fidelity(rho_played, dishonest)
+    ok = c * p_hat - (c - 1.0) <= f + 3.0 * c * std_err((c - 1.0 + f) / c) + 1e-9
+    return {
+        "n": n,
+        "rounds": rounds,
+        "pass_rate": p_hat,
+        "std_err": std_err(p_hat),
+        "mean_pass_probability": consensus.mean_pass_probability(rho_played),
+        "fidelity": f,
+        "honest_bound_ok": ok if honest else None,
+        "dishonest_bound_ok": None if honest else ok,
+    }

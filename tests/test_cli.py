@@ -159,6 +159,9 @@ def test_lg_rejects_non_positive_omega(command, omega):
         ["bounds", "--noise", "inf"],
         ["bounds", "--noise", "-0.1"],
         ["bounds", "--noise", "1.5"],
+        ["run", "--rounds", "100001"],
+        ["bounds", "--rounds", "100001"],
+        ["admit", "--rounds", "100001"],
     ],
 )
 def test_consensus_usage_errors_exit_2(args):
@@ -351,6 +354,9 @@ def test_out_of_range_options_exit_2(args, option):
         ["entangle", "--werner-points", "10000"],
         ["game", "qkd", "--key-bits", "100000"],
         ["gleason", "roundtrip", "--frames", "20000"],
+        ["consensus", "run", "--nodes", "2", "--rounds", "100000"],
+        ["consensus", "bounds", "--nodes", "11", "--rounds", "100000"],
+        ["consensus", "admit", "--rounds", "1"],
     ],
 )
 def test_option_range_endpoints_run(args):

@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +37,12 @@ from chronoq.qcore import (
     rotation,
 )
 
-from dense_reference import kron_all
+from dense_reference import (
+    dense_estimate,
+    kron_all,
+    per_round_bounds,
+    per_round_theta_angles,
+)
 
 
 def _network(n, rng, dishonest=0, cheat=None):
@@ -199,10 +206,23 @@ def test_check_fidelity_bounds_rejects_no_rounds():
 
 
 def test_theta_rounds_at_register_cap():
-    # The round path never forms a 4^n operator, so the 20-qubit cap holds.
+    # A GHZ candidate is sampled as two product branches: after the candidate
+    # no 2^n array is built, so the 20-qubit cap holds with cheaters too.
     rng = RandomSource(42, 0)
     est = estimate_pass_probability(ghz_state(20), _network(20, rng), 2, rng)
     assert est["pass_rate"] == 1.0
+    network = _network(20, rng, dishonest=2, cheat=(PAULI_X + PAULI_Z) / math.sqrt(2.0))
+    candidate = ghz_state(20)
+    tracemalloc.start()
+    try:
+        est = estimate_pass_probability(candidate, network, 1000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    mean = consensus.mean_pass_probability(consensus._play(candidate, network.nodes))
+    assert mean == pytest.approx(0.625, abs=1e-12)
+    assert abs(est["pass_rate"] - mean) <= 3.0 * math.sqrt(mean * (1.0 - mean) / 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +372,15 @@ def test_corrected_fidelity_no_worse_than_previous_search(n, cheaters, seed, pre
     assert optimize_corrected_fidelity(rho, cheaters) >= previous - 1e-10
 
 
-def _random_cheaters(n, gen, data):
-    cheaters = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+def _cheating_nodes(n, cheaters, gen):
     return [
         Node(j, honest=j not in cheaters, cheat=_random_unitary(gen) if j in cheaters else None)
         for j in range(n)
     ]
+
+
+def _random_cheaters(n, gen, data):
+    return _cheating_nodes(n, data.draw(st.sets(st.integers(0, n - 1), max_size=n)), gen)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,6 +405,26 @@ def test_mean_pass_probability_bounded_by_fidelity(n, seed, density, data):
         )
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 11])
+def test_two_branch_mean_pass_probability_matches_dense(n):
+    # The CLI cheat (X + Z)/sqrt(2) on k nodes: the product form renormalizes
+    # as the dense cheats do, so consensus run reports the same bits.  Random
+    # cheats agree to rounding.
+    cheat = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
+    for k in range(n + 1):
+        nodes = _network(n, RandomSource(0, 0), dishonest=k, cheat=cheat).nodes
+        dense = consensus._apply_cheats(ghz_state(n), nodes)
+        form = consensus._play(ghz_state(n), nodes)
+        assert consensus.mean_pass_probability(form) == consensus.mean_pass_probability(dense)
+    gen = np.random.default_rng(n)
+    for _ in range(20):
+        nodes = [Node(j, honest=False, cheat=_random_unitary(gen)) for j in range(n)]
+        dense = consensus._apply_cheats(ghz_state(n), nodes)
+        form = consensus._play(ghz_state(n), nodes)
+        mean = consensus.mean_pass_probability(form)
+        assert mean == pytest.approx(consensus.mean_pass_probability(dense), abs=1e-15)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mean_pass_probability_is_the_angle_average(n):
     rho = _random_state(n, 100 + n, density=True)  # rank 3
@@ -392,3 +435,102 @@ def test_mean_pass_probability_is_the_angle_average(n):
     se = samples.std() / math.sqrt(samples.size)
     assert abs(samples.mean() - consensus.mean_pass_probability(rho)) <= 3.0 * se
 
+
+# ---------------------------------------------------------------------------
+# The two-branch descent and the batched bound rounds against per-round loops
+# ---------------------------------------------------------------------------
+
+
+def _two_branch_candidate(n, gen, shape):
+    if shape == "ghz":
+        return ghz_state(n)
+    if shape == "basis":
+        return StateVector.basis(2**n, int(gen.integers(2**n)))
+    amps = np.zeros(2**n, dtype=np.complex128)
+    i, j = gen.choice(2**n, size=2, replace=False)
+    amps[[i, j]] = gen.normal(size=2) + 1j * gen.normal(size=2)
+    return StateVector(amps, normalize=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 11),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["ghz", "basis", "pair"]),
+    data=st.data(),
+)
+def test_descent_picks_the_dense_outcome(n, seed, shape, data):
+    gen = np.random.default_rng(seed)
+    nodes = _random_cheaters(n, gen, data)
+    candidate = _two_branch_candidate(n, gen, shape)
+    played = consensus._apply_cheats(candidate, nodes)
+    form = consensus._play(candidate, nodes)
+    assert not isinstance(form, StateVector)
+    dense_rng, form_rng = RandomSource(seed, 1), RandomSource(seed, 1)
+    for _ in range(10):
+        angles, m = sample_theta_angles(n, dense_rng)
+        assert sample_theta_angles(n, form_rng) == (angles, m)
+        u = copy.deepcopy(form_rng).uniform()
+        outcome = theta_measure(form, angles, form_rng)
+        dense = theta_measure(played, angles, dense_rng)
+        born = product_probabilities(played, [theta_basis(t) for t in angles])
+        # Rounding may move an outcome only for a draw at a CDF boundary.
+        if np.min(np.abs(np.cumsum(born / born.sum()) - u)) > 1e-12:
+            assert outcome == dense
+    assert form_rng.uniform() == dense_rng.uniform()
+
+    rng = RandomSource(seed, 2)
+    assert estimate_pass_probability(ghz_state(n), _network(n, rng), 50, rng)["pass_rate"] == 1.0
+
+
+@pytest.mark.parametrize("n, cheaters", [(2, []), (3, [1]), (6, [0, 2, 5]), (11, [3, 10])])
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_estimate_matches_dense_reference(n, cheaters, seed):
+    nodes = _cheating_nodes(n, cheaters, np.random.default_rng(seed))
+    fast_rng, dense_rng = RandomSource(seed, 5), RandomSource(seed, 5)
+    fast = estimate_pass_probability(ghz_state(n), Network(nodes, fast_rng), 200, fast_rng)
+    assert fast == dense_estimate(ghz_state(n), Network(nodes, dense_rng), 200, dense_rng)
+    assert fast_rng.uniform() == dense_rng.uniform()
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12, 20])
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_batched_angles_match_per_round_reference(n, seed):
+    # A bound round draws n - 1 angle doubles and then its pass double; a
+    # row of the batch must give the angles and m of the round drawn alone,
+    # with sums in sequence also past numpy's 8-way unrolled np.sum.
+    rounds = 150
+    batch_rng, loop_rng, one_rng = (RandomSource(seed, 3) for _ in range(3))
+    draws = batch_rng.uniform(0.0, 1.0, (rounds, n))
+    angles, m = consensus._complete_angles(math.pi * draws[:, :-1])
+    for r in range(rounds):
+        reference = per_round_theta_angles(n, loop_rng)
+        assert (angles[r].tolist(), int(m[r])) == reference
+        assert sample_theta_angles(n, one_rng) == reference
+        assert loop_rng.uniform() == draws[r, -1] == one_rng.uniform()
+
+
+@pytest.mark.parametrize("n, cheaters", [(2, []), (4, []), (5, [1, 3]), (8, []), (8, [0, 2, 5])])
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_batched_bounds_match_per_round_reference(n, cheaters, seed, monkeypatch):
+    # Small chunks, so that the rounds span many of them.
+    monkeypatch.setattr(consensus, "_CHUNK_ENTRIES", 64)
+    rounds = 150
+    rho = _random_state(n, seed, density=True)
+    nodes = _cheating_nodes(n, cheaters, np.random.default_rng(seed))
+    rng, ref_rng = RandomSource(seed, 4), RandomSource(seed, 4)
+    report = check_fidelity_bounds(rho, Network(nodes, rng), rounds, rng, honest=not cheaters)
+    reference = per_round_bounds(rho, Network(nodes, ref_rng), rounds, ref_rng, honest=not cheaters)
+    assert 0 < report["pass_rate"] < 1
+    assert report == reference
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def test_complete_angles_wraps_a_negative_last_angle():
+    # partial / pi lies within 1e-12 above 1, so m = 1 leaves last < 0: the
+    # row is completed to 2 pi instead.
+    head = np.array([[math.pi / 2, math.pi / 2 + 1e-13], [0.5, 0.25]])
+    angles, m = consensus._complete_angles(head)
+    assert m.tolist() == [2, 1]
+    assert np.all((0.0 <= angles) & (angles < math.pi))
+    assert angles.sum(axis=1) == pytest.approx(m * math.pi, abs=1e-12)
