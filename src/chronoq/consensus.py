@@ -408,6 +408,8 @@ def _ascend(block: np.ndarray, mats: list) -> float:
     is (x)_c mats[c][:, h] / sqrt(2) in half h (cheater bits big-endian), so
     with the other cheaters fixed the fidelity is a real quadratic form
     q^T M q in one cheater's quaternion, maximized by M's top eigenvector.
+    A block as wide as one half means that no node is honest: the two
+    halves index the same basis states, so their kets add.
     """
     value = -math.inf
     for _ in range(_MAX_SWEEPS):
@@ -419,7 +421,10 @@ def _ascend(block: np.ndarray, mats: list) -> float:
                 right = functools.reduce(np.kron, [u[:, h] for u in mats[i + 1 :]], np.ones(1))
                 cols = _QUATERNION_BASIS[:, :, h]
                 halves.append(np.einsum("a,jb,c->abcj", left, cols, right).reshape(-1, 4))
-            kets = np.concatenate(halves) * _GHZ_AMPLITUDE
+            if len(block) == len(halves[0]):
+                kets = (halves[0] + halves[1]) * _GHZ_AMPLITUDE
+            else:
+                kets = np.concatenate(halves) * _GHZ_AMPLITUDE
             form = np.real(kets.conj().T @ block @ kets)
             eigvals, eigvecs = np.linalg.eigh((form + form.T) / 2.0)
             mats[i] = np.tensordot(eigvecs[:, -1], _QUATERNION_BASIS, axes=1)
@@ -448,12 +453,13 @@ def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) 
         raise ConsensusError("dishonest qubit index out of range")
     k = len(qubits)
 
-    # Basis indices with the honest bits all 0, then all 1; cheater bits vary.
+    # Basis indices with the honest bits all 0, then all 1; cheater bits
+    # vary.  With no honest node the two sets are the same, taken once.
     offsets = np.zeros(1, dtype=np.int64)
     for q in qubits:
         offsets = np.add.outer(offsets, [0, 1 << (n - 1 - q)]).ravel()
     honest_ones = (1 << n) - 1 - int(offsets[-1])
-    index = np.concatenate([offsets, honest_ones + offsets])
+    index = np.concatenate([offsets, honest_ones + offsets]) if honest_ones else offsets
     block = rho.matrix[np.ix_(index, index)]
 
     # Deterministic low-discrepancy starting points (golden-ratio lattice).

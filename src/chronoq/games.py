@@ -12,8 +12,9 @@ arrays, then decide all trials at once: door choices are lookup tables
 indexed by the draws, and the CHSH outcomes one Born-CDF ``searchsorted``
 per measurement setting.  The draws are the same generator calls in the
 same order as a trial-by-trial loop, so every count is exactly the loop's
-for any seed.  QKD sessions stay a loop, because the number of draws per
-qubit depends on earlier draws; their Born probabilities are tabulated once.
+for any seed.  QKD sessions loop over qubits, because the number of draws
+per qubit depends on earlier draws, but replay those draws from raw
+generator words instead of calling numpy once per draw.
 """
 
 from __future__ import annotations
@@ -588,44 +589,60 @@ def qkd_session(
 ) -> dict:
     """BB84 or E91 key exchange; returns sifted keys and the quantum bit error rate.
 
-    Each qubit costs a variable number of draws, so the session stays a
-    loop; the measurement probabilities are tabulated once."""
+    Each qubit costs a variable number of draws, so the session is a loop
+    over qubits.  Its scalar ``integers(0, 2)`` and ``uniform()`` draws are
+    replayed from raw generator words (``RandomSource._replayed_draws``),
+    and the measurement probabilities are tabulated once.  E91 samples its
+    outcome pairs as ``Generator.choice`` does, one ``searchsorted`` of the
+    normalized Born CDF over all kept draws, so keys and the generator state
+    left behind equal those of the per-draw numpy calls."""
     if key_bits < 1:
         raise GameError("key_bits must be positive")
     if eavesdropper not in ("none", "intercept_resend"):
         raise GameError("eavesdropper must be 'none' or 'intercept_resend'")
-    alice_key: list[int] = []
-    bob_key: list[int] = []
     if protocol == "BB84":
-        while len(alice_key) < key_bits:
-            bit = int(rng.integers(0, 2))
-            basis_a = int(rng.integers(0, 2))
-            prep = (basis_a, bit)
-            if eavesdropper == "intercept_resend":
-                basis_e = int(rng.integers(0, 2))
-                prep = (basis_e, 0 if rng.uniform() < _BB84_P0[basis_e, prep] else 1)
-            basis_b = int(rng.integers(0, 2))
-            outcome_b = 0 if rng.uniform() < _BB84_P0[basis_b, prep] else 1
-            if basis_a == basis_b:
-                alice_key.append(bit)
-                bob_key.append(outcome_b)
+        alice_key: list[int] = []
+        bob_key: list[int] = []
+        eve = eavesdropper == "intercept_resend"
+        with rng._replayed_draws() as (coin, uniform):
+            while len(alice_key) < key_bits:
+                bit = coin()
+                basis_a = coin()
+                prep = (basis_a, bit)
+                if eve:
+                    basis_e = coin()
+                    prep = (basis_e, 0 if uniform() < _BB84_P0[basis_e, prep] else 1)
+                basis_b = coin()
+                outcome_b = 0 if uniform() < _BB84_P0[basis_b, prep] else 1
+                if basis_a == basis_b:
+                    alice_key.append(bit)
+                    bob_key.append(outcome_b)
     elif protocol == "E91":
         if eavesdropper != "none":
             raise GameError("the eavesdropper model is only wired for BB84")
         pair = bell_state("phi+")
-        # Born probabilities of the four outcome pairs, both sides measuring Z or X.
-        probs = [
-            product_probabilities(pair, [ua, ua])
-            for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
-        ]
-        while len(alice_key) < key_bits:
-            basis_a = int(rng.integers(0, 2))
-            basis_b = int(rng.integers(0, 2))
-            if basis_a != basis_b:
-                continue
-            outcome = rng.choice_index(probs[basis_a])
-            alice_key.append(outcome >> 1)
-            bob_key.append(outcome & 1)
+        # Born CDF of the four outcome pairs, both sides measuring Z or X,
+        # built as Generator.choice builds it from choice_index's weights.
+        cdfs = []
+        for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X)):
+            p = np.clip(product_probabilities(pair, [ua, ua]), 0.0, None)
+            cdf = np.cumsum(p / p.sum())
+            cdfs.append(cdf / cdf[-1])
+        bases: list[int] = []
+        draws: list[float] = []
+        with rng._replayed_draws() as (coin, uniform):
+            while len(bases) < key_bits:
+                basis_a = coin()
+                if coin() == basis_a:
+                    bases.append(basis_a)
+                    draws.append(uniform())
+        u, z_basis = np.array(draws), np.array(bases) == 0
+        outcome = np.where(
+            z_basis,
+            np.searchsorted(cdfs[0], u, side="right"),
+            np.searchsorted(cdfs[1], u, side="right"),
+        )
+        alice_key, bob_key = (outcome >> 1).tolist(), (outcome & 1).tolist()
     else:
         raise GameError("protocol must be 'BB84' or 'E91'")
     errors = sum(a != b for a, b in zip(alice_key, bob_key))

@@ -163,6 +163,24 @@ def _multinomial(n: int, counts: tuple) -> int:
     return out
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array, each row's position among them, and how
+    often each occurs; rows are compared as one byte string each."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse, weight = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return a[first], inverse.reshape(-1), weight
+
+
+def _exact_share(t: np.ndarray, c, d: int) -> np.ndarray:
+    """t * c // d in int64 where d divides t * c and c <= d, without forming
+    the product: with t = q d + r, it is q c + r c / d, and r c < d**2."""
+    q, r = np.divmod(t, d)
+    return q * c + r * c // d
+
+
 @dataclass
 class TypicalCodec:
     """Fixed-width block code for an iid source.
@@ -177,13 +195,22 @@ class TypicalCodec:
 
     Codewords serialize as fixed-width little-endian bit strings: bit ``i`` of
     the integer index is character ``i`` of the string.
+
+    Ranks within a class are computed for many sequences at once
+    (:meth:`_ranks`, :meth:`_unrank`); :meth:`encode` and :meth:`decode` are
+    their one-row case.  They are exact in int64: construction proves that
+    no count class holds 2**63 sequences or more, and every intermediate
+    value is at most a class size.  Offsets, and so codeword indices, are
+    Python ints, since the width may exceed 63 bits (7 equiprobable symbols
+    at n = 23 need 65).
     """
 
     n: int
     epsilon: float
     source: Sequence[float]
     width: int = field(init=False)
-    _classes: list = field(init=False, repr=False)
+    # Count tuple -> (offset, included count, class size), in codebook order.
+    _classes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_CODEC_BLOCK:
@@ -191,6 +218,14 @@ class TypicalCodec:
         p = _validate_dist(self.source)
         self.source = tuple(float(x) for x in p)
         k = len(p)
+        # The largest count class splits n as evenly as possible over the k
+        # symbols; ranks within a class are exact in int64 below 2**63.
+        q, r = divmod(self.n, k)
+        if _multinomial(self.n, (q + 1,) * r + (q,) * (k - r)) >= 1 << 63:
+            raise InfoTheoryError(
+                f"{k} symbols are too many for block length {self.n}: "
+                "a count class would hold 2**63 sequences or more"
+            )
         h = shannon_entropy(p)
         self.width = max(0, math.ceil(self.n * (h + self.epsilon) - 1e-12))
         max_width = math.ceil(self.n * math.log2(k))
@@ -206,77 +241,98 @@ class TypicalCodec:
             ranked.append((-logp, counts, _multinomial(self.n, counts)))
         ranked.sort(key=lambda item: (item[0], item[1]))
 
-        # Fill the codebook: (counts, offset, included_count).
-        self._classes = []
+        # Fill the codebook class by class.
+        self._classes = {}
         used = 0
         for _, counts, size in ranked:
             if used >= capacity:
                 break
             take = min(size, capacity - used)
-            self._classes.append((counts, used, take))
+            self._classes[counts] = (used, take, size)
             used += take
 
     @property
     def rate_bits_per_symbol(self) -> float:
         return self.width / self.n
 
-    # -- ranking of multiset permutations (lexicographic) --
+    # -- ranking of multiset permutations (lexicographic), many rows at once --
 
-    def _rank_in_class(self, seq: Sequence[int], counts: Sequence[int]) -> int:
-        remaining = list(counts)
-        left = self.n
-        rank = 0
-        for s in seq:
-            s = int(s)
-            for smaller in range(s):
-                if remaining[smaller] > 0:
-                    remaining[smaller] -= 1
-                    rank += _multinomial(left - 1, tuple(remaining))
-                    remaining[smaller] += 1
-            remaining[s] -= 1
-            left -= 1
+    def _book_entries(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Symbol counts of each row, and its class's offset, included count
+        and size (zeros for a class outside the codebook), looked up once
+        per distinct class."""
+        k = len(self.source)
+        m = rows.shape[0]
+        counts = np.bincount(
+            (np.arange(m)[:, None] * k + rows).reshape(-1), minlength=m * k
+        ).reshape(m, k)
+        classes, which, _ = _distinct_rows(counts)
+        entries = np.array(
+            [self._classes.get(c, (0, 0, 0)) for c in map(tuple, classes.tolist())],
+            dtype=object,
+        )[which]
+        take, size = entries[:, 1].astype(np.int64), entries[:, 2].astype(np.int64)
+        return counts, entries[:, 0], take, size
+
+    def _ranks(self, rows: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Lexicographic rank of each row among the arrangements of its own
+        symbol counts; ``size`` holds the number of those arrangements.
+
+        With T the arrangements of the symbols from position j on, those
+        that put a symbol smaller than the row's s at j number
+        T * (remaining symbols < s) / left; then T becomes
+        T * (remaining s) / left.  Both divisions are exact."""
+        # Position-major, so that each step reads contiguous rows of length m.
+        cols = np.ascontiguousarray(rows.T)
+        rank = np.zeros(cols.shape[1], dtype=np.int64)
+        arrangements = size
+        for j in range(self.n):
+            rest, symbol = cols[j:], cols[j]
+            left = self.n - j
+            rank += _exact_share(arrangements, np.count_nonzero(rest < symbol, axis=0), left)
+            arrangements = _exact_share(
+                arrangements, np.count_nonzero(rest == symbol, axis=0), left
+            )
         return rank
 
-    def _unrank_in_class(self, rank: int, counts: Sequence[int]) -> tuple:
-        remaining = list(counts)
-        left = self.n
-        out = []
-        for _ in range(self.n):
-            for symbol in range(len(remaining)):
-                if remaining[symbol] == 0:
-                    continue
-                remaining[symbol] -= 1
-                block = _multinomial(left - 1, tuple(remaining))
-                if rank < block:
-                    out.append(symbol)
-                    left -= 1
-                    break
-                remaining[symbol] += 1
-                rank -= block
-            else:  # pragma: no cover - defensive
-                raise InfoTheoryError("unrank ran out of symbols")
-        return tuple(out)
+    def _unrank(self, counts: np.ndarray, size: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """The rows of the given ranks: inverse of :meth:`_ranks`."""
+        m = counts.shape[0]
+        remaining = np.array(counts.T, order="C")  # symbol-major, a copy
+        rank = rank.copy()
+        arrangements = size
+        cols = np.empty((self.n, m), dtype=np.int64)
+        at = np.arange(m)
+        for j in range(self.n):
+            # Arrangements that start with each symbol, and their running total.
+            blocks = _exact_share(arrangements, remaining, self.n - j)
+            upto = np.cumsum(blocks, axis=0)
+            symbol = np.count_nonzero(upto <= rank, axis=0)
+            flat = symbol * m + at
+            arrangements = blocks.ravel()[flat]
+            rank -= upto.ravel()[flat] - arrangements
+            remaining.ravel()[flat] -= 1
+            cols[j] = symbol
+        return cols.T
 
     def encode(self, seq: Sequence[int]) -> int:
         """Codeword index of a sequence; raises CodecFailure if not in the book."""
         if len(seq) != self.n:
             raise InfoTheoryError("sequence length mismatch")
-        counts = [0] * len(self.source)
-        for s in seq:
-            counts[int(s)] += 1
-        counts = tuple(counts)
-        for cls_counts, offset, take in self._classes:
-            if cls_counts == counts:
-                rank = self._rank_in_class(seq, counts)
-                if rank >= take:
-                    raise CodecFailure("sequence outside codebook")
-                return offset + rank
-        raise CodecFailure("sequence outside codebook")
+        rows = np.asarray(seq, dtype=np.int64).reshape(1, self.n)
+        if np.any((rows < 0) | (rows >= len(self.source))):
+            raise InfoTheoryError(f"symbols must lie in 0..{len(self.source) - 1}")
+        _, offset, take, size = self._book_entries(rows)
+        rank = self._ranks(rows, size)[0]
+        if rank >= take[0]:
+            raise CodecFailure("sequence outside codebook")
+        return offset[0] + int(rank)
 
     def decode(self, index: int) -> tuple:
-        for counts, offset, take in self._classes:
+        for counts, (offset, take, size) in self._classes.items():
             if offset <= index < offset + take:
-                return self._unrank_in_class(index - offset, counts)
+                rank = np.array([index - offset])
+                return tuple(self._unrank(np.array([counts]), np.array([size]), rank)[0].tolist())
         raise InfoTheoryError("codeword index out of range")
 
     def codeword_bits(self, index: int) -> str:
@@ -302,18 +358,12 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
     # Each distinct sequence is encoded and decoded once, weighted by how
     # often it was drawn; the rows are narrowed first so that finding them
     # adds little to the memory of the draws.
-    rows, counts = np.unique(
-        draws.astype(np.min_scalar_type(len(p) - 1)), axis=0, return_counts=True
-    )
-    successes = 0
-    for row, count in zip(rows.tolist(), counts.tolist()):
-        seq = tuple(row)
-        try:
-            idx = codec.encode(seq)
-        except CodecFailure:
-            continue
-        if codec.decode(idx) == seq:
-            successes += count
+    rows, _, weight = _distinct_rows(draws.astype(np.min_scalar_type(len(p) - 1)))
+    counts, _, take, size = codec._book_entries(rows)
+    rank = codec._ranks(rows, size)
+    book = rank < take
+    decoded = codec._unrank(counts[book], size[book], rank[book])
+    successes = int(weight[book][np.all(decoded == rows[book], axis=1)].sum())
     return {
         "success_rate": successes / trials,
         "rate_bits_per_symbol": codec.rate_bits_per_symbol,

@@ -34,6 +34,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -93,6 +94,57 @@ class RandomSource:
         if total <= 0:
             raise QcoreError("all probabilities are zero")
         return int(self._gen.choice(len(p), p=p / total))
+
+    @contextmanager
+    def _replayed_draws(self):
+        """Scalar ``integers(0, 2)`` and ``uniform()`` draws replayed from the
+        raw 64-bit words of the PCG64 stream: yields two functions
+        ``(coin, uniform)`` that make no numpy call per draw.  Make no other
+        draw from this source inside the ``with`` block.
+
+        ``integers(0, 2)`` is the top bit of the next 32-bit half-word.  A
+        fresh word hands out its low half first and buffers its high half
+        for the next call (PCG64's ``has_uint32``/``uinteger``); a half
+        buffered on entry is handed out first.  ``uniform()`` takes the next
+        whole word w as ``(w >> 11) * 2**-53`` and leaves the buffer alone.
+
+        Words are read 1024 at a time.  On exit the generator is left
+        exactly where the scalar calls would have left it: the entry state
+        advanced by the words consumed, with the buffer flag and the last
+        buffered half, which PCG64 keeps even once it has been handed out.
+        """
+        bits = self._gen.bit_generator
+        entry = bits.state
+        buffered, half = bool(entry["has_uint32"]), entry["uinteger"]
+        used = 0
+
+        def stream():
+            while True:
+                yield from bits.random_raw(1024).tolist()
+
+        next_word = stream().__next__
+
+        def coin() -> int:
+            nonlocal buffered, half, used
+            if buffered:
+                buffered = False
+                return half >> 31
+            word = next_word()
+            used += 1
+            buffered, half = True, word >> 32
+            return (word >> 31) & 1
+
+        def uniform() -> float:
+            nonlocal used
+            used += 1
+            return (next_word() >> 11) * 2.0**-53
+
+        try:
+            yield coin, uniform
+        finally:
+            bits.state = entry
+            bits.advance(used)
+            bits.state = {**bits.state, "has_uint32": int(buffered), "uinteger": half}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dense constructions that the package avoids, kept as test references."""
+"""Dense constructions and per-element loops that the package avoids, kept
+as test references."""
 
 import copy
 import math
@@ -15,6 +16,7 @@ from chronoq.chain import (
     Record,
     encode_block,
 )
+from chronoq.infotheory import _multinomial
 from chronoq.qcore import PAULI_X, DensityOperator, StateVector, _branch_index
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
@@ -191,3 +193,66 @@ def per_round_bounds(state, network, rounds: int, rng, *, honest: bool = True) -
         "honest_bound_ok": ok if honest else None,
         "dishonest_bound_ok": None if honest else ok,
     }
+
+
+def duplicated_block_corrected_fidelity(rho, dishonest) -> float:
+    """consensus.optimize_corrected_fidelity indexing rho with the
+    honest-all-0 and honest-all-1 index sets concatenated even when every
+    node cheats, where both are all 2^n indices: a 2^(n+1) block that holds
+    rho four times."""
+    n = rho.dim.bit_length() - 1
+    qubits = sorted(set(dishonest))
+    offsets = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        offsets = np.add.outer(offsets, [0, 1 << (n - 1 - q)]).ravel()
+    honest_ones = (1 << n) - 1 - int(offsets[-1])
+    index = np.concatenate([offsets, honest_ones + offsets])
+    block = rho.matrix[np.ix_(index, index)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    best = -math.inf
+    k = len(qubits)
+    for s in range(consensus._STARTS):
+        x = consensus.TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
+        mats = [consensus._single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
+        best = max(best, consensus._ascend(block, mats))
+    return min(best, 1.0)
+
+
+def rank_in_class(n: int, seq, counts) -> int:
+    """Lexicographic rank of seq among the arrangements of its symbol counts,
+    one multinomial per smaller symbol at each position."""
+    remaining = list(counts)
+    left = n
+    rank = 0
+    for s in seq:
+        s = int(s)
+        for smaller in range(s):
+            if remaining[smaller] > 0:
+                remaining[smaller] -= 1
+                rank += _multinomial(left - 1, tuple(remaining))
+                remaining[smaller] += 1
+        remaining[s] -= 1
+        left -= 1
+    return rank
+
+
+def unrank_in_class(n: int, rank: int, counts) -> tuple:
+    """The arrangement of the given counts with the given lexicographic rank."""
+    remaining = list(counts)
+    left = n
+    out = []
+    for _ in range(n):
+        for symbol in range(len(remaining)):
+            if remaining[symbol] == 0:
+                continue
+            remaining[symbol] -= 1
+            block = _multinomial(left - 1, tuple(remaining))
+            if rank < block:
+                out.append(symbol)
+                left -= 1
+                break
+            remaining[symbol] += 1
+            rank -= block
+        else:
+            raise AssertionError("unrank ran out of symbols")
+    return tuple(out)

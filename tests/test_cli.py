@@ -261,6 +261,18 @@ PINNED_OUTPUTS = [
         ["entropy", "--trials", "10000"],
         '{"block":20,"codeword_width":15,"rate":0.75,"roundtrip":{"rate_bits_per_symbol":0.75,"success_rate":0.9857},"source_entropy":0.499915958164528,"uncertainty_bound_mub":1.0000000000000002}',
     ),
+    (
+        ["game", "qkd", "--protocol", "BB84", "--eve", "none"],
+        '{"eavesdropper":"none","game":"qkd","key_bits":128,"keys_match":true,"protocol":"BB84","qber":0.0}',
+    ),
+    (
+        ["game", "qkd", "--key-bits", "100000", "--eve", "intercept_resend"],
+        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":100000,"keys_match":false,"protocol":"BB84","qber":0.24902}',
+    ),
+    (
+        ["entropy", "--block", "24", "--trials", "10000"],
+        '{"block":24,"codeword_width":18,"rate":0.75,"roundtrip":{"rate_bits_per_symbol":0.75,"success_rate":0.988},"source_entropy":0.499915958164528,"uncertainty_bound_mub":1.0000000000000002}',
+    ),
 ]
 
 

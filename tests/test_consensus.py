@@ -39,6 +39,7 @@ from chronoq.qcore import (
 
 from dense_reference import (
     dense_estimate,
+    duplicated_block_corrected_fidelity,
     kron_all,
     per_round_bounds,
     per_round_theta_angles,
@@ -370,6 +371,15 @@ def test_corrected_fidelity_undoes_local_damage(n, cheaters):
 def test_corrected_fidelity_no_worse_than_previous_search(n, cheaters, seed, previous):
     rho = _random_state(n, seed, density=True)
     assert optimize_corrected_fidelity(rho, cheaters) >= previous - 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_corrected_fidelity_with_every_node_cheating(n):
+    # With no honest node the block is rho itself, indexed once.
+    rho = _random_state(n, 40 + n, density=True)
+    assert optimize_corrected_fidelity(rho, range(n)) == pytest.approx(
+        duplicated_block_corrected_fidelity(rho, range(n)), abs=1e-12
+    )
 
 
 def _cheating_nodes(n, cheaters, gen):

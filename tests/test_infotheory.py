@@ -107,6 +107,20 @@ def test_codec_failure_outside_codebook():
         codec.encode((1,) * 10)
 
 
+def test_codec_encode_rejects_symbols_outside_the_alphabet():
+    codec = TypicalCodec(n=4, epsilon=0.5, source=[0.6, 0.3, 0.1])
+    for seq in ((0, 0, 3, 0), (0, -1, 0, 0)):
+        with pytest.raises(InfoTheoryError, match="symbols must lie in 0..2"):
+            codec.encode(seq)
+
+
+def test_codec_rejects_classes_beyond_int64():
+    # The class with one of each of 21 symbols holds 21! > 2**63 sequences:
+    # refused before any class is enumerated.
+    with pytest.raises(InfoTheoryError, match="21 symbols are too many for block length 21"):
+        TypicalCodec(n=21, epsilon=0.0, source=[1 / 21] * 21)
+
+
 def test_codec_roundtrip_rates():
     src = [0.89, 0.11]
     h = shannon_entropy(src)

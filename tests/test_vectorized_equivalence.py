@@ -3,11 +3,15 @@ replaced, kept here as the reference.
 
 Every engine makes the same generator calls in the same order as its loop,
 so counts, keys and success tallies must be exactly equal for any seed.
+QKD sessions replay the loop's scalar draws from raw generator words, so
+they must also leave the generator exactly where the loop leaves it.
 The frame average changes only the summation order of the Born weights, so
 it is compared to 1e-14.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -15,6 +19,7 @@ import pytest
 
 from chronoq import foundations, games, infotheory
 from chronoq.qcore import PAULI_X, PAULI_Z, DensityOperator, QcoreError, RandomSource, bell_state
+from dense_reference import rank_in_class, unrank_in_class
 
 SEEDS = (3, 17, 2024)
 TRIALS = 4000
@@ -146,17 +151,37 @@ def qkd_session_loop(protocol, key_bits, eavesdropper, rng):
     return alice_key, bob_key
 
 
+def reference_encode(codec, seq):
+    """Codeword index of seq through the scalar rank, or None outside the book."""
+    counts = tuple(seq.count(s) for s in range(len(codec.source)))
+    if counts not in codec._classes:
+        return None
+    offset, take, _ = codec._classes[counts]
+    rank = rank_in_class(codec.n, seq, counts)
+    return offset + rank if rank < take else None
+
+
+def reference_decoder(codec):
+    """Decoding of codeword indices through the scalar unrank."""
+    book = list(codec._classes.items())
+    offsets = [offset for _, (offset, _, _) in book]
+
+    def decode(index):
+        counts, (offset, _, _) = book[bisect_right(offsets, index) - 1]
+        return unrank_in_class(codec.n, index - offset, counts)
+
+    return decode
+
+
 def codec_roundtrip_loop(codec, trials, rng):
     p = np.asarray(codec.source)
     draws = rng.generator.choice(len(p), size=(trials, codec.n), p=p)
+    decode = reference_decoder(codec)
     successes = 0
     for row in draws:
         seq = tuple(int(x) for x in row)
-        try:
-            idx = codec.encode(seq)
-        except infotheory.CodecFailure:
-            continue
-        if codec.decode(idx) == seq:
+        idx = reference_encode(codec, seq)
+        if idx is not None and decode(idx) == seq:
             successes += 1
     return successes / trials
 
@@ -218,31 +243,88 @@ def test_pbr_game_matches_loop(seed, strategy, ontology, q):
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "protocol, eve", [("BB84", "none"), ("BB84", "intercept_resend"), ("E91", "none")]
-)
-def test_qkd_keys_match_loop(seed, protocol, eve):
-    session = games.qkd_session(protocol, 200, eve, RandomSource(seed, 4))
-    alice, bob = qkd_session_loop(protocol, 200, eve, RandomSource(seed, 4))
+QKD_SESSIONS = [("BB84", "none"), ("BB84", "intercept_resend"), ("E91", "none")]
+
+
+def assert_session_matches_loop(protocol, key_bits, eve, seed, coins_before=0):
+    """Same keys as the loop, the same generator state after the session and
+    the same next draws, after ``coins_before`` integers(0, 2) draws (one
+    leaves a half-word buffered on entry, two a stale one)."""
+    fast, slow = RandomSource(seed, 4), RandomSource(seed, 4)
+    for rng in (fast, slow):
+        for _ in range(coins_before):
+            rng.integers(0, 2)
+    session = games.qkd_session(protocol, key_bits, eve, fast)
+    alice, bob = qkd_session_loop(protocol, key_bits, eve, slow)
     assert session["alice_key"] == alice
     assert session["bob_key"] == bob
+    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
+    assert fast.uniform() == slow.uniform()
+    assert fast.integers(0, 2) == slow.integers(0, 2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("protocol, eve", QKD_SESSIONS)
+def test_qkd_keys_match_loop(seed, protocol, eve):
+    assert_session_matches_loop(protocol, 200, eve, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("protocol, eve", QKD_SESSIONS)
 @pytest.mark.parametrize(
-    "source, n, epsilon",
-    [
-        ([0.89, 0.11], 16, 0.25),
-        ([0.89, 0.11], 16, -0.2),
-        ([0.6, 0.3, 0.1], 8, 0.1),
-        ([0.6, 0.3, 0.1], 8, -0.3),
-    ],
+    "key_bits, coins_before", [(200, 1), (200, 2), (1, 0), (1, 1), (2000, 0)]
 )
+def test_qkd_session_replays_the_loop_draws(seed, protocol, eve, key_bits, coins_before):
+    assert_session_matches_loop(protocol, key_bits, eve, seed, coins_before)
+
+
+@lru_cache(maxsize=None)
+def cached_codec(source, n, epsilon):
+    """Each codebook is built once per module: the 65-bit one takes seconds."""
+    return infotheory.TypicalCodec(n=n, epsilon=epsilon, source=list(source))
+
+
+CODECS = [
+    ([0.89, 0.11], 16, 0.25),
+    ([0.89, 0.11], 16, -0.2),
+    ([0.6, 0.3, 0.1], 8, 0.1),
+    ([0.6, 0.3, 0.1], 8, -0.3),
+    # n = MAX_CODEC_BLOCK with a 15-bit book: 19817 of the 42504 sequences
+    # with five 1s are in it.
+    ([0.89, 0.11], 24, 0.625 - infotheory.shannon_entropy([0.89, 0.11])),
+    # Width 65: codeword indices beyond 2**63.
+    ([1 / 7] * 7, 23, 0.0),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("source, n, epsilon", CODECS)
 def test_codec_roundtrip_matches_loop(seed, source, n, epsilon):
-    codec = infotheory.TypicalCodec(n=n, epsilon=epsilon, source=source)
+    codec = cached_codec(tuple(source), n, epsilon)
     got = infotheory.typical_codec_roundtrip(codec, 1500, RandomSource(seed, 5))
     assert got["success_rate"] == codec_roundtrip_loop(codec, 1500, RandomSource(seed, 5))
+
+
+@pytest.mark.parametrize("source, n, epsilon", CODECS)
+def test_codec_encode_decode_match_scalar_reference(source, n, epsilon):
+    # decode scans the classes in order, so the 65-bit book (475020
+    # classes) keeps this to a few sequences.
+    codec = cached_codec(tuple(source), n, epsilon)
+    decode = reference_decoder(codec)
+    draws = RandomSource(11, 6).generator.choice(len(source), size=(20, n), p=source)
+    for seq in map(tuple, draws.tolist()):
+        index = reference_encode(codec, seq)
+        if index is None:
+            with pytest.raises(infotheory.CodecFailure):
+                codec.encode(seq)
+        else:
+            assert codec.encode(seq) == index
+            assert codec.decode(index) == seq
+    last = sum(take for _, take, _ in codec._classes.values()) - 1
+    for index in (0, last):
+        seq = decode(index)
+        assert codec.decode(index) == seq
+        assert codec.encode(seq) == index
 
 
 # ---------------------------------------------------------------------------
