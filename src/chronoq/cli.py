@@ -8,6 +8,9 @@ derived from the JSON model.
 Exit codes: 0 success, 1 when an empirical result disagrees with its
 analytic value beyond three standard errors (or an exact check fails),
 2 on usage errors.
+
+Only ``qcore`` loads with this module: each command imports the protocol
+modules it runs in its body, so a command, or ``--help``, pays for no other.
 """
 
 from __future__ import annotations
@@ -15,17 +18,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import chain as chain_mod
-from . import consensus as consensus_mod
-from . import entangle, foundations, games, infotheory, temporal
 from .qcore import (
     _BELL_ALIASES,
+    DEFAULT_ROUNDS,
+    DEFAULT_THRESHOLD,
+    MAX_CODEC_BLOCK,
     MAX_QUBITS,
     TOL_ALG,
     PAULI_X,
@@ -38,6 +41,11 @@ from .qcore import (
     computational_basis,
     ghz_state,
 )
+
+if TYPE_CHECKING:
+    from . import chain as chain_mod
+    from . import consensus as consensus_mod
+    from . import foundations
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -52,10 +60,6 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, games.GameStats):
-        return _plain(obj.to_dict())
-    if isinstance(obj, Fraction):
-        return float(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -185,6 +189,8 @@ def state_cmd(rng, bell_label, ghz_n):
 @click.option("--werner-points", type=click.IntRange(1, 10_000), default=11, show_default=True)
 def entangle_cmd(rng, werner_points):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
+    from . import entangle
+
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
     sweep = []
@@ -214,16 +220,18 @@ def entangle_cmd(rng, werner_points):
 
 @_command(main, "entropy", 3)
 @click.option(
-    "--block", "n", type=click.IntRange(1, infotheory.MAX_CODEC_BLOCK), default=20,
+    "--block", "n", type=click.IntRange(1, MAX_CODEC_BLOCK), default=20,
     show_default=True,
 )
 @click.option("--p", type=_FloatRange(0.0, 1.0), default=0.11, show_default=True)
 @click.option("--rate", type=_FloatRange(0.0, 1.0), default=0.75, show_default=True)
 # The codec ranks each distinct drawn block once, all as arrays: 10^4 trials at
-# --block 24 take under 0.4 s with interpreter start-up (2-CPU x86 host).
+# --block 24 take 0.3-0.4 s with interpreter start-up (2-CPU x86 host).
 @click.option("--trials", type=click.IntRange(1, 10_000), default=10_000, show_default=True)
 def entropy_cmd(rng, n, p, rate, trials):
     """Typical-set codec demo plus the entropic uncertainty bound."""
+    from . import infotheory
+
     source = [1.0 - p, p]
     h = infotheory.shannon_entropy(source)
     codec = infotheory.TypicalCodec(n=n, epsilon=rate - h, source=source)
@@ -250,6 +258,8 @@ def entropy_cmd(rng, n, p, rate, trials):
 @_command(main, "swap", 4)
 def swap_cmd(rng):
     """Entanglement-swap demo with the temporal event log."""
+    from . import temporal
+
     demo = temporal.swap_demo(rng)
     ok = (
         demo["photon1_consumed_before_photon4_created"]
@@ -269,6 +279,8 @@ def chain_group():
 
 
 def _parse_records(ctx, param, text: str) -> list[chain_mod.Record]:
+    from . import chain as chain_mod
+
     parts = [p.strip() for p in text.split(",")]
     if not 1 <= len(parts) <= _MAX_RECORDS:
         raise click.BadParameter(f"list 1 to {_MAX_RECORDS} comma-separated records")
@@ -287,6 +299,8 @@ _RECORDS = click.option(
 @_RECORDS
 def chain_demo(rng, records):
     """Encode records into a temporal-GHZ chain and decode them back."""
+    from . import chain as chain_mod
+
     qc = chain_mod.build_chain(records, rng)
     decoded = chain_mod.decode(qc)
     report = {
@@ -303,6 +317,8 @@ def chain_demo(rng, records):
 @click.option("--target", default=None, help="Photon label, e.g. p6 (default: last).")
 def chain_tamper(rng, records, target):
     """Tamper one photon and report the damage."""
+    from . import chain as chain_mod
+
     photons = [f"p{i}" for i in range(1, 2 * len(records) + 1)]
     target = target or photons[-1]
     if target not in photons:
@@ -333,6 +349,8 @@ def chain_tamper(rng, records, target):
 @click.option("--index", type=int, default=1, show_default=True)
 def chain_contrast(rng, blocks, index):
     """Classical-vs-quantum tamper damage comparison."""
+    from . import chain as chain_mod
+
     if not 0 <= index < blocks:
         raise click.BadParameter(f"must lie in [0, {blocks}) for {blocks} blocks",
                                  param_hint="'--index'")
@@ -350,13 +368,15 @@ def chain_contrast(rng, blocks, index):
 
 # run/admit sample GHZ candidates as two product branches (the register
 # cap); bounds builds a dense 4^n density operator, 64 MiB at 11 nodes.  At
-# 10^5 rounds run/admit take about 6 s at 20 nodes, and bounds about 1 s at 11.
+# 10^5 rounds run/admit take 7-8.5 s at 20 nodes, and bounds about 1 s at 11.
 _NODES = click.IntRange(2, MAX_QUBITS)
 _BOUNDS_NODES = click.IntRange(2, 11)
 _ROUNDS = click.IntRange(1, 100_000)
 
 
 def _build_network(nodes: int, dishonest: int, rng: RandomSource) -> consensus_mod.Network:
+    from . import consensus as consensus_mod
+
     if not 0 <= dishonest <= nodes:
         raise click.UsageError("--dishonest must lie in [0, nodes]")
     cheat = (PAULI_Z + PAULI_X) / math.sqrt(2.0)
@@ -374,10 +394,12 @@ def consensus_group():
 
 @_command(consensus_group, "run", 6)
 @click.option("--nodes", type=_NODES, default=4, show_default=True)
-@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 def consensus_run(rng, nodes, rounds, dishonest):
     """Estimate a GHZ candidate's pass rate; check it against its exact mean."""
+    from . import consensus as consensus_mod
+
     network = _build_network(nodes, dishonest, rng)
     played = consensus_mod._play(ghz_state(nodes), network.nodes)
     est = consensus_mod._estimate(played, network, rounds, rng)
@@ -389,11 +411,13 @@ def consensus_run(rng, nodes, rounds, dishonest):
 
 @_command(consensus_group, "bounds", 6)
 @click.option("--nodes", type=_BOUNDS_NODES, default=4, show_default=True)
-@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=DEFAULT_ROUNDS, show_default=True)
 @click.option("--dishonest", type=int, default=0, show_default=True)
 @click.option("--noise", type=_FloatRange(0.0, 1.0), default=0.1, show_default=True)
 def consensus_bounds(rng, nodes, rounds, dishonest, noise):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
+    from . import consensus as consensus_mod
+
     network = _build_network(nodes, dishonest, rng)
     # (1 - noise)|GHZ><GHZ| + noise I/d: the GHZ part sits on the four corners.
     dim = 1 << nodes
@@ -409,13 +433,15 @@ def consensus_bounds(rng, nodes, rounds, dishonest, noise):
 
 @_command(consensus_group, "admit", 6)
 @click.option("--nodes", type=_NODES, default=4, show_default=True)
-@click.option("--rounds", type=_ROUNDS, default=consensus_mod.DEFAULT_ROUNDS, show_default=True)
+@click.option("--rounds", type=_ROUNDS, default=DEFAULT_ROUNDS, show_default=True)
 @click.option(
     "--threshold", type=_FloatRange(0.0, 1.0, min_open=True),
-    default=consensus_mod.DEFAULT_THRESHOLD, show_default=True,
+    default=DEFAULT_THRESHOLD, show_default=True,
 )
 def consensus_admit(rng, nodes, rounds, threshold):
     """Admit a block backed by fresh GHZ copies."""
+    from . import consensus as consensus_mod
+
     network = _build_network(nodes, 0, rng)
     report = consensus_mod.admit_block(
         network, lambda: ghz_state(nodes), "block-1", rounds, threshold
@@ -431,7 +457,7 @@ def consensus_admit(rng, nodes, rounds, threshold):
 # ---------------------------------------------------------------------------
 
 
-def _teleport(rng, trials, **unused):
+def _teleport(games, rng, trials, **unused):
     worst = 1.0
     max_premeasure_dev = 0.0
     gen = rng.generator
@@ -451,12 +477,12 @@ def _teleport(rng, trials, **unused):
     return report, abs(worst - 1.0) <= TOL_ALG and max_premeasure_dev <= TOL_ALG
 
 
-def _superdense(rng, **unused):
+def _superdense(games, rng, **unused):
     results = {bits: games.superdense_roundtrip(bits, rng) for bits in ("00", "01", "10", "11")}
     return {"game": "superdense", "roundtrip": results}, all(k == v for k, v in results.items())
 
 
-def _qkd(rng, protocol, eve, key_bits, **unused):
+def _qkd(games, rng, protocol, eve, key_bits, **unused):
     try:
         session = games.qkd_session(protocol, key_bits, eve, rng)
     except games.GameError as exc:  # E91 has no intercept-resend attack
@@ -473,33 +499,40 @@ def _qkd(rng, protocol, eve, key_bits, **unused):
 
 
 def _scored(play):
-    """The engine of a Monte Carlo game: it passes when every GameStats of
-    its result does."""
+    """The engine of a Monte Carlo game: its report is the GameStats of its
+    result, as dicts, and it passes when every one of them does."""
 
-    def engine(rng, strategy, trials, q, **unused):
-        result = play(strategy, trials, rng, Fraction(q).limit_denominator(10**6))
-        stats = result.values() if isinstance(result, dict) else [result]
-        return result, all(s.passed for s in stats)
+    def engine(games, rng, strategy, trials, q, **unused):
+        from fractions import Fraction
+
+        result = play(games, strategy, trials, rng, Fraction(q).limit_denominator(10**6))
+        if isinstance(result, dict):
+            report = {k: s.to_dict() for k, s in result.items()}
+            return report, all(s.passed for s in result.values())
+        return result.to_dict(), result.passed
 
     return engine
 
 
-_MONTY = (games.STICK, games.SWITCH)
+# games.STICK and games.SWITCH, named here so that --help loads no game code.
+_MONTY = ("stick", "switch")
 # Game name -> (the strategies it plays, the last one by default; its engine,
-# which returns (report, ok)).
+# which takes the games module and returns (report, ok)).
 _GAMES = {
-    "monty-classic": (_MONTY, _scored(lambda s, n, rng, q: games.monty_classic(s, n, rng))),
-    "monty-ignorant": (_MONTY, _scored(lambda s, n, rng, q: games.monty_ignorant(s, n, rng))),
+    "monty-classic": (_MONTY, _scored(lambda g, s, n, rng, q: g.monty_classic(s, n, rng))),
+    "monty-ignorant": (_MONTY, _scored(lambda g, s, n, rng, q: g.monty_ignorant(s, n, rng))),
     "teleport": ((), _teleport),
-    "monty-teleport": (_MONTY, _scored(lambda s, n, rng, q: games.monty_teleport(s, n, rng))),
+    "monty-teleport": (_MONTY, _scored(lambda g, s, n, rng, q: g.monty_teleport(s, n, rng))),
     "unreliable-teleport": (
-        _MONTY, _scored(lambda s, n, rng, q: games.unreliable_teleport(s, n, rng))
+        _MONTY, _scored(lambda g, s, n, rng, q: g.unreliable_teleport(s, n, rng))
     ),
     "superdense": ((), _superdense),
-    "chsh": (("classical", "quantum"), _scored(lambda s, n, rng, q: games.chsh_game(s, n, rng))),
-    "pbr-ontic": (_MONTY, _scored(lambda s, n, rng, q: games.pbr_game("ontic", s, n, rng))),
+    "chsh": (
+        ("classical", "quantum"), _scored(lambda g, s, n, rng, q: g.chsh_game(s, n, rng))
+    ),
+    "pbr-ontic": (_MONTY, _scored(lambda g, s, n, rng, q: g.pbr_game("ontic", s, n, rng))),
     "pbr-epistemic": (
-        _MONTY, _scored(lambda s, n, rng, q: games.pbr_game("epistemic", s, n, rng, q=q))
+        _MONTY, _scored(lambda g, s, n, rng, q: g.pbr_game("epistemic", s, n, rng, q=q))
     ),
     "qkd": ((), _qkd),
 }
@@ -524,10 +557,12 @@ _GAMES = {
     type=click.Choice(["none", "intercept_resend"]),
 )
 @click.option("--key-bits", type=click.IntRange(1, 100_000), default=128, show_default=True)
-# A game draws all its trials as arrays: 10^7 trials take about 1 s and 0.5 GB.
+# A game draws all its trials as arrays: 10^7 trials take 1.1-1.4 s and 0.45 GB.
 @click.option("--trials", type=click.IntRange(1, 10_000_000), default=100_000, show_default=True)
 def game_cmd(rng, name, strategy, **options):
     """Run one of the quantum game demonstrations."""
+    from . import games
+
     strategies, engine = _GAMES[name]
     if strategy and strategy not in strategies:
         raise click.BadParameter(
@@ -536,7 +571,7 @@ def game_cmd(rng, name, strategy, **options):
         )
     if strategies:
         options["strategy"] = strategy or strategies[-1]
-    return engine(rng, **options)
+    return engine(games, rng, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +597,8 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 @click.option("--frames", type=click.IntRange(1, 20_000), default=2000, show_default=True)
 def gleason_roundtrip(rng, dim, frames):
     """Reconstruct a random density matrix from its valuation; frame-average check."""
+    from . import foundations
+
     rho = _random_density(dim, rng)
     frame = foundations.sample_haar_frame(dim, rng)
     val = foundations.Valuation.from_density(rho, frame)
@@ -584,6 +621,8 @@ def gleason_roundtrip(rng, dim, frames):
 
 
 def _precession_model(ctx, param, omega: float) -> foundations.PrecessionModel:
+    from . import foundations
+
     try:
         return foundations.PrecessionModel(omega=omega)
     except foundations.FoundationsError as exc:
@@ -604,6 +643,8 @@ def lg_group():
 @_OMEGA
 def lg_k3_cmd(rng, model):
     """Maximize the three-time correlator K3 over the spacing tau."""
+    from . import foundations
+
     res = foundations.lg_k3_max(model)
     report = {"k3_max": res["k3_max"], "tau_star": res["tau_star"], "classical_bound": 1.0}
     return report, abs(res["k3_max"] - 1.5) <= 1e-6
@@ -614,6 +655,8 @@ def lg_k3_cmd(rng, model):
 @click.option("--dt", type=_FloatRange(), default=0.7, show_default=True)
 def lg_temporal_chsh(rng, model, dt):
     """Optimized two-time CHSH value (quantum maximum is 2*sqrt(2))."""
+    from . import foundations
+
     res = foundations.temporal_chsh_optimize(model, 0.0, dt)
     return {"value": res["value"], "tsirelson": SQRT8}, abs(res["value"] - SQRT8) <= 1e-3
 
@@ -622,6 +665,8 @@ def lg_temporal_chsh(rng, model, dt):
 @_OMEGA
 def lg_entropic(rng, model):
     """Scan for the strongest entropic violation at equal spacings."""
+    from . import foundations
+
     best = foundations.entropic_lg_scan(model)
     report = {
         "lhs": best["lhs"],

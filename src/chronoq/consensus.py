@@ -29,6 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .qcore import (
+    DEFAULT_ROUNDS,
+    DEFAULT_THRESHOLD,
     I2,
     PAULI_X,
     PAULI_Y,
@@ -43,9 +45,6 @@ from .qcore import (
 
 TWO_PI = 2.0 * math.pi
 _GHZ_AMPLITUDE = 1.0 / math.sqrt(2.0)
-
-DEFAULT_ROUNDS = 100
-DEFAULT_THRESHOLD = 0.99
 
 
 class ConsensusError(ValueError):

@@ -7,6 +7,7 @@ applied by clamping probabilities/eigenvalues below ``TOL_ALG`` to zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
+    MAX_CODEC_BLOCK,
     TOL_ALG,
     DensityOperator,
     QcoreError,
@@ -22,8 +24,6 @@ from .qcore import (
     is_unitary,
     partial_trace,
 )
-
-MAX_CODEC_BLOCK = 24
 
 
 class InfoTheoryError(ValueError):
@@ -95,6 +95,8 @@ def relative_entropy(p, q) -> float:
 def sequence_surprisal(seq: Sequence[int], source) -> float:
     """-(1/n) log2 p(seq) for an iid source; inf on a zero-probability symbol."""
     p = _validate_dist(source)
+    if not all(0 <= s < len(p) for s in seq):
+        raise InfoTheoryError(f"symbols must lie in 0..{len(p) - 1}")
     total = 0.0
     for s in seq:
         ps = p[int(s)]
@@ -211,6 +213,10 @@ class TypicalCodec:
     width: int = field(init=False)
     # Count tuple -> (offset, included count, class size), in codebook order.
     _classes: dict = field(init=False, repr=False)
+    # The classes that include a sequence, as ascending offsets and their
+    # count tuples: decode bisects the offsets.
+    _offsets: list = field(init=False, repr=False)
+    _offset_classes: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_CODEC_BLOCK:
@@ -250,6 +256,9 @@ class TypicalCodec:
             take = min(size, capacity - used)
             self._classes[counts] = (used, take, size)
             used += take
+        book = [(offset, counts) for counts, (offset, take, _) in self._classes.items() if take]
+        self._offsets = [offset for offset, _ in book]
+        self._offset_classes = [counts for _, counts in book]
 
     @property
     def rate_bits_per_symbol(self) -> float:
@@ -329,8 +338,11 @@ class TypicalCodec:
         return offset[0] + int(rank)
 
     def decode(self, index: int) -> tuple:
-        for counts, (offset, take, size) in self._classes.items():
-            if offset <= index < offset + take:
+        at = bisect_right(self._offsets, index) - 1
+        if at >= 0:
+            counts = self._offset_classes[at]
+            offset, take, size = self._classes[counts]
+            if index < offset + take:
                 rank = np.array([index - offset])
                 return tuple(self._unrank(np.array([counts]), np.array([size]), rank)[0].tolist())
         raise InfoTheoryError("codeword index out of range")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -44,6 +44,12 @@ import numpy as np
 TOL_ALG = 1e-9
 TOL_NORM = 1e-9
 MAX_QUBITS = 20
+# Protocol defaults and limits that the CLI reads when it builds its options,
+# kept here so that ``chronoq --help`` loads no protocol module.  They keep
+# their names in ``consensus`` and ``infotheory``.
+DEFAULT_ROUNDS = 100
+DEFAULT_THRESHOLD = 0.99
+MAX_CODEC_BLOCK = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,29 +68,29 @@ class RandomSource:
 
     Identical ``(seed, stream)`` pairs always produce identical draw
     sequences.  Parallel Monte Carlo should use one source per trial via
-    :meth:`spawn`.
+    :meth:`spawn`.  The generator is built on the first draw, so a source
+    that never draws never imports ``numpy.random``.
     """
 
     def __init__(self, seed: int = 42, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed & (2**64 - 1), self.stream]))
-        )
 
     def spawn(self, stream: int) -> "RandomSource":
         """A fresh, independent source derived from the same master seed."""
         return RandomSource(self.seed, stream)
 
-    @property
+    @cached_property
     def generator(self) -> np.random.Generator:
-        return self._gen
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed & (2**64 - 1), self.stream]))
+        )
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        return self.generator.uniform(low, high, size)
 
     def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def choice_index(self, probabilities: Sequence[float]) -> int:
         """Sample an index from a probability vector."""
@@ -93,7 +99,7 @@ class RandomSource:
         total = p.sum()
         if total <= 0:
             raise QcoreError("all probabilities are zero")
-        return int(self._gen.choice(len(p), p=p / total))
+        return int(self.generator.choice(len(p), p=p / total))
 
     @contextmanager
     def _replayed_draws(self):
@@ -113,7 +119,7 @@ class RandomSource:
         advanced by the words consumed, with the buffer flag and the last
         buffered half, which PCG64 keeps even once it has been handed out.
         """
-        bits = self._gen.bit_generator
+        bits = self.generator.bit_generator
         entry = bits.state
         buffered, half = bool(entry["has_uint32"]), entry["uinteger"]
         used = 0

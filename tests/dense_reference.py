@@ -16,7 +16,7 @@ from chronoq.chain import (
     Record,
     encode_block,
 )
-from chronoq.infotheory import _multinomial
+from chronoq.infotheory import InfoTheoryError, _multinomial
 from chronoq.qcore import PAULI_X, DensityOperator, StateVector, _branch_index
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
@@ -256,3 +256,13 @@ def unrank_in_class(n: int, rank: int, counts) -> tuple:
         else:
             raise AssertionError("unrank ran out of symbols")
     return tuple(out)
+
+
+def scanned_decode(codec, index: int) -> tuple:
+    """``TypicalCodec.decode`` as it was: scan the classes in codebook order
+    for the one whose index range holds ``index``."""
+    for counts, (offset, take, size) in codec._classes.items():
+        if offset <= index < offset + take:
+            rank = np.array([index - offset])
+            return tuple(codec._unrank(np.array([counts]), np.array([size]), rank)[0].tolist())
+    raise InfoTheoryError("codeword index out of range")

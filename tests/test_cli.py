@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -222,6 +225,79 @@ def test_consensus_bounds_at_eleven_nodes():
     res = run(["consensus", "bounds", "--nodes", "11", "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["fidelity"] == pytest.approx(0.9 + 0.1 / 2**11, abs=1e-12)
+
+
+def _child(code, *args):
+    """Run ``code`` in a fresh interpreter with ``args`` as ``sys.argv[1:]``;
+    its last stdout line is JSON."""
+    src = str(Path(chronoq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_FOOTPRINT = """
+import json, sys
+from chronoq.cli import main
+try:
+    main(sys.argv[1:], prog_name="chronoq")
+except SystemExit:
+    pass
+print()
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("chronoq.")),
+                  "numpy.random" in sys.modules]))
+"""
+
+
+# Each command loads the chronoq modules it runs and no other, so that a
+# child process does not compile code it never calls.
+@pytest.mark.parametrize(
+    "args, modules, random",
+    [
+        (["--help"], [], False),
+        (["state", "--json"], [], False),
+        (["consensus", "run", "--rounds", "5"], ["consensus"], True),
+        (["chain", "demo"], ["chain", "temporal"], True),
+        (["game", "qkd"], ["games"], True),
+        (["entropy", "--block", "4", "--trials", "50"], ["infotheory"], True),
+        (["lg", "k3"], ["entangle", "foundations", "infotheory"], False),
+    ],
+)
+def test_command_import_footprint(args, modules, random):
+    expected = sorted(f"chronoq.{m}" for m in ["cli", "qcore", *modules])
+    assert _child(_FOOTPRINT, *args) == [expected, random]
+
+
+def test_package_loads_submodules_on_first_access():
+    code = """
+import json, sys
+import chronoq
+before = sorted(m for m in sys.modules if m.startswith("chronoq."))
+chronoq.chain
+from chronoq import games
+print(json.dumps([before, sorted(m for m in sys.modules if m.startswith("chronoq.")),
+                  [name for name in chronoq.__all__ if name in dir(chronoq)]]))
+"""
+    before, after, listed = _child(code)
+    assert before == []
+    assert after == ["chronoq.chain", "chronoq.games", "chronoq.qcore", "chronoq.temporal"]
+    assert listed == chronoq.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        chronoq.nosuch
+
+
+def test_options_read_the_protocol_modules_constants():
+    from chronoq import consensus, games, infotheory
+    from chronoq.cli import _MONTY
+
+    commands = dict(_leaf_commands(main))
+    params = {(name, p.name): p for name, cmd in commands.items() for p in cmd.params}
+    for name in ("consensus run", "consensus bounds", "consensus admit"):
+        assert params[name, "rounds"].default == consensus.DEFAULT_ROUNDS
+    assert params["consensus admit", "threshold"].default == consensus.DEFAULT_THRESHOLD
+    assert params["entropy", "n"].type.max == infotheory.MAX_CODEC_BLOCK
+    assert _MONTY == (games.STICK, games.SWITCH)
 
 
 def test_version_matches_pyproject():

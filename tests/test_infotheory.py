@@ -60,6 +60,21 @@ def test_sequence_surprisal():
     assert s == pytest.approx((-2 * math.log2(0.75) - math.log2(0.25)) / 3)
 
 
+@pytest.mark.parametrize("seq", [(-1, 0), (0, 2), (2, 0, 1), (1, -2, 0)])
+def test_surprisal_rejects_symbols_outside_the_alphabet(seq):
+    # (-1, 0) used to read p[-1] and return the surprisal of (1, 0).
+    src = [0.25, 0.75]
+    with pytest.raises(InfoTheoryError, match="symbols must lie in 0..1"):
+        sequence_surprisal(seq, src)
+    with pytest.raises(InfoTheoryError, match="symbols must lie in 0..1"):
+        typical_membership(seq, src, 0.5)
+
+
+def test_surprisal_checks_symbols_before_a_zero_probability_one():
+    with pytest.raises(InfoTheoryError):
+        sequence_surprisal([0, 5], [0.0, 1.0])
+
+
 def test_typical_membership_and_size_exhaustive():
     src = [0.8, 0.2]
     eps = 0.15

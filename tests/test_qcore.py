@@ -59,6 +59,40 @@ def test_random_source_spawn_independent():
     assert np.array_equal(s1, RandomSource(7, 0).spawn(3).uniform(size=4))
 
 
+def _eager_generator(seed, stream):
+    """The generator that RandomSource used to build in its constructor."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed & (2**64 - 1), stream]))
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_lazy_random_source_draws_as_an_eager_one(seed):
+    lazy, eager = RandomSource(seed, 3), _eager_generator(seed, 3)
+    assert "generator" not in vars(lazy)  # nothing is built before the first draw
+    assert [lazy.uniform() for _ in range(1000)] == [eager.uniform() for _ in range(1000)]
+    lazy, eager = RandomSource(seed, 3), _eager_generator(seed, 3)
+    assert [lazy.integers(0, 7) for _ in range(1000)] == [
+        eager.integers(0, 7) for _ in range(1000)
+    ]
+    assert lazy.generator is lazy.generator
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_lazy_random_source_spawns_and_replays_before_any_draw(seed):
+    parent = RandomSource(seed, 0)
+    child = parent.spawn(5)
+    assert "generator" not in vars(parent)
+    assert np.array_equal(child.uniform(size=8), _eager_generator(seed, 5).uniform(size=8))
+
+    fresh, eager = RandomSource(seed, 6), _eager_generator(seed, 6)
+    with fresh._replayed_draws() as (coin, uniform):
+        got = [(coin(), uniform(), coin()) for _ in range(700)]
+    assert got == [(eager.integers(0, 2), eager.uniform(), eager.integers(0, 2))
+                   for _ in range(700)]
+    assert fresh.generator.bit_generator.state == eager.bit_generator.state
+
+
 def test_state_normalization_enforced():
     with pytest.raises(QcoreError):
         StateVector([1.0, 1.0])

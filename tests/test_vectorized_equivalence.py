@@ -19,7 +19,7 @@ import pytest
 
 from chronoq import foundations, games, infotheory
 from chronoq.qcore import PAULI_X, PAULI_Z, DensityOperator, QcoreError, RandomSource, bell_state
-from dense_reference import rank_in_class, unrank_in_class
+from dense_reference import rank_in_class, scanned_decode, unrank_in_class
 
 SEEDS = (3, 17, 2024)
 TRIALS = 4000
@@ -307,8 +307,8 @@ def test_codec_roundtrip_matches_loop(seed, source, n, epsilon):
 
 @pytest.mark.parametrize("source, n, epsilon", CODECS)
 def test_codec_encode_decode_match_scalar_reference(source, n, epsilon):
-    # decode scans the classes in order, so the 65-bit book (475020
-    # classes) keeps this to a few sequences.
+    # The scalar reference unranks one symbol at a time, so the 65-bit book
+    # keeps this to a few sequences.
     codec = cached_codec(tuple(source), n, epsilon)
     decode = reference_decoder(codec)
     draws = RandomSource(11, 6).generator.choice(len(source), size=(20, n), p=source)
@@ -325,6 +325,25 @@ def test_codec_encode_decode_match_scalar_reference(source, n, epsilon):
         seq = decode(index)
         assert codec.decode(index) == seq
         assert codec.encode(seq) == index
+
+
+@pytest.mark.parametrize("source, n, epsilon", CODECS)
+def test_codec_decode_bisect_matches_class_scan(source, n, epsilon):
+    """decode bisects the class offsets; the scan it replaced is the
+    reference at the first and last index of every class, and outside the
+    book.  The scan takes up to 76 ms per index on the 65-bit book (475020
+    classes), so there it checks ten classes spread over the book."""
+    codec = cached_codec(tuple(source), n, epsilon)
+    classes = list(codec._classes.values())
+    step = 1 if len(classes) <= 1000 else len(classes) // 9
+    picked = sorted({*range(0, len(classes), step), len(classes) - 1})
+    ends = [(classes[i][0], classes[i][0] + classes[i][1] - 1) for i in picked]
+    for index in sorted({index for pair in ends for index in pair}):
+        assert codec.decode(index) == scanned_decode(codec, index)
+    for index in (-1, ends[-1][1] + 1):
+        for decode in (codec.decode, lambda i: scanned_decode(codec, i)):
+            with pytest.raises(infotheory.InfoTheoryError, match="out of range"):
+                decode(index)
 
 
 # ---------------------------------------------------------------------------
