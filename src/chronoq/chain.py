@@ -267,8 +267,8 @@ def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource)
     parity gives the relative sign (r1).
 
     Every copy is ``state``, the chain's state, as a dense vector: each
-    basis's Born distribution is computed once and each shot is one draw
-    from it.
+    basis's Born distribution is computed once, and its shots are picked
+    from it by ``RandomSource.choice_index`` at one array of doubles.
     """
     if num_copies < 2:
         raise ChainError("need at least two copies")
@@ -279,7 +279,7 @@ def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource)
     # Z-basis: every shot lands in one of the two branches; canonicalize to
     # the branch whose leading bit is 0, the smaller of the two indices.
     z_probs = np.abs(state.amplitudes) ** 2
-    draws = [rng.choice_index(z_probs) for _ in range(z_shots)]
+    draws = rng.choice_index(z_probs, rng.generator.random(z_shots)).tolist()
     patterns = {min(idx, (1 << n) - 1 - idx) for idx in draws}
     if len(patterns) != 1:
         raise DecodeMismatch("inconsistent branch patterns across copies")
@@ -289,7 +289,8 @@ def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource)
     # X-basis: the product of the +-1 outcomes estimates the branch sign;
     # r1 = 0 when most shots have even parity.
     x_probs = product_probabilities(state, [HADAMARD] * n)
-    odd = sum(bin(rng.choice_index(x_probs)).count("1") % 2 for _ in range(x_shots))
+    x_draws = rng.choice_index(x_probs, rng.generator.random(x_shots)).tolist()
+    odd = sum(bin(idx).count("1") % 2 for idx in x_draws)
     r1 = 0 if 2 * odd < x_shots else 1
     return "".join(str(b) for b in [r1] + bits[1:])
 

@@ -85,7 +85,7 @@ def _flatten(obj, prefix=""):
 def render_report(report: dict, fmt: str) -> str:
     plain = _plain(report)
     if fmt == "json":
-        return json.dumps(plain, sort_keys=True, separators=(",", ":"))
+        return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if fmt == "csv":
         lines = ["key,value"]
         for key, val in _flatten(plain):

@@ -196,7 +196,11 @@ def mean_pass_probability(state) -> float:
     on [0, pi) and fix the last, so only a = 0...0 and 1...1 survive the
     average."""
     if isinstance(state, _TwoBranches):
-        corner = _corner(state, 0) * _corner(state, 1).conjugate()
+        # The amplitudes of |0...0> and |1...1>.
+        x0, y0, x1, y1 = state.alpha, state.beta, state.alpha, state.beta
+        for a0, a1, b0, b1 in state.factors:
+            x0, y0, x1, y1 = x0 * a0, y0 * b0, x1 * a1, y1 * b1
+        corner = (x0 + y0) * (x1 + y1).conjugate()
     elif isinstance(state, StateVector):
         corner = state.amplitudes[0] * state.amplitudes[-1].conjugate()
     else:
@@ -209,7 +213,7 @@ def theta_measure(state, angles: Sequence[float], rng: RandomSource) -> tuple:
     bits, leftmost node first.  ``state`` is a :class:`StateVector` or the
     two-branch form that :func:`_play` builds."""
     if isinstance(state, _TwoBranches):
-        # The one double that Generator.choice draws.
+        # The one double that choice_index draws.
         return _descend(state, angles, rng.generator.random())
     n = len(angles)
     idx = rng.choice_index(product_probabilities(state, [theta_basis(t) for t in angles]))
@@ -282,18 +286,10 @@ def _play(candidate: StateVector, nodes: Sequence[Node]):
     return _TwoBranches(alpha, beta, np.hstack([a, b]).tolist(), tails)
 
 
-def _corner(form: _TwoBranches, bit: int) -> complex:
-    """The amplitude of |bit bit ... bit>."""
-    x, y = form.alpha, form.beta
-    for factor in form.factors:
-        x, y = x * factor[bit], y * factor[2 + bit]
-    return x + y
-
-
 def _descend(form: _TwoBranches, angles: Sequence[float], u: float) -> tuple:
     """The theta-basis outcome that the inverse CDF of ``u`` picks in the
-    big-endian order of outcome indices, as ``Generator.choice`` picks it
-    from the dense Born distribution; returns Y bits, qubit 0 first.
+    big-endian order of outcome indices, as ``RandomSource.choice_index``
+    picks it from the dense Born distribution; returns Y bits, qubit 0 first.
 
     Qubit by qubit, ``rest`` is u times the total weight, minus the weight
     of every outcome before the current prefix; the next bit is 0 iff

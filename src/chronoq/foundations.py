@@ -126,20 +126,19 @@ def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityO
     rho_jk = (v+ - v-)/2 - i (v+i - v-i)/2.
     """
     d = val.dim
-    vecs = _check_frame(frame, d)
-    inv = 1.0 / math.sqrt(2.0)
+    if len(frame) != d:
+        raise QcoreError(f"frame has {len(frame)} vectors, the valuation dimension is {d}")
+    vecs = gleason_vectors(frame)
+    values = iter([val.get(vec) for vec in vecs])
     coeff = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
-        coeff[j, j] = val.get(vecs[j])
+        coeff[j, j] = next(values)
     for j in range(d):
         for k in range(j + 1, d):
-            vp = val.get((vecs[j] + vecs[k]) * inv)
-            vm = val.get((vecs[j] - vecs[k]) * inv)
-            vpi = val.get((vecs[j] + 1j * vecs[k]) * inv)
-            vmi = val.get((vecs[j] - 1j * vecs[k]) * inv)
+            vp, vm, vpi, vmi = next(values), next(values), next(values), next(values)
             coeff[j, k] = 0.5 * (vp - vm) - 0.5j * (vpi - vmi)
             coeff[k, j] = np.conj(coeff[j, k])
-    basis = np.stack(vecs).T  # columns are frame vectors
+    basis = np.stack(vecs[:d]).T  # columns are frame vectors
     rho = basis @ coeff @ basis.conj().T
     rho = (rho + rho.conj().T) / 2.0
 
@@ -303,8 +302,7 @@ def _two_time_joint(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) 
 def two_time_correlator(model: PrecessionModel, t_i: float, t_j: float) -> float:
     """C_ij from an actual two-measurement sequential run (measure at t_i,
     evolve, measure at t_j)."""
-    dist = _two_time_joint(model, model.observable, model.observable, t_i, t_j)
-    return correlator_from_joint(dist, 0, 1)
+    return sequential_correlator(model, model.observable, model.observable, t_i, t_j)
 
 
 def lg_k3(model: PrecessionModel, tau: float) -> float:

@@ -50,13 +50,17 @@ class GameError(ValueError):
 
 @dataclass(frozen=True)
 class GameStats:
+    """One Monte Carlo estimate against its analytic value.  A sample of no
+    trials has no estimate: ``empirical`` and ``std_err`` are None, and it
+    passes, since nothing can miss the target."""
+
     game: str
     strategy: str
     trials: int
     wins: int
-    empirical: float
+    empirical: float | None
     analytic: float
-    std_err: float
+    std_err: float | None
     passed: bool
 
     def to_dict(self) -> dict:
@@ -65,10 +69,11 @@ class GameStats:
 
 def _stats(game: str, strategy: str, wins: int, trials: int, analytic) -> GameStats:
     p = float(analytic)
-    emp = wins / trials if trials else float("nan")
-    se = math.sqrt(p * (1.0 - p) / trials) if trials else float("inf")
-    passed = trials > 0 and abs(emp - p) <= 3.0 * se + 1e-12
-    return GameStats(game, strategy, trials, wins, emp, p, se, passed)
+    if not trials:
+        return GameStats(game, strategy, 0, 0, None, p, None, True)
+    emp = wins / trials
+    se = math.sqrt(p * (1.0 - p) / trials)
+    return GameStats(game, strategy, trials, wins, emp, p, se, abs(emp - p) <= 3.0 * se + 1e-12)
 
 
 def _check_strategy(strategy: str):
@@ -592,10 +597,10 @@ def qkd_session(
     Each qubit costs a variable number of draws, so the session is a loop
     over qubits.  Its scalar ``integers(0, 2)`` and ``uniform()`` draws are
     replayed from raw generator words (``RandomSource._replayed_draws``),
-    and the measurement probabilities are tabulated once.  E91 samples its
-    outcome pairs as ``Generator.choice`` does, one ``searchsorted`` of the
-    normalized Born CDF over all kept draws, so keys and the generator state
-    left behind equal those of the per-draw numpy calls."""
+    and the measurement probabilities are tabulated once.  E91 picks its
+    outcome pairs for all kept draws at once through
+    ``RandomSource.choice_index``, so keys and the generator state left
+    behind equal those of the per-draw numpy calls."""
     if key_bits < 1:
         raise GameError("key_bits must be positive")
     if eavesdropper not in ("none", "intercept_resend"):
@@ -621,13 +626,11 @@ def qkd_session(
         if eavesdropper != "none":
             raise GameError("the eavesdropper model is only wired for BB84")
         pair = bell_state("phi+")
-        # Born CDF of the four outcome pairs, both sides measuring Z or X,
-        # built as Generator.choice builds it from choice_index's weights.
-        cdfs = []
-        for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X)):
-            p = np.clip(product_probabilities(pair, [ua, ua]), 0.0, None)
-            cdf = np.cumsum(p / p.sum())
-            cdfs.append(cdf / cdf[-1])
+        # Born weights of the four outcome pairs, both sides measuring Z or X.
+        weights = [
+            product_probabilities(pair, [ua, ua])
+            for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
+        ]
         bases: list[int] = []
         draws: list[float] = []
         with rng._replayed_draws() as (coin, uniform):
@@ -638,9 +641,7 @@ def qkd_session(
                     draws.append(uniform())
         u, z_basis = np.array(draws), np.array(bases) == 0
         outcome = np.where(
-            z_basis,
-            np.searchsorted(cdfs[0], u, side="right"),
-            np.searchsorted(cdfs[1], u, side="right"),
+            z_basis, rng.choice_index(weights[0], u), rng.choice_index(weights[1], u)
         )
         alice_key, bob_key = (outcome >> 1).tolist(), (outcome & 1).tolist()
     else:

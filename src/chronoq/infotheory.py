@@ -95,6 +95,8 @@ def relative_entropy(p, q) -> float:
 def sequence_surprisal(seq: Sequence[int], source) -> float:
     """-(1/n) log2 p(seq) for an iid source; inf on a zero-probability symbol."""
     p = _validate_dist(source)
+    if len(seq) == 0:
+        raise InfoTheoryError("empty sequence")
     if not all(0 <= s < len(p) for s in seq):
         raise InfoTheoryError(f"symbols must lie in 0..{len(p) - 1}")
     total = 0.0
@@ -111,8 +113,6 @@ def typical_membership(seq: Sequence[int], source, epsilon: float) -> bool:
 
     Zero-probability symbols make the sequence non-typical by convention.
     """
-    if len(seq) == 0:
-        raise InfoTheoryError("empty sequence")
     surprisal = sequence_surprisal(seq, source)
     if math.isinf(surprisal):
         return False

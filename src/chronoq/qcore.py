@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,14 +91,21 @@ class RandomSource:
     def integers(self, low, high=None, size=None):
         return self.generator.integers(low, high, size=size)
 
-    def choice_index(self, probabilities: Sequence[float]) -> int:
-        """Sample an index from a probability vector."""
-        p = np.asarray(probabilities, dtype=float)
-        p = np.clip(p, 0.0, None)
+    def choice_index(self, weights: Sequence[float], u=None):
+        """The index ``Generator.choice(len(weights), p=...)`` picks, by its
+        rule stated once: normalize the clipped weights, divide their cumsum by
+        its last entry, ``searchsorted(..., side="right")`` at one ``random()``.
+        Given ``u``, an array of doubles already drawn, picks one index per
+        double and draws nothing."""
+        p = np.clip(np.asarray(weights, dtype=float), 0.0, None)
         total = p.sum()
-        if total <= 0:
-            raise QcoreError("all probabilities are zero")
-        return int(self.generator.choice(len(p), p=p / total))
+        if not 0.0 < total < math.inf:  # nan fails too
+            raise QcoreError("weights must be finite, not all zero")
+        cdf = np.cumsum(p / total)
+        cdf /= cdf[-1]
+        if u is None:
+            return int(cdf.searchsorted(self.generator.random(), side="right"))
+        return cdf.searchsorted(u, side="right")
 
     @contextmanager
     def _replayed_draws(self):
@@ -216,7 +222,10 @@ class StateVector:
     # -- algebra --
 
     def tensor(self, other: "StateVector") -> "StateVector":
-        return tensor_product(self, other)
+        """The product state, this register's qubits first."""
+        if self.dim * other.dim > (1 << MAX_QUBITS):
+            raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
+        return StateVector._adopt(np.outer(self.amplitudes, other.amplitudes).reshape(-1))
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -478,53 +487,10 @@ CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
 
-_ROTATION_AXES = {"Rx": PAULI_X, "Ry": PAULI_Y, "Rz": PAULI_Z}
-_FIXED_GATES = {
-    "I": I2,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "H": HADAMARD,
-    "S": S_GATE,
-    "T": T_GATE,
-    "CNOT": CNOT,
-}
-
 
 def rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """``cos(angle/2) I - i sin(angle/2) sigma`` for a Pauli axis."""
     return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * np.asarray(axis)
-
-
-def standard_gate(name: str, angle: float | None = None) -> np.ndarray:
-    """Return a standard gate matrix by name (I, X, Y, Z, H, S, T, CNOT, Rx, Ry, Rz)."""
-    if name in _ROTATION_AXES:
-        if angle is None:
-            raise QcoreError(f"rotation gate {name!r} requires an angle")
-        return rotation(_ROTATION_AXES[name], float(angle))
-    if name not in _FIXED_GATES:
-        raise QcoreError(f"unknown gate {name!r}")
-    if angle is not None:
-        raise QcoreError(f"gate {name!r} does not take an angle")
-    return _FIXED_GATES[name].copy()
-
-
-def tensor_product(
-    a: Union[StateVector, np.ndarray], b: Union[StateVector, np.ndarray]
-) -> Union[StateVector, np.ndarray]:
-    """Kronecker product of two states or two operators (index 0 = leftmost factor)."""
-    if isinstance(a, StateVector) != isinstance(b, StateVector):
-        raise QcoreError("tensor_product operands must be the same kind")
-    if isinstance(a, StateVector):
-        dim = a.dim * b.dim
-        if dim > (1 << MAX_QUBITS):
-            raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
-        return StateVector._adopt(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] * b.shape[0] > (1 << MAX_QUBITS):
-        raise QcoreError(f"operator would exceed {MAX_QUBITS} qubits")
-    return np.kron(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +554,6 @@ def computational_basis(dim: int) -> list[StateVector]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    index: int
-    probability: float
-    post_state: "StateVector"
-
-
 def born_distribution(state: StateVector, basis: Sequence[StateVector]) -> np.ndarray:
     """Born-rule probabilities ``p(m) = |<m|psi>|^2`` over an orthonormal basis."""
     mat = np.stack([b.amplitudes for b in basis])  # rows are basis vectors
@@ -608,15 +567,6 @@ def born_distribution(state: StateVector, basis: Sequence[StateVector]) -> np.nd
     if abs(total - 1.0) > 1e-6:
         raise QcoreError("probabilities do not sum to 1")
     return probs / total
-
-
-def measure(
-    state: StateVector, basis: Sequence[StateVector], rng: RandomSource
-) -> MeasurementOutcome:
-    """Projective measurement in a full orthonormal basis."""
-    probs = born_distribution(state, basis)
-    idx = rng.choice_index(probs)
-    return MeasurementOutcome(idx, float(probs[idx]), basis[idx])
 
 
 def collapse(

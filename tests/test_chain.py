@@ -35,7 +35,12 @@ from chronoq.qcore import (
 )
 from chronoq.temporal import apply_op
 
-from dense_reference import dense_chain, dense_decode, dense_fidelity
+from dense_reference import (
+    dense_chain,
+    dense_decode,
+    dense_fidelity,
+    per_shot_decode_by_statistics,
+)
 
 
 def test_record_validation():
@@ -134,6 +139,26 @@ def test_decode_by_statistics_fourteen_qubits():
     assert chain.register.state.num_qubits == 14
     decoded = decode_by_statistics(chain.register.state, 64, RandomSource(29, 0))
     assert decoded == chain.record_string
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "axis, angle", [(PAULI_Y, 0.0), (PAULI_Y, 0.3), (PAULI_Z, math.pi / 2), (PAULI_Z, 2.0)]
+)
+def test_decode_by_statistics_matches_one_pick_per_shot(seed, axis, angle):
+    # Rotating the live photon about y spreads the Z shots (a branch mismatch
+    # at some seeds), about z the X parities (either majority).
+    state = build_chain(["00", "10", "11"], RandomSource(seed, 1)).register.state
+    state = state.apply(rotation(axis, angle), [5])
+    outcomes = []
+    for decoder in (decode_by_statistics, per_shot_decode_by_statistics):
+        rng = RandomSource(seed, 0)
+        try:
+            decoded = decoder(state, 33, rng)
+        except DecodeMismatch:
+            decoded = "mismatch"
+        outcomes.append((decoded, rng.generator.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_mix_is_documented_bit_exactly():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import chronoq
-from chronoq.cli import main
+from chronoq.cli import main, render_report
 
 
 def run(args, **kwargs):
@@ -357,6 +358,115 @@ def test_pinned_monte_carlo_outputs(args, expected):
     res = run([*args, "--json"])
     assert res.exit_code == 0
     assert res.output == expected + "\n"
+
+
+# The --json report at the default seed 42 of every README command that
+# PINNED_OUTPUTS leaves out.
+PINNED_REPORTS = [
+    (
+        ["state", "--bell", "psi-"],
+        '{"amplitudes":[[0.0,0.0],[0.7071067811865475,0.0],[-0.7071067811865475,0.0],[0.0,0.0]],"num_qubits":2,"probabilities":[0.0,0.4999999999999999,0.4999999999999999,0.0],"state":"psi-"}',
+    ),
+    (
+        ["entangle"],
+        '{"chsh_psi_minus":2.82842712474619,"concurrence_psi_minus":1.0,"tsirelson":2.8284271247461903,"werner_chsh_crossing":0.7803300858899106,"werner_sweep":[{"F":0.0,"ppt_min_eigenvalue":0.16666666666666666},{"F":0.1,"ppt_min_eigenvalue":0.19999999999999987},{"F":0.2,"ppt_min_eigenvalue":0.23333333333333334},{"F":0.30000000000000004,"ppt_min_eigenvalue":0.19999999999999996},{"F":0.4,"ppt_min_eigenvalue":0.09999999999999998},{"F":0.5,"ppt_min_eigenvalue":-1.3877787807814457e-17},{"F":0.6000000000000001,"ppt_min_eigenvalue":-0.10000000000000009},{"F":0.7000000000000001,"ppt_min_eigenvalue":-0.20000000000000007},{"F":0.8,"ppt_min_eigenvalue":-0.3},{"F":0.9,"ppt_min_eigenvalue":-0.4},{"F":1.0,"ppt_min_eigenvalue":-0.5}]}',
+    ),
+    (
+        ["swap"],
+        '{"event_log":[{"event":"create","modes":["p1","p2"],"t":0},{"event":"delay","modes":["p2"],"t":0},{"event":"measure","modes":["p1"],"t":0},{"event":"create","modes":["p3","p4"],"t":1},{"event":"delay","modes":["p4"],"t":1},{"event":"measure","modes":["p2","p3"],"t":1},{"event":"measure","modes":["p4"],"t":2}],"middle_outcome":"phi-","outer_pair_fidelity":0.9999999999999993,"photon1_consumed_before_photon4_created":true,"photon1_outcome":1,"photon4_outcome":1}',
+    ),
+    (
+        ["chain", "demo", "--records", "00,10,11"],
+        '{"fidelity":1.0,"records":"001011","timestamps":[0,1,1,2,2,3],"valid":true}',
+    ),
+    (
+        ["chain", "tamper", "--target", "p6"],
+        '{"decode_error":"DECODE_MISMATCH","fidelity":0.0,"past_mode_access":null,"target":"p6"}',
+    ),
+    (
+        ["chain", "contrast", "--blocks", "5", "--index", "1"],
+        '{"invalidated_range_classical":[1,5],"invalidated_range_quantum":[0,5],"past_mode_access":"TEMPORAL_INACCESSIBLE","quantum_fidelity_after_tamper":0.0}',
+    ),
+    (
+        ["consensus", "run", "--nodes", "4", "--rounds", "1000", "--dishonest", "0"],
+        '{"dishonest":0,"mean_pass_probability":0.9999999999999999,"n":4,"pass_rate":1.0,"rounds":1000,"std_err":0.0}',
+    ),
+    (
+        ["consensus", "bounds", "--dishonest", "1"],
+        '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}',
+    ),
+    (
+        ["consensus", "admit", "--threshold", "0.99"],
+        '{"accepted":true,"local_chain_lengths":{"0":1,"1":1,"2":1,"3":1},"pass_rate":1.0,"rounds":100,"threshold":0.99}',
+    ),
+    (
+        ["gleason", "roundtrip", "--dim", "3", "--frames", "10000"],
+        '{"dim":3,"frame_average_error":0.004247519502466112,"frames":10000,"reconstruction_error":1.6653345369377348e-16}',
+    ),
+    (
+        ["lg", "k3"],
+        '{"classical_bound":1.0,"k3_max":1.5000000000000002,"tau_star":1.0471975511965976}',
+    ),
+    (
+        ["lg", "temporal-chsh"],
+        '{"tsirelson":2.8284271247461903,"value":2.82842712474619}',
+    ),
+    (
+        ["lg", "entropic"],
+        '{"gap":0.13425437997563217,"lhs":0.6083691072400437,"rhs":0.4741147272644115,"tau":0.39687663147121166,"violated":true}',
+    ),
+]
+
+
+def assert_same_report(got, want, path="report"):
+    """Ints, strings, bools and nulls exactly; floats to 1e-12 relative, with
+    a 1e-15 floor for rounding noise about zero (a PPT eigenvalue of -1.4e-17),
+    so that a host whose BLAS rounds differently still passes."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("args, expected", PINNED_REPORTS)
+def test_pinned_readme_reports(args, expected):
+    res = run([*args, "--seed", "42", "--json"])
+    assert res.exit_code == 0
+    assert_same_report(json.loads(res.output), json.loads(expected))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_report_refuses_nan_and_infinity(value):
+    with pytest.raises(ValueError):
+        render_report({"x": value}, "json")
+
+
+@pytest.mark.parametrize(
+    "game, seed",
+    [("monty-ignorant", "1"), ("monty-ignorant", "3"), ("unreliable-teleport", "1"),
+     ("pbr-epistemic", "2"), ("pbr-ontic", "6")],
+)
+def test_game_with_an_empty_conditioned_sample_reports_null(game, seed):
+    # One trial, and at these seeds the game keeps no conditioned trial.  The
+    # empty sample reports null and passes: it has no estimate to miss.  The
+    # other sample still decides the exit code (one trial of pbr-ontic at
+    # seed 6 opens the prize, beyond three standard errors of 1/12).
+    res = run(["game", game, "--trials", "1", "--seed", seed, "--json"])
+    report = json.loads(res.output, parse_constant=pytest.fail)
+    (empty,) = [stats for stats in report.values() if stats["trials"] == 0]
+    assert empty["wins"] == 0 and empty["passed"] is True
+    assert empty["empirical"] is None and empty["std_err"] is None
+    assert res.exit_code == (0 if all(stats["passed"] for stats in report.values()) else 1)
+    assert res.exit_code == (1 if game == "pbr-ontic" else 0)
 
 
 @pytest.mark.parametrize(

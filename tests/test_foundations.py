@@ -32,6 +32,7 @@ from chronoq.qcore import (
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
+    QcoreError,
     RandomSource,
     StateVector,
 )
@@ -62,6 +63,14 @@ def test_gleason_roundtrip_random_densities():
             val = Valuation.from_density(rho, frame)
             recon = gleason_reconstruct(val, frame)
             assert np.max(np.abs(recon.matrix - rho.matrix)) <= 1e-8
+
+
+def test_reconstruct_rejects_a_frame_of_another_dimension():
+    rng = RandomSource(75, 0)
+    rho = _random_density(2, rng)
+    val = Valuation.from_density(rho, sample_haar_frame(2, rng))
+    with pytest.raises(QcoreError):
+        gleason_reconstruct(val, sample_haar_frame(3, rng))
 
 
 def test_valuation_missing_entry():

@@ -75,6 +75,14 @@ def test_surprisal_checks_symbols_before_a_zero_probability_one():
         sequence_surprisal([0, 5], [0.0, 1.0])
 
 
+def test_surprisal_of_the_empty_sequence_raises():
+    # It used to divide by the length and raise a bare ZeroDivisionError.
+    for check in (lambda: sequence_surprisal([], [0.5, 0.5]),
+                  lambda: typical_membership([], [0.5, 0.5], 0.1)):
+        with pytest.raises(InfoTheoryError, match="empty sequence"):
+            check()
+
+
 def test_typical_membership_and_size_exhaustive():
     src = [0.8, 0.2]
     eps = 0.15

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronoq.chain import Record, build_chain
@@ -10,10 +10,12 @@ from chronoq.qcore import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
+    I2,
     MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    S_GATE,
     DensityOperator,
     QcoreError,
     RandomSource,
@@ -27,14 +29,11 @@ from chronoq.qcore import (
     is_dichotomic,
     is_hermitian,
     is_unitary,
-    measure,
     measure_qubit,
     partial_trace,
     product_probabilities,
     purity,
     rotation,
-    standard_gate,
-    tensor_product,
     _SparseKet,
     _apply_to_targets,
 )
@@ -91,6 +90,32 @@ def test_lazy_random_source_spawns_and_replays_before_any_draw(seed):
     assert got == [(eager.integers(0, 2), eager.uniform(), eager.integers(0, 2))
                    for _ in range(700)]
     assert fresh.generator.bit_generator.state == eager.bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(-1.0, 1e3), min_size=1, max_size=40),
+)
+def test_choice_index_picks_as_generator_choice(seed, weights):
+    p = np.clip(weights, 0.0, None)
+    assume(p.sum() > 0)
+    source, gen = RandomSource(seed, 1), _eager_generator(seed, 1)
+    picks = [source.choice_index(weights) for _ in range(200)]
+    assert picks == [int(gen.choice(len(p), p=p / p.sum())) for _ in range(200)]
+    assert source.generator.bit_generator.state == gen.bit_generator.state
+    # Doubles drawn up front as one array pick the same indices.
+    batch = RandomSource(seed, 1)
+    assert batch.choice_index(weights, batch.generator.random(200)).tolist() == picks
+    assert batch.generator.bit_generator.state == gen.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], []])
+def test_choice_index_rejects_weights_without_a_distribution(weights):
+    source = RandomSource(3, 0)
+    with pytest.raises(QcoreError, match="weights"):
+        source.choice_index(weights)
+    assert "generator" not in vars(source)  # nothing was drawn
 
 
 def test_state_normalization_enforced():
@@ -204,6 +229,13 @@ def test_max_qubits_cap():
         StateVector.basis(2 ** (MAX_QUBITS + 1), 0)
 
 
+def test_tensor_respects_the_register_cap():
+    left = StateVector.basis(1 << 11, 0)
+    with pytest.raises(QcoreError, match="exceed"):
+        left.tensor(StateVector.basis(1 << (MAX_QUBITS - 10), 0))
+    assert left.tensor(StateVector.basis(1 << (MAX_QUBITS - 11), 1)).amplitudes[1] == 1.0
+
+
 def test_big_endian_ordering():
     # |01> has qubit 0 (leftmost) = 0 and qubit 1 = 1, basis index 1.
     s = StateVector.from_bits([0, 1])
@@ -223,7 +255,7 @@ def test_gate_predicates():
     for g in (PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, CNOT):
         assert is_unitary(g)
     assert is_hermitian(PAULI_Y)
-    assert not is_hermitian(standard_gate("S"))
+    assert not is_hermitian(S_GATE)
 
 
 def test_rotation_gate():
@@ -270,9 +302,7 @@ def test_measure_statistics():
     rng = RandomSource(1, 0)
     s = StateVector([math.sqrt(0.3), math.sqrt(0.7)])
     n = 20_000
-    ones = sum(
-        measure(s, computational_basis(2), rng).index for _ in range(n)
-    )
+    ones = sum(collapse(s, [0], I2, rng)[0] for _ in range(n))
     se = math.sqrt(0.7 * 0.3 / n)
     assert abs(ones / n - 0.7) <= 3 * se
 
@@ -391,8 +421,7 @@ def test_partial_trace_product():
 
 
 def test_kron_all():
-    # The dense test reference agrees with the library's own tensor product.
-    expected = tensor_product(tensor_product(PAULI_X, PAULI_Y), PAULI_Z)
+    expected = np.kron(np.kron(PAULI_X, PAULI_Y), PAULI_Z)
     assert np.array_equal(kron_all([PAULI_X, PAULI_Y, PAULI_Z]), expected)
 
 
