@@ -193,15 +193,11 @@ def entangle_cmd(rng, werner_points):
 
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
-    sweep = []
-    for f in np.linspace(0.0, 1.0, werner_points):
-        rho = entangle.WernerState(float(f)).rho
-        sweep.append(
-            {
-                "F": float(f),
-                "ppt_min_eigenvalue": entangle.ppt_min_eigenvalue(rho, [2, 2]),
-            }
-        )
+    fs = np.linspace(0.0, 1.0, werner_points)
+    sweep = [
+        {"F": f, "ppt_min_eigenvalue": e}
+        for f, e in zip(fs.tolist(), entangle.werner_ppt_min_eigenvalues(fs).tolist())
+    ]
     crossing = entangle.werner_chsh_crossing()
     report = {
         "chsh_psi_minus": chsh,
@@ -367,8 +363,9 @@ def chain_contrast(rng, blocks, index):
 
 
 # run/admit sample GHZ candidates as two product branches (the register
-# cap); bounds builds a dense 4^n density operator, 64 MiB at 11 nodes.  At
-# 10^5 rounds run/admit take 7-8.5 s at 20 nodes, and bounds about 1 s at 11.
+# cap), all rounds in one batch; bounds builds a dense 4^n density operator,
+# 64 MiB at 11 nodes.  At 10^5 rounds run/admit take 0.6 s at 20 nodes, and
+# bounds about 0.8 s at 11 (interpreter start included).
 _NODES = click.IntRange(2, MAX_QUBITS)
 _BOUNDS_NODES = click.IntRange(2, 11)
 _ROUNDS = click.IntRange(1, 100_000)

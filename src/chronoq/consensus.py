@@ -79,9 +79,6 @@ class Network:
     def size(self) -> int:
         return len(self.nodes)
 
-    def pick_verifier(self) -> int:
-        return self.nodes[int(self.rng.integers(0, len(self.nodes)))].id
-
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -147,8 +144,9 @@ def _anti_diagonal(state) -> np.ndarray:
     raise ConsensusError("state must be a StateVector or DensityOperator")
 
 
-# Rows evaluated at once: no array of a chunk exceeds 2^16 entries (1 MiB),
-# which measured as fast as 2^20 at 11 nodes.
+# Rows evaluated at once: a chunk of bound rounds holds no array above 2^16
+# entries (1 MiB), which measured as fast as 2^20 at 11 nodes; a chunk of
+# played rounds holds at most 2^16 angles.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -322,24 +320,107 @@ def _check_candidate(network: Network, candidate):
         raise ConsensusError("candidate qubit count must match node count")
 
 
+def _descend_rounds(form: _TwoBranches, angles: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_descend` for every row of ``angles`` and its double in ``u``,
+    one qubit at a time over all rows; returns the ``(rows, n)`` Y bits.
+
+    The two branches' amplitudes x and y are a ``(2, rows)`` array, and one
+    exponential over the whole angle block gives every qubit's turns.
+    numpy's complex arithmetic and exponential may round otherwise than
+    Python's ``complex`` and ``cmath``, so a row whose ``rest`` comes within
+    1e-12 of a branch weight is played again by :func:`_descend`.  The 1e-12
+    is relative to the total weight on the scale of ``rest``, 2^(j+1) times
+    the candidate's at qubit j: ``rest`` carries the rounding of every
+    weight subtracted before, doubled at each qubit since, so this bounds
+    its error, while the weight of the current prefix can be smaller by up
+    to 2^j.  It is the draw u lying within 1e-12 of an entry of the
+    normalized CDF.
+    """
+    n, rows = angles.shape[1], len(u)
+    factors = np.array(form.factors)[:, :, None]  # a0, a1, b0, b1 per qubit
+    firsts, seconds = factors[:, 0::2], factors[:, 1::2]
+    turns = -1j * angles.T
+    np.exp(turns, out=turns)
+    tails = np.array(form.tails[1:])  # aa, bb, ab per qubit
+    weights, crosses = tails[:, :2].real, tails[:, 2]
+    total = _weight(form.alpha, form.beta, form.tails[0])
+    z = np.array([[form.alpha], [form.beta]])
+    rest = u * total
+    margin = np.empty((n, rows))
+    ones = np.empty((n, rows), dtype=bool)
+    for j in range(n):
+        rest *= 2.0
+        turned = turns[j] * seconds[j]
+        z_zero = z * (firsts[j] + turned)
+        p0 = weights[j] @ (z_zero.real**2 + z_zero.imag**2)
+        if crosses[j]:  # zero on every tail but the last for a GHZ candidate
+            p0 += 2.0 * (z_zero[0].conj() * z_zero[1] * crosses[j]).real
+        np.subtract(rest, p0, out=margin[j])
+        one = np.greater_equal(rest, p0, out=ones[j])
+        rest = np.where(one, margin[j], rest)
+        z = np.where(one, z * (firsts[j] - turned), z_zero)
+    bits = ones.T.view(np.uint8)
+    scale = total * 2.0 ** np.arange(1, n + 1)
+    for r in np.flatnonzero((np.abs(margin) <= 1e-12 * scale[:, None]).any(axis=0)):
+        bits[r] = _descend(form, angles[r].tolist(), float(u[r]))
+    return bits
+
+
+def _play_rounds(played, network: Network, rounds: int, rng: RandomSource):
+    """θ rounds on ``played``, the candidate after the dishonest nodes'
+    cheats, in chunks of at most ``_CHUNK_ENTRIES`` angles: yields per chunk
+    the verifier indices into ``network.nodes``, the ``(rows, n)`` angles,
+    their ``(rows,)`` m and the ``(rows, n)`` Y bits.
+
+    A round draws ``integers(0, n)`` for its verifier, n - 1 angles
+    ``uniform(0, pi)`` and the one double that ``RandomSource.choice_index``
+    picks its outcome with.  These draws are replayed from raw generator
+    words (``RandomSource._replayed_rounds``), so rounds, outcomes and the
+    generator state left behind equal those of the draws made one round at
+    a time.  A two-branch candidate descends all rows at once
+    (:func:`_descend_rounds`); any other samples its Born distribution
+    row by row.
+    """
+    n = network.size
+    if n < 2:
+        raise ConsensusError("need at least 2 angles")
+    _check_candidate(network, played)
+    step = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, rounds, step):
+        picks, words = rng._replayed_rounds(n, n, min(step, rounds - start))
+        doubles = (words >> 11) * 2.0**-53
+        angles, m = _complete_angles(math.pi * doubles[:, :-1])
+        u = doubles[:, -1]
+        if isinstance(played, _TwoBranches):
+            outcomes = _descend_rounds(played, angles, u)
+        else:
+            picked = [
+                rng.choice_index(product_probabilities(played, [theta_basis(t) for t in row]), ur)
+                for row, ur in zip(angles.tolist(), u)
+            ]
+            outcomes = (np.array(picked)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        yield picks, angles, m, outcomes
+
+
 def run_round(network: Network, played, rng: RandomSource) -> RoundResult:
     """One θ round on ``played``, the candidate after the dishonest nodes'
     cheats (for an honest network, the candidate itself), as a
-    :class:`StateVector` or as :func:`_play` builds it."""
-    _check_candidate(network, played)
-    verifier = network.pick_verifier()
-    angles, m = sample_theta_angles(network.size, rng)
-    outcomes = theta_measure(played, angles, rng)
-    passed = (sum(outcomes) % 2) == (m % 2)
-    return RoundResult(verifier, tuple(angles), outcomes, m, passed)
+    :class:`StateVector` or as :func:`_play` builds it: the batch of one of
+    :func:`_play_rounds`."""
+    picks, angles, m, outcomes = next(_play_rounds(played, network, 1, rng))
+    bits, parity = tuple(outcomes[0].tolist()), int(m[0])
+    return RoundResult(
+        network.nodes[int(picks[0])].id, tuple(angles[0].tolist()), bits, parity,
+        sum(bits) % 2 == parity % 2,
+    )
 
 
 def estimate_pass_probability(
     candidate: StateVector, network: Network, rounds: int, rng: RandomSource
 ) -> dict:
     """Bernoulli pass-rate estimate with its standard error.  The cheats are
-    applied once (:func:`_play`), and every round measures the same
-    immutable played state: a GHZ-like candidate in O(n) per round, any
+    applied once (:func:`_play`), and the rounds measure the same immutable
+    played state in batches: a GHZ-like candidate in O(n) per round, any
     other in O(n 2^n)."""
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
@@ -348,7 +429,11 @@ def estimate_pass_probability(
 
 
 def _estimate(played, network: Network, rounds: int, rng: RandomSource) -> dict:
-    p_hat = sum(run_round(network, played, rng).passed for _ in range(rounds)) / rounds
+    passes = sum(
+        int(np.count_nonzero(outcomes.sum(axis=1) % 2 == m % 2))
+        for _, _, m, outcomes in _play_rounds(played, network, rounds, rng)
+    )
+    p_hat = passes / rounds
     return {
         "pass_rate": p_hat,
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),

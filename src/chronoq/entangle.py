@@ -25,6 +25,7 @@ from .qcore import (
     is_dichotomic,
     is_hermitian,
     partial_trace,
+    validated_densities,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -91,25 +92,51 @@ class WernerState:
 
     @property
     def rho(self) -> DensityOperator:
-        singlet = bell_state("psi-").to_density().matrix
-        rest = sum(
-            bell_state(lbl).to_density().matrix for lbl in ("phi+", "phi-", "psi+")
-        )
-        return DensityOperator(self.F * singlet + (1.0 - self.F) / 3.0 * rest)
+        return DensityOperator(_werner_matrices(self.F))
+
+
+def _werner_matrices(f) -> np.ndarray:
+    """The Werner matrix at F = ``f``, or the ``(..., 4, 4)`` stack of them
+    for an array of weights."""
+    f = np.asarray(f, dtype=float)[..., None, None]
+    singlet = bell_state("psi-").to_density().matrix
+    rest = sum(
+        bell_state(lbl).to_density().matrix for lbl in ("phi+", "phi-", "psi+")
+    )
+    return f * singlet + (1.0 - f) / 3.0 * rest
+
+
+def werner_ppt_min_eigenvalues(fs: Sequence[float]) -> np.ndarray:
+    """``ppt_min_eigenvalue(WernerState(F).rho, [2, 2])`` for every F of
+    ``fs`` at once: one validated ``(len(fs), 4, 4)`` stack, its partial
+    transposes and one batched ``eigvalsh``."""
+    fs = np.asarray(fs, dtype=float)
+    if not np.all((0.0 <= fs) & (fs <= 1.0)):  # nan fails too
+        raise EntangleError("F must lie in [0, 1]")
+    return _min_eigenvalues(_partial_transpose(validated_densities(_werner_matrices(fs)), (2, 2)))
 
 
 def partial_transpose(rho: DensityOperator, dims: Sequence[int]) -> np.ndarray:
     """Partial transpose of a bipartite operator on its second subsystem."""
     if len(dims) != 2 or dims[0] * dims[1] != rho.dim:
         raise EntangleError("dims must be a bipartition of the operator")
-    tensor = rho.matrix.reshape(dims[0], dims[1], dims[0], dims[1])
-    return np.transpose(tensor, (0, 3, 2, 1)).reshape(rho.dim, rho.dim)
+    return _partial_transpose(rho.matrix, dims)
+
+
+def _partial_transpose(mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """:func:`partial_transpose` of a matrix or of each of a ``(..., d, d)`` stack."""
+    tensor = mats.reshape(mats.shape[:-2] + (dims[0], dims[1], dims[0], dims[1]))
+    return tensor.swapaxes(-3, -1).reshape(mats.shape)
 
 
 def ppt_min_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
-    pt = partial_transpose(rho, dims)
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0).min())
+    return float(_min_eigenvalues(partial_transpose(rho, dims)))
+
+
+def _min_eigenvalues(pts: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of the Hermitian part of a matrix, or of each of a stack."""
+    return np.linalg.eigvalsh((pts + pts.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------

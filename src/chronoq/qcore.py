@@ -114,25 +114,17 @@ class RandomSource:
         ``(coin, uniform)`` that make no numpy call per draw.  Make no other
         draw from this source inside the ``with`` block.
 
-        ``integers(0, 2)`` is the top bit of the next 32-bit half-word.  A
-        fresh word hands out its low half first and buffers its high half
-        for the next call (PCG64's ``has_uint32``/``uinteger``); a half
-        buffered on entry is handed out first.  ``uniform()`` takes the next
-        whole word w as ``(w >> 11) * 2**-53`` and leaves the buffer alone.
-
-        Words are read 1024 at a time.  On exit the generator is left
-        exactly where the scalar calls would have left it: the entry state
-        advanced by the words consumed, with the buffer flag and the last
-        buffered half, which PCG64 keeps even once it has been handed out.
+        ``integers(0, 2)`` is the top bit of the next 32-bit half-word (see
+        :class:`_RawWords`).  ``uniform()`` takes the next whole word w as
+        ``(w >> 11) * 2**-53`` and leaves the half-word buffer alone.  Words
+        are read 1024 at a time.
         """
-        bits = self.generator.bit_generator
-        entry = bits.state
-        buffered, half = bool(entry["has_uint32"]), entry["uinteger"]
-        used = 0
+        raw = _RawWords(self.generator.bit_generator)
+        buffered, half, used = raw.buffered, raw.half, 0
 
         def stream():
             while True:
-                yield from bits.random_raw(1024).tolist()
+                yield from raw.take(1024).tolist()
 
         next_word = stream().__next__
 
@@ -154,9 +146,105 @@ class RandomSource:
         try:
             yield coin, uniform
         finally:
-            bits.state = entry
-            bits.advance(used)
-            bits.state = {**bits.state, "has_uint32": int(buffered), "uinteger": half}
+            raw.used, raw.buffered, raw.half = used, buffered, half
+            raw.close()
+
+    def _replayed_rounds(self, high: int, words: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` rounds of the scalar draws ``integers(0, high)`` and then
+        ``words`` draws of one whole word each (``random()``, ``uniform()``),
+        replayed from raw words in one batch: returns the ``(count,)``
+        integers and the ``(count, words)`` uint64 words, and leaves the
+        generator where those scalar calls would have left it.
+
+        numpy draws ``integers(0, high)`` by Lemire's method on the next
+        32-bit half-word x (see :class:`_RawWords`): with m = x * high the
+        integer is m >> 32, and x is rejected, for a further half-word, when
+        m mod 2^32 < 2^32 mod high, which never happens for a power-of-two
+        high.  The rounds are planned as if no half-word were rejected: they
+        then alternate between a fresh word and the buffered half.  A round
+        that rejects ends the plan; it is drawn by the scalar rule and the
+        plan restarts after it.
+        """
+        if not 2 <= high <= 1 << 32:
+            raise QcoreError("integers(0, high) is replayed for 2 <= high <= 2**32")
+        raw = _RawWords(self.generator.bit_generator)
+        threshold = (1 << 32) % high
+        ints = np.empty(count, dtype=np.int64)
+        out = np.empty((count, words), dtype=np.uint64)
+        done = 0
+        try:
+            while done < count:
+                left, base = count - done, raw.used
+                # Round r takes a fresh word for its integer unless a half is buffered.
+                fresh = (np.arange(left) + raw.buffered) % 2 == 0
+                size = words + fresh
+                start = np.cumsum(size) - size
+                block = raw.take(int(start[-1] + size[-1]))
+                first = block[start]
+                buffered_half = np.concatenate((np.array([raw.half], np.uint64), first[:-1] >> 32))
+                m = np.where(fresh, first & 0xFFFFFFFF, buffered_half) * np.uint64(high)
+                rejects = np.flatnonzero((m & 0xFFFFFFFF) < threshold)
+                keep = int(rejects[0]) if rejects.size else left
+                if keep:
+                    ints[done : done + keep] = m[:keep] >> 32
+                    out[done : done + keep] = block[(start + fresh)[:keep, None] + np.arange(words)]
+                    last = keep - 1
+                    raw.buffered = bool(fresh[last])
+                    raw.half = int(first[last] >> 32 if fresh[last] else buffered_half[last])
+                raw.used = base + (int(start[keep]) if keep < left else block.size)
+                done += keep
+                if keep < left:
+                    m = raw.half_word() * high
+                    while m & 0xFFFFFFFF < threshold:
+                        m = raw.half_word() * high
+                    ints[done], out[done] = m >> 32, raw.take(words)
+                    done += 1
+        finally:
+            raw.close()
+        return ints, out
+
+
+class _RawWords:
+    """The raw 64-bit words of a PCG64 stream from the state it has on entry,
+    and the 32-bit half-word buffer that numpy's scalar 32-bit draws share.
+
+    A half-word draw takes a buffered half if there is one; otherwise a
+    fresh word hands out its low half and buffers its high half (PCG64's
+    ``has_uint32``/``uinteger``).  ``used`` counts the words consumed: a
+    caller that read ahead lowers it to hand words back.  :meth:`close`
+    leaves the generator exactly where the scalar draws would have left it:
+    the entry state advanced by ``used`` words, with the buffer flag and the
+    last buffered half, which PCG64 keeps even once it has been handed out.
+    """
+
+    def __init__(self, bits):
+        self.bits, self.entry = bits, bits.state
+        self.buffered, self.half = bool(self.entry["has_uint32"]), self.entry["uinteger"]
+        self.used = self._read = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The ``count`` words after the ``used`` ones."""
+        if self._read != self.used:  # words were handed back: seek
+            self.bits.state = self.entry
+            self.bits.advance(self.used)
+        words = self.bits.random_raw(count)
+        self.used = self._read = self.used + count
+        return words
+
+    def half_word(self) -> int:
+        if self.buffered:
+            self.buffered = False
+            return self.half
+        word = int(self.take(1)[0])
+        self.buffered, self.half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def close(self):
+        self.bits.state = self.entry
+        self.bits.advance(self.used)
+        self.bits.state = {
+            **self.bits.state, "has_uint32": int(self.buffered), "uinteger": self.half
+        }
 
 
 # ---------------------------------------------------------------------------

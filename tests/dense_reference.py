@@ -17,7 +17,14 @@ from chronoq.chain import (
     encode_block,
 )
 from chronoq.infotheory import InfoTheoryError, _multinomial
-from chronoq.qcore import HADAMARD, PAULI_X, DensityOperator, StateVector, _branch_index
+from chronoq.qcore import (
+    HADAMARD,
+    PAULI_X,
+    DensityOperator,
+    StateVector,
+    _branch_index,
+    bell_state,
+)
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -170,7 +177,7 @@ def dense_estimate(candidate, network, rounds: int, rng) -> dict:
     played = consensus._apply_cheats(candidate, network.nodes)
     passes = 0
     for _ in range(rounds):
-        network.pick_verifier()
+        rng.integers(0, network.size)  # the verifier
         angles, m = per_round_theta_angles(network.size, rng)
         outcomes = consensus.theta_measure(played, angles, rng)
         passes += sum(outcomes) % 2 == m % 2
@@ -180,6 +187,30 @@ def dense_estimate(candidate, network, rounds: int, rng) -> dict:
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),
         "rounds": rounds,
     }
+
+
+def per_round_play(played, network, rounds: int, rng) -> list:
+    """The θ rounds of consensus._play_rounds one at a time, with one scalar
+    draw for each verifier, angle and outcome: a list of RoundResult."""
+    results = []
+    for _ in range(rounds):
+        verifier = network.nodes[int(rng.integers(0, network.size))].id
+        angles, m = consensus.sample_theta_angles(network.size, rng)
+        outcomes = consensus.theta_measure(played, angles, rng)
+        passed = sum(outcomes) % 2 == m % 2
+        results.append(consensus.RoundResult(verifier, tuple(angles), outcomes, m, passed))
+    return results
+
+
+def per_point_werner_ppt(f: float) -> float:
+    """entangle.werner_ppt_min_eigenvalues at one F: the Werner density built
+    and validated alone, its partial transpose by a 4-axis transpose, and one
+    eigvalsh."""
+    singlet = bell_state("psi-").to_density().matrix
+    rest = sum(bell_state(lbl).to_density().matrix for lbl in ("phi+", "phi-", "psi+"))
+    rho = DensityOperator(f * singlet + (1.0 - f) / 3.0 * rest).matrix
+    pt = np.transpose(rho.reshape(2, 2, 2, 2), (0, 3, 2, 1)).reshape(4, 4)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0).min())
 
 
 def per_round_bounds(state, network, rounds: int, rng, *, honest: bool = True) -> dict:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronoq import consensus
@@ -14,6 +14,7 @@ from chronoq.consensus import (
     ConsensusError,
     Network,
     Node,
+    RoundResult,
     admit_block,
     check_fidelity_bounds,
     estimate_pass_probability,
@@ -42,6 +43,7 @@ from dense_reference import (
     duplicated_block_corrected_fidelity,
     kron_all,
     per_round_bounds,
+    per_round_play,
     per_round_theta_angles,
 )
 
@@ -544,3 +546,112 @@ def test_complete_angles_wraps_a_negative_last_angle():
     assert m.tolist() == [2, 1]
     assert np.all((0.0 <= angles) & (angles < math.pi))
     assert angles.sum(axis=1) == pytest.approx(m * math.pi, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# θ rounds batched across rounds against the per-round loop
+# ---------------------------------------------------------------------------
+
+
+def _batched_rounds(played, network, rounds, rng):
+    """consensus._play_rounds as a list of RoundResult."""
+    results = []
+    for picks, angles, m, outcomes in consensus._play_rounds(played, network, rounds, rng):
+        for pick, row, mm, bits in zip(picks.tolist(), angles.tolist(), m.tolist(),
+                                       outcomes.tolist()):
+            parity = int(mm)
+            results.append(RoundResult(network.nodes[pick].id, tuple(row), tuple(bits), parity,
+                                       sum(bits) % 2 == parity % 2))
+    return results
+
+
+def _assert_rounds_match_loop(played, nodes, rounds, sources):
+    """The batch, the per-round loop and the estimate on three sources in
+    one state: equal rounds, pass rate and generator state left behind."""
+    batch, loop, est = sources
+    reference = per_round_play(played, Network(nodes, loop), rounds, loop)
+    assert _batched_rounds(played, Network(nodes, batch), rounds, batch) == reference
+    p_hat = consensus._estimate(played, Network(nodes, est), rounds, est)["pass_rate"]
+    assert p_hat == sum(r.passed for r in reference) / rounds
+    state = loop.generator.bit_generator.state
+    assert batch.generator.bit_generator.state == state == est.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("n, rejects", [(3, True), (20, True), (2, False), (4, False)])
+def test_forced_lemire_rejection_matches_per_round_reference(n, rejects):
+    # A buffered half-word of 0 makes m = 0 below the Lemire threshold
+    # 2^32 mod n (1 at n = 3, 16 at n = 20), so the first verifier draw
+    # rejects it and takes a fresh word; a power-of-two n never rejects.
+    nodes = _cheating_nodes(n, [0, n - 1], np.random.default_rng(n))
+    played = consensus._play(ghz_state(n), nodes)
+    sources = [RandomSource(7, 1) for _ in range(4)]
+    for source in sources:
+        bits = source.generator.bit_generator
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": 0}
+    probe = sources.pop()
+    probe.integers(0, n)
+    assert probe.generator.bit_generator.state["has_uint32"] == int(rejects)
+    _assert_rounds_match_loop(played, nodes, 60, sources)
+
+
+_SEEDS = st.one_of(st.sampled_from([1, 2, 42]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 20),
+    seed=_SEEDS,
+    cheaters=st.sets(st.integers(0, 19)),
+    shape=st.sampled_from(["ghz", "ghz", "pair", "basis", "dense"]),
+    rounds=st.integers(1, 120),
+    buffered=st.booleans(),
+    chunk_entries=st.sampled_from([1, 45, 1 << 16]),
+)
+@example(n=20, seed=1, cheaters=set(range(20)), shape="ghz", rounds=120, buffered=False,
+         chunk_entries=1 << 16)
+@example(n=2, seed=2, cheaters=set(), shape="ghz", rounds=120, buffered=True, chunk_entries=45)
+@example(n=5, seed=42, cheaters={1, 3}, shape="dense", rounds=50, buffered=True,
+         chunk_entries=45)
+def test_batched_rounds_match_per_round_loop(
+    n, seed, cheaters, shape, rounds, buffered, chunk_entries
+):
+    gen = np.random.default_rng(seed)
+    nodes = _cheating_nodes(n, {c for c in cheaters if c < n}, gen)
+    if shape == "dense":  # more than two amplitudes: Born sampling row by row
+        candidate = _random_state(min(n, 8), seed, density=False)
+        nodes = nodes[: candidate.num_qubits]
+    else:
+        candidate = _two_branch_candidate(n, gen, shape)
+    played = consensus._play(candidate, nodes)
+    sources = [RandomSource(seed, 6) for _ in range(3)]
+    if buffered:  # start with a half-word buffered
+        for source in sources:
+            source.integers(0, 7)
+    with pytest.MonkeyPatch.context() as patch:
+        # Small chunks put chunk boundaries between the rounds.
+        patch.setattr(consensus, "_CHUNK_ENTRIES", chunk_entries)
+        _assert_rounds_match_loop(played, nodes, rounds, sources)
+
+
+def test_descent_on_a_branch_boundary_is_played_by_the_scalar_descent(monkeypatch):
+    # Honest GHZ: each of the first n - 1 bits is a fair coin, so every
+    # dyadic u = k / 2^(n-1) puts ``rest`` on a branch boundary.  At u = 1/2
+    # the scalar descent picks outcome 1 for the first qubit.
+    n = 3
+    form = consensus._play(ghz_state(n), _network(n, RandomSource(0, 0)).nodes)
+    angles = np.array([[0.3, 1.1, math.pi - 1.4], [0.7, 0.2, math.pi - 0.9]])
+    u = np.array([0.5, 0.3])
+    replayed = []
+
+    def scalar(form, angles, u):
+        replayed.append(u)
+        return consensus_descend(form, angles, u)
+
+    consensus_descend = consensus._descend
+    monkeypatch.setattr(consensus, "_descend", scalar)
+    bits = consensus._descend_rounds(form, angles, u)
+    assert replayed == [0.5]
+    assert [tuple(row) for row in bits.tolist()] == [
+        consensus_descend(form, row, ur) for row, ur in zip(angles.tolist(), u.tolist())
+    ]
+    assert bits[0, 0] == 1

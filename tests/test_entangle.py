@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoq.entangle import (
+    EntangleError,
     ObservableSettings,
     WernerState,
     canonical_chsh_settings,
@@ -20,6 +21,7 @@ from chronoq.entangle import (
     state_distance,
     trace_distance,
     werner_chsh_crossing,
+    werner_ppt_min_eigenvalues,
     ghz_witness,
     witness_value,
 )
@@ -33,6 +35,8 @@ from chronoq.qcore import (
     bell_state,
     ghz_state,
 )
+
+from dense_reference import per_point_werner_ppt
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -68,6 +72,21 @@ def test_werner_ppt_eigenvalues():
         eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho, [2, 2])))
         expected = np.sort([(2 * f + 1) / 6] * 3 + [(1 - 2 * f) / 2])
         assert np.allclose(eigs, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("points", [1, 2, 11, 1000])
+def test_werner_ppt_sweep_matches_per_point(points):
+    fs = np.linspace(0.0, 1.0, points)
+    sweep = werner_ppt_min_eigenvalues(fs)
+    assert sweep.tolist() == [per_point_werner_ppt(f) for f in fs.tolist()]
+    # The partial transpose's spectrum: (1 - 2F)/2 once and (1 + 2F)/6 three times.
+    assert np.allclose(sweep, np.minimum((1 - 2 * fs) / 2, (1 + 2 * fs) / 6), rtol=0, atol=1e-12)
+
+
+def test_werner_ppt_sweep_rejects_weights_outside_the_unit_interval():
+    for fs in ([-0.1], [0.5, 1.5], [math.nan]):
+        with pytest.raises(EntangleError):
+            werner_ppt_min_eigenvalues(fs)
 
 
 def test_ppt_onset_at_half():

@@ -92,6 +92,33 @@ def test_lazy_random_source_spawns_and_replays_before_any_draw(seed):
     assert fresh.generator.bit_generator.state == eager.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # 3 * 2**30 rejects a quarter of its half-words, 2**32 takes them whole.
+    high=st.one_of(st.sampled_from([2, 3, 4, 7, 20, 3 << 30, 1 << 32]), st.integers(2, 1 << 32)),
+    words=st.integers(1, 4),
+    count=st.integers(0, 300),
+    buffered=st.booleans(),
+)
+def test_replayed_rounds_match_scalar_draws(seed, high, words, count, buffered):
+    source, eager = RandomSource(seed, 2), _eager_generator(seed, 2)
+    if buffered:  # leaves a half-word buffered, or none if it rejected one
+        assert source.integers(0, 7) == eager.integers(0, 7)
+    ints, raw = source._replayed_rounds(high, words, count)
+    scalar = [(int(eager.integers(0, high)), eager.bit_generator.random_raw(words).tolist())
+              for _ in range(count)]
+    assert ints.tolist() == [i for i, _ in scalar]
+    assert raw.tolist() == [w for _, w in scalar]
+    assert source.generator.bit_generator.state == eager.bit_generator.state
+
+
+def test_replayed_rounds_reject_a_bound_without_lemire_draws():
+    for high in (0, 1, (1 << 32) + 1):
+        with pytest.raises(QcoreError):
+            RandomSource(1, 0)._replayed_rounds(high, 1, 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
