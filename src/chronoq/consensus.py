@@ -462,17 +462,6 @@ def ghz_fidelity(rho) -> float:
     return float(first * g + last * g)
 
 
-def _single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Rz(alpha) Ry(beta) Rz(gamma)."""
-    ca, sa = np.exp(-1j * alpha / 2), np.exp(1j * alpha / 2)
-    cg, sg = np.exp(-1j * gamma / 2), np.exp(1j * gamma / 2)
-    cb, sb = math.cos(beta / 2), math.sin(beta / 2)
-    return np.array(
-        [[ca * cb * cg, -ca * sb * sg], [sa * sb * cg, sa * cb * sg]],
-        dtype=np.complex128,
-    )
-
-
 # u^dag = q0 I + i (q1 X + q2 Y + q3 Z): a unit quaternion q spans every
 # single-qubit unitary up to a global phase, and u^dag is linear in q.
 _QUATERNION_BASIS = np.array([I2, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z])
@@ -481,37 +470,22 @@ _STARTS = 8
 _SWEEP_GAIN = 1e-14
 
 
-def _ascend(block: np.ndarray, mats: list) -> float:
-    """Block-coordinate ascent of <phi| block |phi> over the cheaters' u^dag.
-
-    phi = U^dag |GHZ> restricted to the honest-all-0 and honest-all-1 halves
-    is (x)_c mats[c][:, h] / sqrt(2) in half h (cheater bits big-endian), so
-    with the other cheaters fixed the fidelity is a real quadratic form
-    q^T M q in one cheater's quaternion, maximized by M's top eigenvector.
-    A block as wide as one half means that no node is honest: the two
-    halves index the same basis states, so their kets add.
-    """
-    value = -math.inf
-    for _ in range(_MAX_SWEEPS):
-        previous = value
-        for i in range(len(mats)):
-            halves = []
-            for h in (0, 1):
-                left = functools.reduce(np.kron, [u[:, h] for u in mats[:i]], np.ones(1))
-                right = functools.reduce(np.kron, [u[:, h] for u in mats[i + 1 :]], np.ones(1))
-                cols = _QUATERNION_BASIS[:, :, h]
-                halves.append(np.einsum("a,jb,c->abcj", left, cols, right).reshape(-1, 4))
-            if len(block) == len(halves[0]):
-                kets = (halves[0] + halves[1]) * _GHZ_AMPLITUDE
-            else:
-                kets = np.concatenate(halves) * _GHZ_AMPLITUDE
-            form = np.real(kets.conj().T @ block @ kets)
-            eigvals, eigvecs = np.linalg.eigh((form + form.T) / 2.0)
-            mats[i] = np.tensordot(eigvecs[:, -1], _QUATERNION_BASIS, axes=1)
-            value = float(eigvals[-1])
-        if value - previous <= _SWEEP_GAIN:
-            break
-    return value
+@functools.lru_cache(maxsize=None)
+def _starts(k: int) -> np.ndarray:
+    """The read-only ``(_STARTS, k, 2, 2)`` u^dag of k cheaters at
+    deterministic golden-ratio starts, u = Rz(alpha) Ry(beta) Rz(gamma)."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    mats = np.empty((_STARTS, k, 2, 2), dtype=np.complex128)
+    for s in range(_STARTS):
+        x = TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
+        for i, (alpha, beta, gamma) in enumerate(x.reshape(k, 3)):
+            ca, sa = np.exp(-1j * alpha / 2), np.exp(1j * alpha / 2)
+            cg, sg = np.exp(-1j * gamma / 2), np.exp(1j * gamma / 2)
+            cb, sb = math.cos(beta / 2), math.sin(beta / 2)
+            u = np.array([[ca * cb * cg, -ca * sb * sg], [sa * sb * cg, sa * cb * sg]])
+            mats[s, i] = u.conj().T
+    mats.flags.writeable = False
+    return mats
 
 
 def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) -> float:
@@ -519,11 +493,15 @@ def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) 
     is a product of single-qubit unitaries on the dishonest qubits.
 
     Only the four 2^k x 2^k blocks <h_H| rho |h'_H> with the honest register
-    all-0 or all-1 enter.  Each cheater's unitary is a unit quaternion and
-    block-coordinate ascent takes the top eigenvector of a 4x4 form per step,
-    which is the exact optimum for one cheater.  For several cheaters the
-    ascent runs from deterministic golden-ratio starts and the best value
-    wins; any local maximum is still a valid lower bound on the optimum.
+    all-0 or all-1 enter.  phi = U^dag |GHZ> on them is (x)_c u_c^dag[:, h]
+    / sqrt(2) in half h (cheater bits big-endian), so with the other
+    cheaters fixed the fidelity is a real quadratic form q^T M q in one
+    cheater's quaternion, maximized by M's top eigenvector.  Block-coordinate
+    ascent runs from golden-ratio starts in lockstep: a step forms every
+    live start's M through one product with the block and one stacked
+    ``eigh``, and a start stops once a sweep gains at most ``_SWEEP_GAIN``.
+    The best value wins; any local maximum is still a valid lower bound.
+    One cheater's M depends on no start, so one step is the exact optimum.
     """
     n = rho.dim.bit_length() - 1
     qubits = sorted(set(dishonest))
@@ -542,14 +520,35 @@ def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) 
     index = np.concatenate([offsets, honest_ones + offsets]) if honest_ones else offsets
     block = rho.matrix[np.ix_(index, index)]
 
-    # Deterministic low-discrepancy starting points (golden-ratio lattice).
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best = -math.inf
-    for s in range(_STARTS):
-        x = TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
-        mats = [_single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
-        best = max(best, _ascend(block, mats))
-    return min(best, 1.0)
+    mats = _starts(k)[: _STARTS if k > 1 else 1].copy()
+    values = np.full(len(mats), -math.inf)
+    live = np.arange(len(mats))
+    basis = _QUATERNION_BASIS.transpose(2, 1, 0)  # [h, b, j]: column h of each u^dag
+    for _ in range(_MAX_SWEEPS if k > 1 else 1):
+        previous = values[live]
+        for i in range(k):
+            # Kronecker products of column h of the u^dag of the cheaters
+            # before and after i, accumulated left to right.
+            cols = mats[live].transpose(0, 1, 3, 2)
+            left = right = np.ones((len(live), 2, 1))
+            for c in range(i):
+                left = (left[..., None] * cols[:, c, :, None, :]).reshape(len(live), 2, -1)
+            for c in range(i + 1, k):
+                right = (right[..., None] * cols[:, c, :, None, :]).reshape(len(live), 2, -1)
+            kets = left[:, :, :, None, None, None] * basis[:, None, :, None, :]
+            kets = (kets * right[:, :, None, None, :, None]).reshape(len(live), 2, -1, 4)
+            # No honest node: the two halves index the same basis states, so their kets add.
+            kets = kets.reshape(len(live), -1, 4) if honest_ones else kets[:, 0] + kets[:, 1]
+            kets = kets * _GHZ_AMPLITUDE
+            bras = kets.conj().transpose(0, 2, 1)
+            form = np.real((bras.reshape(-1, len(block)) @ block).reshape(bras.shape) @ kets)
+            eigvals, eigvecs = np.linalg.eigh((form + form.transpose(0, 2, 1)) / 2.0)
+            mats[live, i] = (eigvecs[:, :, -1] @ _QUATERNION_BASIS.reshape(4, 4)).reshape(-1, 2, 2)
+            values[live] = eigvals[:, -1]
+        live = live[values[live] - previous > _SWEEP_GAIN]
+        if not live.size:
+            break
+    return min(float(values.max()), 1.0)
 
 
 def check_fidelity_bounds(

@@ -7,9 +7,10 @@ applied by clamping probabilities/eigenvalues below ``TOL_ALG`` to zero.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -125,36 +126,47 @@ def typical_set_size(n: int, source, epsilon: float) -> int:
     """Exact count of epsilon-typical length-n sequences (by count classes)."""
     p = _validate_dist(source)
     h = shannon_entropy(p)
-    total = 0
-    for counts in _compositions(n, len(p)):
-        prob_log = _class_log2_prob(counts, p)
-        if prob_log is None:
-            continue
-        if abs(-prob_log / n - h) <= epsilon + 1e-12:
-            total += _multinomial(n, counts)
-    return total
+    counts, log2_prob = _count_classes(n, p)
+    typical = np.abs(-log2_prob / n - h) <= epsilon + 1e-12
+    return sum(_multinomial(n, c) for c in map(tuple, counts[typical].tolist()))
 
 
-def _compositions(n: int, k: int):
-    """All tuples of k nonnegative integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+def _count_classes(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol counts of every length-n class of nonzero probability, in
+    lexicographic order, and the log2 probability of any one sequence in
+    each: c log2(p_s) summed over the symbols left to right, a zero count
+    adding a zero."""
+    counts = _compositions(n, len(p))
+    if np.any(p <= TOL_ALG):
+        counts = counts[~np.any(counts[:, p <= TOL_ALG] > 0, axis=1)]
+    log2_prob = np.zeros(len(counts))
+    for c, pi in zip(counts.T, p.tolist()):
+        if pi > TOL_ALG:
+            log2_prob += c * math.log2(pi)
+    return counts, log2_prob
 
 
-def _class_log2_prob(counts: Sequence[int], p: np.ndarray) -> float | None:
-    """log2 probability of any single sequence in a count class; None if zero."""
-    total = 0.0
-    for c, pi in zip(counts, p):
-        if c == 0:
-            continue
-        if pi <= TOL_ALG:
-            return None
-        total += c * math.log2(pi)
-    return total
+@lru_cache(maxsize=None)
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Every tuple of k nonnegative integers summing to n, as a read-only
+    ``(tuples, k)`` int64 array in lexicographic order."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k - 1):
+        # Each prefix so far, extended by every count that still fits.
+        fits = n + 1 - counts.sum(axis=1)
+        starts = np.repeat(np.cumsum(fits) - fits, fits)
+        counts = np.column_stack([np.repeat(counts, fits, axis=0), np.arange(fits.sum()) - starts])
+    counts = np.column_stack([counts, n - counts.sum(axis=1)])
+    counts.flags.writeable = False
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """C(m, c) at [m, c] for m, c <= n, as a read-only int64 array."""
+    table = np.array([[math.comb(m, c) for c in range(n + 1)] for m in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -238,27 +250,29 @@ class TypicalCodec:
         self.width = min(self.width, max_width)
         capacity = 1 << self.width
 
-        # Order count classes by ascending surprisal (descending probability).
-        ranked = []
-        for counts in _compositions(self.n, k):
-            logp = _class_log2_prob(counts, p)
-            if logp is None:
-                continue
-            ranked.append((-logp, counts, _multinomial(self.n, counts)))
-        ranked.sort(key=lambda item: (item[0], item[1]))
+        # Order count classes by ascending surprisal (descending probability),
+        # ties by count tuple: a stable sort of the classes in lexicographic
+        # order.  A class's size is a product of binomials, each partial
+        # product a coarser class's size, so all are exact in int64.
+        counts, log2_prob = _count_classes(self.n, p)
+        counts = counts[np.argsort(-log2_prob, kind="stable")]
+        binomial = _binomials(self.n)
+        sizes, left = np.ones(len(counts), dtype=np.int64), np.full(len(counts), self.n)
+        for c in counts.T:
+            sizes *= binomial[left, c]
+            left -= c
 
-        # Fill the codebook class by class.
-        self._classes = {}
-        used = 0
-        for _, counts, size in ranked:
-            if used >= capacity:
-                break
-            take = min(size, capacity - used)
-            self._classes[counts] = (used, take, size)
-            used += take
-        book = [(offset, counts) for counts, (offset, take, _) in self._classes.items() if take]
-        self._offsets = [offset for offset, _ in book]
-        self._offset_classes = [counts for _, counts in book]
+        # Fill the codebook class by class; only the last class may be cut.
+        # Offsets are Python ints: they pass 2**63 in the 65-bit book.
+        sizes = sizes.tolist()
+        offsets = [0, *accumulate(sizes)]
+        full = min(bisect_left(offsets, capacity), len(sizes))
+        takes = sizes[:full]
+        takes[-1] = min(takes[-1], capacity - offsets[full - 1])
+        # Every class in the book takes at least one sequence.
+        self._offsets = offsets[:full]
+        self._offset_classes = list(zip(*counts[:full].T.tolist()))
+        self._classes = dict(zip(self._offset_classes, zip(self._offsets, takes, sizes)))
 
     @property
     def rate_bits_per_symbol(self) -> float:

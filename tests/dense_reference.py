@@ -20,6 +20,7 @@ from chronoq.infotheory import InfoTheoryError, _multinomial
 from chronoq.qcore import (
     HADAMARD,
     PAULI_X,
+    TOL_ALG,
     DensityOperator,
     StateVector,
     _branch_index,
@@ -245,27 +246,124 @@ def per_round_bounds(state, network, rounds: int, rng, *, honest: bool = True) -
     }
 
 
-def duplicated_block_corrected_fidelity(rho, dishonest) -> float:
-    """consensus.optimize_corrected_fidelity indexing rho with the
-    honest-all-0 and honest-all-1 index sets concatenated even when every
-    node cheats, where both are all 2^n indices: a 2^(n+1) block that holds
-    rho four times."""
-    n = rho.dim.bit_length() - 1
-    qubits = sorted(set(dishonest))
-    offsets = np.zeros(1, dtype=np.int64)
-    for q in qubits:
-        offsets = np.add.outer(offsets, [0, 1 << (n - 1 - q)]).ravel()
-    honest_ones = (1 << n) - 1 - int(offsets[-1])
-    index = np.concatenate([offsets, honest_ones + offsets])
-    block = rho.matrix[np.ix_(index, index)]
+def _single_qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Rz(alpha) Ry(beta) Rz(gamma)."""
+    ca, sa = np.exp(-1j * alpha / 2), np.exp(1j * alpha / 2)
+    cg, sg = np.exp(-1j * gamma / 2), np.exp(1j * gamma / 2)
+    cb, sb = math.cos(beta / 2), math.sin(beta / 2)
+    return np.array(
+        [[ca * cb * cg, -ca * sb * sg], [sa * sb * cg, sa * cb * sg]],
+        dtype=np.complex128,
+    )
+
+
+def _ascend(block: np.ndarray, mats: list) -> float:
+    """Block-coordinate ascent of <phi| block |phi> over the cheaters' u^dag,
+    one start at a time: each step builds its kets by Kronecker products
+    and takes the top eigenvector of its own 4x4 form."""
+    value = -math.inf
+    for _ in range(consensus._MAX_SWEEPS):
+        previous = value
+        for i in range(len(mats)):
+            halves = []
+            for h in (0, 1):
+                left = reduce(np.kron, [u[:, h] for u in mats[:i]], np.ones(1))
+                right = reduce(np.kron, [u[:, h] for u in mats[i + 1 :]], np.ones(1))
+                cols = consensus._QUATERNION_BASIS[:, :, h]
+                halves.append(np.einsum("a,jb,c->abcj", left, cols, right).reshape(-1, 4))
+            if len(block) == len(halves[0]):
+                kets = (halves[0] + halves[1]) * _INV_SQRT2
+            else:
+                kets = np.concatenate(halves) * _INV_SQRT2
+            form = np.real(kets.conj().T @ block @ kets)
+            eigvals, eigvecs = np.linalg.eigh((form + form.T) / 2.0)
+            mats[i] = np.tensordot(eigvecs[:, -1], consensus._QUATERNION_BASIS, axes=1)
+            value = float(eigvals[-1])
+        if value - previous <= consensus._SWEEP_GAIN:
+            break
+    return value
+
+
+def golden_ratio_start(s: int, k: int) -> list:
+    """The u^dag of k cheaters at golden-ratio start s."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x = consensus.TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
+    return [_single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
+
+
+def _serial_ascent(block: np.ndarray, k: int) -> float:
+    """The best of ``_ascend`` over the golden-ratio starts, capped at 1."""
     best = -math.inf
-    k = len(qubits)
     for s in range(consensus._STARTS):
-        x = consensus.TWO_PI * np.array([(s * phi * (j + 1)) % 1.0 for j in range(3 * k)])
-        mats = [consensus._single_qubit_unitary(*x[3 * i : 3 * i + 3]).conj().T for i in range(k)]
-        best = max(best, consensus._ascend(block, mats))
+        best = max(best, _ascend(block, golden_ratio_start(s, k)))
     return min(best, 1.0)
+
+
+def _cheater_offsets(n: int, dishonest) -> np.ndarray:
+    """Basis indices with every honest bit 0, the cheater bits varying."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for q in sorted(set(dishonest)):
+        offsets = np.add.outer(offsets, [0, 1 << (n - 1 - q)]).ravel()
+    return offsets
+
+
+def serial_corrected_fidelity(rho, dishonest) -> float:
+    """consensus.optimize_corrected_fidelity with the ascent run one start
+    after another (``_ascend``), each step on its own Kronecker kets."""
+    n = rho.dim.bit_length() - 1
+    if not set(dishonest):
+        return consensus.ghz_fidelity(rho)
+    offsets = _cheater_offsets(n, dishonest)
+    honest_ones = (1 << n) - 1 - int(offsets[-1])
+    index = np.concatenate([offsets, honest_ones + offsets]) if honest_ones else offsets
+    return _serial_ascent(rho.matrix[np.ix_(index, index)], len(set(dishonest)))
+
+
+def duplicated_block_corrected_fidelity(rho, dishonest) -> float:
+    """serial_corrected_fidelity indexing rho with the honest-all-0 and
+    honest-all-1 index sets concatenated even when every node cheats, where
+    both are all 2^n indices: a 2^(n+1) block that holds rho four times."""
+    n = rho.dim.bit_length() - 1
+    offsets = _cheater_offsets(n, dishonest)
+    index = np.concatenate([offsets, (1 << n) - 1 - int(offsets[-1]) + offsets])
+    return _serial_ascent(rho.matrix[np.ix_(index, index)], len(set(dishonest)))
+
+
+def looped_codebook_classes(codec) -> list:
+    """The items of ``codec._classes`` built one class at a time: the count
+    tuples enumerated recursively, each one's log2 probability summed in a
+    Python loop and its size a multinomial, sorted by (surprisal, counts)
+    and taken into the book in that order."""
+    n, p, capacity = codec.n, codec.source, 1 << codec.width
+
+    def compositions(total, k):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, k - 1):
+                yield (first,) + rest
+
+    ranked = []
+    for counts in compositions(n, len(p)):
+        logp = 0.0
+        for c, pi in zip(counts, p):
+            if c == 0:
+                continue
+            if pi <= TOL_ALG:
+                break
+            logp += c * math.log2(pi)
+        else:
+            ranked.append((-logp, counts, _multinomial(n, counts)))
+    ranked.sort(key=lambda item: (item[0], item[1]))
+    classes, used = [], 0
+    for _, counts, size in ranked:
+        if used >= capacity:
+            break
+        take = min(size, capacity - used)
+        classes.append((counts, (used, take, size)))
+        used += take
+    return classes
 
 
 def rank_in_class(n: int, seq, counts) -> int:

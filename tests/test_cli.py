@@ -360,6 +360,33 @@ def test_pinned_monte_carlo_outputs(args, expected):
     assert res.output == expected + "\n"
 
 
+# Canonical JSON of ``consensus bounds --dishonest d``.  Up to two cheaters
+# the corrected fidelity equals the serial ascent's bit for bit; with three,
+# its last digit follows the order in which the Kronecker kets are rounded.
+PINNED_BOUNDS = [
+    (1, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.95,"rounds":100,"std_err":0.021794494717703377}'),
+    (1, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
+    (1, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.62,"rounds":100,"std_err":0.048538644398046386}'),
+    (1, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.44,"rounds":100,"std_err":0.04963869458396343}'),
+    (2, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.93,"rounds":100,"std_err":0.02551470164434614}'),
+    (2, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
+    (2, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.65,"rounds":100,"std_err":0.047696960070847276}'),
+    (2, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.53,"rounds":100,"std_err":0.04990991885387112}'),
+    (42, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.92,"rounds":100,"std_err":0.027129319932501065}'),
+    (42, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}'),
+    (42, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.55,"rounds":100,"std_err":0.049749371855330994}'),
+    (42, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.42,"rounds":100,"std_err":0.04935585071701227}'),
+]
+
+
+@pytest.mark.parametrize("seed, dishonest, expected", PINNED_BOUNDS)
+def test_pinned_consensus_bounds_outputs(seed, dishonest, expected):
+    args = ["consensus", "bounds", "--dishonest", str(dishonest), "--seed", str(seed), "--json"]
+    res = run(args)
+    assert res.exit_code == 0
+    assert res.output == expected + "\n"
+
+
 # The --json report at the default seed 42 of every README command that
 # PINNED_OUTPUTS leaves out.
 PINNED_REPORTS = [
@@ -554,6 +581,7 @@ def test_out_of_range_options_exit_2(args, option):
         ["gleason", "roundtrip", "--frames", "20000"],
         ["consensus", "run", "--nodes", "2", "--rounds", "100000"],
         ["consensus", "bounds", "--nodes", "11", "--rounds", "100000"],
+        ["consensus", "bounds", "--nodes", "11", "--dishonest", "11", "--rounds", "1"],
         ["consensus", "admit", "--rounds", "1"],
     ],
 )

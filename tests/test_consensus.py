@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chronoq import consensus
+from chronoq import cli, consensus
 from chronoq.consensus import (
     DEFAULT_ROUNDS,
     DEFAULT_THRESHOLD,
@@ -41,10 +41,12 @@ from chronoq.qcore import (
 from dense_reference import (
     dense_estimate,
     duplicated_block_corrected_fidelity,
+    golden_ratio_start,
     kron_all,
     per_round_bounds,
     per_round_play,
     per_round_theta_angles,
+    serial_corrected_fidelity,
 )
 
 
@@ -382,6 +384,51 @@ def test_corrected_fidelity_with_every_node_cheating(n):
     assert optimize_corrected_fidelity(rho, range(n)) == pytest.approx(
         duplicated_block_corrected_fidelity(rho, range(n)), abs=1e-12
     )
+
+
+def test_lockstep_starts_match_the_serial_starts():
+    for k in range(1, 21):
+        starts = consensus._starts(k)
+        assert starts.shape == (consensus._STARTS, k, 2, 2)
+        for s in range(consensus._STARTS):
+            assert np.array_equal(starts[s], golden_ratio_start(s, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lockstep_ascent_matches_serial_reference(n, seed, data):
+    # Every start follows the serial sequence of steps.  Up to two cheaters
+    # the kets are exact products, so the values agree bit for bit; with
+    # more, the Kronecker products round in another order.
+    k = data.draw(st.integers(1, min(n, 4)))
+    cheaters = data.draw(st.permutations(range(n)))[:k]
+    rho = _random_state(n, seed, density=True)
+    got, want = optimize_corrected_fidelity(rho, cheaters), serial_corrected_fidelity(rho, cheaters)
+    if k <= 2:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12
+
+
+def _cli_candidate_cases():
+    for n in range(2, 10):
+        for d in sorted({1, -(-n // 2), n}):
+            yield n, d, 0.1 if n % 2 else 0.3
+    yield 11, 11, 0.1
+
+
+@pytest.mark.parametrize("n, d, noise", list(_cli_candidate_cases()))
+def test_cli_candidate_corrected_fidelity_is_exact(n, d, noise):
+    # Product cheats leave white noise alone and the cheaters can undo their
+    # own cheat, so on the consensus bounds candidate F' = (1 - p) + p / 2^n.
+    rng = RandomSource(1, 0)
+    network = cli._build_network(n, d, rng)
+    dim = 1 << n
+    mat = np.eye(dim, dtype=np.complex128) * (noise / dim)
+    mat[np.ix_([0, -1], [0, -1])] += (1.0 - noise) / 2.0
+    rho = DensityOperator(mat, validate=False)  # as the CLI builds it
+    report = check_fidelity_bounds(rho, network, 1, rng, honest=False)
+    assert abs(report["fidelity"] - ((1.0 - noise) + noise / dim)) <= 1e-12
 
 
 def _cheating_nodes(n, cheaters, gen):

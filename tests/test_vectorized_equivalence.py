@@ -9,17 +9,23 @@ The frame average changes only the summation order of the Born weights, so
 it is compared to 1e-14.
 """
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 
 from chronoq import foundations, games, infotheory
 from chronoq.qcore import PAULI_X, PAULI_Z, DensityOperator, QcoreError, RandomSource, bell_state
-from dense_reference import rank_in_class, scanned_decode, unrank_in_class
+from dense_reference import (
+    looped_codebook_classes,
+    rank_in_class,
+    scanned_decode,
+    unrank_in_class,
+)
 
 SEEDS = (3, 17, 2024)
 TRIALS = 4000
@@ -295,6 +301,32 @@ CODECS = [
     # Width 65: codeword indices beyond 2**63.
     ([1 / 7] * 7, 23, 0.0),
 ]
+
+
+# The class loop takes seconds on the 65-bit book's 475020 classes; the
+# other books, and these with a zero-probability symbol, one symbol and
+# seven, run the same enumeration, sums and sort.
+CLASS_CASES = CODECS[:-1] + [
+    ([0.5, 0.0, 0.5], 10, 0.1),
+    ([0.2, 0.3, 0.5, 0.0], 12, -0.1),
+    ([1.0], 5, 0.0),
+    ([1 / 7] * 7, 9, 0.0),
+    ([0.4, 0.3, 0.2, 0.1], 20, 0.2),
+]
+
+
+@pytest.mark.parametrize("source, n, epsilon", CLASS_CASES)
+def test_codec_classes_match_the_class_loop(source, n, epsilon):
+    codec = infotheory.TypicalCodec(n=n, epsilon=epsilon, source=source)
+    assert list(codec._classes.items()) == looped_codebook_classes(codec)
+
+
+def test_wide_codebook_holds_every_class_once():
+    codec = cached_codec(tuple([1 / 7] * 7), 23, 0.0)
+    sizes = [size for _, _, size in codec._classes.values()]
+    assert len(sizes) == math.comb(23 + 6, 6)
+    assert sum(sizes) == 7**23
+    assert codec._offsets == [0, *accumulate(sizes)][:-1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
