@@ -20,7 +20,6 @@ as P^ -> 1 and would turn sampling noise into false alarms.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -70,8 +69,8 @@ class Network:
     local_chains: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.nodes:
-            raise ConsensusError("network needs at least one node")
+        if len(self.nodes) < 2:
+            raise ConsensusError("network needs at least two nodes")
         for node in self.nodes:
             self.local_chains.setdefault(node.id, [])
 
@@ -207,15 +206,14 @@ def mean_pass_probability(state) -> float:
 
 
 def theta_measure(state, angles: Sequence[float], rng: RandomSource) -> tuple:
-    """Sample every node's outcome jointly from one ``rng`` double; returns Y
-    bits, leftmost node first.  ``state`` is a :class:`StateVector` or the
-    two-branch form that :func:`_play` builds."""
-    if isinstance(state, _TwoBranches):
-        # The one double that choice_index draws.
-        return _descend(state, angles, rng.generator.random())
-    n = len(angles)
-    idx = rng.choice_index(product_probabilities(state, [theta_basis(t) for t in angles]))
-    return tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
+    """Sample every node's outcome jointly from one ``rng`` double, the one
+    that ``RandomSource.choice_index`` draws; returns Y bits, leftmost node
+    first.  ``state`` is a :class:`StateVector` or the two-branch form that
+    :func:`_play` builds: the batch of one of :func:`_outcomes`."""
+    if state.dim != 1 << len(angles):
+        raise ConsensusError("angle count must match the state's qubit count")
+    u = np.array([rng.generator.random()])
+    return tuple(_outcomes(state, np.array([angles], dtype=float), u, rng)[0].tolist())
 
 
 def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
@@ -284,86 +282,62 @@ def _play(candidate: StateVector, nodes: Sequence[Node]):
     return _TwoBranches(alpha, beta, np.hstack([a, b]).tolist(), tails)
 
 
-def _descend(form: _TwoBranches, angles: Sequence[float], u: float) -> tuple:
-    """The theta-basis outcome that the inverse CDF of ``u`` picks in the
-    big-endian order of outcome indices, as ``RandomSource.choice_index``
-    picks it from the dense Born distribution; returns Y bits, qubit 0 first.
-
-    Qubit by qubit, ``rest`` is u times the total weight, minus the weight
-    of every outcome before the current prefix; the next bit is 0 iff
-    ``rest`` lies below the weight of the prefix extended by 0.
-    """
-    x, y = form.alpha, form.beta
-    rest = u * _weight(x, y, form.tails[0])
-    bits = []
-    for theta, (a0, a1, b0, b1), (aa, bb, ab) in zip(angles, form.factors, form.tails[1:]):
-        # sqrt(2) <+-theta| v = v_0 +- e^{-i theta} v_1: the weights below are
-        # 2^(j+1) times the probabilities, so ``rest`` doubles, exactly.
-        rest *= 2.0
-        turn = cmath.exp(-1j * theta)
-        x_plus, y_plus = x * (a0 + turn * a1), y * (b0 + turn * b1)
-        # _weight(x_plus, y_plus, tails[j + 1]), inline: this loop is the round's cost.
-        p0 = (x_plus.real**2 + x_plus.imag**2) * aa + (y_plus.real**2 + y_plus.imag**2) * bb
-        p0 += 2.0 * (x_plus.conjugate() * y_plus * ab).real
-        if rest < p0:
-            x, y = x_plus, y_plus
-            bits.append(0)
-        else:
-            rest -= p0
-            x, y = x * (a0 - turn * a1), y * (b0 - turn * b1)
-            bits.append(1)
-    return tuple(bits)
-
-
 def _check_candidate(network: Network, candidate):
     if candidate.dim != (1 << network.size):
         raise ConsensusError("candidate qubit count must match node count")
 
 
 def _descend_rounds(form: _TwoBranches, angles: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`_descend` for every row of ``angles`` and its double in ``u``,
-    one qubit at a time over all rows; returns the ``(rows, n)`` Y bits.
+    """The theta-basis outcome that the inverse CDF of each row's double in
+    ``u`` picks in the big-endian order of outcome indices, as
+    ``RandomSource.choice_index`` picks it from the dense Born distribution:
+    all rows at once, one qubit at a time; returns the ``(rows, n)`` Y bits.
 
-    The two branches' amplitudes x and y are a ``(2, rows)`` array, and one
+    Qubit by qubit, ``rest`` is u times the total weight, minus the weight
+    of every outcome before the current prefix; the next bit is 0 iff
+    ``rest`` lies below the weight of the prefix extended by 0.  The two
+    branches' amplitudes x and y are a ``(2, rows)`` array, and one
     exponential over the whole angle block gives every qubit's turns.
-    numpy's complex arithmetic and exponential may round otherwise than
-    Python's ``complex`` and ``cmath``, so a row whose ``rest`` comes within
-    1e-12 of a branch weight is played again by :func:`_descend`.  The 1e-12
-    is relative to the total weight on the scale of ``rest``, 2^(j+1) times
-    the candidate's at qubit j: ``rest`` carries the rounding of every
-    weight subtracted before, doubled at each qubit since, so this bounds
-    its error, while the weight of the current prefix can be smaller by up
-    to 2^j.  It is the draw u lying within 1e-12 of an entry of the
-    normalized CDF.
+    Every step is elementwise in the rows, so a row picks the same bits in
+    a batch of any size.
     """
     n, rows = angles.shape[1], len(u)
     factors = np.array(form.factors)[:, :, None]  # a0, a1, b0, b1 per qubit
     firsts, seconds = factors[:, 0::2], factors[:, 1::2]
     turns = -1j * angles.T
     np.exp(turns, out=turns)
-    tails = np.array(form.tails[1:])  # aa, bb, ab per qubit
-    weights, crosses = tails[:, :2].real, tails[:, 2]
-    total = _weight(form.alpha, form.beta, form.tails[0])
     z = np.array([[form.alpha], [form.beta]])
-    rest = u * total
-    margin = np.empty((n, rows))
+    rest = u * _weight(form.alpha, form.beta, form.tails[0])
     ones = np.empty((n, rows), dtype=bool)
-    for j in range(n):
+    for j, (aa, bb, ab) in enumerate(form.tails[1:]):
+        # sqrt(2) <+-theta| v = v_0 +- e^{-i theta} v_1: the weights below are
+        # 2^(j+1) times the probabilities, so ``rest`` doubles, exactly.
         rest *= 2.0
         turned = turns[j] * seconds[j]
         z_zero = z * (firsts[j] + turned)
-        p0 = weights[j] @ (z_zero.real**2 + z_zero.imag**2)
-        if crosses[j]:  # zero on every tail but the last for a GHZ candidate
-            p0 += 2.0 * (z_zero[0].conj() * z_zero[1] * crosses[j]).real
-        np.subtract(rest, p0, out=margin[j])
+        # _weight(x, y, tails[j + 1]) of the prefix extended by 0, in its order.
+        squares = z_zero.real**2 + z_zero.imag**2
+        p0 = squares[0] * aa + squares[1] * bb
+        if ab:  # zero on every tail but the last for a GHZ candidate
+            p0 += 2.0 * (z_zero[0].conj() * z_zero[1] * ab).real
         one = np.greater_equal(rest, p0, out=ones[j])
-        rest = np.where(one, margin[j], rest)
+        rest = np.where(one, rest - p0, rest)
         z = np.where(one, z * (firsts[j] - turned), z_zero)
-    bits = ones.T.view(np.uint8)
-    scale = total * 2.0 ** np.arange(1, n + 1)
-    for r in np.flatnonzero((np.abs(margin) <= 1e-12 * scale[:, None]).any(axis=0)):
-        bits[r] = _descend(form, angles[r].tolist(), float(u[r]))
-    return bits
+    return ones.T.view(np.uint8)
+
+
+def _outcomes(played, angles: np.ndarray, u: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """The ``(rows, n)`` Y bits that each row of ``angles`` and its double in
+    ``u`` pick on ``played``: a two-branch form descends all rows at once
+    (:func:`_descend_rounds`); any other ket samples its Born distribution
+    row by row, drawing nothing."""
+    if isinstance(played, _TwoBranches):
+        return _descend_rounds(played, angles, u)
+    picked = [
+        rng.choice_index(product_probabilities(played, [theta_basis(t) for t in row]), ur)
+        for row, ur in zip(angles.tolist(), u)
+    ]
+    return (np.array(picked)[:, None] >> np.arange(angles.shape[1] - 1, -1, -1)) & 1
 
 
 def _play_rounds(played, network: Network, rounds: int, rng: RandomSource):
@@ -377,29 +351,16 @@ def _play_rounds(played, network: Network, rounds: int, rng: RandomSource):
     picks its outcome with.  These draws are replayed from raw generator
     words (``RandomSource._replayed_rounds``), so rounds, outcomes and the
     generator state left behind equal those of the draws made one round at
-    a time.  A two-branch candidate descends all rows at once
-    (:func:`_descend_rounds`); any other samples its Born distribution
-    row by row.
+    a time, and :func:`_outcomes` picks each round's bits as it does for
+    the round alone.
     """
     n = network.size
-    if n < 2:
-        raise ConsensusError("need at least 2 angles")
     _check_candidate(network, played)
     step = max(1, _CHUNK_ENTRIES // n)
     for start in range(0, rounds, step):
-        picks, words = rng._replayed_rounds(n, n, min(step, rounds - start))
-        doubles = (words >> 11) * 2.0**-53
+        picks, doubles = rng._replayed_rounds(n, n, min(step, rounds - start))
         angles, m = _complete_angles(math.pi * doubles[:, :-1])
-        u = doubles[:, -1]
-        if isinstance(played, _TwoBranches):
-            outcomes = _descend_rounds(played, angles, u)
-        else:
-            picked = [
-                rng.choice_index(product_probabilities(played, [theta_basis(t) for t in row]), ur)
-                for row, ur in zip(angles.tolist(), u)
-            ]
-            outcomes = (np.array(picked)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        yield picks, angles, m, outcomes
+        yield picks, angles, m, _outcomes(played, angles, doubles[:, -1], rng)
 
 
 def run_round(network: Network, played, rng: RandomSource) -> RoundResult:

@@ -62,6 +62,12 @@ class QcoreError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _uniform_double(word):
+    """numpy's ``random()`` double from one raw 64-bit word w (an int or a
+    uint64 array): its top 53 bits over 2^53, ``(w >> 11) * 2**-53``."""
+    return (word >> 11) * 2.0**-53
+
+
 class RandomSource:
     """Seeded pseudo-random stream.
 
@@ -115,8 +121,8 @@ class RandomSource:
         draw from this source inside the ``with`` block.
 
         ``integers(0, 2)`` is the top bit of the next 32-bit half-word (see
-        :class:`_RawWords`).  ``uniform()`` takes the next whole word w as
-        ``(w >> 11) * 2**-53`` and leaves the half-word buffer alone.  Words
+        :class:`_RawWords`).  ``uniform()`` takes the next whole word (see
+        :func:`_uniform_double`) and leaves the half-word buffer alone.  Words
         are read 1024 at a time.
         """
         raw = _RawWords(self.generator.bit_generator)
@@ -141,7 +147,7 @@ class RandomSource:
         def uniform() -> float:
             nonlocal used
             used += 1
-            return (next_word() >> 11) * 2.0**-53
+            return _uniform_double(next_word())
 
         try:
             yield coin, uniform
@@ -151,9 +157,9 @@ class RandomSource:
 
     def _replayed_rounds(self, high: int, words: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` rounds of the scalar draws ``integers(0, high)`` and then
-        ``words`` draws of one whole word each (``random()``, ``uniform()``),
-        replayed from raw words in one batch: returns the ``(count,)``
-        integers and the ``(count, words)`` uint64 words, and leaves the
+        ``words`` draws ``random()`` of one whole word each, replayed from raw
+        words in one batch: returns the ``(count,)`` integers and the
+        ``(count, words)`` doubles (:func:`_uniform_double`), and leaves the
         generator where those scalar calls would have left it.
 
         numpy draws ``integers(0, high)`` by Lemire's method on the next
@@ -201,7 +207,7 @@ class RandomSource:
                     done += 1
         finally:
             raw.close()
-        return ints, out
+        return ints, _uniform_double(out)
 
 
 class _RawWords:

@@ -92,6 +92,17 @@ def test_theta_measure_parity_matches():
         assert sum(outcomes) % 2 == m % 2
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_theta_measure_checks_the_angle_count(count):
+    # A dense ket and the two-branch form of 4-qubit GHZ; nothing is drawn.
+    g = ghz_state(4)
+    rng = RandomSource(33, 1)
+    for state in (g, consensus._play(g, _network(4, rng).nodes)):
+        with pytest.raises(ConsensusError, match="angle count must match"):
+            theta_measure(state, [0.5] * count, rng)
+    assert rng.uniform() == RandomSource(33, 1).uniform()
+
+
 def test_run_round_and_estimate():
     rng = RandomSource(34, 0)
     network = _network(4, rng)
@@ -190,8 +201,9 @@ def test_admit_block_warns_on_degenerate_threshold():
 
 def test_invalid_configs():
     rng = RandomSource(40, 0)
-    with pytest.raises(ConsensusError):
-        Network([], rng)
+    for nodes in ([], [Node(0)]):
+        with pytest.raises(ConsensusError, match="at least two nodes"):
+            Network(nodes, rng)
     with pytest.raises(ConsensusError):
         sample_theta_angles(1, rng)
     network = _network(3, rng)
@@ -680,25 +692,20 @@ def test_batched_rounds_match_per_round_loop(
         _assert_rounds_match_loop(played, nodes, rounds, sources)
 
 
-def test_descent_on_a_branch_boundary_is_played_by_the_scalar_descent(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_descent_row_bits_do_not_depend_on_the_batch(n):
     # Honest GHZ: each of the first n - 1 bits is a fair coin, so every
-    # dyadic u = k / 2^(n-1) puts ``rest`` on a branch boundary.  At u = 1/2
-    # the scalar descent picks outcome 1 for the first qubit.
-    n = 3
+    # dyadic u = k / 2^(n-1) puts ``rest`` on a branch boundary.
     form = consensus._play(ghz_state(n), _network(n, RandomSource(0, 0)).nodes)
-    angles = np.array([[0.3, 1.1, math.pi - 1.4], [0.7, 0.2, math.pi - 0.9]])
-    u = np.array([0.5, 0.3])
-    replayed = []
-
-    def scalar(form, angles, u):
-        replayed.append(u)
-        return consensus_descend(form, angles, u)
-
-    consensus_descend = consensus._descend
-    monkeypatch.setattr(consensus, "_descend", scalar)
+    gen = np.random.default_rng(n)
+    u = np.concatenate([np.arange(1 << (n - 1)) / (1 << (n - 1)), gen.random(64)])
+    rng = RandomSource(n, 7)
+    angles = np.array([sample_theta_angles(n, rng)[0] for _ in u])
     bits = consensus._descend_rounds(form, angles, u)
-    assert replayed == [0.5]
-    assert [tuple(row) for row in bits.tolist()] == [
-        consensus_descend(form, row, ur) for row, ur in zip(angles.tolist(), u.tolist())
-    ]
-    assert bits[0, 0] == 1
+    for r, row in enumerate(angles):
+        alone = consensus._descend_rounds(form, angles[r : r + 1], u[r : r + 1])
+        assert np.array_equal(bits[r : r + 1], alone)
+        born = product_probabilities(ghz_state(n), [theta_basis(t) for t in row])
+        if np.min(np.abs(np.cumsum(born / born.sum()) - u[r])) > 1e-12:
+            index = rng.choice_index(born, u[r])
+            assert bits[r].tolist() == [(index >> (n - 1 - j)) & 1 for j in range(n)]

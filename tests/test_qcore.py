@@ -105,11 +105,10 @@ def test_replayed_rounds_match_scalar_draws(seed, high, words, count, buffered):
     source, eager = RandomSource(seed, 2), _eager_generator(seed, 2)
     if buffered:  # leaves a half-word buffered, or none if it rejected one
         assert source.integers(0, 7) == eager.integers(0, 7)
-    ints, raw = source._replayed_rounds(high, words, count)
-    scalar = [(int(eager.integers(0, high)), eager.bit_generator.random_raw(words).tolist())
-              for _ in range(count)]
+    ints, doubles = source._replayed_rounds(high, words, count)
+    scalar = [(int(eager.integers(0, high)), eager.random(words).tolist()) for _ in range(count)]
     assert ints.tolist() == [i for i, _ in scalar]
-    assert raw.tolist() == [w for _, w in scalar]
+    assert doubles.tolist() == [u for _, u in scalar]
     assert source.generator.bit_generator.state == eager.bit_generator.state
 
 
