@@ -55,11 +55,14 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 
 
 def _plain(obj):
-    """Normalize a report tree to JSON-serializable python scalars."""
+    """Normalize a report tree to JSON-serializable python scalars.  A real
+    array becomes nested lists in one ``tolist``, with no walk per entry."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -173,8 +176,8 @@ def state_cmd(rng, bell_label, ghz_n):
         name = bell_label or "phi+"
     report = {
         "state": name,
-        "amplitudes": [[a.real, a.imag] for a in psi.amplitudes],
-        "probabilities": list(psi.probabilities()),
+        "amplitudes": np.stack([psi.amplitudes.real, psi.amplitudes.imag], axis=1),
+        "probabilities": psi.probabilities(),
         "num_qubits": psi.num_qubits,
     }
     return report, True

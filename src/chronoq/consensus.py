@@ -79,15 +79,6 @@ class Network:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    verifier: int
-    angles: tuple
-    outcomes: tuple
-    multiplicity: int  # m = sum(theta) / pi
-    passed: bool
-
-
 # ---------------------------------------------------------------------------
 # Angles and measurement
 # ---------------------------------------------------------------------------
@@ -145,7 +136,7 @@ def _anti_diagonal(state) -> np.ndarray:
 
 # Rows evaluated at once: a chunk of bound rounds holds no array above 2^16
 # entries (1 MiB), which measured as fast as 2^20 at 11 nodes; a chunk of
-# played rounds holds at most 2^16 angles.
+# played rounds draws at most 2^16 doubles.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -203,17 +194,6 @@ def mean_pass_probability(state) -> float:
     else:
         corner = state.matrix[0, -1]
     return min(max(0.5 + float(corner.real), 0.0), 1.0)
-
-
-def theta_measure(state, angles: Sequence[float], rng: RandomSource) -> tuple:
-    """Sample every node's outcome jointly from one ``rng`` double, the one
-    that ``RandomSource.choice_index`` draws; returns Y bits, leftmost node
-    first.  ``state`` is a :class:`StateVector` or the two-branch form that
-    :func:`_play` builds: the batch of one of :func:`_outcomes`."""
-    if state.dim != 1 << len(angles):
-        raise ConsensusError("angle count must match the state's qubit count")
-    u = np.array([rng.generator.random()])
-    return tuple(_outcomes(state, np.array([angles], dtype=float), u, rng)[0].tolist())
 
 
 def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
@@ -342,38 +322,22 @@ def _outcomes(played, angles: np.ndarray, u: np.ndarray, rng: RandomSource) -> n
 
 def _play_rounds(played, network: Network, rounds: int, rng: RandomSource):
     """θ rounds on ``played``, the candidate after the dishonest nodes'
-    cheats, in chunks of at most ``_CHUNK_ENTRIES`` angles: yields per chunk
-    the verifier indices into ``network.nodes``, the ``(rows, n)`` angles,
-    their ``(rows,)`` m and the ``(rows, n)`` Y bits.
+    cheats, in chunks of at most ``_CHUNK_ENTRIES`` doubles: yields per chunk
+    the ``(rows, n)`` angles, their ``(rows,)`` m and the ``(rows, n)`` Y bits.
 
-    A round draws ``integers(0, n)`` for its verifier, n - 1 angles
-    ``uniform(0, pi)`` and the one double that ``RandomSource.choice_index``
-    picks its outcome with.  These draws are replayed from raw generator
-    words (``RandomSource._replayed_rounds``), so rounds, outcomes and the
-    generator state left behind equal those of the draws made one round at
-    a time, and :func:`_outcomes` picks each round's bits as it does for
-    the round alone.
+    A chunk is one ``random((rows, n))`` block: a row's first n - 1 doubles
+    times pi are its free angles, and its last double picks its outcome.
+    numpy fills the block in C order, so the rounds do not depend on the
+    chunk size, and :func:`_outcomes` picks each round's bits from its own
+    row alone.
     """
     n = network.size
     _check_candidate(network, played)
     step = max(1, _CHUNK_ENTRIES // n)
     for start in range(0, rounds, step):
-        picks, doubles = rng._replayed_rounds(n, n, min(step, rounds - start))
+        doubles = rng.generator.random((min(step, rounds - start), n))
         angles, m = _complete_angles(math.pi * doubles[:, :-1])
-        yield picks, angles, m, _outcomes(played, angles, doubles[:, -1], rng)
-
-
-def run_round(network: Network, played, rng: RandomSource) -> RoundResult:
-    """One θ round on ``played``, the candidate after the dishonest nodes'
-    cheats (for an honest network, the candidate itself), as a
-    :class:`StateVector` or as :func:`_play` builds it: the batch of one of
-    :func:`_play_rounds`."""
-    picks, angles, m, outcomes = next(_play_rounds(played, network, 1, rng))
-    bits, parity = tuple(outcomes[0].tolist()), int(m[0])
-    return RoundResult(
-        network.nodes[int(picks[0])].id, tuple(angles[0].tolist()), bits, parity,
-        sum(bits) % 2 == parity % 2,
-    )
+        yield angles, m, _outcomes(played, angles, doubles[:, -1], rng)
 
 
 def estimate_pass_probability(
@@ -392,7 +356,7 @@ def estimate_pass_probability(
 def _estimate(played, network: Network, rounds: int, rng: RandomSource) -> dict:
     passes = sum(
         int(np.count_nonzero(outcomes.sum(axis=1) % 2 == m % 2))
-        for _, _, m, outcomes in _play_rounds(played, network, rounds, rng)
+        for _, m, outcomes in _play_rounds(played, network, rounds, rng)
     )
     p_hat = passes / rounds
     return {

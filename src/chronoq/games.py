@@ -12,9 +12,9 @@ arrays, then decide all trials at once: door choices are lookup tables
 indexed by the draws, and the CHSH outcomes one Born-CDF ``searchsorted``
 per measurement setting.  The draws are the same generator calls in the
 same order as a trial-by-trial loop, so every count is exactly the loop's
-for any seed.  QKD sessions loop over qubits, because the number of draws
-per qubit depends on earlier draws, but replay those draws from raw
-generator words instead of calling numpy once per draw.
+for any seed.  QKD sessions draw their qubits in fixed-size blocks of
+arrays and sift them with a mask, so a session makes a few numpy calls
+however many key bits it keeps.
 """
 
 from __future__ import annotations
@@ -580,13 +580,13 @@ _BB84_STATES = {
 }
 
 
-# Probability of outcome 0 when the state _BB84_STATES[prep] is measured in
-# ``basis``, keyed (basis, prep).
-_BB84_P0 = {
-    (basis, prep): float(abs(np.vdot(_BB84_STATES[(basis, 0)], amp)) ** 2)
+# _BB84_P0[basis, prep_basis, prep_bit]: the probability of outcome 0 when
+# the state _BB84_STATES[prep_basis, prep_bit] is measured in ``basis``.
+_BB84_P0 = np.array([
+    [[abs(np.vdot(_BB84_STATES[basis, 0], _BB84_STATES[prep, bit])) ** 2 for bit in (0, 1)]
+     for prep in (0, 1)]
     for basis in (0, 1)
-    for prep, amp in _BB84_STATES.items()
-}
+])
 
 
 def qkd_session(
@@ -594,36 +594,36 @@ def qkd_session(
 ) -> dict:
     """BB84 or E91 key exchange; returns sifted keys and the quantum bit error rate.
 
-    Each qubit costs a variable number of draws, so the session is a loop
-    over qubits.  Its scalar ``integers(0, 2)`` and ``uniform()`` draws are
-    replayed from raw generator words (``RandomSource._replayed_draws``),
-    and the measurement probabilities are tabulated once.  E91 picks its
-    outcome pairs for all kept draws at once through
-    ``RandomSource.choice_index``, so keys and the generator state left
-    behind equal those of the per-draw numpy calls."""
+    The qubits are drawn in blocks of a fixed size that depends only on
+    ``key_bits``, every coin and double of a block as one array, and sifted
+    by a mask; a block that falls short of ``key_bits`` sifted qubits is
+    followed by another of the same size, and the key is the first
+    ``key_bits`` qubits that pass.  A BB84 qubit's coins are its bit,
+    Alice's basis, [Eve's basis,] and Bob's basis; its doubles are [Eve's
+    and] Bob's measurement draws, each outcome 0 below its tabulated Born
+    probability.  An E91 pair's coins are the two bases; its one double picks
+    the outcome pair through ``RandomSource.choice_index``."""
     if key_bits < 1:
         raise GameError("key_bits must be positive")
     if eavesdropper not in ("none", "intercept_resend"):
         raise GameError("eavesdropper must be 'none' or 'intercept_resend'")
+    eve = eavesdropper == "intercept_resend"
     if protocol == "BB84":
-        alice_key: list[int] = []
-        bob_key: list[int] = []
-        eve = eavesdropper == "intercept_resend"
-        with rng._replayed_draws() as (coin, uniform):
-            while len(alice_key) < key_bits:
-                bit = coin()
-                basis_a = coin()
-                prep = (basis_a, bit)
-                if eve:
-                    basis_e = coin()
-                    prep = (basis_e, 0 if uniform() < _BB84_P0[basis_e, prep] else 1)
-                basis_b = coin()
-                outcome_b = 0 if uniform() < _BB84_P0[basis_b, prep] else 1
-                if basis_a == basis_b:
-                    alice_key.append(bit)
-                    bob_key.append(outcome_b)
+
+        def sifted(size):
+            coins = rng.integers(0, 2, (size, 3 + eve))
+            u = rng.generator.random((size, 1 + eve))
+            bit, basis_a, basis_b = coins[:, 0], coins[:, 1], coins[:, -1]
+            prep_basis, prep_bit = basis_a, bit
+            if eve:
+                prep_basis = coins[:, 2]
+                prep_bit = (u[:, 0] >= _BB84_P0[prep_basis, basis_a, bit]).astype(int)
+            outcome_b = (u[:, -1] >= _BB84_P0[basis_b, prep_basis, prep_bit]).astype(int)
+            keep = basis_a == basis_b
+            return bit[keep], outcome_b[keep]
+
     elif protocol == "E91":
-        if eavesdropper != "none":
+        if eve:
             raise GameError("the eavesdropper model is only wired for BB84")
         pair = bell_state("phi+")
         # Born weights of the four outcome pairs, both sides measuring Z or X.
@@ -631,24 +631,29 @@ def qkd_session(
             product_probabilities(pair, [ua, ua])
             for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
         ]
-        bases: list[int] = []
-        draws: list[float] = []
-        with rng._replayed_draws() as (coin, uniform):
-            while len(bases) < key_bits:
-                basis_a = coin()
-                if coin() == basis_a:
-                    bases.append(basis_a)
-                    draws.append(uniform())
-        u, z_basis = np.array(draws), np.array(bases) == 0
-        outcome = np.where(
-            z_basis, rng.choice_index(weights[0], u), rng.choice_index(weights[1], u)
-        )
-        alice_key, bob_key = (outcome >> 1).tolist(), (outcome & 1).tolist()
+
+        def sifted(size):
+            bases = rng.integers(0, 2, (size, 2))
+            u = rng.generator.random(size)
+            keep = bases[:, 0] == bases[:, 1]
+            u, z_basis = u[keep], bases[keep, 0] == 0
+            outcome = np.where(
+                z_basis, rng.choice_index(weights[0], u), rng.choice_index(weights[1], u)
+            )
+            return outcome >> 1, outcome & 1
+
     else:
         raise GameError("protocol must be 'BB84' or 'E91'")
-    errors = sum(a != b for a, b in zip(alice_key, bob_key))
+    # Half the qubits of a block pass the sifting on average; the margin
+    # puts key_bits more than five standard deviations below that mean.
+    size = 2 * key_bits + 8 * math.isqrt(key_bits) + 64
+    blocks, kept = [], 0
+    while kept < key_bits:
+        blocks.append(sifted(size))
+        kept += len(blocks[-1][0])
+    alice, bob = (np.concatenate(keys)[:key_bits] for keys in zip(*blocks))
     return {
-        "alice_key": alice_key,
-        "bob_key": bob_key,
-        "qber": errors / len(alice_key),
+        "alice_key": alice.tolist(),
+        "bob_key": bob.tolist(),
+        "qber": int(np.count_nonzero(alice != bob)) / key_bits,
     }

@@ -34,7 +34,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -60,12 +59,6 @@ class QcoreError(ValueError):
 # ---------------------------------------------------------------------------
 # Randomness
 # ---------------------------------------------------------------------------
-
-
-def _uniform_double(word):
-    """numpy's ``random()`` double from one raw 64-bit word w (an int or a
-    uint64 array): its top 53 bits over 2^53, ``(w >> 11) * 2**-53``."""
-    return (word >> 11) * 2.0**-53
 
 
 class RandomSource:
@@ -112,145 +105,6 @@ class RandomSource:
         if u is None:
             return int(cdf.searchsorted(self.generator.random(), side="right"))
         return cdf.searchsorted(u, side="right")
-
-    @contextmanager
-    def _replayed_draws(self):
-        """Scalar ``integers(0, 2)`` and ``uniform()`` draws replayed from the
-        raw 64-bit words of the PCG64 stream: yields two functions
-        ``(coin, uniform)`` that make no numpy call per draw.  Make no other
-        draw from this source inside the ``with`` block.
-
-        ``integers(0, 2)`` is the top bit of the next 32-bit half-word (see
-        :class:`_RawWords`).  ``uniform()`` takes the next whole word (see
-        :func:`_uniform_double`) and leaves the half-word buffer alone.  Words
-        are read 1024 at a time.
-        """
-        raw = _RawWords(self.generator.bit_generator)
-        buffered, half, used = raw.buffered, raw.half, 0
-
-        def stream():
-            while True:
-                yield from raw.take(1024).tolist()
-
-        next_word = stream().__next__
-
-        def coin() -> int:
-            nonlocal buffered, half, used
-            if buffered:
-                buffered = False
-                return half >> 31
-            word = next_word()
-            used += 1
-            buffered, half = True, word >> 32
-            return (word >> 31) & 1
-
-        def uniform() -> float:
-            nonlocal used
-            used += 1
-            return _uniform_double(next_word())
-
-        try:
-            yield coin, uniform
-        finally:
-            raw.used, raw.buffered, raw.half = used, buffered, half
-            raw.close()
-
-    def _replayed_rounds(self, high: int, words: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` rounds of the scalar draws ``integers(0, high)`` and then
-        ``words`` draws ``random()`` of one whole word each, replayed from raw
-        words in one batch: returns the ``(count,)`` integers and the
-        ``(count, words)`` doubles (:func:`_uniform_double`), and leaves the
-        generator where those scalar calls would have left it.
-
-        numpy draws ``integers(0, high)`` by Lemire's method on the next
-        32-bit half-word x (see :class:`_RawWords`): with m = x * high the
-        integer is m >> 32, and x is rejected, for a further half-word, when
-        m mod 2^32 < 2^32 mod high, which never happens for a power-of-two
-        high.  The rounds are planned as if no half-word were rejected: they
-        then alternate between a fresh word and the buffered half.  A round
-        that rejects ends the plan; it is drawn by the scalar rule and the
-        plan restarts after it.
-        """
-        if not 2 <= high <= 1 << 32:
-            raise QcoreError("integers(0, high) is replayed for 2 <= high <= 2**32")
-        raw = _RawWords(self.generator.bit_generator)
-        threshold = (1 << 32) % high
-        ints = np.empty(count, dtype=np.int64)
-        out = np.empty((count, words), dtype=np.uint64)
-        done = 0
-        try:
-            while done < count:
-                left, base = count - done, raw.used
-                # Round r takes a fresh word for its integer unless a half is buffered.
-                fresh = (np.arange(left) + raw.buffered) % 2 == 0
-                size = words + fresh
-                start = np.cumsum(size) - size
-                block = raw.take(int(start[-1] + size[-1]))
-                first = block[start]
-                buffered_half = np.concatenate((np.array([raw.half], np.uint64), first[:-1] >> 32))
-                m = np.where(fresh, first & 0xFFFFFFFF, buffered_half) * np.uint64(high)
-                rejects = np.flatnonzero((m & 0xFFFFFFFF) < threshold)
-                keep = int(rejects[0]) if rejects.size else left
-                if keep:
-                    ints[done : done + keep] = m[:keep] >> 32
-                    out[done : done + keep] = block[(start + fresh)[:keep, None] + np.arange(words)]
-                    last = keep - 1
-                    raw.buffered = bool(fresh[last])
-                    raw.half = int(first[last] >> 32 if fresh[last] else buffered_half[last])
-                raw.used = base + (int(start[keep]) if keep < left else block.size)
-                done += keep
-                if keep < left:
-                    m = raw.half_word() * high
-                    while m & 0xFFFFFFFF < threshold:
-                        m = raw.half_word() * high
-                    ints[done], out[done] = m >> 32, raw.take(words)
-                    done += 1
-        finally:
-            raw.close()
-        return ints, _uniform_double(out)
-
-
-class _RawWords:
-    """The raw 64-bit words of a PCG64 stream from the state it has on entry,
-    and the 32-bit half-word buffer that numpy's scalar 32-bit draws share.
-
-    A half-word draw takes a buffered half if there is one; otherwise a
-    fresh word hands out its low half and buffers its high half (PCG64's
-    ``has_uint32``/``uinteger``).  ``used`` counts the words consumed: a
-    caller that read ahead lowers it to hand words back.  :meth:`close`
-    leaves the generator exactly where the scalar draws would have left it:
-    the entry state advanced by ``used`` words, with the buffer flag and the
-    last buffered half, which PCG64 keeps even once it has been handed out.
-    """
-
-    def __init__(self, bits):
-        self.bits, self.entry = bits, bits.state
-        self.buffered, self.half = bool(self.entry["has_uint32"]), self.entry["uinteger"]
-        self.used = self._read = 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The ``count`` words after the ``used`` ones."""
-        if self._read != self.used:  # words were handed back: seek
-            self.bits.state = self.entry
-            self.bits.advance(self.used)
-        words = self.bits.random_raw(count)
-        self.used = self._read = self.used + count
-        return words
-
-    def half_word(self) -> int:
-        if self.buffered:
-            self.buffered = False
-            return self.half
-        word = int(self.take(1)[0])
-        self.buffered, self.half = True, word >> 32
-        return word & 0xFFFFFFFF
-
-    def close(self):
-        self.bits.state = self.entry
-        self.bits.advance(self.used)
-        self.bits.state = {
-            **self.bits.state, "has_uint32": int(self.buffered), "uinteger": self.half
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +357,9 @@ class _SparseKet:
         # qubits' basis state base[k]; each row goes through mat as in the
         # dense kernel.
         rest = self.indices & ~(1 << shift)
-        base = np.unique(rest)
+        base, row = _distinct(rest)
         pairs = np.zeros((base.size, 2), dtype=np.complex128)
-        pairs[np.searchsorted(base, rest), (self.indices >> shift) & 1] = self.values
+        pairs[row, (self.indices >> shift) & 1] = self.values
         indices = np.stack([base, base | (1 << shift)], axis=1).reshape(-1)
         order = np.argsort(indices)
         values = (pairs @ mat.T).reshape(-1)
@@ -521,6 +375,18 @@ class _SparseKet:
         return p, partial(_SparseKet, n, indices, values, normalize=True)
 
 
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D integer array and each entry's
+    index among them, as ``np.unique(x, return_inverse=True)`` gives them.
+    A bare ``np.unique`` would import ``numpy.ma``, and its inverse takes
+    twice as long on the few entries of a sparse ket."""
+    ordered = np.sort(x)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return distinct, distinct.searchsorted(x)
+
+
 def _dense_norm_sq(n: int, indices: np.ndarray, values: np.ndarray) -> float:
     """The squared norm that ``np.vdot`` gives for the dense 2^n vector.
 
@@ -532,9 +398,9 @@ def _dense_norm_sq(n: int, indices: np.ndarray, values: np.ndarray) -> float:
     """
     width = min(64, 1 << n)
     block = indices // width
-    blocks = np.unique(block)
+    blocks, row = _distinct(block)
     buffer = np.zeros((blocks.size, width), dtype=np.complex128)
-    buffer[np.searchsorted(blocks, block), indices % width] = values
+    buffer[row, indices % width] = values
     return float(np.vdot(buffer, buffer).real)
 
 

@@ -3,6 +3,7 @@ as test references."""
 
 import copy
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -172,15 +173,42 @@ def per_round_pass_probability(state, angles, m: int) -> float:
     return min(max(0.5 * (1.0 + parity), 0.0), 1.0)
 
 
+@dataclass(frozen=True)
+class RoundResult:
+    angles: tuple
+    outcomes: tuple
+    multiplicity: int  # m = sum(theta) / pi
+    passed: bool
+
+
+def theta_measure(state, angles, rng) -> tuple:
+    """Sample every node's outcome jointly from one ``rng`` double, the one
+    that ``RandomSource.choice_index`` draws; returns Y bits, leftmost node
+    first.  ``state`` is a :class:`StateVector` or the two-branch form that
+    ``consensus._play`` builds: the batch of one of ``consensus._outcomes``."""
+    if state.dim != 1 << len(angles):
+        raise consensus.ConsensusError("angle count must match the state's qubit count")
+    u = np.array([rng.generator.random()])
+    return tuple(consensus._outcomes(state, np.array([angles], dtype=float), u, rng)[0].tolist())
+
+
+def run_round(network, played, rng) -> RoundResult:
+    """One θ round on ``played``, the candidate after the dishonest nodes'
+    cheats, as a :class:`StateVector` or as ``consensus._play`` builds it:
+    the batch of one of ``consensus._play_rounds``."""
+    angles, m, outcomes = next(consensus._play_rounds(played, network, 1, rng))
+    bits, parity = tuple(outcomes[0].tolist()), int(m[0])
+    return RoundResult(tuple(angles[0].tolist()), bits, parity, sum(bits) % 2 == parity % 2)
+
+
 def dense_estimate(candidate, network, rounds: int, rng) -> dict:
     """consensus.estimate_pass_probability on the dense played state: each
     round samples the Born distribution of all 2^n outcomes."""
     played = consensus._apply_cheats(candidate, network.nodes)
     passes = 0
     for _ in range(rounds):
-        rng.integers(0, network.size)  # the verifier
         angles, m = per_round_theta_angles(network.size, rng)
-        outcomes = consensus.theta_measure(played, angles, rng)
+        outcomes = theta_measure(played, angles, rng)
         passes += sum(outcomes) % 2 == m % 2
     p_hat = passes / rounds
     return {
@@ -191,15 +219,14 @@ def dense_estimate(candidate, network, rounds: int, rng) -> dict:
 
 
 def per_round_play(played, network, rounds: int, rng) -> list:
-    """The θ rounds of consensus._play_rounds one at a time, with one scalar
-    draw for each verifier, angle and outcome: a list of RoundResult."""
+    """The θ rounds of consensus._play_rounds one at a time: each reads its
+    row of n doubles, the n - 1 angle doubles and then the one its outcome
+    is picked with: a list of RoundResult."""
     results = []
     for _ in range(rounds):
-        verifier = network.nodes[int(rng.integers(0, network.size))].id
         angles, m = consensus.sample_theta_angles(network.size, rng)
-        outcomes = consensus.theta_measure(played, angles, rng)
-        passed = sum(outcomes) % 2 == m % 2
-        results.append(consensus.RoundResult(verifier, tuple(angles), outcomes, m, passed))
+        outcomes = theta_measure(played, angles, rng)
+        results.append(RoundResult(tuple(angles), outcomes, m, sum(outcomes) % 2 == m % 2))
     return results
 
 

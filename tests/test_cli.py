@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -270,6 +271,21 @@ def test_command_import_footprint(args, modules, random):
     assert _child(_FOOTPRINT, *args) == [expected, random]
 
 
+def test_chain_demo_leaves_numpy_ma_unloaded():
+    # A bare np.unique takes numpy's hash path, which imports numpy.ma.
+    code = """
+import json, sys
+from chronoq.cli import main
+try:
+    main(["chain", "demo", "--json"], prog_name="chronoq")
+except SystemExit:
+    pass
+print()
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+    assert _child(code) is False
+
+
 def test_package_loads_submodules_on_first_access():
     code = """
 import json, sys
@@ -328,7 +344,7 @@ PINNED_OUTPUTS = [
     ),
     (
         ["game", "qkd", "--protocol", "BB84", "--eve", "intercept_resend"],
-        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":128,"keys_match":false,"protocol":"BB84","qber":0.2578125}',
+        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":128,"keys_match":false,"protocol":"BB84","qber":0.28125}',
     ),
     (
         ["game", "qkd", "--protocol", "E91"],
@@ -344,7 +360,7 @@ PINNED_OUTPUTS = [
     ),
     (
         ["game", "qkd", "--key-bits", "100000", "--eve", "intercept_resend"],
-        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":100000,"keys_match":false,"protocol":"BB84","qber":0.24902}',
+        '{"eavesdropper":"intercept_resend","game":"qkd","key_bits":100000,"keys_match":false,"protocol":"BB84","qber":0.25182}',
     ),
     (
         ["entropy", "--block", "24", "--trials", "10000"],
@@ -358,6 +374,36 @@ def test_pinned_monte_carlo_outputs(args, expected):
     res = run([*args, "--json"])
     assert res.exit_code == 0
     assert res.output == expected + "\n"
+
+
+def test_state_ghz_json_bytes():
+    # 57471 bytes of amplitudes and probabilities, rendered from arrays.
+    res = run(["state", "--ghz", "12", "--json"])
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.output.encode()).hexdigest()
+    assert digest == "4c11d01626652c5e5348711a464670f610992695354de59d03e0da8c9521ca18"
+
+
+# The seeded QKD and θ-round commands, whose draws are fixed-shape blocks,
+# pass their own checks over a range of seeds.  BB84 under intercept-resend
+# must also keep its QBER within three standard errors of 1/4.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["game", "qkd", "--protocol", "BB84", "--eve", "none"],
+        ["game", "qkd", "--protocol", "BB84", "--eve", "intercept_resend"],
+        ["game", "qkd", "--protocol", "E91"],
+        ["consensus", "run", "--dishonest", "1"],
+    ],
+)
+def test_block_draws_pass_their_checks_at_seeds_1_to_20(args):
+    for seed in range(1, 21):
+        res = run([*args, "--seed", str(seed), "--json"])
+        assert res.exit_code == 0, (seed, res.output)
+        report = json.loads(res.output)
+        if "intercept_resend" in args:
+            se = math.sqrt(0.25 * 0.75 / report["key_bits"])
+            assert abs(report["qber"] - 0.25) <= 3.0 * se, (seed, report)
 
 
 # Canonical JSON of ``consensus bounds --dishonest d``.  Up to two cheaters

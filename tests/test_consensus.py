@@ -14,17 +14,14 @@ from chronoq.consensus import (
     ConsensusError,
     Network,
     Node,
-    RoundResult,
     admit_block,
     check_fidelity_bounds,
     estimate_pass_probability,
     exact_pass_probability,
     ghz_fidelity,
     optimize_corrected_fidelity,
-    run_round,
     sample_theta_angles,
     theta_basis,
-    theta_measure,
 )
 from chronoq.qcore import (
     PAULI_X,
@@ -39,6 +36,7 @@ from chronoq.qcore import (
 )
 
 from dense_reference import (
+    RoundResult,
     dense_estimate,
     duplicated_block_corrected_fidelity,
     golden_ratio_start,
@@ -46,7 +44,9 @@ from dense_reference import (
     per_round_bounds,
     per_round_play,
     per_round_theta_angles,
+    run_round,
     serial_corrected_fidelity,
+    theta_measure,
 )
 
 
@@ -615,11 +615,10 @@ def test_complete_angles_wraps_a_negative_last_angle():
 def _batched_rounds(played, network, rounds, rng):
     """consensus._play_rounds as a list of RoundResult."""
     results = []
-    for picks, angles, m, outcomes in consensus._play_rounds(played, network, rounds, rng):
-        for pick, row, mm, bits in zip(picks.tolist(), angles.tolist(), m.tolist(),
-                                       outcomes.tolist()):
+    for angles, m, outcomes in consensus._play_rounds(played, network, rounds, rng):
+        for row, mm, bits in zip(angles.tolist(), m.tolist(), outcomes.tolist()):
             parity = int(mm)
-            results.append(RoundResult(network.nodes[pick].id, tuple(row), tuple(bits), parity,
+            results.append(RoundResult(tuple(row), tuple(bits), parity,
                                        sum(bits) % 2 == parity % 2))
     return results
 
@@ -636,24 +635,20 @@ def _assert_rounds_match_loop(played, nodes, rounds, sources):
     assert batch.generator.bit_generator.state == state == est.generator.bit_generator.state
 
 
-@pytest.mark.parametrize("n, rejects", [(3, True), (20, True), (2, False), (4, False)])
-def test_forced_lemire_rejection_matches_per_round_reference(n, rejects):
-    # A buffered half-word of 0 makes m = 0 below the Lemire threshold
-    # 2^32 mod n (1 at n = 3, 16 at n = 20), so the first verifier draw
-    # rejects it and takes a fresh word; a power-of-two n never rejects.
-    nodes = _cheating_nodes(n, [0, n - 1], np.random.default_rng(n))
-    played = consensus._play(ghz_state(n), nodes)
-    sources = [RandomSource(7, 1) for _ in range(4)]
-    for source in sources:
-        bits = source.generator.bit_generator
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": 0}
-    probe = sources.pop()
-    probe.integers(0, n)
-    assert probe.generator.bit_generator.state["has_uint32"] == int(rejects)
-    _assert_rounds_match_loop(played, nodes, 60, sources)
-
-
 _SEEDS = st.one_of(st.sampled_from([1, 2, 42]), st.integers(0, 2**32 - 1))
+
+
+def _played_candidate(n, seed, cheaters, shape):
+    """The nodes and the played candidate: GHZ or another two-branch ket
+    under the cheats of ``cheaters``, or a dense ket of up to 8 qubits."""
+    gen = np.random.default_rng(seed)
+    nodes = _cheating_nodes(n, {c for c in cheaters if c < n}, gen)
+    if shape == "dense":  # more than two amplitudes: Born sampling row by row
+        candidate = _random_state(min(n, 8), seed, density=False)
+        nodes = nodes[: candidate.num_qubits]
+    else:
+        candidate = _two_branch_candidate(n, gen, shape)
+    return nodes, consensus._play(candidate, nodes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -663,33 +658,54 @@ _SEEDS = st.one_of(st.sampled_from([1, 2, 42]), st.integers(0, 2**32 - 1))
     cheaters=st.sets(st.integers(0, 19)),
     shape=st.sampled_from(["ghz", "ghz", "pair", "basis", "dense"]),
     rounds=st.integers(1, 120),
-    buffered=st.booleans(),
     chunk_entries=st.sampled_from([1, 45, 1 << 16]),
 )
-@example(n=20, seed=1, cheaters=set(range(20)), shape="ghz", rounds=120, buffered=False,
-         chunk_entries=1 << 16)
-@example(n=2, seed=2, cheaters=set(), shape="ghz", rounds=120, buffered=True, chunk_entries=45)
-@example(n=5, seed=42, cheaters={1, 3}, shape="dense", rounds=50, buffered=True,
-         chunk_entries=45)
-def test_batched_rounds_match_per_round_loop(
-    n, seed, cheaters, shape, rounds, buffered, chunk_entries
-):
-    gen = np.random.default_rng(seed)
-    nodes = _cheating_nodes(n, {c for c in cheaters if c < n}, gen)
-    if shape == "dense":  # more than two amplitudes: Born sampling row by row
-        candidate = _random_state(min(n, 8), seed, density=False)
-        nodes = nodes[: candidate.num_qubits]
-    else:
-        candidate = _two_branch_candidate(n, gen, shape)
-    played = consensus._play(candidate, nodes)
+@example(n=20, seed=1, cheaters=set(range(20)), shape="ghz", rounds=120, chunk_entries=1 << 16)
+@example(n=2, seed=2, cheaters=set(), shape="ghz", rounds=120, chunk_entries=45)
+@example(n=5, seed=42, cheaters={1, 3}, shape="dense", rounds=50, chunk_entries=45)
+def test_batched_rounds_match_per_round_loop(n, seed, cheaters, shape, rounds, chunk_entries):
+    nodes, played = _played_candidate(n, seed, cheaters, shape)
     sources = [RandomSource(seed, 6) for _ in range(3)]
-    if buffered:  # start with a half-word buffered
-        for source in sources:
-            source.integers(0, 7)
     with pytest.MonkeyPatch.context() as patch:
         # Small chunks put chunk boundaries between the rounds.
         patch.setattr(consensus, "_CHUNK_ENTRIES", chunk_entries)
         _assert_rounds_match_loop(played, nodes, rounds, sources)
+
+
+@pytest.mark.parametrize("n, cheaters, shape", [(2, [], "ghz"), (7, [0, 6], "ghz"),
+                                                (20, range(20), "pair"), (5, [1, 3], "dense")])
+@pytest.mark.parametrize("chunk_entries", [1, 7, 64])
+def test_rounds_do_not_depend_on_the_chunk_size(n, cheaters, shape, chunk_entries, monkeypatch):
+    nodes, played = _played_candidate(n, 42, cheaters, shape)
+
+    def play():
+        rng = RandomSource(42, 8)
+        return _batched_rounds(played, Network(nodes, rng), 300, rng)
+
+    default = play()
+    monkeypatch.setattr(consensus, "_CHUNK_ENTRIES", chunk_entries)
+    assert play() == default
+
+
+@pytest.mark.parametrize("n, cheaters, shape", [(3, [], "ghz"), (6, [2], "ghz"),
+                                                (11, [0, 4, 10], "basis"), (4, [1], "dense")])
+def test_round_bits_depend_only_on_their_row(n, cheaters, shape):
+    # A round is one row of n doubles: its n - 1 angle doubles and its pick
+    # double.  Played alone, shuffled among other rows or in the full
+    # batch, the row gives the same bits.
+    nodes, played = _played_candidate(n, 9, cheaters, shape)
+    rng = RandomSource(9, 2)
+    rounds = 200
+    (angles, m, bits), = consensus._play_rounds(played, Network(nodes, rng), rounds, rng)
+    doubles = RandomSource(9, 2).generator.random((rounds, n))
+    row_angles, row_m = consensus._complete_angles(math.pi * doubles[:, :-1])
+    assert np.array_equal(row_angles, angles) and np.array_equal(row_m, m)
+    order = np.random.default_rng(n).permutation(rounds)
+    shuffled = consensus._outcomes(played, angles[order], doubles[order, -1], rng)
+    assert np.array_equal(shuffled, bits[order])
+    for r in range(0, rounds, 7):
+        alone = consensus._outcomes(played, angles[r : r + 1], doubles[r : r + 1, -1], rng)
+        assert np.array_equal(alone, bits[r : r + 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

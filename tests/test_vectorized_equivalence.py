@@ -3,8 +3,9 @@ replaced, kept here as the reference.
 
 Every engine makes the same generator calls in the same order as its loop,
 so counts, keys and success tallies must be exactly equal for any seed.
-QKD sessions replay the loop's scalar draws from raw generator words, so
-they must also leave the generator exactly where the loop leaves it.
+QKD sessions are compared with a loop that reads the same blocks of draws
+one qubit at a time, so they must also leave the generator exactly where
+the loop leaves it.
 The frame average changes only the summation order of the Born weights, so
 it is compared to 1e-14.
 """
@@ -125,35 +126,44 @@ def pbr_game_loop(ontology, strategy, trials, rng, q=Fraction(0)):
 
 
 def qkd_session_loop(protocol, key_bits, eavesdropper, rng):
-    def measure(amp, basis):
-        p0 = abs(np.vdot(games._BB84_STATES[(basis, 0)], amp)) ** 2
-        return 0 if rng.uniform() < p0 else 1
+    """games.qkd_session one qubit at a time: each block of qubits draws its
+    coins and doubles as qkd_session does, and the qubits are read in order
+    until key_bits of them pass the sifting."""
 
+    def measure(amp, basis, u):
+        p0 = abs(np.vdot(games._BB84_STATES[(basis, 0)], amp)) ** 2
+        return 0 if u < p0 else 1
+
+    eve = eavesdropper == "intercept_resend"
+    size = 2 * key_bits + 8 * math.isqrt(key_bits) + 64
+    pair = bell_state("phi+")
     alice_key, bob_key = [], []
-    if protocol == "BB84":
-        while len(alice_key) < key_bits:
-            bit = int(rng.integers(0, 2))
-            basis_a = int(rng.integers(0, 2))
-            amp = games._BB84_STATES[(basis_a, bit)]
-            if eavesdropper == "intercept_resend":
-                basis_e = int(rng.integers(0, 2))
-                amp = games._BB84_STATES[(basis_e, measure(amp, basis_e))]
-            basis_b = int(rng.integers(0, 2))
-            outcome_b = measure(amp, basis_b)
-            if basis_a == basis_b:
-                alice_key.append(bit)
-                bob_key.append(outcome_b)
-    else:
-        pair = bell_state("phi+")
-        while len(alice_key) < key_bits:
-            basis_a = int(rng.integers(0, 2))
-            basis_b = int(rng.integers(0, 2))
-            if basis_a != basis_b:
-                continue
-            ua = games._dichotomic_eigenbasis(PAULI_Z if basis_a == 0 else PAULI_X)
-            outcome = rng.choice_index(np.abs(np.kron(ua, ua) @ pair.amplitudes) ** 2)
-            alice_key.append(outcome >> 1)
-            bob_key.append(outcome & 1)
+    while len(alice_key) < key_bits:
+        if protocol == "BB84":
+            coins = rng.integers(0, 2, (size, 3 + eve)).tolist()
+            doubles = rng.generator.random((size, 1 + eve)).tolist()
+        else:
+            coins = rng.integers(0, 2, (size, 2)).tolist()
+            doubles = rng.generator.random((size, 1)).tolist()
+        for row, u in zip(coins, doubles):
+            if len(alice_key) == key_bits:
+                break
+            if protocol == "BB84":
+                bit, basis_a, basis_b = row[0], row[1], row[-1]
+                amp = games._BB84_STATES[(basis_a, bit)]
+                if eve:
+                    basis_e = row[2]
+                    amp = games._BB84_STATES[(basis_e, measure(amp, basis_e, u[0]))]
+                outcome_b = measure(amp, basis_b, u[-1])
+                if basis_a == basis_b:
+                    alice_key.append(bit)
+                    bob_key.append(outcome_b)
+            elif row[0] == row[1]:
+                ua = games._dichotomic_eigenbasis(PAULI_Z if row[0] == 0 else PAULI_X)
+                weights = np.abs(np.kron(ua, ua) @ pair.amplitudes) ** 2
+                outcome = int(rng.choice_index(weights, u[0]))
+                alice_key.append(outcome >> 1)
+                bob_key.append(outcome & 1)
     return alice_key, bob_key
 
 
@@ -255,7 +265,7 @@ QKD_SESSIONS = [("BB84", "none"), ("BB84", "intercept_resend"), ("E91", "none")]
 def assert_session_matches_loop(protocol, key_bits, eve, seed, coins_before=0):
     """Same keys as the loop, the same generator state after the session and
     the same next draws, after ``coins_before`` integers(0, 2) draws (one
-    leaves a half-word buffered on entry, two a stale one)."""
+    leaves a 32-bit half-word buffered on entry, two a stale one)."""
     fast, slow = RandomSource(seed, 4), RandomSource(seed, 4)
     for rng in (fast, slow):
         for _ in range(coins_before):
@@ -282,6 +292,30 @@ def test_qkd_keys_match_loop(seed, protocol, eve):
 )
 def test_qkd_session_replays_the_loop_draws(seed, protocol, eve, key_bits, coins_before):
     assert_session_matches_loop(protocol, key_bits, eve, seed, coins_before)
+
+
+class _ShortFirstBlock(RandomSource):
+    """A source whose first block of QKD coins sifts no qubit: Bob's basis
+    (the last coin) is the complement of Alice's."""
+
+    calls = 0
+
+    def integers(self, low, high=None, size=None):
+        coins = super().integers(low, high, size)
+        self.calls += 1
+        if self.calls == 1:
+            coins[:, -1] = 1 - coins[:, 0 if coins.shape[1] == 2 else 1]
+        return coins
+
+
+@pytest.mark.parametrize("protocol, eve", QKD_SESSIONS)
+def test_qkd_session_draws_another_block_when_one_falls_short(protocol, eve):
+    fast, slow = _ShortFirstBlock(5, 4), _ShortFirstBlock(5, 4)
+    session = games.qkd_session(protocol, 50, eve, fast)
+    assert (session["alice_key"], session["bob_key"]) == qkd_session_loop(protocol, 50, eve, slow)
+    assert len(session["alice_key"]) == 50
+    assert fast.calls == slow.calls == 2
+    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
 
 
 @lru_cache(maxsize=None)
