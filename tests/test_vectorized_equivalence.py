@@ -61,6 +61,78 @@ def chsh_game_loop(strategy, trials, rng):
     return games._stats("chsh_game", strategy, wins, trials, games.chsh_game_analytic(strategy))
 
 
+def monty_classic_loop(strategy, trials, rng):
+    gen = rng.generator
+    prize = gen.integers(0, 3, trials)
+    choice = gen.integers(0, 3, trials)
+    coin = gen.integers(0, 2, trials)
+    wins = 0
+    for k in range(trials):
+        p, c = int(prize[k]), int(choice[k])
+        if c == p:
+            monty = [d for d in range(3) if d != c][int(coin[k])]
+        else:
+            monty = 3 - c - p
+        final = c if strategy == "stick" else 3 - c - monty
+        wins += final == p
+    return games._stats(
+        "monty_classic", strategy, wins, trials, games.monty_classic_analytic(strategy)
+    )
+
+
+def monty_ignorant_loop(strategy, trials, rng):
+    gen = rng.generator
+    prize = gen.integers(0, 3, trials)
+    choice = gen.integers(0, 3, trials)
+    coin = gen.integers(0, 2, trials)
+    wins = kept = 0
+    for k in range(trials):
+        p, c = int(prize[k]), int(choice[k])
+        monty = [d for d in range(3) if d != c][int(coin[k])]
+        if monty == p:
+            continue
+        kept += 1
+        final = c if strategy == "stick" else 3 - c - monty
+        wins += final == p
+    analytic = games.monty_ignorant_analytic(strategy)
+    return {
+        "conditional": games._stats(
+            "monty_ignorant", strategy, wins, kept, analytic["conditional"]
+        ),
+        "prize_accident": games._stats(
+            "monty_ignorant_accident", strategy, trials - kept, trials,
+            analytic["prize_accident"],
+        ),
+    }
+
+
+def unreliable_teleport_loop(strategy, trials, rng):
+    psi = games.StateVector(np.array([0.6, 0.8]), normalize=True)
+    state = games._teleport_premeasure(psi, "00")
+    probs = np.sum(np.abs(state.amplitudes.reshape(4, 2)) ** 2, axis=1)
+    gen = rng.generator
+    ab = gen.choice(4, size=trials, p=probs / probs.sum())
+    kept_pos = gen.integers(0, 2, trials)
+    target = gen.integers(1, 3, trials) if strategy == "switch" else None
+    wins = kept = 0
+    for k in range(trials):
+        door = int(ab[k])
+        bit = door >> 1 if kept_pos[k] == 0 else door & 1
+        if bit:
+            continue
+        kept += 1
+        wins += door == (0 if strategy == "stick" else int(target[k]))
+    analytic = games.unreliable_teleport_analytic(strategy)
+    return {
+        "conditional": games._stats(
+            "unreliable_teleport", strategy, wins, kept, analytic["conditional"]
+        ),
+        "received_bit0": games._stats(
+            "unreliable_teleport_received0", strategy, kept, trials, analytic["received_bit0"]
+        ),
+    }
+
+
 def monty_teleport_loop(strategy, trials, rng, xy=(0, 0)):
     xy_door = 2 * xy[0] + xy[1]
     psi = games.StateVector(np.array([0.6, 0.8j]), normalize=True)
@@ -235,6 +307,23 @@ def frame_average_loop(rho, n_frames, rng):
 def test_chsh_game_matches_loop(seed, strategy):
     assert games.chsh_game(strategy, TRIALS, RandomSource(seed, 1)) == chsh_game_loop(
         strategy, TRIALS, RandomSource(seed, 1)
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("strategy", ["stick", "switch"])
+@pytest.mark.parametrize(
+    "engine, loop",
+    [
+        (games.monty_classic, monty_classic_loop),
+        (games.monty_ignorant, monty_ignorant_loop),
+        (games.unreliable_teleport, unreliable_teleport_loop),
+    ],
+    ids=["monty_classic", "monty_ignorant", "unreliable_teleport"],
+)
+def test_door_game_matches_loop(seed, strategy, engine, loop):
+    assert engine(strategy, TRIALS, RandomSource(seed, 4)) == (
+        loop(strategy, TRIALS, RandomSource(seed, 4))
     )
 
 
