@@ -8,13 +8,14 @@ rational) and a seeded Monte Carlo simulation.  Agreement within three
 standard errors is the standing cross-check, carried in :class:`GameStats`.
 
 The Monte Carlo engines draw every random number of a game up front as
-arrays, then decide all trials at once: door choices are lookup tables
-indexed by the draws, and the CHSH outcomes one Born-CDF ``searchsorted``
-per measurement setting.  The draws are the same generator calls in the
-same order as a trial-by-trial loop, so every count is exactly the loop's
-for any seed.  QKD sessions draw their qubits in fixed-size blocks of
-arrays and sift them with a mask, so a session makes a few numpy calls
-however many key bits it keeps.
+arrays, then decide all trials at once without a branch on the draws: a
+Born-sampled door counts the CDF entries at or below its double
+(``RandomSource.choice_index``), and the game's rule is one flat table over
+all its discrete draws, summed against how often each key was drawn.  The
+draws are the same generator calls in the same order as a trial-by-trial
+loop, so every count is exactly the loop's for any seed.  QKD sessions draw
+their qubits in fixed-size blocks of arrays and sift them with a mask, so a
+session makes a few numpy calls however many key bits it keeps.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def _check_strategy(strategy: str):
         raise GameError(f"strategy must be {STICK!r} or {SWITCH!r}")
 
 
+def _tally(rule, *draws) -> list[int]:
+    """How many trials ``rule`` maps to each result: 0 lost, 1 won, 2 void.
+
+    ``draws`` are ``(keys, size)`` pairs, arrays of keys in ``range(size)``.
+    Each trial's keys make one mixed-radix index (overwriting an int64 first
+    array), the indices are counted once, and the counts are summed per
+    result over one flat table of ``rule`` at every index."""
+    index = np.asarray(draws[0][0], dtype=np.intp)
+    for keys, size in draws[1:]:
+        index *= size
+        index += keys
+    table = [rule(*key) for key in product(*(range(size) for _, size in draws))]
+    counts = np.bincount(index, minlength=len(table))
+    return np.bincount(table, weights=counts, minlength=3).astype(int).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Classic and ignorant Monty Hall
 # ---------------------------------------------------------------------------
@@ -109,17 +126,13 @@ def monty_classic_analytic(strategy: str) -> Fraction:
 
 def monty_classic(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     _check_strategy(strategy)
-    gen = rng.generator
-    prize = gen.integers(0, 3, trials)
-    choice = gen.integers(0, 3, trials)
-    coin = gen.integers(0, 2, trials)
-    # Monty's goat door: forced when choice != prize, a fair pick otherwise.
-    others = np.array([[d for d in range(3) if d != c] for c in range(3)])
-    monty = np.where(
-        choice != prize, 3 - choice - prize, others[choice, coin]
-    )
-    final = choice if strategy == STICK else 3 - choice - monty
-    wins = int(np.sum(final == prize))
+
+    def won(prize, choice, coin):
+        # Monty's goat door: forced when choice != prize, a fair pick otherwise.
+        monty = [d for d in range(3) if d not in (choice, prize)][coin if choice == prize else 0]
+        return (choice if strategy == STICK else 3 - choice - monty) == prize
+
+    _, wins, _ = _tally(won, *((rng.integers(0, k, trials), k) for k in (3, 3, 2)))
     return _stats("monty_classic", strategy, wins, trials, monty_classic_analytic(strategy))
 
 
@@ -145,25 +158,19 @@ def monty_ignorant_analytic(strategy: str) -> dict:
 
 def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
     _check_strategy(strategy)
-    gen = rng.generator
-    prize = gen.integers(0, 3, trials)
-    choice = gen.integers(0, 3, trials)
-    coin = gen.integers(0, 2, trials)
-    others = np.array([[d for d in range(3) if d != c] for c in range(3)])
-    monty = others[choice, coin]
-    accident = monty == prize
-    kept = ~accident
-    final = choice if strategy == STICK else 3 - choice - monty
-    wins = int(np.sum((final == prize) & kept))
+
+    def result(prize, choice, coin):  # void when Monty opens the prize door
+        monty = [d for d in range(3) if d != choice][coin]
+        final = choice if strategy == STICK else 3 - choice - monty
+        return 2 if monty == prize else final == prize
+
+    lost, won, accidents = _tally(result, *((rng.integers(0, k, trials), k) for k in (3, 3, 2)))
     analytic = monty_ignorant_analytic(strategy)
     return {
-        "conditional": _stats(
-            "monty_ignorant", strategy, wins, int(kept.sum()), analytic["conditional"]
-        ),
-        "prize_accident": _stats(
-            "monty_ignorant_accident", strategy, int(accident.sum()), trials,
-            analytic["prize_accident"],
-        ),
+        "conditional": _stats("monty_ignorant", strategy, won, won + lost,
+                              analytic["conditional"]),
+        "prize_accident": _stats("monty_ignorant_accident", strategy, accidents, trials,
+                                 analytic["prize_accident"]),
     }
 
 
@@ -171,13 +178,8 @@ def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
 # Teleportation
 # ---------------------------------------------------------------------------
 
-# Correction for channel beta_00, by Alice's outcome ab.
-_CORRECTIONS = {
-    (0, 0): np.eye(2, dtype=np.complex128),
-    (0, 1): PAULI_X,
-    (1, 0): PAULI_Z,
-    (1, 1): PAULI_Z @ PAULI_X,
-}
+# Correction for channel beta_00, by Alice's outcome ab as the branch 2a + b.
+_CORRECTIONS = [np.eye(2, dtype=np.complex128), PAULI_X, PAULI_Z, PAULI_Z @ PAULI_X]
 
 
 def _teleport_premeasure(psi: StateVector, channel: str = "00") -> StateVector:
@@ -200,7 +202,7 @@ def teleport_branches(psi: StateVector, channel: str = "00") -> list[dict]:
         bob = amps[branch]
         prob = float(np.sum(np.abs(bob) ** 2))
         bob = bob / math.sqrt(prob)
-        corrected = _CORRECTIONS[(a, b)] @ bob
+        corrected = _CORRECTIONS[branch] @ bob
         fid = float(abs(np.vdot(psi.amplitudes, corrected)) ** 2)
         out.append(
             {"branch": (a, b), "probability": prob,
@@ -269,25 +271,26 @@ def monty_teleport(
     probs = np.array([b["probability"] for b in teleport_branches(psi, channel)])
 
     gen = rng.generator
-    ab = gen.choice(4, size=trials, p=probs / probs.sum())
+    ab = rng.choice_index(probs, gen.random(trials))
     u = gen.random(trials)
     pick2 = gen.integers(0, 2, trials)
     if strategy == STICK:
-        wins = int(np.sum(ab == xy_door))
+        wins = int(np.count_nonzero(ab == xy_door))
     else:
         others = [d for d in range(4) if d != xy_door]
-        # Monty opens monty_door[prize, int(u * k)]: any of the k = 3 other
-        # doors when the prize is behind the contestant's, else one of the
-        # k = 2 that hide neither (-1 pads those rows).
-        monty_door = np.array(
-            [others if prize == xy_door else [d for d in others if d != prize] + [-1]
-             for prize in range(4)]
-        )
-        monty = monty_door[ab, (u * np.where(ab == xy_door, 3, 2)).astype(int)]
-        # The switch takes switch_door[monty, pick2] of the two doors left;
-        # the row of the contestant's door, which Monty never opens, is unused.
-        switch_door = np.array([[d for d in others if d != cd][:2] for cd in range(4)])
-        wins = int(np.count_nonzero(switch_door[monty, pick2] == ab))
+        # Monty opens door int(u * k) of the k = 3 other doors when the prize
+        # is behind the contestant's, else of the k = 2 that hide neither
+        # (int(2u) is exactly u >= 0.5); the switch takes door pick2 of the
+        # two doors left.
+        half = u >= 0.5
+
+        def won(pick, prize, third, half):
+            doors = others if prize == xy_door else [d for d in others if d != prize]
+            monty = doors[third if prize == xy_door else half]
+            return [d for d in others if d != monty][pick] == prize
+
+        u *= 3
+        _, wins, _ = _tally(won, (pick2, 2), (ab, 4), (u.astype(np.uint8), 3), (half, 2))
     return _stats("monty_teleport", strategy, wins, trials, monty_teleport_analytic(strategy))
 
 
@@ -345,24 +348,21 @@ def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
     probs = np.array([b["probability"] for b in teleport_branches(psi, "00")])
 
     gen = rng.generator
-    ab = gen.choice(4, size=trials, p=probs / probs.sum())
-    kept_pos = gen.integers(0, 2, trials)
-    bit = np.where(kept_pos == 0, ab >> 1, ab & 1)
-    kept = bit == 0
-    if strategy == STICK:
-        wins = int(np.sum(kept & (ab == 0)))
-    else:
-        target = gen.integers(1, 3, trials)  # door 01 or 10
-        wins = int(np.sum(kept & (target == ab)))
+    ab = rng.choice_index(probs, gen.random(trials))
+    draws = [(gen.integers(0, 2, trials), 2), (ab, 4)]
+    if strategy == SWITCH:
+        draws.append((gen.integers(1, 3, trials), 3))  # door 01 or 10
+
+    def result(kept_pos, ab, target=0):  # void when the received bit is 1
+        return 2 if _door_bits(ab)[kept_pos] else ab == target
+
+    lost, won, _ = _tally(result, *draws)
     analytic = unreliable_teleport_analytic(strategy)
     return {
-        "conditional": _stats(
-            "unreliable_teleport", strategy, wins, int(kept.sum()), analytic["conditional"]
-        ),
-        "received_bit0": _stats(
-            "unreliable_teleport_received0", strategy, int(kept.sum()), trials,
-            analytic["received_bit0"],
-        ),
+        "conditional": _stats("unreliable_teleport", strategy, won, won + lost,
+                              analytic["conditional"]),
+        "received_bit0": _stats("unreliable_teleport_received0", strategy, won + lost, trials,
+                                analytic["received_bit0"]),
     }
 
 
@@ -419,28 +419,32 @@ def chsh_game_analytic(strategy: str) -> float:
 def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     """Referee sends x, y uniform; players win iff x*y == a xor b.
 
-    The quantum players sample their outcome pair ab by inverting the Born
-    CDF of their (x, y) setting at a uniform draw, one searchsorted per
-    setting over all its trials."""
+    The quantum players sample their outcome pair ab at a uniform draw u
+    from the Born CDF of their setting 2x + y: ab counts the CDF entries
+    below u, all four of them, so a u above an unnormalized last entry
+    gives ab = 4, which loses."""
     analytic = chsh_game_analytic(strategy)
     gen = rng.generator
-    x = gen.integers(0, 2, trials)
-    y = gen.integers(0, 2, trials)
+    setting = gen.integers(0, 2, trials)
+    setting <<= 1
+    setting += gen.integers(0, 2, trials)
     if strategy == "classical":
         # Best deterministic strategy: both always answer 0.
-        wins = int(np.sum((x & y) == 0))
+        wins = int(np.count_nonzero(setting != 3))
     else:
-        settings = chsh_game_settings()
-        psi = bell_state("psi-")
+        ua, ub = ([_dichotomic_eigenbasis(obs) for obs in chsh_game_settings()[k]] for k in "AB")
+        cdfs = np.cumsum(
+            [product_probabilities(bell_state("psi-"), [a, b]) for a, b in product(ua, ub)], axis=1
+        )
         u = gen.random(trials)
-        outcome = np.empty(trials, dtype=np.int8)
-        for qx, qy in product(range(2), range(2)):
-            ua = _dichotomic_eigenbasis(settings["A"][qx])
-            ub = _dichotomic_eigenbasis(settings["B"][qy])
-            cdf = np.cumsum(product_probabilities(psi, [ua, ub]))
-            sel = (x == qx) & (y == qy)
-            outcome[sel] = np.searchsorted(cdf, u[sel])
-        wins = int(np.count_nonzero((x & y) == ((outcome >> 1) ^ (outcome & 1))))
+        outcome = np.zeros(trials, dtype=np.uint8)
+        for column in cdfs.T:
+            outcome += column.take(setting) < u
+
+        def won(setting, ab):  # x * y == a xor b
+            return (setting == 3) == ((ab >> 1) ^ (ab & 1))
+
+        _, wins, _ = _tally(won, (setting, 4), (outcome, 5))
     return _stats("chsh_game", strategy, wins, trials, analytic)
 
 
@@ -537,34 +541,28 @@ def pbr_game(
     if ontology == "ontic":
         prize_probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
     else:
-        prize_probs = np.array(
-            [float(p) for p in pbr_prize_distribution(ontology, q, split)]
-        )
+        prize_probs = [float(p) for p in pbr_prize_distribution(ontology, q, split)]
     gen = rng.generator
-    prize = gen.choice(4, size=trials, p=prize_probs)
-    contestant = gen.integers(0, 4, trials)
-    monty_pick = gen.integers(0, 3, trials)  # used only when contestant == door 0
-    switch_pick = gen.integers(0, 2, trials)
-    monty = np.where(contestant == 0, monty_pick + 1, 0)
-    goat = monty != prize
-    if strategy == STICK:
-        wins = int(np.sum(goat & (contestant == prize)))
-    else:
-        # options[c, m] lists the two doors that are neither the contestant's
-        # c nor Monty's m (Monty never opens the contestant's door).
-        options = np.array(
-            [[[d for d in range(4) if d not in (c, m)][:2] for m in range(4)] for c in range(4)]
-        )
-        wins = int(np.sum(goat & (options[contestant, monty, switch_pick] == prize)))
+    prize = rng.choice_index(prize_probs, gen.random(trials))
+    draws = [(gen.integers(0, k, trials), k) for k in (4, 3, 2)]
+
+    def result(contestant, monty_pick, switch_pick, prize):  # void when Monty opens the prize
+        # Monty opens door 0, or door monty_pick + 1 when the contestant
+        # holds door 0; the switch takes door switch_pick of the two doors
+        # that are neither the contestant's nor Monty's.
+        monty = monty_pick + 1 if contestant == 0 else 0
+        if monty == prize:
+            return 2
+        options = [d for d in range(4) if d not in (contestant, monty)]
+        return (contestant if strategy == STICK else options[switch_pick]) == prize
+
+    lost, won, opened = _tally(result, *draws, (prize, 4))
     analytic = pbr_analytic(strategy, ontology, q, split)
     return {
-        "conditional": _stats(
-            f"pbr_{ontology}", strategy, wins, int(goat.sum()), analytic["conditional"]
-        ),
-        "opens_prize": _stats(
-            f"pbr_{ontology}_opens_prize", strategy, int(np.sum(~goat)), trials,
-            analytic["opens_prize"],
-        ),
+        "conditional": _stats(f"pbr_{ontology}", strategy, won, won + lost,
+                              analytic["conditional"]),
+        "opens_prize": _stats(f"pbr_{ontology}_opens_prize", strategy, opened, trials,
+                              analytic["opens_prize"]),
     }
 
 

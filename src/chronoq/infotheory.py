@@ -379,12 +379,11 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
     """Monte Carlo success rate of encode-then-decode over iid source draws."""
     if trials < 1:
         raise InfoTheoryError("trials must be positive")
-    p = np.asarray(codec.source)
-    draws = rng.generator.choice(len(p), size=(trials, codec.n), p=p)
-    # Each distinct sequence is encoded and decoded once, weighted by how
-    # often it was drawn; the rows are narrowed first so that finding them
-    # adds little to the memory of the draws.
-    rows, _, weight = _distinct_rows(draws.astype(np.min_scalar_type(len(p) - 1)))
+    # One double per symbol, picked as ``Generator.choice`` would; the
+    # symbols come in the narrowest dtype that holds them.  Each distinct
+    # sequence is encoded and decoded once, weighted by how often it was drawn.
+    draws = rng.choice_index(codec.source, rng.generator.random((trials, codec.n)))
+    rows, _, weight = _distinct_rows(draws)
     counts, _, take, size = codec._book_entries(rows)
     rank = codec._ranks(rows, size)
     book = rank < take

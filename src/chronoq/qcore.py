@@ -50,6 +50,11 @@ DEFAULT_THRESHOLD = 0.99
 MAX_CODEC_BLOCK = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Counting costs one pass over the doubles per CDF entry, searchsorted a
+# mispredicted branch per probe.  On a 2-CPU x86 host, counting over 16
+# entries took 0.13x searchsorted's time on 10^5 fresh doubles and 0.5x on
+# 2000; over 32 entries it was slower on 2000.
+_COUNTED_CDF = 16
 
 
 class QcoreError(ValueError):
@@ -94,8 +99,13 @@ class RandomSource:
         """The index ``Generator.choice(len(weights), p=...)`` picks, by its
         rule stated once: normalize the clipped weights, divide their cumsum by
         its last entry, ``searchsorted(..., side="right")`` at one ``random()``.
-        Given ``u``, an array of doubles already drawn, picks one index per
-        double and draws nothing."""
+
+        Given ``u``, doubles already drawn, picks one index per double and
+        draws nothing: an int for a single double, else an array shaped like
+        ``u`` in the narrowest unsigned dtype that holds every index.  Over a
+        CDF of at most ``_COUNTED_CDF`` entries the index is the count of the
+        entries below the last that are <= u, which is the searchsorted index
+        since the last entry is 1 > u, with no branch on u."""
         p = np.clip(np.asarray(weights, dtype=float), 0.0, None)
         total = p.sum()
         if not 0.0 < total < math.inf:  # nan fails too
@@ -103,8 +113,17 @@ class RandomSource:
         cdf = np.cumsum(p / total)
         cdf /= cdf[-1]
         if u is None:
-            return int(cdf.searchsorted(self.generator.random(), side="right"))
-        return cdf.searchsorted(u, side="right")
+            u = self.generator.random()
+        u = np.asarray(u)
+        if u.ndim == 0:
+            return int(cdf.searchsorted(u, side="right"))
+        dtype = np.min_scalar_type(len(cdf) - 1)
+        if len(cdf) > _COUNTED_CDF:
+            return cdf.searchsorted(u, side="right").astype(dtype)
+        index = np.zeros(u.shape, dtype)
+        for threshold in cdf[:-1].tolist():
+            index += u >= threshold
+        return index
 
 
 # ---------------------------------------------------------------------------

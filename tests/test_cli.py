@@ -8,11 +8,12 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import chronoq
-from chronoq.cli import main, render_report
+from chronoq.cli import _plain, main, render_report
 
 
 def run(args, **kwargs):
@@ -382,6 +383,51 @@ def test_state_ghz_json_bytes():
     assert res.exit_code == 0
     digest = hashlib.sha256(res.output.encode()).hexdigest()
     assert digest == "4c11d01626652c5e5348711a464670f610992695354de59d03e0da8c9521ca18"
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ([], "be7b38da10b6738135e66d18e64ec5163689f220359e0cb0e3627d483fc1cf4c"),
+        (["--csv"], "89dec2348c997ec0f14a4401ceafe2f5adbf5d2547c2b1c84f0dec342db9f7d5"),
+    ],
+)
+def test_state_ghz_table_and_csv_bytes(fmt, digest):
+    res = run(["state", "--ghz", "12", *fmt])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def _per_leaf_rendering(plain, fmt):
+    """Table and CSV as rendered with one json.dumps per leaf."""
+
+    def flatten(obj, prefix=""):
+        if isinstance(obj, dict):
+            for k in sorted(obj):
+                yield from flatten(obj[k], f"{prefix}{k}.")
+        elif isinstance(obj, list):
+            for i, v in enumerate(obj):
+                yield from flatten(v, f"{prefix}{i}.")
+        else:
+            yield prefix[:-1], obj
+
+    if fmt == "csv":
+        return "\n".join(["key,value"] + [f"{k},{json.dumps(v)}" for k, v in flatten(plain)])
+    width = max((len(k) for k, _ in flatten(plain)), default=0)
+    return "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in flatten(plain))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_leaves_are_their_json_text(fmt):
+    report = {
+        "floats": [0.1, -2.5e-300, 1e22, math.nan, math.inf, -math.inf, -0.0],
+        "ints": [0, -7, 2**70, True, False],
+        "text": ['a, "b"\n', None],
+        "nested": {"z": [[1, {}], []], "a": {"deep": [np.float64(3.0), np.int64(4)]}},
+        "complex": 1 - 2j,
+    }
+    assert render_report(report, fmt) == _per_leaf_rendering(_plain(report), fmt)
+    assert render_report({}, fmt) == _per_leaf_rendering({}, fmt)
 
 
 # The seeded QKD and θ-round commands, whose draws are fixed-shape blocks,

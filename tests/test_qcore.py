@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronoq.chain import Record, build_chain
@@ -34,6 +34,7 @@ from chronoq.qcore import (
     product_probabilities,
     purity,
     rotation,
+    _COUNTED_CDF,
     _SparseKet,
     _apply_to_targets,
 )
@@ -101,6 +102,33 @@ def test_choice_index_picks_as_generator_choice(seed, weights):
     batch = RandomSource(seed, 1)
     assert batch.choice_index(weights, batch.generator.random(200)).tolist() == picks
     assert batch.generator.bit_generator.state == gen.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=37),
+    trailing_zeros=st.integers(0, 3),
+)
+@example(seed=7, weights=[1.0] * _COUNTED_CDF, trailing_zeros=0)
+@example(seed=7, weights=[1.0] * _COUNTED_CDF, trailing_zeros=1)
+@example(seed=7, weights=[0.0, 2.0, 0.0, 1.0], trailing_zeros=3)
+def test_choice_index_on_arrays_of_doubles_either_side_of_the_cut(seed, weights, trailing_zeros):
+    """Array picks count thresholds up to _COUNTED_CDF entries and search
+    above it; both are Generator.choice, and both are searchsorted(side=
+    "right") at doubles lying exactly on the CDF's entries."""
+    w = np.array(weights + [0.0] * trailing_zeros)
+    assume(w.sum() > 0)
+    source, gen = RandomSource(seed, 2), _eager_generator(seed, 2)
+    picks = source.choice_index(w, source.generator.random((40, 3)))
+    assert picks.dtype == np.min_scalar_type(len(w) - 1)
+    assert np.array_equal(picks, gen.choice(len(w), size=(40, 3), p=w / w.sum()))
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    on = cdf[cdf < 1.0]  # random() draws lie in [0, 1)
+    u = np.concatenate([on, np.nextafter(on, 0.0), [0.0]])
+    expected = cdf.searchsorted(u, side="right")
+    assert np.array_equal(source.choice_index(w, u), expected)
 
 
 @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], []])
