@@ -371,10 +371,11 @@ def chain_contrast(rng, blocks, index):
 # ---------------------------------------------------------------------------
 
 
-# run/admit sample GHZ candidates as two product branches (the register
-# cap), all rounds in one batch; bounds builds a dense 4^n density operator,
-# 64 MiB at 11 nodes.  At 10^5 rounds run/admit take 0.6 s at 20 nodes, and
-# bounds about 0.8 s at 11 (interpreter start included).
+# run/admit draw each round's pass from its exact probability on the GHZ
+# candidate as two product branches, O(n) per round up to the register cap;
+# bounds builds a dense 4^n density operator, 64 MiB at 11 nodes.  At 10^5
+# rounds run/admit take about 0.4 s at 20 nodes, and bounds about 0.8 s at
+# 11 (interpreter start included).
 _NODES = click.IntRange(2, MAX_QUBITS)
 _BOUNDS_NODES = click.IntRange(2, 11)
 _ROUNDS = click.IntRange(1, 100_000)

@@ -7,7 +7,9 @@ Y_j in {0, 1}.  The round passes iff XOR(Y_j) == m (mod 2) — an ideal GHZ
 state passes with probability 1, and the pass rate lower-bounds the GHZ
 fidelity: F >= 2P - 1 for honest nodes, F' >= 4P - 3 when some nodes cheat
 (F' being the best fidelity reachable by local corrections on the cheaters'
-qubits).
+qubits).  The verifier keeps only that parity, so a round's pass is drawn
+from its exact probability P(theta): one double u, and the round passes iff
+u < P(theta).
 
 The bound checks are one-sided tests on the sampled pass rate P^ of one
 rule, c P - (c - 1) <= F with c = 2 (honest, F the GHZ fidelity) or c = 4
@@ -39,7 +41,6 @@ from .qcore import (
     StateVector,
     _rescale_factor,
     is_unitary,
-    product_probabilities,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -121,7 +122,7 @@ def theta_basis(theta: float) -> np.ndarray:
 def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:
     """P(XOR(Y) == m mod 2) for one set of angles: the one-row case of
     :func:`_pass_probabilities`."""
-    return float(_pass_probabilities(_anti_diagonal(state), np.array([angles]), np.array([m]))[0])
+    return float(_pass_probabilities(state, np.array([angles], dtype=float), np.array([m]))[0])
 
 
 def _anti_diagonal(state) -> np.ndarray:
@@ -134,35 +135,40 @@ def _anti_diagonal(state) -> np.ndarray:
     raise ConsensusError("state must be a StateVector or DensityOperator")
 
 
-# Rows evaluated at once: a chunk of bound rounds holds no array above 2^16
-# entries (1 MiB), which measured as fast as 2^20 at 11 nodes; a chunk of
-# played rounds draws at most 2^16 doubles.
+# Rows evaluated at once: a chunk of rounds draws at most 2^16 doubles, and
+# the dense expectation holds no array above 2^16 entries (1 MiB), which
+# measured as fast as 2^20 at 11 nodes.
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _pass_probabilities(anti: np.ndarray, angles: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _pass_probabilities(state, angles: np.ndarray, m: np.ndarray) -> np.ndarray:
     """P(XOR(Y) == m mod 2) = (1 + (-1)^m <O>) / 2 for each row of ``angles``
-    and its m, with the parity observable O = (x)_j (cos theta_j X + sin theta_j Y).
+    and its m, with the parity observable O = (x)_j (cos theta_j X + sin theta_j Y)
+    on a ket, a density operator or a :class:`_TwoBranches` form.
 
-    O maps |a> to c(a) |a-bar> (a-bar the bitwise complement of a,
-    c(a) = prod_j e^{i theta_j (1 - 2 a_j)}), so <O> = sum_a c(a) rho[a, a-bar]
-    reads only the anti-diagonal ``anti``.  c(a) is the product of the
-    phases of a's first h = n // 2 bits and of its other bits, so with
-    ``anti`` as a 2^h x 2^(n-h) matrix A, <O> = c_first^T A c_second: one
-    matrix product per chunk of rows, and no row's 2^n phases are built.
+    A two-branch form gives <O> in O(n) per row (:func:`_branch_expectations`).
+    On a ket or rho, O maps |a> to c(a) |a-bar> (a-bar the bitwise complement
+    of a, c(a) = prod_j e^{i theta_j (1 - 2 a_j)}), so <O> = sum_a c(a)
+    rho[a, a-bar] reads only the anti-diagonal.  c(a) is the product of the
+    phases of a's first h = n // 2 bits and of its other bits, so with the
+    anti-diagonal as a 2^h x 2^(n-h) matrix A, <O> = c_first^T A c_second:
+    one matrix product per chunk of rows, and no row's 2^n phases are built.
     """
     rows, n = angles.shape
-    if anti.shape != (1 << n,):
+    if state.dim != 1 << n:
         raise ConsensusError("angle count must match the state's qubit count")
-    h = n // 2
-    block = anti.reshape(1 << h, -1)
-    expectation = np.empty(rows)
-    step = max(1, _CHUNK_ENTRIES >> (n - h))
-    for start in range(0, rows, step):
-        chunk = angles[start : start + step]
-        turns = np.stack([np.exp(1j * chunk), np.exp(-1j * chunk)], axis=2)
-        first, second = _phases(turns[:, :h]), _phases(turns[:, h:])
-        expectation[start : start + step] = np.einsum("rk,rk->r", first @ block, second).real
+    if isinstance(state, _TwoBranches):
+        expectation = _branch_expectations(state, np.cos(angles), np.sin(angles))
+    else:
+        h = n // 2
+        block = _anti_diagonal(state).reshape(1 << h, -1)
+        expectation = np.empty(rows)
+        step = max(1, _CHUNK_ENTRIES >> (n - h))
+        for start in range(0, rows, step):
+            chunk = angles[start : start + step]
+            turns = np.stack([np.exp(1j * chunk), np.exp(-1j * chunk)], axis=2)
+            first, second = _phases(turns[:, :h]), _phases(turns[:, h:])
+            expectation[start : start + step] = np.einsum("rk,rk->r", first @ block, second).real
     sign = 1.0 - 2.0 * (m % 2)
     return np.clip(0.5 * (1.0 + sign * expectation), 0.0, 1.0)
 
@@ -186,7 +192,7 @@ def mean_pass_probability(state) -> float:
     if isinstance(state, _TwoBranches):
         # The amplitudes of |0...0> and |1...1>.
         x0, y0, x1, y1 = state.alpha, state.beta, state.alpha, state.beta
-        for a0, a1, b0, b1 in state.factors:
+        for a0, a1, b0, b1 in state.factors.tolist():
             x0, y0, x1, y1 = x0 * a0, y0 * b0, x1 * a1, y1 * b1
         corner = (x0 + y0) * (x1 + y1).conjugate()
     elif isinstance(state, StateVector):
@@ -208,30 +214,46 @@ def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
 class _TwoBranches(NamedTuple):
     """The ket alpha (x)_k a_k + beta (x)_k b_k, qubit 0 leftmost: a
     candidate with at most two nonzero amplitudes after one-qubit cheats.
-
-    ``factors[k]`` is (a_k[0], a_k[1], b_k[0], b_k[1]).  ``tails[j]`` holds
-    the products over qubits k >= j of <a_k|a_k>, <b_k|b_k> and <a_k|b_k>
-    (``tails[n]`` is all ones).  A theta basis is unitary, so summing a
-    prefix's outcomes over the qubits after it leaves these overlaps as
-    they are: they are computed once, not per round.
-    """
+    Row k of the ``(n, 4)`` array ``factors`` is (a_k[0], a_k[1], b_k[0], b_k[1])."""
 
     alpha: complex
     beta: complex
-    factors: list
-    tails: list
+    factors: np.ndarray
 
     @property
     def dim(self) -> int:
         return 1 << len(self.factors)
 
 
-def _weight(x: complex, y: complex, tail: tuple) -> float:
-    """||x (x)_{k>=j} a_k + y (x)_{k>=j} b_k||^2 from ``tail`` = tails[j]."""
-    aa, bb, ab = tail
-    return (x.real**2 + x.imag**2) * aa + (y.real**2 + y.imag**2) * bb + 2.0 * (
-        x.conjugate() * y * ab
-    ).real
+def _branch_expectations(
+    form: _TwoBranches, cos: np.ndarray, sin: np.ndarray, flip: bool = True
+) -> np.ndarray:
+    """Re <psi| (x)_k O_k |psi> for each row of ``cos`` and ``sin``, the
+    cos theta_k and sin theta_k: O_k = cos theta_k X + sin theta_k Y =
+    [[0, t_k], [conj(t_k), 0]] with t_k = e^{-i theta_k}, or, with ``flip``
+    off and every theta_k = 0, O_k = I and the value is <psi|psi>.
+
+    The branch pairs (x, y) = (a, a), (b, b) and (a, b) add w prod_k
+    <x_k|O_k|y_k>, w = |alpha|^2, |beta|^2 and 2 conj(alpha) beta, where
+    <x_k|O_k|y_k> = c_k t_k + d_k conj(t_k) = (c_k + d_k) cos theta_k +
+    i (d_k - c_k) sin theta_k with c_k = conj(x_k[0]) y_k[1] and
+    d_k = conj(x_k[1]) y_k[0]; with ``flip`` off, y_k[0] and y_k[1] trade
+    places.  A pair with c_k = d_k = 0 on some qubit adds zero on every row
+    and is skipped: on honest GHZ only the (a, b) pair is left.
+    """
+    a, b = form.factors[:, :2], form.factors[:, 2:]
+    alpha, beta = form.alpha, form.beta
+    pairs = ((a, a, alpha.real**2 + alpha.imag**2), (b, b, beta.real**2 + beta.imag**2),
+             (a, b, 2.0 * alpha.conjugate() * beta))
+    total = np.zeros(len(cos))
+    for x, y, weight in pairs:
+        y = y[:, ::-1] if flip else y
+        c, d = x[:, 0].conj() * y[:, 0], x[:, 1].conj() * y[:, 1]
+        if weight and np.all((c != 0) | (d != 0)):
+            terms = (c + d) * cos
+            terms += 1j * (d - c) * sin
+            total += (weight * np.prod(terms, axis=1)).real
+    return total
 
 
 def _play(candidate: StateVector, nodes: Sequence[Node]):
@@ -249,115 +271,48 @@ def _play(candidate: StateVector, nodes: Sequence[Node]):
     qubits, shifts = np.arange(n), np.arange(n - 1, -1, -1)
     a = units[qubits, :, (support[0] >> shifts) & 1]
     b = units[qubits, :, (support[-1] >> shifts) & 1]
-    overlaps = np.stack([np.sum(a.conj() * a, 1), np.sum(b.conj() * b, 1),
-                         np.sum(a.conj() * b, 1)], axis=1)
-    tails = np.cumprod(np.vstack([np.ones(3), overlaps[::-1]]), axis=0)[::-1]
-    tails = [(aa.real, bb.real, ab) for aa, bb, ab in tails.tolist()]
     alpha = complex(candidate.amplitudes[support[0]])
     beta = complex(candidate.amplitudes[support[1]]) if support.size == 2 else 0j
+    form = _TwoBranches(alpha, beta, np.hstack([a, b]))
     if any(cheated):
-        scale = _rescale_factor(_weight(alpha, beta, tails[0]), normalize=True)
+        norm = float(_branch_expectations(form, np.ones((1, n)), np.zeros((1, n)), flip=False)[0])
+        scale = _rescale_factor(norm, normalize=True)
         if scale is not None:
-            alpha, beta = alpha * scale, beta * scale
-    return _TwoBranches(alpha, beta, np.hstack([a, b]).tolist(), tails)
-
-
-def _check_candidate(network: Network, candidate):
-    if candidate.dim != (1 << network.size):
-        raise ConsensusError("candidate qubit count must match node count")
-
-
-def _descend_rounds(form: _TwoBranches, angles: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The theta-basis outcome that the inverse CDF of each row's double in
-    ``u`` picks in the big-endian order of outcome indices, as
-    ``RandomSource.choice_index`` picks it from the dense Born distribution:
-    all rows at once, one qubit at a time; returns the ``(rows, n)`` Y bits.
-
-    Qubit by qubit, ``rest`` is u times the total weight, minus the weight
-    of every outcome before the current prefix; the next bit is 0 iff
-    ``rest`` lies below the weight of the prefix extended by 0.  The two
-    branches' amplitudes x and y are a ``(2, rows)`` array, and one
-    exponential over the whole angle block gives every qubit's turns.
-    Every step is elementwise in the rows, so a row picks the same bits in
-    a batch of any size.
-    """
-    n, rows = angles.shape[1], len(u)
-    factors = np.array(form.factors)[:, :, None]  # a0, a1, b0, b1 per qubit
-    firsts, seconds = factors[:, 0::2], factors[:, 1::2]
-    turns = -1j * angles.T
-    np.exp(turns, out=turns)
-    z = np.array([[form.alpha], [form.beta]])
-    rest = u * _weight(form.alpha, form.beta, form.tails[0])
-    ones = np.empty((n, rows), dtype=bool)
-    for j, (aa, bb, ab) in enumerate(form.tails[1:]):
-        # sqrt(2) <+-theta| v = v_0 +- e^{-i theta} v_1: the weights below are
-        # 2^(j+1) times the probabilities, so ``rest`` doubles, exactly.
-        rest *= 2.0
-        turned = turns[j] * seconds[j]
-        z_zero = z * (firsts[j] + turned)
-        # _weight(x, y, tails[j + 1]) of the prefix extended by 0, in its order.
-        squares = z_zero.real**2 + z_zero.imag**2
-        p0 = squares[0] * aa + squares[1] * bb
-        if ab:  # zero on every tail but the last for a GHZ candidate
-            p0 += 2.0 * (z_zero[0].conj() * z_zero[1] * ab).real
-        one = np.greater_equal(rest, p0, out=ones[j])
-        rest = np.where(one, rest - p0, rest)
-        z = np.where(one, z * (firsts[j] - turned), z_zero)
-    return ones.T.view(np.uint8)
-
-
-def _outcomes(played, angles: np.ndarray, u: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """The ``(rows, n)`` Y bits that each row of ``angles`` and its double in
-    ``u`` pick on ``played``: a two-branch form descends all rows at once
-    (:func:`_descend_rounds`); any other ket samples its Born distribution
-    row by row, drawing nothing."""
-    if isinstance(played, _TwoBranches):
-        return _descend_rounds(played, angles, u)
-    picked = [
-        rng.choice_index(product_probabilities(played, [theta_basis(t) for t in row]), ur)
-        for row, ur in zip(angles.tolist(), u)
-    ]
-    return (np.array(picked)[:, None] >> np.arange(angles.shape[1] - 1, -1, -1)) & 1
-
-
-def _play_rounds(played, network: Network, rounds: int, rng: RandomSource):
-    """θ rounds on ``played``, the candidate after the dishonest nodes'
-    cheats, in chunks of at most ``_CHUNK_ENTRIES`` doubles: yields per chunk
-    the ``(rows, n)`` angles, their ``(rows,)`` m and the ``(rows, n)`` Y bits.
-
-    A chunk is one ``random((rows, n))`` block: a row's first n - 1 doubles
-    times pi are its free angles, and its last double picks its outcome.
-    numpy fills the block in C order, so the rounds do not depend on the
-    chunk size, and :func:`_outcomes` picks each round's bits from its own
-    row alone.
-    """
-    n = network.size
-    _check_candidate(network, played)
-    step = max(1, _CHUNK_ENTRIES // n)
-    for start in range(0, rounds, step):
-        doubles = rng.generator.random((min(step, rounds - start), n))
-        angles, m = _complete_angles(math.pi * doubles[:, :-1])
-        yield angles, m, _outcomes(played, angles, doubles[:, -1], rng)
+            form = form._replace(alpha=alpha * scale, beta=beta * scale)
+    return form
 
 
 def estimate_pass_probability(
     candidate: StateVector, network: Network, rounds: int, rng: RandomSource
 ) -> dict:
     """Bernoulli pass-rate estimate with its standard error.  The cheats are
-    applied once (:func:`_play`), and the rounds measure the same immutable
-    played state in batches: a GHZ-like candidate in O(n) per round, any
-    other in O(n 2^n)."""
+    applied once (:func:`_play`), and each round's pass is drawn from its
+    exact probability on the same immutable played state: a GHZ-like
+    candidate in O(n) per round, any other in O(2^n)."""
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
-    _check_candidate(network, candidate)
+    if candidate.dim != 1 << network.size:
+        raise ConsensusError("candidate qubit count must match node count")
     return _estimate(_play(candidate, network.nodes), network, rounds, rng)
 
 
 def _estimate(played, network: Network, rounds: int, rng: RandomSource) -> dict:
-    passes = sum(
-        int(np.count_nonzero(outcomes.sum(axis=1) % 2 == m % 2))
-        for _, m, outcomes in _play_rounds(played, network, rounds, rng)
-    )
+    """The pass rate of ``rounds`` θ rounds on ``played`` (a ket, a density
+    operator or a :class:`_TwoBranches` form) with its standard error.
+
+    A chunk of at most ``_CHUNK_ENTRIES`` doubles is one ``random((rows, n))``
+    block: a row's first n - 1 doubles times pi are its free angles, and the
+    round passes iff its last double u < P(theta) (:func:`_pass_probabilities`).
+    numpy fills the block in C order and P(theta) is per row, so the passes
+    do not depend on the chunk size.
+    """
+    n = network.size
+    step = max(1, _CHUNK_ENTRIES // n)
+    passes = 0
+    for start in range(0, rounds, step):
+        doubles = rng.generator.random((min(step, rounds - start), n))
+        angles, m = _complete_angles(math.pi * doubles[:, :-1])
+        passes += int(np.count_nonzero(doubles[:, -1] < _pass_probabilities(played, angles, m)))
     p_hat = passes / rounds
     return {
         "pass_rate": p_hat,
@@ -499,15 +454,9 @@ def check_fidelity_bounds(
     if rho.dim != 1 << n:
         raise ConsensusError("state qubit count must match node count")
 
-    # Pass rate of the (possibly cheated) state.
+    # Pass rate of the (possibly cheated) state, drawn as consensus run draws it.
     rho_played = _apply_cheats(rho, network.nodes)
-
-    # A round draws n - 1 doubles for its angles, uniform(0, pi) = pi times
-    # uniform(), and then one uniform() to decide the pass: every round at once.
-    draws = rng.uniform(0.0, 1.0, (rounds, n))
-    angles, m = _complete_angles(math.pi * draws[:, :-1])
-    p_pass = _pass_probabilities(_anti_diagonal(rho_played), angles, m)
-    p_hat = int(np.count_nonzero(draws[:, -1] < p_pass)) / rounds
+    est = _estimate(rho_played, network, rounds, rng)
 
     def std_err(p: float) -> float:
         return math.sqrt(max(p * (1.0 - p), 0.0) / rounds)
@@ -516,12 +465,12 @@ def check_fidelity_bounds(
     dishonest = [] if honest else [j for j, node in enumerate(network.nodes) if not node.honest]
     c = 2.0 if honest else 4.0
     f = optimize_corrected_fidelity(rho_played, dishonest)
-    ok = c * p_hat - (c - 1.0) <= f + 3.0 * c * std_err((c - 1.0 + f) / c) + 1e-9
+    ok = c * est["pass_rate"] - (c - 1.0) <= f + 3.0 * c * std_err((c - 1.0 + f) / c) + 1e-9
     return {
         "n": n,
         "rounds": rounds,
-        "pass_rate": p_hat,
-        "std_err": std_err(p_hat),
+        "pass_rate": est["pass_rate"],
+        "std_err": est["std_err"],
         "mean_pass_probability": mean_pass_probability(rho_played),
         "fidelity": f,
         "honest_bound_ok": ok if honest else None,
@@ -541,11 +490,11 @@ def admit_block(
     rounds: int = DEFAULT_ROUNDS,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> dict:
-    """Run verification rounds on copies of the block state; admit on pass rate.
+    """Run verification rounds on the block state; admit on pass rate.
 
-    The block source is called once: every round measures a copy of the
-    same immutable state vector.  On acceptance every honest node appends
-    the block to its local chain.
+    The block source is called once, and every round's pass is drawn from
+    its exact probability on that one state (:func:`estimate_pass_probability`).
+    On acceptance every honest node appends the block to its local chain.
     """
     if threshold <= 0.0:
         # Degenerate configuration: everything is accepted.

@@ -461,7 +461,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 HADAMARD = _INV_SQRT2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
 S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-T_GATE = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=np.complex128)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )

@@ -26,6 +26,7 @@ from chronoq.qcore import (
     StateVector,
     _branch_index,
     bell_state,
+    product_probabilities,
 )
 from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 
@@ -182,52 +183,39 @@ class RoundResult:
 
 
 def theta_measure(state, angles, rng) -> tuple:
-    """Sample every node's outcome jointly from one ``rng`` double, the one
-    that ``RandomSource.choice_index`` draws; returns Y bits, leftmost node
-    first.  ``state`` is a :class:`StateVector` or the two-branch form that
-    ``consensus._play`` builds: the batch of one of ``consensus._outcomes``."""
+    """Sample every node's outcome jointly from the dense Born distribution
+    of the ket ``state`` in the θ bases, with one ``rng`` double through
+    ``RandomSource.choice_index``; returns Y bits, leftmost node first."""
     if state.dim != 1 << len(angles):
         raise consensus.ConsensusError("angle count must match the state's qubit count")
-    u = np.array([rng.generator.random()])
-    return tuple(consensus._outcomes(state, np.array([angles], dtype=float), u, rng)[0].tolist())
+    born = product_probabilities(state, [consensus.theta_basis(t) for t in angles])
+    index = rng.choice_index(born)
+    return tuple((index >> (len(angles) - 1 - j)) & 1 for j in range(len(angles)))
 
 
 def run_round(network, played, rng) -> RoundResult:
-    """One θ round on ``played``, the candidate after the dishonest nodes'
-    cheats, as a :class:`StateVector` or as ``consensus._play`` builds it:
-    the batch of one of ``consensus._play_rounds``."""
-    angles, m, outcomes = next(consensus._play_rounds(played, network, 1, rng))
-    bits, parity = tuple(outcomes[0].tolist()), int(m[0])
-    return RoundResult(tuple(angles[0].tolist()), bits, parity, sum(bits) % 2 == parity % 2)
+    """One θ round on the dense ket ``played``, the candidate after the
+    dishonest nodes' cheats: its angles, then its sampled Y bits."""
+    angles, m = per_round_theta_angles(network.size, rng)
+    bits = theta_measure(played, angles, rng)
+    return RoundResult(tuple(angles), bits, m, sum(bits) % 2 == m % 2)
 
 
 def dense_estimate(candidate, network, rounds: int, rng) -> dict:
     """consensus.estimate_pass_probability on the dense played state: each
-    round samples the Born distribution of all 2^n outcomes."""
+    round draws its angles and one double u, and passes iff u < P(theta)
+    with every one of the 2^n phases built."""
     played = consensus._apply_cheats(candidate, network.nodes)
     passes = 0
     for _ in range(rounds):
         angles, m = per_round_theta_angles(network.size, rng)
-        outcomes = theta_measure(played, angles, rng)
-        passes += sum(outcomes) % 2 == m % 2
+        passes += rng.generator.random() < per_round_pass_probability(played, angles, m)
     p_hat = passes / rounds
     return {
         "pass_rate": p_hat,
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),
         "rounds": rounds,
     }
-
-
-def per_round_play(played, network, rounds: int, rng) -> list:
-    """The θ rounds of consensus._play_rounds one at a time: each reads its
-    row of n doubles, the n - 1 angle doubles and then the one its outcome
-    is picked with: a list of RoundResult."""
-    results = []
-    for _ in range(rounds):
-        angles, m = consensus.sample_theta_angles(network.size, rng)
-        outcomes = theta_measure(played, angles, rng)
-        results.append(RoundResult(tuple(angles), outcomes, m, sum(outcomes) % 2 == m % 2))
-    return results
 
 
 def per_point_werner_ppt(f: float) -> float:

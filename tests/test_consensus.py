@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -36,13 +35,11 @@ from chronoq.qcore import (
 )
 
 from dense_reference import (
-    RoundResult,
     dense_estimate,
     duplicated_block_corrected_fidelity,
     golden_ratio_start,
     kron_all,
     per_round_bounds,
-    per_round_play,
     per_round_theta_angles,
     run_round,
     serial_corrected_fidelity,
@@ -454,7 +451,7 @@ def _random_cheaters(n, gen, data):
     return _cheating_nodes(n, data.draw(st.sets(st.integers(0, n - 1), max_size=n)), gen)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -462,14 +459,21 @@ def _random_cheaters(n, gen, data):
     data=st.data(),
 )
 def test_mean_pass_probability_bounded_by_fidelity(n, seed, density, data):
+    # The chain F' >= F >= 2 P - 1 >= 4 P - 3 of the theta-protocol bounds.
     # |rho[0, L]| <= sqrt(rho[0, 0] rho[L, L]) <= (rho[0, 0] + rho[L, L]) / 2, so
-    # 2 P - 1 = 2 Re rho[0, L] <= F = (rho[0, 0] + rho[L, L]) / 2 + Re rho[0, L].
-    played = consensus._apply_cheats(
-        _random_state(n, seed, density), _random_cheaters(n, np.random.default_rng(seed), data)
-    )
+    # 2 P - 1 = 2 Re rho[0, L] <= F = (rho[0, 0] + rho[L, L]) / 2 + Re rho[0, L];
+    # F' maximizes F over corrections that include the identity; P <= 1.
+    nodes = _random_cheaters(n, np.random.default_rng(seed), data)
+    played = consensus._apply_cheats(_random_state(n, seed, density), nodes)
     mean = consensus.mean_pass_probability(played)
+    fidelity = ghz_fidelity(played)
+    cheaters = [j for j, node in enumerate(nodes) if not node.honest]
+    rho = played if density else played.to_density()
+    corrected = optimize_corrected_fidelity(rho, cheaters)
     assert 0.0 <= mean <= 1.0
-    assert 2.0 * mean - 1.0 <= ghz_fidelity(played) + 1e-12
+    assert corrected >= fidelity - 1e-12
+    assert fidelity >= 2.0 * mean - 1.0 - 1e-12
+    assert 2.0 * mean - 1.0 >= 4.0 * mean - 3.0
     if not density:
         assert consensus.mean_pass_probability(played.to_density()) == pytest.approx(
             mean, abs=1e-12
@@ -498,17 +502,19 @@ def test_two_branch_mean_pass_probability_matches_dense(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mean_pass_probability_is_the_angle_average(n):
-    rho = _random_state(n, 100 + n, density=True)  # rank 3
-    rng = RandomSource(37, n)
-    samples = np.array(
-        [exact_pass_probability(rho, *sample_theta_angles(n, rng)) for _ in range(4000)]
-    )
-    se = samples.std() / math.sqrt(samples.size)
-    assert abs(samples.mean() - consensus.mean_pass_probability(rho)) <= 3.0 * se
+    # A rank-3 rho, and the two-branch form of GHZ with every node cheating.
+    form = consensus._play(ghz_state(n), _cheating_nodes(n, range(n), np.random.default_rng(n)))
+    for state in (_random_state(n, 100 + n, density=True), form):
+        rng = RandomSource(37, n)
+        samples = np.array(
+            [exact_pass_probability(state, *sample_theta_angles(n, rng)) for _ in range(4000)]
+        )
+        se = samples.std() / math.sqrt(samples.size)
+        assert abs(samples.mean() - consensus.mean_pass_probability(state)) <= 3.0 * se
 
 
 # ---------------------------------------------------------------------------
-# The two-branch descent and the batched bound rounds against per-round loops
+# The two-branch closed form and the batched bound rounds against dense references
 # ---------------------------------------------------------------------------
 
 
@@ -523,35 +529,43 @@ def _two_branch_candidate(n, gen, shape):
     return StateVector(amps, normalize=True)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 11),
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(["ghz", "basis", "pair"]),
     data=st.data(),
 )
-def test_descent_picks_the_dense_outcome(n, seed, shape, data):
+def test_two_branch_pass_probability_matches_dense(n, seed, shape, data):
+    # P(theta) of the O(n) closed form against the dense Born distribution
+    # of the played ket summed over the outcomes of parity m, and against
+    # the ket's anti-diagonal.
     gen = np.random.default_rng(seed)
     nodes = _random_cheaters(n, gen, data)
     candidate = _two_branch_candidate(n, gen, shape)
     played = consensus._apply_cheats(candidate, nodes)
     form = consensus._play(candidate, nodes)
-    assert not isinstance(form, StateVector)
-    dense_rng, form_rng = RandomSource(seed, 1), RandomSource(seed, 1)
-    for _ in range(10):
-        angles, m = sample_theta_angles(n, dense_rng)
-        assert sample_theta_angles(n, form_rng) == (angles, m)
-        u = copy.deepcopy(form_rng).uniform()
-        outcome = theta_measure(form, angles, form_rng)
-        dense = theta_measure(played, angles, dense_rng)
+    assert isinstance(form, consensus._TwoBranches)
+    parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+    rng = RandomSource(seed, 1)
+    for _ in range(5):
+        angles, m = sample_theta_angles(n, rng)
+        p = exact_pass_probability(form, angles, m)
         born = product_probabilities(played, [theta_basis(t) for t in angles])
-        # Rounding may move an outcome only for a draw at a CDF boundary.
-        if np.min(np.abs(np.cumsum(born / born.sum()) - u)) > 1e-12:
-            assert outcome == dense
-    assert form_rng.uniform() == dense_rng.uniform()
+        assert abs(p - born[parity == m % 2].sum()) <= 1e-12
+        assert abs(p - exact_pass_probability(played, angles, m)) <= 1e-12
 
-    rng = RandomSource(seed, 2)
-    assert estimate_pass_probability(ghz_state(n), _network(n, rng), 50, rng)["pass_rate"] == 1.0
+
+def test_honest_ghz_fails_only_on_the_top_doubles():
+    # 1 - P(theta) <= 8 * 2^-53 on honest GHZ, so a round fails only when
+    # random() returns one of the eight largest doubles below 1.
+    for n in range(2, 21):
+        form = consensus._play(ghz_state(n), _network(n, RandomSource(0, 0)).nodes)
+        rng = RandomSource(n, 9)
+        for _ in range(10):
+            angles, m = consensus._complete_angles(rng.uniform(0.0, math.pi, (10_000, n - 1)))
+            p = consensus._pass_probabilities(form, angles, m)
+            assert np.max(1.0 - p) <= 8 * 2.0**-53
 
 
 @pytest.mark.parametrize("n, cheaters", [(2, []), (3, [1]), (6, [0, 2, 5]), (11, [3, 10])])
@@ -612,29 +626,6 @@ def test_complete_angles_wraps_a_negative_last_angle():
 # ---------------------------------------------------------------------------
 
 
-def _batched_rounds(played, network, rounds, rng):
-    """consensus._play_rounds as a list of RoundResult."""
-    results = []
-    for angles, m, outcomes in consensus._play_rounds(played, network, rounds, rng):
-        for row, mm, bits in zip(angles.tolist(), m.tolist(), outcomes.tolist()):
-            parity = int(mm)
-            results.append(RoundResult(tuple(row), tuple(bits), parity,
-                                       sum(bits) % 2 == parity % 2))
-    return results
-
-
-def _assert_rounds_match_loop(played, nodes, rounds, sources):
-    """The batch, the per-round loop and the estimate on three sources in
-    one state: equal rounds, pass rate and generator state left behind."""
-    batch, loop, est = sources
-    reference = per_round_play(played, Network(nodes, loop), rounds, loop)
-    assert _batched_rounds(played, Network(nodes, batch), rounds, batch) == reference
-    p_hat = consensus._estimate(played, Network(nodes, est), rounds, est)["pass_rate"]
-    assert p_hat == sum(r.passed for r in reference) / rounds
-    state = loop.generator.bit_generator.state
-    assert batch.generator.bit_generator.state == state == est.generator.bit_generator.state
-
-
 _SEEDS = st.one_of(st.sampled_from([1, 2, 42]), st.integers(0, 2**32 - 1))
 
 
@@ -643,7 +634,7 @@ def _played_candidate(n, seed, cheaters, shape):
     under the cheats of ``cheaters``, or a dense ket of up to 8 qubits."""
     gen = np.random.default_rng(seed)
     nodes = _cheating_nodes(n, {c for c in cheaters if c < n}, gen)
-    if shape == "dense":  # more than two amplitudes: Born sampling row by row
+    if shape == "dense":  # more than two amplitudes: the anti-diagonal
         candidate = _random_state(min(n, 8), seed, density=False)
         nodes = nodes[: candidate.num_qubits]
     else:
@@ -664,12 +655,21 @@ def _played_candidate(n, seed, cheaters, shape):
 @example(n=2, seed=2, cheaters=set(), shape="ghz", rounds=120, chunk_entries=45)
 @example(n=5, seed=42, cheaters={1, 3}, shape="dense", rounds=50, chunk_entries=45)
 def test_batched_rounds_match_per_round_loop(n, seed, cheaters, shape, rounds, chunk_entries):
+    # One round at a time: its n - 1 angle doubles, then u, and a pass iff
+    # u < P(theta) of its own row.  The batch counts the same passes and
+    # leaves the generator in the same state.
     nodes, played = _played_candidate(n, seed, cheaters, shape)
-    sources = [RandomSource(seed, 6) for _ in range(3)]
+    batch, loop = RandomSource(seed, 6), RandomSource(seed, 6)
+    passes = 0
+    for _ in range(rounds):
+        angles, m = sample_theta_angles(len(nodes), loop)
+        passes += loop.uniform() < exact_pass_probability(played, angles, m)
     with pytest.MonkeyPatch.context() as patch:
         # Small chunks put chunk boundaries between the rounds.
         patch.setattr(consensus, "_CHUNK_ENTRIES", chunk_entries)
-        _assert_rounds_match_loop(played, nodes, rounds, sources)
+        est = consensus._estimate(played, Network(nodes, batch), rounds, batch)
+    assert est["pass_rate"] == passes / rounds
+    assert batch.generator.bit_generator.state == loop.generator.bit_generator.state
 
 
 @pytest.mark.parametrize("n, cheaters, shape", [(2, [], "ghz"), (7, [0, 6], "ghz"),
@@ -680,7 +680,7 @@ def test_rounds_do_not_depend_on_the_chunk_size(n, cheaters, shape, chunk_entrie
 
     def play():
         rng = RandomSource(42, 8)
-        return _batched_rounds(played, Network(nodes, rng), 300, rng)
+        return consensus._estimate(played, Network(nodes, rng), 300, rng), rng.uniform()
 
     default = play()
     monkeypatch.setattr(consensus, "_CHUNK_ENTRIES", chunk_entries)
@@ -690,38 +690,20 @@ def test_rounds_do_not_depend_on_the_chunk_size(n, cheaters, shape, chunk_entrie
 @pytest.mark.parametrize("n, cheaters, shape", [(3, [], "ghz"), (6, [2], "ghz"),
                                                 (11, [0, 4, 10], "basis"), (4, [1], "dense")])
 def test_round_bits_depend_only_on_their_row(n, cheaters, shape):
-    # A round is one row of n doubles: its n - 1 angle doubles and its pick
-    # double.  Played alone, shuffled among other rows or in the full
-    # batch, the row gives the same bits.
+    # A round is one row of n doubles: its n - 1 angle doubles and its pass
+    # double u.  Played alone, shuffled among other rows or in the full
+    # batch, the row passes or fails alike, and the estimate counts the
+    # batch's passes.
     nodes, played = _played_candidate(n, 9, cheaters, shape)
-    rng = RandomSource(9, 2)
     rounds = 200
-    (angles, m, bits), = consensus._play_rounds(played, Network(nodes, rng), rounds, rng)
     doubles = RandomSource(9, 2).generator.random((rounds, n))
-    row_angles, row_m = consensus._complete_angles(math.pi * doubles[:, :-1])
-    assert np.array_equal(row_angles, angles) and np.array_equal(row_m, m)
+    angles, m = consensus._complete_angles(math.pi * doubles[:, :-1])
+    passed = doubles[:, -1] < consensus._pass_probabilities(played, angles, m)
     order = np.random.default_rng(n).permutation(rounds)
-    shuffled = consensus._outcomes(played, angles[order], doubles[order, -1], rng)
-    assert np.array_equal(shuffled, bits[order])
+    shuffled = consensus._pass_probabilities(played, angles[order], m[order])
+    assert np.array_equal(doubles[order, -1] < shuffled, passed[order])
     for r in range(0, rounds, 7):
-        alone = consensus._outcomes(played, angles[r : r + 1], doubles[r : r + 1, -1], rng)
-        assert np.array_equal(alone, bits[r : r + 1])
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_descent_row_bits_do_not_depend_on_the_batch(n):
-    # Honest GHZ: each of the first n - 1 bits is a fair coin, so every
-    # dyadic u = k / 2^(n-1) puts ``rest`` on a branch boundary.
-    form = consensus._play(ghz_state(n), _network(n, RandomSource(0, 0)).nodes)
-    gen = np.random.default_rng(n)
-    u = np.concatenate([np.arange(1 << (n - 1)) / (1 << (n - 1)), gen.random(64)])
-    rng = RandomSource(n, 7)
-    angles = np.array([sample_theta_angles(n, rng)[0] for _ in u])
-    bits = consensus._descend_rounds(form, angles, u)
-    for r, row in enumerate(angles):
-        alone = consensus._descend_rounds(form, angles[r : r + 1], u[r : r + 1])
-        assert np.array_equal(bits[r : r + 1], alone)
-        born = product_probabilities(ghz_state(n), [theta_basis(t) for t in row])
-        if np.min(np.abs(np.cumsum(born / born.sum()) - u[r])) > 1e-12:
-            index = rng.choice_index(born, u[r])
-            assert bits[r].tolist() == [(index >> (n - 1 - j)) & 1 for j in range(n)]
+        assert (doubles[r, -1] < exact_pass_probability(played, angles[r], m[r])) == passed[r]
+    rng = RandomSource(9, 2)
+    est = consensus._estimate(played, Network(nodes, rng), rounds, rng)
+    assert est["pass_rate"] == np.count_nonzero(passed) / rounds
