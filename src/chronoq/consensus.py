@@ -155,13 +155,14 @@ def _pass_probabilities(state, angles: np.ndarray, m: np.ndarray) -> np.ndarray:
     one matrix product per chunk of rows, and no row's 2^n phases are built.
     """
     rows, n = angles.shape
+    anti = None if isinstance(state, _TwoBranches) else _anti_diagonal(state)
     if state.dim != 1 << n:
         raise ConsensusError("angle count must match the state's qubit count")
-    if isinstance(state, _TwoBranches):
+    if anti is None:
         expectation = _branch_expectations(state, np.cos(angles), np.sin(angles))
     else:
         h = n // 2
-        block = _anti_diagonal(state).reshape(1 << h, -1)
+        block = anti.reshape(1 << h, -1)
         expectation = np.empty(rows)
         step = max(1, _CHUNK_ENTRIES >> (n - h))
         for start in range(0, rows, step):
@@ -458,14 +459,13 @@ def check_fidelity_bounds(
     rho_played = _apply_cheats(rho, network.nodes)
     est = _estimate(rho_played, network, rounds, rng)
 
-    def std_err(p: float) -> float:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / rounds)
-
     # With no cheater to correct, F' is the GHZ fidelity F.
     dishonest = [] if honest else [j for j, node in enumerate(network.nodes) if not node.honest]
     c = 2.0 if honest else 4.0
     f = optimize_corrected_fidelity(rho_played, dishonest)
-    ok = c * est["pass_rate"] - (c - 1.0) <= f + 3.0 * c * std_err((c - 1.0 + f) / c) + 1e-9
+    p0 = (c - 1.0 + f) / c
+    se0 = math.sqrt(max(p0 * (1.0 - p0), 0.0) / rounds)
+    ok = c * est["pass_rate"] - (c - 1.0) <= f + 3.0 * c * se0 + 1e-9
     return {
         "n": n,
         "rounds": rounds,

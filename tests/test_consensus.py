@@ -206,6 +206,8 @@ def test_invalid_configs():
     network = _network(3, rng)
     with pytest.raises(ConsensusError):
         run_round(network, ghz_state(4), rng)
+    with pytest.raises(ConsensusError, match="StateVector or DensityOperator"):
+        exact_pass_probability(np.ones(4), [0.5, 0.5], 0)
     for cheat in (2.0 * np.eye(2), np.eye(4), PAULI_X + PAULI_Z):
         with pytest.raises(ConsensusError):
             Node(0, honest=False, cheat=cheat)
