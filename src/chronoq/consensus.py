@@ -110,15 +110,6 @@ def _complete_angles(head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((head, (last + math.pi * wrap)[:, None]), axis=1), m + wrap
 
 
-def theta_basis(theta: float) -> np.ndarray:
-    """Rows are the bras <+theta| and <-theta|."""
-    inv = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [[inv, inv * np.exp(-1j * theta)], [inv, -inv * np.exp(-1j * theta)]],
-        dtype=np.complex128,
-    )
-
-
 def exact_pass_probability(state, angles: Sequence[float], m: int) -> float:
     """P(XOR(Y) == m mod 2) for one set of angles: the one-row case of
     :func:`_pass_probabilities`."""

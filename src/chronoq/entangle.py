@@ -24,8 +24,8 @@ from .qcore import (
     ghz_state,
     is_dichotomic,
     is_hermitian,
+    _normalized,
     partial_trace,
-    validated_densities,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -92,7 +92,7 @@ class WernerState:
 
     @property
     def rho(self) -> DensityOperator:
-        return DensityOperator(_werner_matrices(self.F))
+        return DensityOperator._adopt(_normalized(_werner_matrices(self.F)))
 
 
 def _werner_matrices(f) -> np.ndarray:
@@ -108,12 +108,12 @@ def _werner_matrices(f) -> np.ndarray:
 
 def werner_ppt_min_eigenvalues(fs: Sequence[float]) -> np.ndarray:
     """``ppt_min_eigenvalue(WernerState(F).rho, [2, 2])`` for every F of
-    ``fs`` at once: one validated ``(len(fs), 4, 4)`` stack, its partial
+    ``fs`` at once: one normalized ``(len(fs), 4, 4)`` stack, its partial
     transposes and one batched ``eigvalsh``."""
     fs = np.asarray(fs, dtype=float)
     if not np.all((0.0 <= fs) & (fs <= 1.0)):  # nan fails too
         raise EntangleError("F must lie in [0, 1]")
-    return _min_eigenvalues(_partial_transpose(validated_densities(_werner_matrices(fs)), (2, 2)))
+    return _min_eigenvalues(_partial_transpose(_normalized(_werner_matrices(fs)), (2, 2)))
 
 
 def partial_transpose(rho: DensityOperator, dims: Sequence[int]) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Foundations toolkit: Gleason density-matrix reconstruction and temporal
 inequalities (Leggett-Garg K3, temporal CHSH, entropic LG).
 
-Frame averaging draws its Haar-random frames, decoheres the state in them and
-validates every decohered operator a block of frames at a time, as stacked
-arrays; a single frame is the same code with a block of one.  The stacked
-Gaussian draws and QR are bit-identical to drawing one frame at a time.
+Frame averaging draws Haar-random frames, checks them and sums the decohered
+states (pinchings, valid by construction) as one product per block of frames;
+a single frame is a block of one.  The stacked Gaussian draws and QR are
+bit-identical to drawing one frame at a time.
 
 The temporal inequalities run on a :class:`PrecessionModel`: a qubit prepared
 in a sigma_z eigenstate, rotating about the x axis at angular rate omega,
@@ -33,8 +33,8 @@ from .qcore import (
     StateVector,
     is_dichotomic,
     is_unitary,
+    _normalized,
     rotation,
-    validated_densities,
 )
 
 TOL_RECON = 1e-8
@@ -154,18 +154,19 @@ def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityO
 
 
 def _decohere(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rho_P = sum_i v(P_i) P_i for each frame of a stack (frame vectors as
-    rows), each checked as a frame and validated as a density operator."""
+    """The sum over a stack of frames (frame vectors as rows), each checked
+    as a frame, of rho_P = sum_i v(P_i) P_i: one product of every row
+    weighted by its Born weight v(P_i) with the conjugate rows."""
     _check_frames(rows, rho.shape[0])
     born = np.sum((rows.conj() @ rho) * rows, axis=-1).real
-    projected = (np.swapaxes(rows, -1, -2) * born[..., None, :]) @ rows.conj()
-    return validated_densities(projected)
+    rows = rows.reshape(-1, rho.shape[0])
+    return (rows.T * born.reshape(-1)) @ rows.conj()
 
 
 def gleason_decohere(rho: DensityOperator, frame: Sequence[np.ndarray]) -> DensityOperator:
     """rho_P = sum_i v(P_i) P_i: the state decohered in the frame."""
     rows = np.stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in frame])
-    return DensityOperator(_decohere(rho.matrix, rows[None])[0], validate=False)
+    return DensityOperator._adopt(_normalized(_decohere(rho.matrix, rows[None])))
 
 
 def _haar_frames(count: int, d: int, rng: RandomSource) -> np.ndarray:
@@ -185,8 +186,6 @@ def sample_haar_frame(d: int, rng: RandomSource) -> list[np.ndarray]:
 
 # Frames per block in frame_average_reconstruct at d <= 3; larger d gets
 # proportionally fewer, so a block never holds more than 1024 * 9 entries.
-# The 10000-frame CLI run at d = 3 then peaks about 1 MB above one frame at
-# a time, where one block of all 10000 frames adds about 8 MB.
 _FRAME_BLOCK = 1024
 
 
@@ -195,16 +194,15 @@ def frame_average_reconstruct(
 ) -> DensityOperator:
     """Recover rho via the identity rho = (d+1) <rho_P> - I over random frames.
 
-    Frames are drawn, decohered and validated a block at a time, and the
-    decohered operators are summed in frame order."""
+    Frames are drawn, checked and decohered a block at a time, and the sums
+    of the blocks are added in frame order."""
     if n_frames < 1:
         raise FoundationsError("n_frames must be at least 1")
     d = rho.dim
     block = min(_FRAME_BLOCK, max(1, _FRAME_BLOCK * 9 // (d * d)))
     acc = np.zeros_like(rho.matrix)
     for start in range(0, n_frames, block):
-        for mat in _decohere(rho.matrix, _haar_frames(min(block, n_frames - start), d, rng)):
-            acc += mat
+        acc += _decohere(rho.matrix, _haar_frames(min(block, n_frames - start), d, rng))
     mean = acc / n_frames
     est = (d + 1) * mean - np.eye(d)
     est = (est + est.conj().T) / 2.0

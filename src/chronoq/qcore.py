@@ -18,6 +18,11 @@ Conventions used throughout the package:
   which renormalizes it in place; the public constructor renormalizes into
   a new array instead.  Each 2^n step thus reads the state once and
   allocates at most one new 2^n buffer.
+* Density operators are checked once, at the boundary: the public
+  ``DensityOperator`` constructor checks its matrix, with an O(d^3)
+  ``eigvalsh``.  A result valid by construction (a ket's outer product, a
+  tensor product, a partial trace, a conjugation, a pinching) goes through
+  ``DensityOperator._adopt``, which freezes its new array unchecked.
 * The private ``_SparseKet`` holds a state as sorted basis indices and
   their amplitudes, both read-only; the temporal chain keeps its register in
   it.  Its operations allocate arrays the size of its entries, never 2^n.
@@ -195,7 +200,7 @@ class StateVector:
         return StateVector._adopt(np.outer(self.amplitudes, other.amplitudes).reshape(-1))
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator._adopt(_normalized(np.outer(self.amplitudes, self.amplitudes.conj())))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -620,39 +625,44 @@ def product_probabilities(state: StateVector, bases: Sequence[np.ndarray]) -> np
 # ---------------------------------------------------------------------------
 
 
-def validated_densities(mats: np.ndarray) -> np.ndarray:
-    """Check a density matrix, or each of a stack ``(..., d, d)`` of them:
-    Hermitian to 1e-8, unit trace to 1e-8 and no eigenvalue below -1e-8.
-    Returns each as (M + M^dagger) / 2 divided by its trace."""
+def _normalized(mats: np.ndarray) -> np.ndarray:
+    """(M + M^dagger) / 2 divided by tr M, for a matrix or each of a stack
+    ``(..., d, d)``: how a density matrix is stored, without the rounding of
+    one Hermitian by construction (``np.outer(a, a.conj())`` is 1e-17 off)."""
     mats = np.asarray(mats, dtype=np.complex128)
-    # The adjoint is formed twice rather than kept: holding it would add a
-    # full copy of the input to the peak memory.
-    if not np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-8:  # nan fails too
-        raise QcoreError("density operator must be Hermitian")
     tr = mats.trace(axis1=-2, axis2=-1).real
-    off = abs(tr - 1.0) > 1e-8
-    if off.any():
-        bad = float(np.asarray(tr)[off].flat[0])
-        raise QcoreError(f"density operator must have unit trace (got {bad!r})")
-    sym = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
-    if np.linalg.eigvalsh(sym).min() < -1e-8:
-        raise QcoreError("density operator must be positive semidefinite")
-    return sym / tr[..., None, None]
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2.0 / tr[..., None, None]
 
 
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix: the constructor
+    checks each to 1e-8 and stores the matrix :func:`_normalized`."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, validate: bool = True):
+    def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QcoreError("density operator must be square")
-        if validate:
-            mat = validated_densities(mat)
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-8:  # nan fails too
+            raise QcoreError("density operator must be Hermitian")
+        tr = float(mat.trace().real)
+        if abs(tr - 1.0) > 1e-8:
+            raise QcoreError(f"density operator must have unit trace (got {tr!r})")
+        mat = _normalized(mat)
+        if np.linalg.eigvalsh(mat).min() < -1e-8:
+            raise QcoreError("density operator must be positive semidefinite")
         mat.setflags(write=False)
         self.matrix = mat
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "DensityOperator":
+        """A density operator over ``matrix``, a new square complex128 array
+        valid by construction: frozen and kept as it is, unchecked."""
+        rho = cls.__new__(cls)
+        matrix.setflags(write=False)
+        rho.matrix = matrix
+        return rho
 
     @property
     def dim(self) -> int:
@@ -660,10 +670,10 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim) / dim)
+        return cls._adopt(_normalized(np.eye(dim) / dim))
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator(np.kron(self.matrix, other.matrix))
+        return DensityOperator._adopt(_normalized(np.kron(self.matrix, other.matrix)))
 
     def apply(self, op: np.ndarray, targets: Sequence[int] | None = None) -> "DensityOperator":
         """U rho U^dagger for a unitary on the whole register or on the given
@@ -674,13 +684,13 @@ class DensityOperator:
         if targets is None:
             if mat.shape != (self.dim, self.dim):
                 raise QcoreError("operator dimension mismatch")
-            return DensityOperator(mat @ self.matrix @ mat.conj().T, validate=False)
+            return DensityOperator._adopt(mat @ self.matrix @ mat.conj().T)
         n, targets = self.dim.bit_length() - 1, list(targets)
         if 1 << n != self.dim or any(t < 0 or t >= n for t in targets):
             raise QcoreError("targets must be qubits of a register of dimension 2^n")
         flat = _apply_to_targets(self.matrix.reshape(-1), 2 * n, mat, targets)
         flat = _apply_to_targets(flat, 2 * n, mat.conj(), [n + t for t in targets])
-        return DensityOperator(flat.reshape(self.dim, self.dim), validate=False)
+        return DensityOperator._adopt(flat.reshape(self.dim, self.dim))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -712,7 +722,7 @@ def partial_trace(
         traced = np.trace(traced, axis1=idx, axis2=idx + m)
         removed += 1
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityOperator(traced.reshape(kept_dim, kept_dim))
+    return DensityOperator._adopt(_normalized(traced.reshape(kept_dim, kept_dim)))
 
 
 def purity(rho: DensityOperator) -> float:

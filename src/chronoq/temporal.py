@@ -302,10 +302,10 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
     tr = float(np.real(np.trace(block)))
     if tr <= 1e-15:
         raise TemporalError("fusion annihilated the state")
-    # FρF/tr of a validated rho needs no second check.
+    # FρF/tr of a density operator is one by construction: adopted unchecked.
     rho = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=np.complex128)
     rho[np.ix_(support, support)] = block / tr
-    return DensityOperator(rho, validate=False)
+    return DensityOperator._adopt(rho)
 
 
 def temporal_ghz_closed_form(n_pairs: int) -> StateVector:

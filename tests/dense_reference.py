@@ -33,6 +33,12 @@ from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def theta_basis(theta: float) -> np.ndarray:
+    """Rows are the bras <+theta| and <-theta|, a node's θ-round basis."""
+    phase = _INV_SQRT2 * np.exp(-1j * theta)
+    return np.array([[_INV_SQRT2, phase], [_INV_SQRT2, -phase]], dtype=np.complex128)
+
+
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of the matrices in order, the first as the leftmost factor."""
     return reduce(np.kron, [np.asarray(m, dtype=np.complex128) for m in mats])
@@ -188,7 +194,7 @@ def theta_measure(state, angles, rng) -> tuple:
     ``RandomSource.choice_index``; returns Y bits, leftmost node first."""
     if state.dim != 1 << len(angles):
         raise consensus.ConsensusError("angle count must match the state's qubit count")
-    born = product_probabilities(state, [consensus.theta_basis(t) for t in angles])
+    born = product_probabilities(state, [theta_basis(t) for t in angles])
     index = rng.choice_index(born)
     return tuple((index >> (len(angles) - 1 - j)) & 1 for j in range(len(angles)))
 

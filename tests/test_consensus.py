@@ -20,7 +20,6 @@ from chronoq.consensus import (
     ghz_fidelity,
     optimize_corrected_fidelity,
     sample_theta_angles,
-    theta_basis,
 )
 from chronoq.qcore import (
     PAULI_X,
@@ -43,6 +42,7 @@ from dense_reference import (
     per_round_theta_angles,
     run_round,
     serial_corrected_fidelity,
+    theta_basis,
     theta_measure,
 )
 
@@ -437,7 +437,7 @@ def test_cli_candidate_corrected_fidelity_is_exact(n, d, noise):
     dim = 1 << n
     mat = np.eye(dim, dtype=np.complex128) * (noise / dim)
     mat[np.ix_([0, -1], [0, -1])] += (1.0 - noise) / 2.0
-    rho = DensityOperator(mat, validate=False)  # as the CLI builds it
+    rho = DensityOperator._adopt(mat)  # as the CLI builds it
     report = check_fidelity_bounds(rho, network, 1, rng, honest=False)
     assert abs(report["fidelity"] - ((1.0 - noise) + noise / dim)) <= 1e-12
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chronoq import entangle, foundations
 from chronoq.chain import Record, build_chain
 from chronoq.qcore import (
     BELL_LABELS,
@@ -38,7 +39,7 @@ from chronoq.qcore import (
     _SparseKet,
     _apply_to_targets,
 )
-from chronoq.temporal import temporal_ghz_closed_form
+from chronoq.temporal import ghz_density_recursive, temporal_ghz_closed_form
 
 from dense_reference import apply_to_targets_transposed, kron_all
 
@@ -376,10 +377,20 @@ def test_forced_zero_probability_row_raises():
 
 
 def test_density_operator_validation():
-    with pytest.raises(QcoreError):
+    with pytest.raises(QcoreError, match="unit trace"):
         DensityOperator(np.array([[1.0, 0.0], [0.0, 1.0]]))  # trace 2
-    with pytest.raises(QcoreError):
-        DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
+    with pytest.raises(QcoreError, match="unit trace"):
+        DensityOperator(np.diag([1.5, 0.5]))
+    with pytest.raises(QcoreError, match="positive semidefinite"):
+        DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))
+    # Unit trace, but 0.005 below zero: a pinching of it in a frame near |1>
+    # would have a negative Born weight.
+    with pytest.raises(QcoreError, match="positive semidefinite"):
+        DensityOperator(np.diag([1.005, -0.005]))
+    with pytest.raises(QcoreError, match="Hermitian"):
+        DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    with pytest.raises(QcoreError, match="square"):
+        DensityOperator(np.ones((2, 3)) / 2)
     rho = DensityOperator.maximally_mixed(4)
     assert abs(purity(rho) - 0.25) < 1e-12
     with pytest.raises(QcoreError):
@@ -425,6 +436,56 @@ def test_density_apply_matches_dense_conjugation(n, seed, data):
         assert np.max(np.abs(got - dense @ rho.matrix @ dense.conj().T)) <= 1e-12
         with pytest.raises(QcoreError):
             rho.apply(2.0 * op, targets)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    f=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_by_construction_results_pass_the_constructor(n, rank, f, seed, data):
+    # These results are density operators by construction and are adopted
+    # unchecked.  The checked constructor must accept each and move it by at
+    # most 1e-12; where the site stores its matrix normalized, it must give
+    # the same bits from the same raw matrix.
+    gen = np.random.default_rng(seed)
+    d = 2**n
+    ket = StateVector(gen.normal(size=d) + 1j * gen.normal(size=d), normalize=True)
+    a = gen.normal(size=(d, rank)) + 1j * gen.normal(size=(d, rank))
+    rho = DensityOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    pure = ket.to_density()
+    joint = rho.tensor(pure)
+    rows = np.stack(foundations.sample_haar_frame(d, RandomSource(seed, n)))
+    normalized = [
+        (pure, np.outer(ket.amplitudes, ket.amplitudes.conj())),
+        (joint, np.kron(rho.matrix, pure.matrix)),
+        (partial_trace(joint, [d, d], [0]), np.trace(joint.matrix.reshape(d, d, d, d), 0, 1, 3)),
+        (partial_trace(joint, [d, d], [1]), np.trace(joint.matrix.reshape(d, d, d, d), 0, 0, 2)),
+        (DensityOperator.maximally_mixed(7 * n), np.eye(7 * n) / (7 * n)),  # 1/7 rounds
+        (foundations.gleason_decohere(rho, list(rows)), foundations._decohere(rho.matrix, rows[None])),
+        (entangle.WernerState(f).rho, entangle._werner_matrices(f)),
+    ]
+    for result, raw in normalized:
+        assert np.array_equal(result.matrix, DensityOperator(raw).matrix)
+    keep = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    q = data.draw(st.integers(0, n - 1))
+    results = [result for result, _ in normalized] + [
+        partial_trace(rho, [2] * n, keep),
+        rho.apply(_random_operator(gen, 2, unitary=True), [q]),
+        rho.apply(_random_operator(gen, d, unitary=True)),
+    ]
+    if n == 2:
+        results.append(ghz_density_recursive(rho, 2))
+    for result in results:
+        assert np.max(np.abs(DensityOperator(result.matrix).matrix - result.matrix)) <= 1e-12
+    # A pinching of rho: the sum over the frame of its Born weights times
+    # the frame's projectors.
+    born = [float(np.real(v.conj() @ rho.matrix @ v)) for v in rows]
+    pinched = sum(p * np.outer(v, v.conj()) for p, v in zip(born, rows))
+    assert np.max(np.abs(normalized[5][0].matrix - pinched)) <= 1e-12
 
 
 def test_partial_trace_bell():

@@ -532,18 +532,6 @@ def test_single_frame_sampler_is_the_batched_draw(d):
     assert all(np.array_equal(v, q[:, i]) for i, v in enumerate(frame))
 
 
-def test_frame_average_validates_every_decohered_operator():
-    # Hermitian and unit-trace but not PSD: a frame vector within about
-    # 0.07 of |1> gets a negative Born weight, which happens in about one
-    # frame in a hundred, so checking only some frames of a block misses it.
-    bad = DensityOperator(np.diag([1.005, -0.005]).astype(complex), validate=False)
-    with pytest.raises(QcoreError, match="positive semidefinite"):
-        foundations.frame_average_reconstruct(bad, 3000, RandomSource(1, 1))
-    doubled = DensityOperator(np.diag([1.5, 0.5]).astype(complex), validate=False)
-    with pytest.raises(QcoreError, match="unit trace"):
-        foundations.frame_average_reconstruct(doubled, 10, RandomSource(1, 1))
-
-
 def test_decohere_rejects_a_non_orthonormal_frame():
     rho = _random_density(2, 5)
     skewed = [np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)]
