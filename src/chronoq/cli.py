@@ -54,15 +54,21 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _plain(obj):
+# Rows of an array made into table or CSV lines at a time: the keys and
+# texts of one block are all that is held beside the lines.
+_ROWS = 1 << 14
+
+
+def _plain(obj, arrays: bool = False):
     """Normalize a report tree to JSON-serializable python scalars.  A real
-    array becomes nested lists in one ``tolist``, with no walk per entry."""
+    array becomes nested lists in one ``tolist``, with no walk per entry;
+    with ``arrays`` an array of one or more dimensions is kept as it is."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_plain(v, arrays) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return obj if arrays and obj.ndim else obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -74,34 +80,66 @@ def _plain(obj):
     return obj
 
 
-def _flatten(obj, prefix: str, keys: list, values: list):
-    """Append the dotted keys and the values of the leaves of ``obj``, a
-    plain report tree, to ``keys`` and ``values``, in sorted key order."""
+def _text(leaf) -> str:
+    """The JSON text of a leaf.  That of a finite float is its repr and of
+    an int its str: only other leaves need ``json.dumps``, which would cost
+    seconds on a 20-qubit state."""
+    kind = type(leaf)
+    return repr(leaf) if kind is int or kind is float and math.isfinite(leaf) else json.dumps(leaf)
+
+
+def _flatten(obj, prefix: str, leaves: list):
+    """Append the leaves of ``obj``, a plain report tree that keeps its
+    arrays, to ``leaves`` in sorted key order: ``(dotted key, JSON text)``,
+    or ``(dotted key, array)`` for an array, whose entries are leaves."""
     for k, v in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
         if isinstance(v, (dict, list)):
-            _flatten(v, f"{prefix}{k}.", keys, values)
+            _flatten(v, f"{prefix}{k}.", leaves)
         else:
-            keys.append(f"{prefix}{k}")
-            values.append(v)
+            leaves.append((f"{prefix}{k}", v if isinstance(v, np.ndarray) else _text(v)))
+
+
+def _key_width(key: str, leaf) -> int:
+    """The length of the longest key among a leaf's entries."""
+    if not isinstance(leaf, np.ndarray):
+        return len(key)
+    if not leaf.size:
+        return 0
+    return len(key) + sum(1 + len(str(size - 1)) for size in leaf.shape)
+
+
+def _array_lines(key: str, array: np.ndarray, width: int, sep: str, lines: list):
+    """Append the lines of an array's entries to ``lines``, in C order, each
+    keyed by its indices.  Keys and texts are made by comprehensions over a
+    block of ``_ROWS`` rows, with no recursive walk and no nested lists, so
+    the lines are the one list as long as the array."""
+    kind = array.dtype.kind
+    plain = kind in "iu" or kind == "f" and bool(np.isfinite(array).all())
+    for start in range(0, len(array), _ROWS):
+        block = array[start:start + _ROWS]
+        keys = [f"{key}.{i}" for i in range(start, start + len(block))]
+        for size in array.shape[1:]:
+            steps = [f".{i}" for i in range(size)]
+            keys = [head + step for head in keys for step in steps]
+        texts = map(repr if plain else _text, block.reshape(-1).tolist())
+        lines += [f"{k.ljust(width)}{sep}{text}" for k, text in zip(keys, texts)]
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_plain(report), sort_keys=True, separators=(",", ":"), allow_nan=False)
-    # One line per leaf, built over its key.  The JSON text of a finite
-    # float is its repr and of an int its str: only other leaves need
-    # ``json.dumps``, which would cost seconds on a 20-qubit state.
-    keys, values = [], []
-    _flatten(_plain(report), "", keys, values)
-    width, sep = (0, ",") if fmt == "csv" else (max(map(len, keys), default=0), "  ")
-    for i, v in enumerate(values):
-        kind = type(v)
-        text = repr(v) if kind is int or kind is float and math.isfinite(v) else json.dumps(v)
-        keys[i] = f"{keys[i].ljust(width)}{sep}{text}"
-    del values  # the leaves, before the join copies every line
+    leaves = []
+    _flatten(_plain(report, arrays=True), "", leaves)
     if fmt == "csv":
-        keys.insert(0, "key,value")
-    return "\n".join(keys)
+        width, sep, lines = 0, ",", ["key,value"]
+    else:
+        width, sep, lines = max((_key_width(*leaf) for leaf in leaves), default=0), "  ", []
+    for key, leaf in leaves:
+        if isinstance(leaf, np.ndarray):
+            _array_lines(key, leaf, width, sep, lines)
+        else:
+            lines.append(f"{key.ljust(width)}{sep}{leaf}")
+    return "\n".join(lines)
 
 
 def _command(group: click.Group, name: str, stream: int):

@@ -281,11 +281,17 @@ def estimate_pass_probability(
     applied once (:func:`_play`), and each round's pass is drawn from its
     exact probability on the same immutable played state: a GHZ-like
     candidate in O(n) per round, any other in O(2^n)."""
+    return _estimate(_checked_play(candidate, network, rounds), network, rounds, rng)
+
+
+def _checked_play(candidate: StateVector, network: Network, rounds: int):
+    """:func:`_play` on a candidate for ``rounds`` rounds on ``network``,
+    after checking both."""
     if rounds < 1:
         raise ConsensusError("rounds must be positive")
     if candidate.dim != 1 << network.size:
         raise ConsensusError("candidate qubit count must match node count")
-    return _estimate(_play(candidate, network.nodes), network, rounds, rng)
+    return _play(candidate, network.nodes)
 
 
 def _estimate(played, network: Network, rounds: int, rng: RandomSource) -> dict:
@@ -485,14 +491,17 @@ def admit_block(
 
     The block source is called once, and every round's pass is drawn from
     its exact probability on that one state (:func:`estimate_pass_probability`).
-    On acceptance every honest node appends the block to its local chain.
+    The state is played before the rounds and then dropped, so a 2^n ket is
+    not held through them.  On acceptance every honest node appends the
+    block to its local chain.
     """
     if threshold <= 0.0:
         # Degenerate configuration: everything is accepted.
         import warnings
 
         warnings.warn("threshold <= 0 accepts every block", stacklevel=2)
-    est = estimate_pass_probability(candidate_supplier(), network, rounds, network.rng)
+    played = _checked_play(candidate_supplier(), network, rounds)
+    est = _estimate(played, network, rounds, network.rng)
     accepted = est["pass_rate"] >= threshold
     if accepted:
         for node in network.nodes:

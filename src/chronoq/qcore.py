@@ -25,7 +25,8 @@ Conventions used throughout the package:
   ``DensityOperator._adopt``, which freezes its new array unchecked.
 * The private ``_SparseKet`` holds a state as sorted basis indices and
   their amplitudes, both read-only; the temporal chain keeps its register in
-  it.  Its operations allocate arrays the size of its entries, never 2^n.
+  it.  Its operations allocate arrays at most 64 times the size of its
+  entries.
   Only its ``amplitudes`` property builds the dense 2^n vector, as a new
   read-only array on every request.  Its results equal the dense ones to
   the last bit wherever each output amplitude has one nonzero term, as on
@@ -147,19 +148,27 @@ class StateVector:
         self._own(vec.reshape(-1), normalize, in_place=False)
 
     @classmethod
-    def _adopt(cls, buffer: np.ndarray, *, normalize: bool = False) -> "StateVector":
+    def _adopt(
+        cls, buffer: np.ndarray, *, normalize: bool = False, norm_sq: float | None = None
+    ) -> "StateVector":
         """A state over ``buffer``, a 1-D complex128 array the caller has just
-        allocated and hands over: renormalization writes into it."""
+        allocated and hands over: renormalization writes into it.  A caller
+        that has already computed ``np.vdot(buffer, buffer).real`` passes it
+        as ``norm_sq``, and it is not computed again."""
         state = cls.__new__(cls)
-        state._own(buffer, normalize, in_place=True)
+        state._own(buffer, normalize, in_place=True, norm_sq=norm_sq)
         return state
 
-    def _own(self, vec: np.ndarray, normalize: bool, in_place: bool):
+    def _own(
+        self, vec: np.ndarray, normalize: bool, in_place: bool, norm_sq: float | None = None
+    ):
         if vec.shape[0] > (1 << MAX_QUBITS):
             raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
         # One pass: the squared norm is finite iff every amplitude is (and
         # their squares do not overflow).
-        scale = _rescale_factor(float(np.vdot(vec, vec).real), normalize)
+        if norm_sq is None:
+            norm_sq = float(np.vdot(vec, vec).real)
+        scale = _rescale_factor(norm_sq, normalize)
         if scale is not None:
             if in_place:
                 vec *= scale
@@ -228,7 +237,7 @@ class StateVector:
         projected = self.amplitudes.copy()
         _project_equal_bits(projected, self.num_qubits, q1, q2)
         p = float(np.vdot(projected, projected).real)
-        return p, partial(StateVector._adopt, projected, normalize=True)
+        return p, partial(StateVector._adopt, projected, normalize=True, norm_sq=p)
 
     def equals_up_to_phase(self, other: "StateVector") -> bool:
         """Global-phase-insensitive equality predicate: |<self|other>| = 1 to 1e-8."""
@@ -325,14 +334,21 @@ class _SparseKet:
 
     __slots__ = ("num_qubits", "indices", "values")
 
-    def __init__(self, num_qubits: int, indices, values, *, normalize: bool = False):
+    def __init__(
+        self, num_qubits: int, indices, values, *, normalize: bool = False,
+        norm_sq: float | None = None,
+    ):
+        """``indices`` ascending.  A caller that has already computed the
+        squared norm of the nonzero entries passes it as ``norm_sq``."""
         if num_qubits > MAX_QUBITS:
             raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
         nonzero = values != 0
         indices, values = indices[nonzero], values[nonzero]
-        scale = _rescale_factor(_dense_norm_sq(num_qubits, indices, values), normalize)
+        if norm_sq is None:
+            norm_sq = _dense_norm_sq(num_qubits, indices, values)
+        scale = _rescale_factor(norm_sq, normalize)
         if scale is not None:
             values = values * scale
         indices.setflags(write=False)
@@ -367,7 +383,7 @@ class _SparseKet:
             raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
         right = np.flatnonzero(other.amplitudes)
         indices = (self.indices[:, None] << m) | right
-        values = np.outer(self.values, other.amplitudes[right])
+        values = self.values[:, None] * other.amplitudes[right]
         return _SparseKet(self.num_qubits + m, indices.reshape(-1), values.reshape(-1))
 
     def apply(self, op: np.ndarray, targets: Sequence[int]) -> "_SparseKet":
@@ -377,17 +393,23 @@ class _SparseKet:
         if _check_targets(mat, self.num_qubits, targets) != 1:
             raise QcoreError("a sparse ket takes a 2x2 operator on one target")
         shift = self.num_qubits - 1 - targets[0]
+        bit = 1 << shift
         # Row k holds the target's |0> and |1> amplitudes beside the other
-        # qubits' basis state base[k]; each row goes through mat as in the
-        # dense kernel.
-        rest = self.indices & ~(1 << shift)
-        base, row = _distinct(rest)
-        pairs = np.zeros((base.size, 2), dtype=np.complex128)
-        pairs[row, (self.indices >> shift) & 1] = self.values
-        indices = np.stack([base, base | (1 << shift)], axis=1).reshape(-1)
-        order = np.argsort(indices)
+        # qubits' basis state base[k], the bases ascending; each row goes
+        # through mat as in the dense kernel.  The entries are few, so their
+        # indices are handled as Python ints.
+        entries = self.indices.tolist()
+        base = sorted({i & ~bit for i in entries})
+        row = {b: k for k, b in enumerate(base)}
+        pairs = np.zeros((len(base), 2), dtype=np.complex128)
+        pairs[[row[i & ~bit] for i in entries], [(i >> shift) & 1 for i in entries]] = self.values
         values = (pairs @ mat.T).reshape(-1)
-        return _SparseKet(self.num_qubits, indices[order], values[order], normalize=True)
+        # Output 2k + c is basis state base[k] | c * bit.
+        indices = [b | c for b in base for c in (0, bit)]
+        order = sorted(range(len(indices)), key=indices.__getitem__)
+        return _SparseKet(
+            self.num_qubits, [indices[j] for j in order], values[order], normalize=True
+        )
 
     def project_equal_bits(self, q1: int, q2: int) -> tuple[float, Callable[[], "_SparseKet"]]:
         """:meth:`StateVector.project_equal_bits` on the stored entries."""
@@ -396,35 +418,29 @@ class _SparseKet:
         equal = ((self.indices >> (n - 1 - q1)) ^ (self.indices >> (n - 1 - q2))) & 1 == 0
         indices, values = self.indices[equal], self.values[equal]
         p = _dense_norm_sq(n, indices, values)
-        return p, partial(_SparseKet, n, indices, values, normalize=True)
-
-
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a 1-D integer array and each entry's
-    index among them, as ``np.unique(x, return_inverse=True)`` gives them.
-    A bare ``np.unique`` would import ``numpy.ma``, and its inverse takes
-    twice as long on the few entries of a sparse ket."""
-    ordered = np.sort(x)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    return distinct, distinct.searchsorted(x)
+        return p, partial(_SparseKet, n, indices, values, normalize=True, norm_sq=p)
 
 
 def _dense_norm_sq(n: int, indices: np.ndarray, values: np.ndarray) -> float:
     """The squared norm that ``np.vdot`` gives for the dense 2^n vector.
 
-    Only the vector's 64-entry blocks that hold an entry are summed, in
-    index order.  An all-zero block adds exact zeros, and the accumulators
-    of a BLAS dot repeat with a period that divides 64 entries, so the
-    partial sums round as in the dense sum.  (A plain ``vdot`` of the
-    entries does not: it differed in the last bit on tampered chains.)
+    ``indices`` ascending.  Each entry sits in a 64-entry row of its own, at
+    its column within its 64-entry block of the dense vector, and the rows
+    follow index order; once that buffer would be as long as the dense
+    vector, the dense vector is summed instead.  The accumulators of a BLAS
+    dot repeat with a period that divides 64 entries, so every entry lands
+    in the accumulator it has in the dense sum, in the same order, and the
+    zeros between add exact zeros: the partial sums round as in the dense
+    sum.  (A plain ``vdot`` of the entries does not: it differed in the
+    last bit on tampered chains.)
     """
     width = min(64, 1 << n)
-    block = indices // width
-    blocks, row = _distinct(block)
-    buffer = np.zeros((blocks.size, width), dtype=np.complex128)
-    buffer[row, indices % width] = values
+    if indices.size * width >= 1 << n:
+        buffer = np.zeros(1 << n, dtype=np.complex128)
+        buffer[indices] = values
+    else:
+        buffer = np.zeros((indices.size, width), dtype=np.complex128)
+        buffer[np.arange(indices.size), indices & (width - 1)] = values
     return float(np.vdot(buffer, buffer).real)
 
 
@@ -510,13 +526,20 @@ _BELL_ALIASES = {
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
+# phi = (|00> +- |11>)/sqrt(2), psi = (|01> +- |10>)/sqrt(2).
+_BELL_STATES = {
+    key: branch_pair([0, int(key.startswith("psi"))], 1 if key.endswith("+") else -1)
+    for key in BELL_LABELS
+}
+
+
 def bell_state(label: str) -> StateVector:
-    """One of the four Bell states phi+/phi-/psi+/psi-."""
+    """One of the four Bell states phi+/phi-/psi+/psi-, built once: a state
+    is immutable, so every call with the same label returns the same one."""
     key = _BELL_ALIASES.get(label)
     if key is None:
         raise QcoreError(f"unknown Bell label {label!r}")
-    # phi = (|00> +- |11>)/sqrt(2), psi = (|01> +- |10>)/sqrt(2).
-    return branch_pair([0, int(key.startswith("psi"))], 1 if key.endswith("+") else -1)
+    return _BELL_STATES[key]
 
 
 def ghz_state(n: int) -> StateVector:

@@ -67,13 +67,33 @@ class TemporalRegister:
     is append-only with non-decreasing time steps.  ``valid`` flips to False
     when a fusion attempt fails (post-selection miss); retry policy belongs
     to the caller, who should work from a :meth:`snapshot`.
+
+    Two indexes spare the operations a scan of ``modes``: each spatial label
+    maps to its entry's position, and each live label to its qubit in the
+    state.  :func:`create_pair` adds to both and the measurements renumber
+    the live qubits as they consume modes; assigning ``modes`` rebuilds both.
+    The operations replace a mode entry rather than write into it, so a
+    snapshot shares the entries of its original.
     """
 
     def __init__(self):
         self.state: StateVector | _SparseKet | None = None
-        self.modes: list[list] = []  # [ModeId, consumed]
+        self.modes = []
         self.event_log: list[dict] = []
         self.valid: bool = True
+
+    @property
+    def modes(self) -> list[list]:
+        return self._modes
+
+    @modes.setter
+    def modes(self, entries: list[list]):
+        self._modes = entries
+        self._position = {mode.spatial: i for i, (mode, _) in enumerate(entries)}
+        self._renumber_live()
+
+    def _renumber_live(self):
+        self._qubit = {mode.spatial: q for q, mode in enumerate(self.live_modes)}
 
     # -- bookkeeping helpers --
 
@@ -83,20 +103,21 @@ class TemporalRegister:
 
     @property
     def live_modes(self) -> list[ModeId]:
-        return [m for m, consumed in self.modes if not consumed]
+        return [m for m, consumed in self._modes if not consumed]
 
     def _find(self, spatial: str) -> int:
-        for i, (mode, _) in enumerate(self.modes):
-            if mode.spatial == spatial:
-                return i
-        raise TemporalError(f"unknown mode {spatial!r}")
+        try:
+            return self._position[spatial]
+        except KeyError:
+            raise TemporalError(f"unknown mode {spatial!r}") from None
 
     def _live_index(self, spatial: str) -> int:
         """Index of a live mode within the state vector's qubit order."""
-        idx = self._find(spatial)
-        if self.modes[idx][1]:
+        q = self._qubit.get(spatial)
+        if q is None:
+            self._find(spatial)
             raise TemporalError(f"mode {spatial!r} already consumed")
-        return sum(1 for m, consumed in self.modes[:idx] if not consumed)
+        return q
 
     def _log(self, event: str, spatials: Sequence[str], t: int):
         if self.event_log and t < self.last_event_time:
@@ -104,14 +125,17 @@ class TemporalRegister:
         self.event_log.append({"event": event, "modes": sorted(spatials), "t": int(t)})
 
     def snapshot(self) -> "TemporalRegister":
-        """Independent copy: its own mode entries, event log and validity flag.
+        """Independent copy: its own mode list, indexes, event log and
+        validity flag.
 
-        The immutable state is shared, not copied; every
-        operation replaces ``state`` rather than writing into it.
+        The immutable state and the mode entries, which the operations
+        replace rather than write into, are shared, not copied.
         """
-        copy = TemporalRegister()
+        copy = TemporalRegister.__new__(TemporalRegister)
         copy.state = self.state
-        copy.modes = [list(entry) for entry in self.modes]
+        copy._modes = list(self._modes)
+        copy._position = dict(self._position)
+        copy._qubit = dict(self._qubit)
         copy.event_log = [dict(e, modes=list(e["modes"])) for e in self.event_log]
         copy.valid = self.valid
         return copy
@@ -140,16 +164,17 @@ def create_pair(
     if len(spatial_pair) != 2 or spatial_pair[0] == spatial_pair[1]:
         raise TemporalError("need two distinct spatial labels")
     for s in spatial_pair:
-        if any(m.spatial == s for m, _ in reg.modes):
+        if s in reg._position:
             raise TemporalError(f"spatial label {s!r} already in use")
     if t < reg.last_event_time:
         raise TemporalError("cannot create a pair before the last event")
-    n_live = len(reg.live_modes)
-    if n_live + 2 > MAX_QUBITS:
+    if len(reg._qubit) + 2 > MAX_QUBITS:
         raise TemporalError(f"register would exceed {MAX_QUBITS} qubits")
     pair = bell_state(label)
     reg.state = pair if reg.state is None else reg.state.tensor(pair)
     for s in spatial_pair:
+        reg._position[s] = len(reg.modes)
+        reg._qubit[s] = len(reg._qubit)
         reg.modes.append([ModeId(s, int(t)), False])
     reg._log("create", spatial_pair, t)
     return reg
@@ -165,7 +190,7 @@ def delay(reg: TemporalRegister, spatial: str, dt: int) -> TemporalRegister:
         raise TemporalError(f"mode {spatial!r} already consumed")
     # The delay line is entered at the mode's original time step.
     t = _event_time(reg, [spatial])
-    reg.modes[idx][0] = ModeId(mode.spatial, mode.time_step + int(dt))
+    reg.modes[idx] = [ModeId(mode.spatial, mode.time_step + int(dt)), False]
     reg._log("delay", [spatial], t)
     return reg
 
@@ -196,7 +221,9 @@ def _measure(
     except QcoreError as exc:
         raise TemporalError(str(exc)) from exc
     for s in spatials:
-        reg.modes[reg._find(s)][1] = True
+        idx = reg._find(s)
+        reg.modes[idx] = [reg.modes[idx][0], True]
+    reg._renumber_live()
     reg.state = StateVector(kept, normalize=True) if kept.size > 1 else None
     reg._log("measure", spatials, t)
     return row, prob

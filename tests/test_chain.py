@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoq.chain import (
     FUSION_RETRY_CAP,
+    QuantumChain,
     VALIDITY_FIDELITY,
     ChainError,
     ClassicalChain,
@@ -33,7 +36,16 @@ from chronoq.qcore import (
     _SparseKet,
     rotation,
 )
-from chronoq.temporal import apply_op
+from chronoq.temporal import (
+    TemporalError,
+    TemporalRegister,
+    apply_op,
+    bell_measure,
+    create_pair,
+    delay,
+    measure_mode,
+    pbs_fuse,
+)
 
 from dense_reference import (
     dense_chain,
@@ -308,3 +320,111 @@ def test_ten_record_chain_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Properties over records and seeds
+# ---------------------------------------------------------------------------
+
+_RECORDS = st.lists(st.sampled_from(["00", "01", "10", "11"]), min_size=1, max_size=10)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _assert_index_matches_scan(register):
+    """The register's label index and live-qubit numbering against a linear
+    scan of its modes."""
+    position, qubit = {}, {}
+    for i, (mode, consumed) in enumerate(register.modes):
+        position.setdefault(mode.spatial, i)
+        if not consumed:
+            qubit[mode.spatial] = len(qubit)
+    assert register._position == position
+    assert register._qubit == qubit
+    for spatial, i in position.items():
+        assert register._find(spatial) == i
+        if spatial in qubit:
+            assert register._live_index(spatial) == qubit[spatial]
+        else:
+            with pytest.raises(TemporalError, match="already consumed"):
+                register._live_index(spatial)
+    with pytest.raises(TemporalError, match="unknown mode"):
+        register._find("nowhere")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(records=_RECORDS, seed=_SEEDS)
+def test_build_then_decode_returns_the_records(records, seed):
+    chain = build_chain(records, RandomSource(seed, 5))
+    assert decode(chain) == "".join(records)
+    assert chain.valid and chain.fidelity() == pytest.approx(1.0, abs=1e-12)
+    assert chain.timestamps == [(k + 1) // 2 for k in range(2 * len(records))]
+    _assert_index_matches_scan(chain.register)
+
+
+def _copy(chain):
+    twin = QuantumChain()
+    twin.register, twin.records, twin.valid = chain.register.snapshot(), list(chain.records), True
+    return twin
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(records=_RECORDS, seed=_SEEDS, op=st.sampled_from([PAULI_X, PAULI_Y, PAULI_Z, HADAMARD]))
+def test_tamper_at_every_target_is_detected_or_refused(records, seed, op):
+    chain = build_chain(records, RandomSource(seed, 5))
+    k = len(records)
+    for target in range(1, 2 * k + 1):
+        tampered = _copy(chain)
+        try:
+            tamper(tampered, f"p{target}", op)
+        except TemporalInaccessible:
+            # Only the last photon exists at the chain's time; a refusal
+            # leaves the chain as it was.
+            assert target < 2 * k
+            assert tampered.register.state is chain.register.state
+            assert decode(tampered) == "".join(records) and tampered.valid
+        else:
+            assert target == 2 * k
+            assert not tampered.valid
+            with pytest.raises(DecodeMismatch):
+                decode(tampered)
+        _assert_index_matches_scan(tampered.register)
+    assert decode(chain) == "".join(records)
+
+
+class _Draw:
+    """Stands in for RandomSource in a fusion: every draw is 0, which any
+    success probability above 0 accepts."""
+
+    def uniform(self):
+        return 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), seed=_SEEDS)
+def test_register_index_agrees_with_a_linear_scan(data, seed):
+    # Create, delay, fuse and measure in any order, as swap_demo does.
+    register, rng, made = TemporalRegister(), RandomSource(seed, 9), 0
+    for _ in range(data.draw(st.integers(1, 12))):
+        live = [mode.spatial for mode in register.live_modes]
+        kinds = ["create"] * (len(live) <= 8) + ["delay", "measure"] * bool(live)
+        kinds += ["fuse", "bell"] * (len(live) >= 2)
+        kind = data.draw(st.sampled_from(kinds))
+        t = register.last_event_time
+        if kind == "create":
+            label = data.draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))
+            create_pair(register, label, (f"m{made}", f"m{made + 1}"), t=t)
+            made += 2
+        elif kind == "delay":
+            delay(register, data.draw(st.sampled_from(live)), data.draw(st.integers(1, 3)))
+        elif kind == "measure":
+            measure_mode(register, data.draw(st.sampled_from(live)), rng)
+        else:
+            pair = st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)
+            s1, s2 = data.draw(pair)
+            if kind == "bell":
+                bell_measure(register, s1, s2, rng)
+            else:
+                snapshot = register.snapshot()
+                if not pbs_fuse(register, s1, s2, _Draw()):
+                    register = snapshot
+        _assert_index_matches_scan(register)

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import chronoq
-from chronoq.cli import _plain, main, render_report
+from chronoq.cli import _ROWS, _plain, main, render_report
 
 
 def run(args, **kwargs):
@@ -428,6 +428,23 @@ def test_table_and_csv_leaves_are_their_json_text(fmt):
     }
     assert render_report(report, fmt) == _per_leaf_rendering(_plain(report), fmt)
     assert render_report({}, fmt) == _per_leaf_rendering({}, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_array_entries_are_their_json_text(fmt):
+    # Arrays are rendered a block of rows at a time; one spans two blocks.
+    rows = _ROWS + 3
+    report = {
+        "long": np.arange(2 * rows, dtype=float).reshape(rows, 2) / 7,
+        "nonfinite": np.array([[0.5, math.nan], [math.inf, -0.0]]),
+        "ints": np.array([3, -1, 2**40], dtype=np.int64),
+        "bools": np.array([True, False]),
+        "cube": np.linspace(-1, 1, 24).reshape(2, 3, 4),
+        "scalar": np.array(2.5),
+        "empty": [np.zeros(0), np.zeros((3, 0))],
+        "mixed": [{"a": np.array([1e-300, 1e300])}, 7],
+    }
+    assert render_report(report, fmt) == _per_leaf_rendering(_plain(report), fmt)
 
 
 # The seeded QKD and θ-round commands, whose draws are fixed-shape blocks,

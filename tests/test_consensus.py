@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ def test_admit_block_appends_to_honest_chains():
     for node in network.nodes:
         expected = ["block-A"] if node.honest else []
         assert network.local_chains[node.id] == expected
+
+
+def test_admit_block_drops_the_candidate_before_the_rounds(monkeypatch):
+    # A 2^n ket held through the rounds keeps 16 MB alive at n = 20.
+    buffers = []
+
+    def supplier():
+        state = ghz_state(6)
+        buffers.append(weakref.ref(state.amplitudes))
+        return state
+
+    def estimate(played, network, rounds, rng):
+        assert buffers[0]() is None, "the candidate ket outlives its play"
+        return estimate_rounds(played, network, rounds, rng)
+
+    estimate_rounds = consensus._estimate
+    monkeypatch.setattr(consensus, "_estimate", estimate)
+    network = _network(6, RandomSource(38, 1))
+    assert admit_block(network, supplier, "block-C", rounds=20)["accepted"]
+    with pytest.raises(ConsensusError, match="rounds must be positive"):
+        admit_block(network, supplier, "block-D", rounds=0)
+    with pytest.raises(ConsensusError, match="qubit count"):
+        admit_block(network, lambda: ghz_state(5), "block-E", rounds=20)
 
 
 def test_admit_block_warns_on_degenerate_threshold():
