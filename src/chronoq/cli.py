@@ -412,8 +412,8 @@ def chain_contrast(rng, blocks, index):
 # run/admit draw each round's pass from its exact probability on the GHZ
 # candidate as two product branches, O(n) per round up to the register cap;
 # bounds builds a dense 4^n density operator, 64 MiB at 11 nodes.  At 10^5
-# rounds run/admit take about 0.4 s at 20 nodes, and bounds about 0.8 s at
-# 11 (interpreter start included).
+# rounds run/admit take about 0.3-0.45 s at 20 nodes, and bounds 0.5-0.7 s
+# at 11 (interpreter start included).
 _NODES = click.IntRange(2, MAX_QUBITS)
 _BOUNDS_NODES = click.IntRange(2, 11)
 _ROUNDS = click.IntRange(1, 100_000)

@@ -47,10 +47,10 @@ def _validate_dist(p) -> np.ndarray:
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
-    """H(X) = -sum p log2 p in bits."""
+    """H(X) = -sum p log2 p in bits; a certain outcome gives +0.0."""
     arr = _validate_dist(p)
     nz = arr[arr > TOL_ALG]
-    return float(-np.sum(nz * np.log2(nz)))
+    return 0.0 - float(np.sum(nz * np.log2(nz)))
 
 
 def derived_entropies(joint) -> dict:
@@ -401,11 +401,12 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) in bits: Shannon entropy of the eigenvalue spectrum."""
+    """S(rho) in bits: Shannon entropy of the eigenvalue spectrum; a pure
+    state gives +0.0."""
     eigs = np.clip(rho.eigenvalues(), 0.0, None)
     eigs = eigs / eigs.sum()
     nz = eigs[eigs > TOL_ALG]
-    return float(-np.sum(nz * np.log2(nz)))
+    return 0.0 - float(np.sum(nz * np.log2(nz)))
 
 
 def quantum_conditional_entropy(rho_ab: DensityOperator, dims: Sequence[int]) -> float:

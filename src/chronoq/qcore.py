@@ -16,22 +16,23 @@ Conventions used throughout the package:
   passed in, and every ``StateVector.amplitudes`` is read-only.  A kernel
   that has just allocated a 2^n result hands it to ``StateVector._adopt``,
   which renormalizes it in place; the public constructor renormalizes into
-  a new array instead.  Each 2^n step thus reads the state once and
-  allocates at most one new 2^n buffer.
+  a new array instead.  Each 2^n step thus allocates one new 2^n result;
+  its squared norm takes a temporary copy of the nonzero amplitudes.
 * Density operators are checked once, at the boundary: the public
   ``DensityOperator`` constructor checks its matrix, with an O(d^3)
   ``eigvalsh``.  A result valid by construction (a ket's outer product, a
   tensor product, a partial trace, a conjugation, a pinching) goes through
   ``DensityOperator._adopt``, which freezes its new array unchecked.
+* The squared norm of a ket, dense or sparse, is the ``np.vdot`` of its
+  nonzero entries in index order (``_norm_sq``); so is each Born weight
+  that :func:`collapse` draws from.
 * The private ``_SparseKet`` holds a state as sorted basis indices and
   their amplitudes, both read-only; the temporal chain keeps its register in
-  it.  Its operations allocate arrays at most 64 times the size of its
-  entries.
-  Only its ``amplitudes`` property builds the dense 2^n vector, as a new
-  read-only array on every request.  Its results equal the dense ones to
-  the last bit wherever each output amplitude has one nonzero term, as on
-  the chain's path; a one-target operator mixing two nonzero terms may
-  round differently.
+  it.  Only its ``amplitudes`` property builds the dense 2^n vector, as a
+  new read-only array on every request.  It passes the same entries as the
+  dense state to ``_norm_sq``, so the two agree to the last bit wherever
+  each output amplitude has one nonzero term, as on the chain's path; a
+  one-target operator mixing two nonzero terms may round differently.
 * Two state vectors are considered equal when they agree up to a global
   phase (see :meth:`StateVector.equals_up_to_phase`); exact amplitude
   comparison is available separately via :meth:`StateVector.allclose`.
@@ -153,8 +154,8 @@ class StateVector:
     ) -> "StateVector":
         """A state over ``buffer``, a 1-D complex128 array the caller has just
         allocated and hands over: renormalization writes into it.  A caller
-        that has already computed ``np.vdot(buffer, buffer).real`` passes it
-        as ``norm_sq``, and it is not computed again."""
+        that has already computed ``_norm_sq(buffer)`` passes it as
+        ``norm_sq``, and it is not computed again."""
         state = cls.__new__(cls)
         state._own(buffer, normalize, in_place=True, norm_sq=norm_sq)
         return state
@@ -164,10 +165,10 @@ class StateVector:
     ):
         if vec.shape[0] > (1 << MAX_QUBITS):
             raise QcoreError(f"register exceeds the {MAX_QUBITS}-qubit cap")
-        # One pass: the squared norm is finite iff every amplitude is (and
-        # their squares do not overflow).
+        # The squared norm is finite iff every amplitude is (and their
+        # squares do not overflow).
         if norm_sq is None:
-            norm_sq = float(np.vdot(vec, vec).real)
+            norm_sq = _norm_sq(vec)
         scale = _rescale_factor(norm_sq, normalize)
         if scale is not None:
             if in_place:
@@ -236,7 +237,7 @@ class StateVector:
         _check_qubits(self.num_qubits, [q1, q2])
         projected = self.amplitudes.copy()
         _project_equal_bits(projected, self.num_qubits, q1, q2)
-        p = float(np.vdot(projected, projected).real)
+        p = _norm_sq(projected)
         return p, partial(StateVector._adopt, projected, normalize=True, norm_sq=p)
 
     def equals_up_to_phase(self, other: "StateVector") -> bool:
@@ -254,6 +255,14 @@ class StateVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(dim={self.dim})"
+
+
+def _norm_sq(amplitudes: np.ndarray) -> float:
+    """The squared norm of a ket's amplitudes: ``np.vdot`` of the nonzero
+    ones, in index order.  A sparse ket and its dense vector pass the same
+    array here, so they agree to the last bit under any BLAS."""
+    nonzero = amplitudes[amplitudes != 0]
+    return float(np.vdot(nonzero, nonzero).real)
 
 
 def _rescale_factor(norm_sq: float, normalize: bool) -> float | None:
@@ -347,7 +356,7 @@ class _SparseKet:
         nonzero = values != 0
         indices, values = indices[nonzero], values[nonzero]
         if norm_sq is None:
-            norm_sq = _dense_norm_sq(num_qubits, indices, values)
+            norm_sq = _norm_sq(values)
         scale = _rescale_factor(norm_sq, normalize)
         if scale is not None:
             values = values * scale
@@ -417,31 +426,8 @@ class _SparseKet:
         _check_qubits(n, [q1, q2])
         equal = ((self.indices >> (n - 1 - q1)) ^ (self.indices >> (n - 1 - q2))) & 1 == 0
         indices, values = self.indices[equal], self.values[equal]
-        p = _dense_norm_sq(n, indices, values)
+        p = _norm_sq(values)
         return p, partial(_SparseKet, n, indices, values, normalize=True, norm_sq=p)
-
-
-def _dense_norm_sq(n: int, indices: np.ndarray, values: np.ndarray) -> float:
-    """The squared norm that ``np.vdot`` gives for the dense 2^n vector.
-
-    ``indices`` ascending.  Each entry sits in a 64-entry row of its own, at
-    its column within its 64-entry block of the dense vector, and the rows
-    follow index order; once that buffer would be as long as the dense
-    vector, the dense vector is summed instead.  The accumulators of a BLAS
-    dot repeat with a period that divides 64 entries, so every entry lands
-    in the accumulator it has in the dense sum, in the same order, and the
-    zeros between add exact zeros: the partial sums round as in the dense
-    sum.  (A plain ``vdot`` of the entries does not: it differed in the
-    last bit on tampered chains.)
-    """
-    width = min(64, 1 << n)
-    if indices.size * width >= 1 << n:
-        buffer = np.zeros(1 << n, dtype=np.complex128)
-        buffer[indices] = values
-    else:
-        buffer = np.zeros((indices.size, width), dtype=np.complex128)
-        buffer[np.arange(indices.size), indices & (width - 1)] = values
-    return float(np.vdot(buffer, buffer).real)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +569,8 @@ def collapse(
     Row k of ``bras`` is the k-th outcome's bra on ``targets`` (first target
     most significant).  The outcome is drawn by the Born rule, or is row
     ``forced``.  Returns ``(row, probability, branch)``, ``branch`` being the
-    unnormalized amplitudes of the other qubits in register order.
+    unnormalized amplitudes of the other qubits in register order, a new
+    array, and ``probability`` its ``_norm_sq``.
     """
     n, targets = state.num_qubits, list(targets)
     _check_targets(bras, n, targets)
@@ -591,7 +578,7 @@ def collapse(
     psi = np.transpose(state.amplitudes.reshape([2] * n), targets + rest)
     psi = psi.reshape(len(bras), -1)
     branches = [bra @ psi for bra in bras]
-    probs = [float(np.sum(np.abs(branch) ** 2)) for branch in branches]
+    probs = [_norm_sq(branch) for branch in branches]
     if forced is None:
         row = rng.choice_index(probs)
     elif probs[forced] <= 1e-12:
@@ -692,6 +679,8 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        if dim < 1:
+            raise QcoreError(f"dimension must be at least 1 (got {dim!r})")
         return cls._adopt(_normalized(np.eye(dim) / dim))
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":

@@ -224,7 +224,7 @@ def _measure(
         idx = reg._find(s)
         reg.modes[idx] = [reg.modes[idx][0], True]
     reg._renumber_live()
-    reg.state = StateVector(kept, normalize=True) if kept.size > 1 else None
+    reg.state = StateVector._adopt(kept, normalize=True, norm_sq=prob) if kept.size > 1 else None
     reg._log("measure", spatials, t)
     return row, prob
 

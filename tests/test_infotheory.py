@@ -163,6 +163,19 @@ def test_von_neumann_entropy():
     assert von_neumann_entropy(DensityOperator.maximally_mixed(4)) == pytest.approx(2.0)
 
 
+def test_entropy_of_a_certain_outcome_is_positive_zero():
+    for h in (
+        shannon_entropy([1.0, 0.0]),
+        shannon_entropy([0.0, 1.0, 0.0]),
+        von_neumann_entropy(bell_state("phi+").to_density()),
+        von_neumann_entropy(StateVector([0.6, 0.8]).to_density()),
+    ):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    # Every other value keeps its bits: 0.0 - s is -s exactly when s != 0.
+    p = np.array([0.1, 0.2, 0.7])
+    assert shannon_entropy(p) == float(-np.sum(p * np.log2(p)))
+
+
 def test_quantum_conditional_entropy_negative_for_entangled():
     rho = bell_state("phi+").to_density()
     assert quantum_conditional_entropy(rho, [2, 2]) == pytest.approx(-1.0)

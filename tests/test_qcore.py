@@ -52,6 +52,29 @@ def test_random_source_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize(
+    "method, draw, pinned",
+    [
+        ("random", lambda g: g.random(3),
+         [0.7739560485559633, 0.4388784397520523, 0.8585979199113825]),
+        ("integers", lambda g: g.integers(0, 3, size=10), [0, 2, 1, 1, 1, 2, 0, 2, 0, 0]),
+        ("uniform", lambda g: g.uniform(0.0, 2.0, 3),
+         [1.5479120971119267, 0.8777568795041046, 1.717195839822765]),
+        ("normal", lambda g: g.normal(size=3),
+         [0.30471707975443135, -1.0399841062404955, 0.7504511958064572]),
+    ],
+)
+def test_numpy_random_streams_are_pinned(method, draw, pinned):
+    # NEP 19 lets a numpy release change the stream of a Generator method for
+    # a fixed seed.  The Monte Carlo strings pinned in the tests and the
+    # README draw through these four methods only.
+    got = draw(RandomSource(42, 0).generator).tolist()
+    assert got == pinned, (
+        f"numpy {np.__version__} changed the stream of Generator.{method}: "
+        "every pinned CLI string that draws through it moves with it"
+    )
+
+
 def test_random_source_spawn_independent():
     base = RandomSource(7, 0)
     s1 = base.spawn(3).uniform(size=4)
@@ -393,6 +416,9 @@ def test_density_operator_validation():
         DensityOperator(np.ones((2, 3)) / 2)
     rho = DensityOperator.maximally_mixed(4)
     assert abs(purity(rho) - 0.25) < 1e-12
+    for dim in (0, -1):
+        with pytest.raises(QcoreError, match="at least 1"):
+            DensityOperator.maximally_mixed(dim)
     with pytest.raises(QcoreError):
         rho.apply(PAULI_X, [2])  # two qubits
     with pytest.raises(QcoreError):
@@ -576,7 +602,7 @@ def _sparse_and_dense(gen, n, count):
 def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
     gen = np.random.default_rng(seed)
     ket, psi = _sparse_and_dense(gen, n, count)
-    assert np.max(np.abs(ket.amplitudes - psi.amplitudes)) <= 1e-15
+    assert np.array_equal(ket.amplitudes, psi.amplitudes)
     assert ket.num_qubits == psi.num_qubits == n
 
     m = data.draw(st.integers(1, min(2, MAX_QUBITS - n))) if n < MAX_QUBITS else 0
@@ -587,20 +613,22 @@ def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
         pair = StateVector(amps, normalize=True)
         got, ref = ket.tensor(pair), psi.tensor(pair)
         assert got.num_qubits == n + m
-        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-15
+        assert np.array_equal(got.amplitudes, ref.amplitudes)
 
     q = data.draw(st.integers(0, n - 1))
     op = _random_operator(gen, 2, unitary)
     got, ref = ket.apply(op, [q]), psi.apply(op, [q])
+    # Each output amplitude mixes two inputs, which the two kernels may round
+    # differently.
     assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-15
 
     if n >= 2:
         q1, q2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         p, fused = ket.project_equal_bits(q1, q2)
         p_ref, fused_ref = psi.project_equal_bits(q1, q2)
-        assert abs(p - p_ref) <= 1e-15
+        assert p == p_ref
         if p > 0.0:
-            assert np.max(np.abs(fused().amplitudes - fused_ref().amplitudes)) <= 1e-15
+            assert np.array_equal(fused().amplitudes, fused_ref().amplitudes)
         else:
             for build in (fused, fused_ref):
                 with pytest.raises(QcoreError, match="zero"):

@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoq.qcore import (
+    BELL_LABELS,
+    I2,
     PAULI_X,
     DensityOperator,
     QcoreError,
     RandomSource,
     StateVector,
+    _SparseKet,
     bell_state,
+    collapse,
     measure_qubit,
 )
 from chronoq.entangle import fidelity
 from chronoq.temporal import (
+    _BELL_BRAS,
     ModeId,
     _project_equal_bits,
     TemporalError,
@@ -116,6 +121,51 @@ def test_measure_mode_and_measure_qubit_agree(seed):
     kept = np.take(post.amplitudes.reshape([2] * 6), outcome, axis=qubit).reshape(-1)
     assert np.max(np.abs(kept - reg.state.amplitudes)) <= 1e-12
     assert np.max(np.abs(np.take(post.amplitudes.reshape([2] * 6), 1 - outcome, axis=qubit))) == 0
+
+
+class _RecordedChoice:
+    """A stand-in for RandomSource that records the Born weights it is
+    offered and picks one of the nonzero ones."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def choice_index(self, probs):
+        self.probs = list(probs)
+        rows = [k for k, p in enumerate(self.probs) if p > 0.0]
+        return rows[self.pick % len(rows)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    bell=st.booleans(),
+    sparse=st.booleans(),
+    data=st.data(),
+)
+def test_measurement_keeps_the_branch_over_its_born_weight(n, seed, bell, sparse, data):
+    gen = np.random.default_rng(seed)
+    # About half the amplitudes are zero, so branches can be sparse or empty.
+    amps = (gen.normal(size=2**n) + 1j * gen.normal(size=2**n)) * gen.integers(0, 2, size=2**n)
+    amps[0] += 1.0
+    psi = StateVector(amps, normalize=True)
+    reg = TemporalRegister()
+    reg.state = _SparseKet.from_state(psi) if sparse else psi
+    reg.modes = [[ModeId(f"m{q}", 0), False] for q in range(n)]
+    size = 1 + bell
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+    choice = _RecordedChoice(data.draw(st.integers(0, 3)))
+    if bell:
+        out = bell_measure(reg, f"m{targets[0]}", f"m{targets[1]}", choice)
+        row, p = BELL_LABELS.index(out.label), out.probability
+    else:
+        row = measure_mode(reg, f"m{targets[0]}", choice)
+        p = choice.probs[row]
+    assert abs(sum(choice.probs) - 1.0) <= 1e-12
+    _, p_ref, branch = collapse(psi, targets, _BELL_BRAS if bell else I2, RandomSource(0, 0), row)
+    assert p == p_ref
+    assert np.array_equal(reg.state.amplitudes, branch * (1.0 / math.sqrt(p)))
 
 
 def test_forced_zero_probability_row_raises_temporal_error():
