@@ -7,15 +7,15 @@ evaluator (rationals via ``fractions.Fraction`` wherever the game is
 rational) and a seeded Monte Carlo simulation.  Agreement within three
 standard errors is the standing cross-check, carried in :class:`GameStats`.
 
-The Monte Carlo engines draw every random number of a game up front as
-arrays, then decide all trials at once without a branch on the draws: a
-Born-sampled door counts the CDF entries at or below its double
-(``RandomSource.choice_index``), and the game's rule is one flat table over
-all its discrete draws, summed against how often each key was drawn.  The
-draws are the same generator calls in the same order as a trial-by-trial
-loop, so every count is exactly the loop's for any seed.  QKD sessions draw
-their qubits in fixed-size blocks of arrays and sift them with a mask, so a
-session makes a few numpy calls however many key bits it keeps.
+A Monte Carlo game is a rule over a few independent discrete draws: the
+doors, the coins, a Born-sampled outcome.  A cell is one combination of
+their values, and its probability is the product of theirs.  The engine
+scores the rule once per cell and draws how many trials fall in each cell
+as one ``Generator.multinomial`` over the cells, which has the distribution
+of the counts of a trial-by-trial loop and costs O(cells) at any number of
+trials.  QKD sessions return the keys themselves, so they draw their qubits
+in fixed-size blocks of arrays and sift them with a mask: a session makes a
+few numpy calls however many key bits it keeps.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -82,20 +83,24 @@ def _check_strategy(strategy: str):
         raise GameError(f"strategy must be {STICK!r} or {SWITCH!r}")
 
 
-def _tally(rule, *draws) -> list[int]:
-    """How many trials ``rule`` maps to each result: 0 lost, 1 won, 2 void.
+def _tally(rule, trials: int, rng: RandomSource, *draws) -> list[int]:
+    """How many of ``trials`` trials ``rule`` maps to each result: 0 lost,
+    1 won, 2 void.
 
-    ``draws`` are ``(keys, size)`` pairs, arrays of keys in ``range(size)``.
-    Each trial's keys make one mixed-radix index (overwriting an int64 first
-    array), the indices are counted once, and the counts are summed per
-    result over one flat table of ``rule`` at every index."""
-    index = np.asarray(draws[0][0], dtype=np.intp)
-    for keys, size in draws[1:]:
-        index *= size
-        index += keys
-    table = [rule(*key) for key in product(*(range(size) for _, size in draws))]
-    counts = np.bincount(index, minlength=len(table))
+    Each of ``draws`` is the probability array of one independent draw, one
+    axis per key it draws (a 2-D array is a joint draw of two keys).  The
+    cells are every combination of keys in mixed-radix order, the first key
+    most significant, and a cell's probability is the product of its draws'.
+    The trials per cell are one multinomial draw, summed per result over one
+    flat table of ``rule`` at every cell."""
+    p = reduce(np.multiply.outer, [np.asarray(d, dtype=float) for d in draws])
+    table = [rule(*key) for key in np.ndindex(p.shape)]
+    counts = rng.generator.multinomial(trials, p.ravel())
     return np.bincount(table, weights=counts, minlength=3).astype(int).tolist()
+
+
+def _uniform(k: int) -> list[Fraction]:
+    return [Fraction(1, k)] * k
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,7 @@ def monty_classic(strategy: str, trials: int, rng: RandomSource) -> GameStats:
         monty = [d for d in range(3) if d not in (choice, prize)][coin if choice == prize else 0]
         return (choice if strategy == STICK else 3 - choice - monty) == prize
 
-    _, wins, _ = _tally(won, *((rng.integers(0, k, trials), k) for k in (3, 3, 2)))
+    _, wins, _ = _tally(won, trials, rng, _uniform(3), _uniform(3), _uniform(2))
     return _stats("monty_classic", strategy, wins, trials, monty_classic_analytic(strategy))
 
 
@@ -164,7 +169,7 @@ def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
         final = choice if strategy == STICK else 3 - choice - monty
         return 2 if monty == prize else final == prize
 
-    lost, won, accidents = _tally(result, *((rng.integers(0, k, trials), k) for k in (3, 3, 2)))
+    lost, won, accidents = _tally(result, trials, rng, _uniform(3), _uniform(3), _uniform(2))
     analytic = monty_ignorant_analytic(strategy)
     return {
         "conditional": _stats("monty_ignorant", strategy, won, won + lost,
@@ -258,6 +263,15 @@ def monty_teleport_analytic(strategy: str) -> Fraction:
     return win
 
 
+# Monty's two picks come from one uniform double u: door int(3u) of three
+# and door int(2u) of two, so they are one joint draw over (int(3u), int(2u)).
+_MONTY_THIRD_HALF = [
+    [Fraction(1, 3), Fraction(0)],
+    [Fraction(1, 6), Fraction(1, 6)],
+    [Fraction(0), Fraction(1, 3)],
+]
+
+
 def monty_teleport(
     strategy: str, trials: int, rng: RandomSource, xy: tuple[int, int] = (0, 0)
 ) -> GameStats:
@@ -269,28 +283,19 @@ def monty_teleport(
     # A generic input state; the outcome distribution is uniform regardless.
     psi = StateVector(np.array([0.6, 0.8j]), normalize=True)
     probs = np.array([b["probability"] for b in teleport_branches(psi, channel)])
+    others = [d for d in range(4) if d != xy_door]
 
-    gen = rng.generator
-    ab = rng.choice_index(probs, gen.random(trials))
-    u = gen.random(trials)
-    pick2 = gen.integers(0, 2, trials)
-    if strategy == STICK:
-        wins = int(np.count_nonzero(ab == xy_door))
-    else:
-        others = [d for d in range(4) if d != xy_door]
-        # Monty opens door int(u * k) of the k = 3 other doors when the prize
-        # is behind the contestant's, else of the k = 2 that hide neither
-        # (int(2u) is exactly u >= 0.5); the switch takes door pick2 of the
-        # two doors left.
-        half = u >= 0.5
+    def won(pick, prize, third, half):
+        if strategy == STICK:
+            return prize == xy_door
+        # Monty opens door ``third`` of the 3 other doors when the prize is
+        # behind the contestant's, else door ``half`` of the 2 that hide
+        # neither; the switch takes door ``pick`` of the two doors left.
+        doors = others if prize == xy_door else [d for d in others if d != prize]
+        monty = doors[third if prize == xy_door else half]
+        return [d for d in others if d != monty][pick] == prize
 
-        def won(pick, prize, third, half):
-            doors = others if prize == xy_door else [d for d in others if d != prize]
-            monty = doors[third if prize == xy_door else half]
-            return [d for d in others if d != monty][pick] == prize
-
-        u *= 3
-        _, wins, _ = _tally(won, (pick2, 2), (ab, 4), (u.astype(np.uint8), 3), (half, 2))
+    _, wins, _ = _tally(won, trials, rng, _uniform(2), probs, _MONTY_THIRD_HALF)
     return _stats("monty_teleport", strategy, wins, trials, monty_teleport_analytic(strategy))
 
 
@@ -347,16 +352,14 @@ def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
     psi = StateVector(np.array([0.6, 0.8]), normalize=True)
     probs = np.array([b["probability"] for b in teleport_branches(psi, "00")])
 
-    gen = rng.generator
-    ab = rng.choice_index(probs, gen.random(trials))
-    draws = [(gen.integers(0, 2, trials), 2), (ab, 4)]
+    draws = [_uniform(2), probs]
     if strategy == SWITCH:
-        draws.append((gen.integers(1, 3, trials), 3))  # door 01 or 10
+        draws.append([Fraction(0), Fraction(1, 2), Fraction(1, 2)])  # door 01 or 10
 
     def result(kept_pos, ab, target=0):  # void when the received bit is 1
         return 2 if _door_bits(ab)[kept_pos] else ab == target
 
-    lost, won, _ = _tally(result, *draws)
+    lost, won, _ = _tally(result, trials, rng, *draws)
     analytic = unreliable_teleport_analytic(strategy)
     return {
         "conditional": _stats("unreliable_teleport", strategy, won, won + lost,
@@ -419,32 +422,27 @@ def chsh_game_analytic(strategy: str) -> float:
 def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     """Referee sends x, y uniform; players win iff x*y == a xor b.
 
-    The quantum players sample their outcome pair ab at a uniform draw u
-    from the Born CDF of their setting 2x + y: ab counts the CDF entries
-    below u, all four of them, so a u above an unnormalized last entry
-    gives ab = 4, which loses."""
+    The quantum players answer the outcome pair ab of a Born draw at their
+    setting 2x + y: outcome ab falls between the Born CDF's entries ab - 1
+    and ab, both capped at 1, and an unnormalized last entry below 1 leaves
+    ab = 4, which loses.  The classical players both always answer 0, the
+    best deterministic strategy, and win iff x*y == 0."""
     analytic = chsh_game_analytic(strategy)
-    gen = rng.generator
-    setting = gen.integers(0, 2, trials)
-    setting <<= 1
-    setting += gen.integers(0, 2, trials)
     if strategy == "classical":
-        # Best deterministic strategy: both always answer 0.
-        wins = int(np.count_nonzero(setting != 3))
+        # The referee's x*y is 1 with probability 1/4.
+        _, wins, _ = _tally(lambda xy: xy == 0, trials, rng, [Fraction(3, 4), Fraction(1, 4)])
     else:
         ua, ub = ([_dichotomic_eigenbasis(obs) for obs in chsh_game_settings()[k]] for k in "AB")
         cdfs = np.cumsum(
             [product_probabilities(bell_state("psi-"), [a, b]) for a, b in product(ua, ub)], axis=1
         )
-        u = gen.random(trials)
-        outcome = np.zeros(trials, dtype=np.uint8)
-        for column in cdfs.T:
-            outcome += column.take(setting) < u
+        # Row 2x + y: the setting's probability 1/4 times each outcome's.
+        cells = np.diff(np.minimum(cdfs, 1.0), prepend=0.0, append=1.0, axis=1) / 4
 
         def won(setting, ab):  # x * y == a xor b
             return (setting == 3) == ((ab >> 1) ^ (ab & 1))
 
-        _, wins, _ = _tally(won, (setting, 4), (outcome, 5))
+        _, wins, _ = _tally(won, trials, rng, cells)
     return _stats("chsh_game", strategy, wins, trials, analytic)
 
 
@@ -541,10 +539,7 @@ def pbr_game(
     if ontology == "ontic":
         prize_probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
     else:
-        prize_probs = [float(p) for p in pbr_prize_distribution(ontology, q, split)]
-    gen = rng.generator
-    prize = rng.choice_index(prize_probs, gen.random(trials))
-    draws = [(gen.integers(0, k, trials), k) for k in (4, 3, 2)]
+        prize_probs = pbr_prize_distribution(ontology, q, split)
 
     def result(contestant, monty_pick, switch_pick, prize):  # void when Monty opens the prize
         # Monty opens door 0, or door monty_pick + 1 when the contestant
@@ -556,7 +551,9 @@ def pbr_game(
         options = [d for d in range(4) if d not in (contestant, monty)]
         return (contestant if strategy == STICK else options[switch_pick]) == prize
 
-    lost, won, opened = _tally(result, *draws, (prize, 4))
+    lost, won, opened = _tally(
+        result, trials, rng, _uniform(4), _uniform(3), _uniform(2), prize_probs
+    )
     analytic = pbr_analytic(strategy, ontology, q, split)
     return {
         "conditional": _stats(f"pbr_{ontology}", strategy, won, won + lost,

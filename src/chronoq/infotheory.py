@@ -178,14 +178,36 @@ def _multinomial(n: int, counts: tuple) -> int:
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array, each row's position among them, and how
-    often each occurs; rows are compared as one byte string each."""
-    a = np.ascontiguousarray(a)
-    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    _, first, inverse, weight = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return a[first], inverse.reshape(-1), weight
+    """Distinct rows of a 2-D array of non-negative ints, in lexicographic
+    order, each row's position among them, and how often each occurs.
+
+    Each row's digits in base ``max + 1`` are packed into int64 words, as
+    many digits per word as fit, the first digit most significant.  The rows
+    are sorted by their last word, then stably by each earlier word, so a
+    row of up to 63 binary symbols is one integer sort."""
+    m, n = a.shape
+    base = max(int(a.max()) + 1, 2)
+    per_word = 1
+    while base ** (per_word + 1) <= 2**63:
+        per_word += 1
+    words = [
+        a[:, lo : lo + per_word].astype(np.int64)
+        @ base ** np.arange(min(per_word, n - lo) - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, n, per_word)
+    ]
+    order = np.argsort(words[-1])
+    for word in words[-2::-1]:
+        order = order[np.argsort(word[order], kind="stable")]
+    new = np.zeros(m, dtype=bool)
+    new[0] = True
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    # A row's first occurrence is the least index among its copies.
+    return a[np.minimum.reduceat(order, starts)], inverse, np.diff(starts, append=m)
 
 
 def _exact_share(t: np.ndarray, c, d: int) -> np.ndarray:
@@ -440,4 +462,4 @@ def entropic_uncertainty_bound(
         if mat.shape != (dim, dim) or not is_unitary(mat):
             raise QcoreError("basis is not orthonormal")
     c = float(np.max(np.abs(xm.conj() @ zm.T) ** 2))
-    return float(-math.log2(c))
+    return 0.0 - math.log2(c)  # +0.0, not -0.0, at c = 1

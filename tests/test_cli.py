@@ -329,19 +329,19 @@ def test_version_matches_pyproject():
 PINNED_OUTPUTS = [
     (
         ["game", "chsh"],
-        '{"analytic":0.8535533905932737,"empirical":0.85222,"game":"chsh_game","passed":true,"std_err":0.001118033988749895,"strategy":"quantum","trials":100000,"wins":85222}',
+        '{"analytic":0.8535533905932737,"empirical":0.85384,"game":"chsh_game","passed":true,"std_err":0.001118033988749895,"strategy":"quantum","trials":100000,"wins":85384}',
     ),
     (
         ["game", "monty-teleport", "--trials", "100000", "--seed", "7"],
-        '{"analytic":0.375,"empirical":0.37502,"game":"monty_teleport","passed":true,"std_err":0.0015309310892394862,"strategy":"switch","trials":100000,"wins":37502}',
+        '{"analytic":0.375,"empirical":0.37557,"game":"monty_teleport","passed":true,"std_err":0.0015309310892394862,"strategy":"switch","trials":100000,"wins":37557}',
     ),
     (
         ["game", "pbr-ontic"],
-        '{"conditional":{"analytic":0.36363636363636365,"empirical":0.3635598500333381,"game":"pbr_ontic","passed":true,"std_err":0.001590400989257205,"strategy":"switch","trials":91487,"wins":33261},"opens_prize":{"analytic":0.08333333333333333,"empirical":0.08513,"game":"pbr_ontic_opens_prize","passed":true,"std_err":0.0008740073734751263,"strategy":"switch","trials":100000,"wins":8513}}',
+        '{"conditional":{"analytic":0.36363636363636365,"empirical":0.36093073002499265,"game":"pbr_ontic","passed":true,"std_err":0.001589185510989336,"strategy":"switch","trials":91627,"wins":33071},"opens_prize":{"analytic":0.08333333333333333,"empirical":0.08373,"game":"pbr_ontic_opens_prize","passed":true,"std_err":0.0008740073734751263,"strategy":"switch","trials":100000,"wins":8373}}',
     ),
     (
         ["game", "pbr-epistemic"],
-        '{"conditional":{"analytic":0.35,"empirical":0.3492344146549754,"game":"pbr_epistemic","passed":true,"std_err":0.0016542010884575485,"strategy":"switch","trials":83139,"wins":29035},"opens_prize":{"analytic":0.16666666666666666,"empirical":0.16861,"game":"pbr_epistemic_opens_prize","passed":true,"std_err":0.0011785113019775792,"strategy":"switch","trials":100000,"wins":16861}}',
+        '{"conditional":{"analytic":0.35,"empirical":0.3500503790423184,"game":"pbr_epistemic","passed":true,"std_err":0.0016519275989723113,"strategy":"switch","trials":83368,"wins":29183},"opens_prize":{"analytic":0.16666666666666666,"empirical":0.16632,"game":"pbr_epistemic_opens_prize","passed":true,"std_err":0.0011785113019775792,"strategy":"switch","trials":100000,"wins":16632}}',
     ),
     (
         ["game", "qkd", "--protocol", "BB84", "--eve", "intercept_resend"],
@@ -589,13 +589,13 @@ def test_json_report_refuses_nan_and_infinity(value):
 @pytest.mark.parametrize(
     "game, seed",
     [("monty-ignorant", "1"), ("monty-ignorant", "3"), ("unreliable-teleport", "1"),
-     ("pbr-epistemic", "2"), ("pbr-ontic", "6")],
+     ("pbr-epistemic", "3"), ("pbr-ontic", "3")],
 )
 def test_game_with_an_empty_conditioned_sample_reports_null(game, seed):
     # One trial, and at these seeds the game keeps no conditioned trial.  The
     # empty sample reports null and passes: it has no estimate to miss.  The
     # other sample still decides the exit code (one trial of pbr-ontic at
-    # seed 6 opens the prize, beyond three standard errors of 1/12).
+    # seed 3 opens the prize, beyond three standard errors of 1/12).
     res = run(["game", game, "--trials", "1", "--seed", seed, "--json"])
     report = json.loads(res.output, parse_constant=pytest.fail)
     (empty,) = [stats for stats in report.values() if stats["trials"] == 0]

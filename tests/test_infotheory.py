@@ -186,3 +186,9 @@ def test_entropic_uncertainty_mub():
     x_basis = [StateVector(np.ascontiguousarray(HADAMARD[:, j])) for j in range(2)]
     z_basis = [StateVector([1.0, 0.0]), StateVector([0.0, 1.0])]
     assert entropic_uncertainty_bound(x_basis, z_basis) == pytest.approx(1.0)
+
+
+def test_entropic_uncertainty_of_one_basis_with_itself_is_plus_zero():
+    z_basis = [StateVector([1.0, 0.0]), StateVector([0.0, 1.0])]
+    bound = entropic_uncertainty_bound(z_basis, z_basis)
+    assert bound == 0.0 and math.copysign(1.0, bound) == 1.0

@@ -62,12 +62,16 @@ def test_random_source_reproducible():
          [1.5479120971119267, 0.8777568795041046, 1.717195839822765]),
         ("normal", lambda g: g.normal(size=3),
          [0.30471707975443135, -1.0399841062404955, 0.7504511958064572]),
+        # The first cell's binomial draws by inversion (n p <= 30), the others
+        # by BTPE, one of them at a conditional p above 1/2.
+        ("multinomial", lambda g: g.multinomial(100_000, [0.0001, 0.5, 0.2999, 0.2], size=2),
+         [[12, 50094, 29736, 20158], [17, 50093, 30033, 19857]]),
     ],
 )
 def test_numpy_random_streams_are_pinned(method, draw, pinned):
     # NEP 19 lets a numpy release change the stream of a Generator method for
     # a fixed seed.  The Monte Carlo strings pinned in the tests and the
-    # README draw through these four methods only.
+    # README draw through these five methods only.
     got = draw(RandomSource(42, 0).generator).tolist()
     assert got == pinned, (
         f"numpy {np.__version__} changed the stream of Generator.{method}: "

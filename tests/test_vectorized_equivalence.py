@@ -1,11 +1,15 @@
 """The vectorized Monte Carlo engines against the per-trial loops they
 replaced, kept here as the reference.
 
-Every engine makes the same generator calls in the same order as its loop,
-so counts, keys and success tallies must be exactly equal for any seed.
-QKD sessions are compared with a loop that reads the same blocks of draws
-one qubit at a time, so they must also leave the generator exactly where
-the loop leaves it.
+A game engine draws how many trials fall in each cell of its draws, one
+combination of their values, as one multinomial over the cells, so its
+counts follow the loop's distribution but not the loop's draws.  The cells'
+probabilities, summed per result, must equal the game's analytic tree:
+exactly, as rationals, where every cell is rational.  Both the engine's
+and the loop's counts must lie within five standard errors of them.
+QKD sessions and the codec draw the same numbers as their loops, so keys
+and success tallies must be exactly equal for any seed; QKD sessions must
+also leave the generator exactly where the loop leaves it.
 The frame average changes only the summation order of the Born weights, so
 it is compared to 1e-14.
 """
@@ -13,8 +17,9 @@ it is compared to 1e-14.
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,15 +303,132 @@ def frame_average_loop(rho, n_frames, rng):
 
 
 # ---------------------------------------------------------------------------
-# Exact equality of the games, keys and codec tallies
+# The games' cells against the analytic trees and the reference loops
 # ---------------------------------------------------------------------------
+
+
+def played_with_cells(play):
+    """The result of ``play()``, and P(lost), P(won), P(void) over the cells
+    that its one ``games._tally`` call drew from: Fractions wherever every
+    draw's probabilities are."""
+    with mock.patch.object(games, "_tally", wraps=games._tally) as tally:
+        result = play()
+    ((rule, _, _, *draws),) = [call.args for call in tally.call_args_list]
+    p = reduce(np.multiply.outer, [np.array(d, dtype=object) for d in draws])
+    results = [0, 0, 0]
+    for key in np.ndindex(p.shape):
+        results[rule(*key)] += p[key]
+    return result, results
+
+
+def per_stat(result, lost, won, void):
+    """The probability each of a game's GameStats estimates, keyed as its
+    result: a conditioned sample keeps the trials that are not void."""
+    if isinstance(result, games.GameStats):
+        return won
+    kept = won + lost
+    return {
+        key: won / kept if key == "conditional" else kept if key == "received_bit0" else void
+        for key in result
+    }
+
+
+def by_stat(result):
+    return result.items() if isinstance(result, dict) else [(None, result)]
+
+
+# (case id, engine, analytic value, whether every cell is rational)
+GAME_CASES = [
+    *(
+        (f"monty_classic-{s}", lambda s=s: games.monty_classic(s, 10, RandomSource(1, 0)),
+         lambda s=s: games.monty_classic_analytic(s), True)
+        for s in ("stick", "switch")
+    ),
+    *(
+        (f"monty_ignorant-{s}", lambda s=s: games.monty_ignorant(s, 10, RandomSource(1, 0)),
+         lambda s=s: games.monty_ignorant_analytic(s), True)
+        for s in ("stick", "switch")
+    ),
+    *(
+        (f"monty_teleport-{s}-{xy[0]}{xy[1]}",
+         lambda s=s, xy=xy: games.monty_teleport(s, 10, RandomSource(1, 0), xy),
+         lambda s=s: games.monty_teleport_analytic(s), False)
+        for s in ("stick", "switch") for xy in product((0, 1), (0, 1))
+    ),
+    *(
+        (f"unreliable_teleport-{s}",
+         lambda s=s: games.unreliable_teleport(s, 10, RandomSource(1, 0)),
+         lambda s=s: games.unreliable_teleport_analytic(s), False)
+        for s in ("stick", "switch")
+    ),
+    ("chsh-classical", lambda: games.chsh_game("classical", 10, RandomSource(1, 0)),
+     lambda: Fraction(3, 4), True),
+    ("chsh-quantum", lambda: games.chsh_game("quantum", 10, RandomSource(1, 0)),
+     lambda: games.chsh_game_analytic("quantum"), False),
+    *(
+        (f"pbr_ontic-{s}", lambda s=s: games.pbr_game("ontic", s, 10, RandomSource(1, 0)),
+         lambda s=s: games.pbr_analytic(s, "ontic"), False)
+        for s in ("stick", "switch")
+    ),
+    *(
+        (f"pbr_epistemic-{s}-q{q}-split{i}",
+         lambda s=s, q=q, split=split: games.pbr_game(
+             "epistemic", s, 10, RandomSource(1, 0), q=q, split=split),
+         lambda s=s, q=q, split=split: games.pbr_analytic(s, "epistemic", q, split), True)
+        for s in ("stick", "switch")
+        for q, splits in (
+            (Fraction(0), [None]),
+            (Fraction(1, 8), [None, (Fraction(1, 8), 0, 0), (0, Fraction(1, 16), Fraction(1, 16))]),
+            (Fraction(1, 4), [None, (0, 0, Fraction(1, 4))]),
+            (Fraction(3, 4), [None]),
+        )
+        for i, split in enumerate(splits)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "play, analytic, rational", [case[1:] for case in GAME_CASES], ids=[c[0] for c in GAME_CASES]
+)
+def test_game_cells_sum_to_the_analytic_tree(play, analytic, rational):
+    result, results = played_with_cells(play)
+    want = analytic()
+    for key, value in by_stat(per_stat(result, *results)):
+        target = want[key] if key else want
+        if rational:
+            assert isinstance(value, Fraction) and value == target, key
+        else:
+            assert abs(value - float(target)) <= 1e-12, key
+
+
+def test_tally_puts_every_trial_in_the_certain_cell():
+    # Cells in mixed-radix order, the first key most significant and one
+    # axis per key of a joint draw: key (1, 0, 2) is cell 8 of 12.
+    def rule(a, b, c):
+        return 2 if (a, b, c) == (1, 0, 2) else 1
+
+    certain = ([0.0, 1.0], [[0.0, 0.0, 1.0], [0.0] * 3])
+    assert games._tally(rule, 1000, RandomSource(1, 0), *certain) == [0, 0, 1000]
+
+
+def assert_within_five_se_of_cells(engine, loop):
+    """The engine's counts and the loop's, each within five standard errors
+    of the probabilities that the engine's cells give."""
+    result, results = played_with_cells(engine)
+    want = dict(by_stat(per_stat(result, *results)))
+    for counts in (result, loop()):
+        for key, stats in by_stat(counts):
+            p = float(want[key])
+            se = math.sqrt(p * (1.0 - p) * stats.trials)
+            assert abs(stats.wins - p * stats.trials) <= 5.0 * se + 1e-9, (key, stats, p)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("strategy", ["classical", "quantum"])
 def test_chsh_game_matches_loop(seed, strategy):
-    assert games.chsh_game(strategy, TRIALS, RandomSource(seed, 1)) == chsh_game_loop(
-        strategy, TRIALS, RandomSource(seed, 1)
+    assert_within_five_se_of_cells(
+        lambda: games.chsh_game(strategy, TRIALS, RandomSource(seed, 1)),
+        lambda: chsh_game_loop(strategy, TRIALS, RandomSource(seed, 1)),
     )
 
 
@@ -322,8 +444,9 @@ def test_chsh_game_matches_loop(seed, strategy):
     ids=["monty_classic", "monty_ignorant", "unreliable_teleport"],
 )
 def test_door_game_matches_loop(seed, strategy, engine, loop):
-    assert engine(strategy, TRIALS, RandomSource(seed, 4)) == (
-        loop(strategy, TRIALS, RandomSource(seed, 4))
+    assert_within_five_se_of_cells(
+        lambda: engine(strategy, TRIALS, RandomSource(seed, 4)),
+        lambda: loop(strategy, TRIALS, RandomSource(seed, 4)),
     )
 
 
@@ -331,8 +454,9 @@ def test_door_game_matches_loop(seed, strategy, engine, loop):
 @pytest.mark.parametrize("strategy", ["stick", "switch"])
 @pytest.mark.parametrize("xy", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_monty_teleport_matches_loop(seed, strategy, xy):
-    assert games.monty_teleport(strategy, TRIALS, RandomSource(seed, 2), xy) == (
-        monty_teleport_loop(strategy, TRIALS, RandomSource(seed, 2), xy)
+    assert_within_five_se_of_cells(
+        lambda: games.monty_teleport(strategy, TRIALS, RandomSource(seed, 2), xy),
+        lambda: monty_teleport_loop(strategy, TRIALS, RandomSource(seed, 2), xy),
     )
 
 
@@ -343,8 +467,9 @@ def test_monty_teleport_matches_loop(seed, strategy, xy):
     [("ontic", Fraction(0)), ("epistemic", Fraction(1, 8)), ("epistemic", Fraction(3, 4))],
 )
 def test_pbr_game_matches_loop(seed, strategy, ontology, q):
-    assert games.pbr_game(ontology, strategy, TRIALS, RandomSource(seed, 3), q=q) == (
-        pbr_game_loop(ontology, strategy, TRIALS, RandomSource(seed, 3), q)
+    assert_within_five_se_of_cells(
+        lambda: games.pbr_game(ontology, strategy, TRIALS, RandomSource(seed, 3), q=q),
+        lambda: pbr_game_loop(ontology, strategy, TRIALS, RandomSource(seed, 3), q),
     )
 
 
