@@ -156,11 +156,14 @@ def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityO
 def _decohere(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The sum of rho_P = sum_i v(P_i) P_i over a stack of frames (vectors as
     rows, each stack checked as frames), as one product: the rows weighted
-    by their Born weights v(P_i), times the conjugate rows."""
-    _check_frames(rows, rho.shape[0])
+    by their Born weights v(P_i), times the conjugate rows.  Once checked,
+    the frames' rows are one 2-D stack, so the Born weights take one product
+    with rho, not a stacked product per frame."""
+    d = rho.shape[0]
+    _check_frames(rows, d)
+    rows = rows.reshape(-1, d)
     born = np.sum((rows.conj() @ rho) * rows, axis=-1).real
-    rows = rows.reshape(-1, rho.shape[0])
-    return (rows.T * born.reshape(-1)) @ rows.conj()
+    return (rows.T * born) @ rows.conj()
 
 
 def gleason_decohere(rho: DensityOperator, frame: Sequence[np.ndarray]) -> DensityOperator:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -476,6 +476,15 @@ def pbr_measurement_basis() -> list[StateVector]:
     return [StateVector(v * _INV_SQRT2) for v in vecs]
 
 
+@lru_cache(maxsize=None)
+def _pbr_born_prize() -> np.ndarray:
+    """The ontic game's prize door distribution, a read-only array: the Born
+    weights of Psi_1 measured in the antidistinguishing basis."""
+    probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
+    probs.flags.writeable = False
+    return probs
+
+
 def pbr_prize_distribution(ontology: str, q=Fraction(0), split=None) -> list[Fraction]:
     """Door probabilities P(A_1..A_4) for the chosen ontology."""
     if ontology == "ontic":
@@ -537,7 +546,7 @@ def pbr_game(
     actual measurement of Psi_1 in the antidistinguishing basis."""
     _check_strategy(strategy)
     if ontology == "ontic":
-        prize_probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
+        prize_probs = _pbr_born_prize()
     else:
         prize_probs = pbr_prize_distribution(ontology, q, split)
 

@@ -211,10 +211,12 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _exact_share(t: np.ndarray, c, d: int) -> np.ndarray:
-    """t * c // d in int64 where d divides t * c and c <= d, without forming
-    the product: with t = q d + r, it is q c + r c / d, and r c < d**2."""
-    q, r = np.divmod(t, d)
-    return q * c + r * c // d
+    """t * c // d in int64 for t >= 0 and 0 <= c <= d, without forming the
+    product, which may pass 2**63: with q = t // d, it is q c + (t - q d) c // d,
+    where q c <= t and (t - q d) c < d**2.  A floor division by the Python
+    int d, not ``np.divmod``, which costs about three times as much."""
+    q = t // d
+    return q * c + (t - q * d) * c // d
 
 
 @dataclass
@@ -236,7 +238,12 @@ class TypicalCodec:
     (:meth:`_ranks`, :meth:`_unrank`); :meth:`encode` and :meth:`decode` are
     their one-row case.  They are exact in int64: construction proves that
     no count class holds 2**63 sequences or more, and every intermediate
-    value is at most a class size.  Offsets, and so codeword indices, are
+    value is at most a class size.  Each share of a class, T * c / left, is
+    a floor division by the Python int ``left`` (:func:`_exact_share`).
+    Ranking keeps a running table of the remaining symbols below each
+    symbol instead of recounting the rest of the row; unranking sums the
+    blocks of arrangements that start with each symbol as a running total
+    over the k symbols.  Offsets, and so codeword indices, are
     Python ints, since the width may exceed 63 bits (7 equiprobable symbols
     at n = 23 need 65).
     """
@@ -319,25 +326,36 @@ class TypicalCodec:
         take, size = entries[:, 1].astype(np.int64), entries[:, 2].astype(np.int64)
         return counts, entries[:, 0], take, size
 
-    def _ranks(self, rows: np.ndarray, size: np.ndarray) -> np.ndarray:
+    def _ranks(self, rows: np.ndarray, counts: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Lexicographic rank of each row among the arrangements of its own
-        symbol counts; ``size`` holds the number of those arrangements.
+        symbol ``counts``; ``size`` holds the number of those arrangements.
 
         With T the arrangements of the symbols from position j on, those
         that put a symbol smaller than the row's s at j number
         T * (remaining symbols < s) / left; then T becomes
-        T * (remaining s) / left.  Both divisions are exact."""
+        T * (remaining s) / left.  Both divisions are exact.  The remaining
+        symbols < s, for every s, are one running table: it starts as the
+        cumulative counts and loses the row's symbol at each position, so no
+        step recounts the rest of the row.  Its entries are at most
+        n <= MAX_CODEC_BLOCK, so it is uint8."""
         # Position-major, so that each step reads contiguous rows of length m.
         cols = np.ascontiguousarray(rows.T)
-        rank = np.zeros(cols.shape[1], dtype=np.int64)
+        m, k = counts.shape
+        smaller = np.zeros((k + 1, m), dtype=np.uint8)  # [s]: remaining symbols < s
+        smaller[1:] = np.cumsum(counts.T, axis=0)
+        symbols = np.arange(k, dtype=cols.dtype)[:, None]
+        at = np.arange(m)
+        rank = np.zeros(m, dtype=np.int64)
         arrangements = size
-        for j in range(self.n):
-            rest, symbol = cols[j:], cols[j]
+        for j, symbol in enumerate(cols):
+            # Where each row's symbol, and the next, reads ``smaller``.
+            flat = symbol * np.intp(m) + at
+            less = smaller.ravel()[flat]
             left = self.n - j
-            rank += _exact_share(arrangements, np.count_nonzero(rest < symbol, axis=0), left)
-            arrangements = _exact_share(
-                arrangements, np.count_nonzero(rest == symbol, axis=0), left
-            )
+            rank += _exact_share(arrangements, less, left)
+            arrangements = _exact_share(arrangements, smaller.ravel()[flat + m] - less, left)
+            # The row's symbol leaves the count below every larger symbol.
+            smaller[1:] -= symbols >= symbol
         return rank
 
     def _unrank(self, counts: np.ndarray, size: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -349,9 +367,13 @@ class TypicalCodec:
         cols = np.empty((self.n, m), dtype=np.int64)
         at = np.arange(m)
         for j in range(self.n):
-            # Arrangements that start with each symbol, and their running total.
+            # Arrangements that start with each symbol, and their running
+            # total, summed row by row over the k symbols: over so short an
+            # axis, k - 1 in-place adds cost less than one ``np.cumsum``.
             blocks = _exact_share(arrangements, remaining, self.n - j)
-            upto = np.cumsum(blocks, axis=0)
+            upto = blocks.copy()
+            for before, row in zip(upto[:-1], upto[1:]):
+                row += before
             symbol = np.count_nonzero(upto <= rank, axis=0)
             flat = symbol * m + at
             arrangements = blocks.ravel()[flat]
@@ -367,8 +389,8 @@ class TypicalCodec:
         rows = np.asarray(seq, dtype=np.int64).reshape(1, self.n)
         if np.any((rows < 0) | (rows >= len(self.source))):
             raise InfoTheoryError(f"symbols must lie in 0..{len(self.source) - 1}")
-        _, offset, take, size = self._book_entries(rows)
-        rank = self._ranks(rows, size)[0]
+        counts, offset, take, size = self._book_entries(rows)
+        rank = self._ranks(rows, counts, size)[0]
         if rank >= take[0]:
             raise CodecFailure("sequence outside codebook")
         return offset[0] + int(rank)
@@ -407,7 +429,7 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
     draws = rng.choice_index(codec.source, rng.generator.random((trials, codec.n)))
     rows, _, weight = _distinct_rows(draws)
     counts, _, take, size = codec._book_entries(rows)
-    rank = codec._ranks(rows, size)
+    rank = codec._ranks(rows, counts, size)
     book = rank < take
     decoded = codec._unrank(counts[book], size[book], rank[book])
     successes = int(weight[book][np.all(decoded == rows[book], axis=1)].sum())

@@ -6,6 +6,7 @@ import pytest
 
 from chronoq.games import (
     GameError,
+    _pbr_born_prize,
     chsh_game,
     chsh_game_analytic,
     chsh_game_settings,
@@ -28,7 +29,7 @@ from chronoq.games import (
     unreliable_teleport,
     unreliable_teleport_analytic,
 )
-from chronoq.qcore import RandomSource, StateVector
+from chronoq.qcore import RandomSource, StateVector, born_distribution
 
 TRIALS = 20_000
 
@@ -193,6 +194,16 @@ def test_pbr_prize_distribution_validation():
     assert dist == [Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
     with pytest.raises(GameError):
         pbr_prize_distribution("epistemic", Fraction(2))
+
+
+def test_pbr_born_prize_is_one_read_only_array():
+    prize = _pbr_born_prize()
+    assert _pbr_born_prize() is prize
+    assert not prize.flags.writeable
+    with pytest.raises(ValueError):
+        prize[0] = 1.0
+    assert np.array_equal(prize, born_distribution(pbr_states()[0], pbr_measurement_basis()))
+    assert prize.tolist() == [float(p) for p in pbr_prize_distribution("ontic")]
 
 
 def test_pbr_monte_carlo():

@@ -1,13 +1,18 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chronoq.infotheory import (
     CodecFailure,
     InfoTheoryError,
     TypicalCodec,
+    _exact_share,
+    _multinomial,
     derived_entropies,
     entropic_uncertainty_bound,
     quantum_conditional_entropy,
@@ -20,7 +25,15 @@ from chronoq.infotheory import (
     typical_set_size,
     von_neumann_entropy,
 )
-from chronoq.qcore import HADAMARD, DensityOperator, RandomSource, StateVector, bell_state
+from chronoq.qcore import (
+    HADAMARD,
+    MAX_CODEC_BLOCK,
+    DensityOperator,
+    RandomSource,
+    StateVector,
+    bell_state,
+)
+from dense_reference import rank_in_class
 
 
 def test_shannon_entropy_basics():
@@ -156,6 +169,36 @@ def test_codec_roundtrip_rates():
     )
     assert good["success_rate"] >= 0.9
     assert bad["success_rate"] <= 0.5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 7), n=st.integers(1, MAX_CODEC_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_unrank_inverts_ranks_within_every_class(k, n, seed):
+    # The largest class splits n as evenly as possible over the k symbols.
+    q, r = divmod(n, k)
+    assume(_multinomial(n, (q + 1,) * r + (q,) * (k - r)) < 1 << 63)
+    rows = np.random.default_rng(seed).integers(0, k, size=(40, n), dtype=np.uint8)
+    counts = (rows[:, :, None] == np.arange(k)).sum(axis=1)
+    size = np.array([_multinomial(n, c) for c in map(tuple, counts.tolist())], dtype=np.int64)
+    # Ranking reads only the block length, so no codebook is built: a
+    # 7-symbol book near n = 24 holds about 6 * 10**5 classes.
+    block = SimpleNamespace(n=n)
+    rank = TypicalCodec._ranks(block, rows, counts, size)
+    assert np.all((0 <= rank) & (rank < size))
+    assert np.array_equal(TypicalCodec._ranks(block, rows.astype(np.int64), counts, size), rank)
+    assert np.array_equal(TypicalCodec._unrank(block, counts, size, rank), rows)
+    for row, c, got in zip(rows[:3].tolist(), counts.tolist(), rank.tolist()):
+        assert got == rank_in_class(n, row, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 24), dtype=st.sampled_from([np.uint8, np.int64]), data=st.data())
+def test_exact_share_is_the_floor_of_the_product(d, dtype, data):
+    ts = data.draw(st.lists(st.integers(2**62 - 2**40, 2**63 - 1), min_size=1, max_size=8))
+    cs = data.draw(st.lists(st.integers(0, d), min_size=len(ts), max_size=len(ts)))
+    got = _exact_share(np.array(ts, dtype=np.int64), np.array(cs, dtype=dtype), d)
+    assert got.dtype == np.int64
+    assert got.tolist() == [t * c // d for t, c in zip(ts, cs)]
 
 
 def test_von_neumann_entropy():
