@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -150,7 +151,7 @@ def _pass_probabilities(state, angles: np.ndarray, m: np.ndarray) -> np.ndarray:
     if state.dim != 1 << n:
         raise ConsensusError("angle count must match the state's qubit count")
     if anti is None:
-        expectation = _branch_expectations(state, np.cos(angles), np.sin(angles))
+        expectation = state.weight * _branch_expectations(state, np.cos(angles), np.sin(angles))
     else:
         h = n // 2
         block = anti.reshape(1 << h, -1)
@@ -180,18 +181,21 @@ def mean_pass_probability(state) -> float:
     With sum(theta_j) = m pi, (-1)^m c(a) in :func:`_pass_probabilities`
     is exp(-2i sum_j theta_j a_j).  The first n - 1 angles are i.i.d. uniform
     on [0, pi) and fix the last, so only a = 0...0 and 1...1 survive the
-    average."""
+    average.  A :class:`_TwoBranches` form gives 1/2 + w Re psi_0 conj(psi_L)
+    / ||psi||^2, evaluated in exact rationals of its doubles and rounded
+    once, so that honest GHZ reads 1 exactly."""
     if isinstance(state, _TwoBranches):
         # The amplitudes of |0...0> and |1...1>.
         x0, y0, x1, y1 = state.alpha, state.beta, state.alpha, state.beta
         for a0, a1, b0, b1 in state.factors.tolist():
             x0, y0, x1, y1 = x0 * a0, y0 * b0, x1 * a1, y1 * b1
         corner = (x0 + y0) * (x1 + y1).conjugate()
+        mean = 0.5 + Fraction(state.weight) * Fraction(corner.real) / Fraction(_norm(state))
     elif isinstance(state, StateVector):
-        corner = state.amplitudes[0] * state.amplitudes[-1].conjugate()
+        mean = 0.5 + float((state.amplitudes[0] * state.amplitudes[-1].conjugate()).real)
     else:
-        corner = state.matrix[0, -1]
-    return min(max(0.5 + float(corner.real), 0.0), 1.0)
+        mean = 0.5 + float(state.matrix[0, -1].real)
+    return min(max(float(mean), 0.0), 1.0)
 
 
 def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
@@ -204,13 +208,16 @@ def _apply_cheats(state: StateVector | DensityOperator, nodes: Sequence[Node]):
 
 
 class _TwoBranches(NamedTuple):
-    """The ket alpha (x)_k a_k + beta (x)_k b_k, qubit 0 leftmost: a
+    """The ket psi = alpha (x)_k a_k + beta (x)_k b_k, qubit 0 leftmost: a
     candidate with at most two nonzero amplitudes after one-qubit cheats.
-    Row k of the ``(n, 4)`` array ``factors`` is (a_k[0], a_k[1], b_k[0], b_k[1])."""
+    Row k of the ``(n, 4)`` array ``factors`` is (a_k[0], a_k[1], b_k[0], b_k[1]).
+    ``weight`` w stands for w |psi><psi| + (1 - w) I/2^n: white noise has no
+    anti-diagonal and cheats leave it alone, so w scales <O> and rho[0, L]."""
 
     alpha: complex
     beta: complex
     factors: np.ndarray
+    weight: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -248,6 +255,12 @@ def _branch_expectations(
     return total
 
 
+def _norm(form: _TwoBranches) -> float:
+    """<psi|psi> of a two-branch form."""
+    n = len(form.factors)
+    return float(_branch_expectations(form, np.ones((1, n)), np.zeros((1, n)), flip=False)[0])
+
+
 def _play(candidate: StateVector, nodes: Sequence[Node]):
     """The candidate after the dishonest nodes' cheats.  A candidate with at
     most two nonzero amplitudes (every GHZ candidate) becomes
@@ -267,8 +280,7 @@ def _play(candidate: StateVector, nodes: Sequence[Node]):
     beta = complex(candidate.amplitudes[support[1]]) if support.size == 2 else 0j
     form = _TwoBranches(alpha, beta, np.hstack([a, b]))
     if any(cheated):
-        norm = float(_branch_expectations(form, np.ones((1, n)), np.zeros((1, n)), flip=False)[0])
-        scale = _rescale_factor(norm, normalize=True)
+        scale = _rescale_factor(_norm(form), normalize=True)
         if scale is not None:
             form = form._replace(alpha=alpha * scale, beta=beta * scale)
     return form
@@ -458,21 +470,18 @@ def check_fidelity_bounds(
 
     # With no cheater to correct, F' is the GHZ fidelity F.
     dishonest = [] if honest else [j for j, node in enumerate(network.nodes) if not node.honest]
-    c = 2.0 if honest else 4.0
     f = optimize_corrected_fidelity(rho_played, dishonest)
+    return _bound_report(n, est, mean_pass_probability(rho_played), f, honest)
+
+
+def _bound_report(n: int, est: dict, mean: float, f: float, honest: bool) -> dict:
+    """The verdict of :func:`check_fidelity_bounds` on its estimate, P and F (F')."""
+    c = 2.0 if honest else 4.0
     p0 = (c - 1.0 + f) / c
-    se0 = math.sqrt(max(p0 * (1.0 - p0), 0.0) / rounds)
+    se0 = math.sqrt(max(p0 * (1.0 - p0), 0.0) / est["rounds"])
     ok = c * est["pass_rate"] - (c - 1.0) <= f + 3.0 * c * se0 + 1e-9
-    return {
-        "n": n,
-        "rounds": rounds,
-        "pass_rate": est["pass_rate"],
-        "std_err": est["std_err"],
-        "mean_pass_probability": mean_pass_probability(rho_played),
-        "fidelity": f,
-        "honest_bound_ok": ok if honest else None,
-        "dishonest_bound_ok": None if honest else ok,
-    }
+    return {"n": n, **est, "mean_pass_probability": mean, "fidelity": f,
+            "honest_bound_ok": ok if honest else None, "dishonest_bound_ok": None if honest else ok}
 
 
 # ---------------------------------------------------------------------------

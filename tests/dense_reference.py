@@ -4,6 +4,7 @@ as test references."""
 import copy
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -222,6 +223,31 @@ def dense_estimate(candidate, network, rounds: int, rng) -> dict:
         "std_err": math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / rounds),
         "rounds": rounds,
     }
+
+
+def noisy_ghz_density(n: int, noise: float) -> DensityOperator:
+    """(1 - noise)|GHZ><GHZ| + noise I/2^n as a dense 2^n x 2^n matrix: the
+    ``consensus bounds`` candidate, with the GHZ part on the four corners."""
+    dim = 1 << n
+    mat = np.eye(dim, dtype=np.complex128) * (noise / dim)
+    mat[np.ix_([0, -1], [0, -1])] += (1.0 - noise) / 2.0
+    return DensityOperator._adopt(mat)
+
+
+def cli_candidate_closed_forms(n: int, dishonest: int, noise: float) -> tuple[float, float]:
+    """F' and the mean pass probability of the ``consensus bounds`` candidate
+    under the CLI cheat (X + Z)/sqrt(2) on ``dishonest`` of n nodes, each
+    rounded once from exact rationals: F' = 1 - p + p/2^n, and P = 1/2 +
+    (1 - p) r with r = 1/2 honest, (-1)^k / 2^(k+1) for 0 < k < n and
+    (1 + (-1)^n) / 2^n for k = n."""
+    p, k = Fraction(noise), dishonest
+    if k == 0:
+        corner = Fraction(1, 2)
+    elif k < n:
+        corner = Fraction((-1) ** k, 2 ** (k + 1))
+    else:
+        corner = Fraction(1 + (-1) ** n, 2**n)
+    return float(1 - p + p / 2**n), float(Fraction(1, 2) + (1 - p) * corner)
 
 
 def per_point_werner_ppt(f: float) -> float:

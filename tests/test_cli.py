@@ -13,7 +13,11 @@ import pytest
 from click.testing import CliRunner
 
 import chronoq
+from chronoq import cli
 from chronoq.cli import _ROWS, _plain, main, render_report
+from chronoq.qcore import DEFAULT_ROUNDS, RandomSource
+
+from dense_reference import cli_candidate_closed_forms, noisy_ghz_density
 
 
 def run(args, **kwargs):
@@ -160,7 +164,7 @@ def test_lg_rejects_non_positive_omega(command, omega):
         ["bounds", "--nodes", "21"],
         ["admit", "--nodes", "21"],
         ["run", "--nodes", "1"],
-        ["bounds", "--nodes", "12"],
+        ["bounds", "--nodes", "1"],
         ["bounds", "--noise", "nan"],
         ["bounds", "--noise", "inf"],
         ["bounds", "--noise", "-0.1"],
@@ -224,10 +228,10 @@ def test_unread_or_invalid_trials_and_tol_exit_2(args):
     assert ("--trials" if "--trials" in args else "--tol") in res.output
 
 
-def test_consensus_bounds_at_eleven_nodes():
-    res = run(["consensus", "bounds", "--nodes", "11", "--json"])
+def test_consensus_bounds_at_register_cap():
+    res = run(["consensus", "bounds", "--nodes", "20", "--json"])
     assert res.exit_code == 0
-    assert json.loads(res.output)["fidelity"] == pytest.approx(0.9 + 0.1 / 2**11, abs=1e-12)
+    assert json.loads(res.output)["fidelity"] == cli_candidate_closed_forms(20, 0, 0.1)[0]
 
 
 def _child(code, *args):
@@ -469,22 +473,21 @@ def test_block_draws_pass_their_checks_at_seeds_1_to_20(args):
             assert abs(report["qber"] - 0.25) <= 3.0 * se, (seed, report)
 
 
-# Canonical JSON of ``consensus bounds --dishonest d``.  Up to two cheaters
-# the corrected fidelity equals the serial ascent's bit for bit; with three,
-# its last digit follows the order in which the Kronecker kets are rounded.
+# Canonical JSON of ``consensus bounds --dishonest d``: ``fidelity`` and
+# ``mean_pass_probability`` are their closed forms rounded once.
 PINNED_BOUNDS = [
-    (1, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.95,"rounds":100,"std_err":0.021794494717703377}'),
-    (1, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
-    (1, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.62,"rounds":100,"std_err":0.048538644398046386}'),
-    (1, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.44,"rounds":100,"std_err":0.04963869458396343}'),
-    (2, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.93,"rounds":100,"std_err":0.02551470164434614}'),
-    (2, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
-    (2, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.65,"rounds":100,"std_err":0.047696960070847276}'),
-    (2, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.53,"rounds":100,"std_err":0.04990991885387112}'),
-    (42, 0, '{"dishonest_bound_ok":null,"fidelity":0.9062499999999999,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.92,"rounds":100,"std_err":0.027129319932501065}'),
-    (42, 1, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}'),
-    (42, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6124999999999999,"n":4,"pass_rate":0.55,"rounds":100,"std_err":0.049749371855330994}'),
-    (42, 3, '{"dishonest_bound_ok":true,"fidelity":0.9062499999999998,"honest_bound_ok":null,"mean_pass_probability":0.44375000000000003,"n":4,"pass_rate":0.42,"rounds":100,"std_err":0.04935585071701227}'),
+    (1, 0, '{"dishonest_bound_ok":null,"fidelity":0.90625,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.95,"rounds":100,"std_err":0.021794494717703377}'),
+    (1, 1, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
+    (1, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6125,"n":4,"pass_rate":0.62,"rounds":100,"std_err":0.048538644398046386}'),
+    (1, 3, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.44375,"n":4,"pass_rate":0.44,"rounds":100,"std_err":0.04963869458396343}'),
+    (2, 0, '{"dishonest_bound_ok":null,"fidelity":0.90625,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.93,"rounds":100,"std_err":0.02551470164434614}'),
+    (2, 1, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.32,"rounds":100,"std_err":0.0466476151587624}'),
+    (2, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6125,"n":4,"pass_rate":0.65,"rounds":100,"std_err":0.047696960070847276}'),
+    (2, 3, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.44375,"n":4,"pass_rate":0.53,"rounds":100,"std_err":0.04990991885387112}'),
+    (42, 0, '{"dishonest_bound_ok":null,"fidelity":0.90625,"honest_bound_ok":true,"mean_pass_probability":0.95,"n":4,"pass_rate":0.92,"rounds":100,"std_err":0.027129319932501065}'),
+    (42, 1, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}'),
+    (42, 2, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.6125,"n":4,"pass_rate":0.55,"rounds":100,"std_err":0.049749371855330994}'),
+    (42, 3, '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.44375,"n":4,"pass_rate":0.42,"rounds":100,"std_err":0.04935585071701227}'),
 ]
 
 
@@ -494,6 +497,37 @@ def test_pinned_consensus_bounds_outputs(seed, dishonest, expected):
     res = run(args)
     assert res.exit_code == 0
     assert res.output == expected + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_consensus_bounds_draws_as_the_dense_candidate(n, seed):
+    # The played form draws the same rounds as check_fidelity_bounds on the
+    # dense noisy candidate, and reaches the same verdict.
+    from chronoq.consensus import check_fidelity_bounds
+
+    for k in sorted({0, 1, n}):
+        args = ["consensus", "bounds", "--nodes", str(n), "--dishonest", str(k), "--seed", str(seed)]
+        report = json.loads(run([*args, "--json"]).output)
+        rng = RandomSource(seed, 6)
+        network = cli._build_network(n, k, rng)
+        dense = check_fidelity_bounds(noisy_ghz_density(n, 0.1), network, DEFAULT_ROUNDS, rng,
+                                      honest=k == 0)
+        for key in ("pass_rate", "std_err", "honest_bound_ok", "dishonest_bound_ok"):
+            assert report[key] == dense[key], (k, key)
+
+
+def test_consensus_bounds_reports_exact_closed_forms():
+    # F' = F = 1 - p + p/2^n and the mean pass probability of the CLI cheat,
+    # each rounded once from exact rationals.
+    for n in range(2, 12):
+        for k in sorted({0, 1, n // 2, n}):
+            for noise in ("0", "0.1", "0.5", "1"):
+                args = ["consensus", "bounds", "--nodes", str(n), "--dishonest", str(k),
+                        "--noise", noise, "--rounds", "1", "--json"]
+                report = json.loads(run(args).output)
+                fidelity, mean = cli_candidate_closed_forms(n, k, float(noise))
+                assert (report["fidelity"], report["mean_pass_probability"]) == (fidelity, mean)
 
 
 # The --json report at the default seed 42 of every README command that
@@ -525,11 +559,11 @@ PINNED_REPORTS = [
     ),
     (
         ["consensus", "run", "--nodes", "4", "--rounds", "1000", "--dishonest", "0"],
-        '{"dishonest":0,"mean_pass_probability":0.9999999999999999,"n":4,"pass_rate":1.0,"rounds":1000,"std_err":0.0}',
+        '{"dishonest":0,"mean_pass_probability":1.0,"n":4,"pass_rate":1.0,"rounds":1000,"std_err":0.0}',
     ),
     (
         ["consensus", "bounds", "--dishonest", "1"],
-        '{"dishonest_bound_ok":true,"fidelity":0.9062499999999997,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}',
+        '{"dishonest_bound_ok":true,"fidelity":0.90625,"honest_bound_ok":null,"mean_pass_probability":0.275,"n":4,"pass_rate":0.25,"rounds":100,"std_err":0.04330127018922193}',
     ),
     (
         ["consensus", "admit", "--threshold", "0.99"],
@@ -689,8 +723,8 @@ def test_out_of_range_options_exit_2(args, option):
         ["game", "qkd", "--key-bits", "100000"],
         ["gleason", "roundtrip", "--frames", "20000"],
         ["consensus", "run", "--nodes", "2", "--rounds", "100000"],
-        ["consensus", "bounds", "--nodes", "11", "--rounds", "100000"],
-        ["consensus", "bounds", "--nodes", "11", "--dishonest", "11", "--rounds", "1"],
+        ["consensus", "bounds", "--nodes", "20", "--rounds", "100000"],
+        ["consensus", "bounds", "--nodes", "20", "--dishonest", "20", "--rounds", "1"],
         ["consensus", "admit", "--rounds", "1"],
     ],
 )

@@ -35,10 +35,12 @@ from chronoq.qcore import (
 )
 
 from dense_reference import (
+    cli_candidate_closed_forms,
     dense_estimate,
     duplicated_block_corrected_fidelity,
     golden_ratio_start,
     kron_all,
+    noisy_ghz_density,
     per_round_bounds,
     per_round_theta_angles,
     run_round,
@@ -458,12 +460,8 @@ def test_cli_candidate_corrected_fidelity_is_exact(n, d, noise):
     # own cheat, so on the consensus bounds candidate F' = (1 - p) + p / 2^n.
     rng = RandomSource(1, 0)
     network = cli._build_network(n, d, rng)
-    dim = 1 << n
-    mat = np.eye(dim, dtype=np.complex128) * (noise / dim)
-    mat[np.ix_([0, -1], [0, -1])] += (1.0 - noise) / 2.0
-    rho = DensityOperator._adopt(mat)  # as the CLI builds it
-    report = check_fidelity_bounds(rho, network, 1, rng, honest=False)
-    assert abs(report["fidelity"] - ((1.0 - noise) + noise / dim)) <= 1e-12
+    report = check_fidelity_bounds(noisy_ghz_density(n, noise), network, 1, rng, honest=False)
+    assert abs(report["fidelity"] - ((1.0 - noise) + noise / (1 << n))) <= 1e-12
 
 
 def _cheating_nodes(n, cheaters, gen):
@@ -508,15 +506,14 @@ def test_mean_pass_probability_bounded_by_fidelity(n, seed, density, data):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 11])
 def test_two_branch_mean_pass_probability_matches_dense(n):
-    # The CLI cheat (X + Z)/sqrt(2) on k nodes: the product form renormalizes
-    # as the dense cheats do, so consensus run reports the same bits.  Random
-    # cheats agree to rounding.
+    # The CLI cheat (X + Z)/sqrt(2) on k nodes: the form reads the closed
+    # form rounded once, 1 when honest.  Random cheats agree with the dense
+    # ket to rounding.
     cheat = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
     for k in range(n + 1):
         nodes = _network(n, RandomSource(0, 0), dishonest=k, cheat=cheat).nodes
-        dense = consensus._apply_cheats(ghz_state(n), nodes)
         form = consensus._play(ghz_state(n), nodes)
-        assert consensus.mean_pass_probability(form) == consensus.mean_pass_probability(dense)
+        assert consensus.mean_pass_probability(form) == cli_candidate_closed_forms(n, k, 0.0)[1]
     gen = np.random.default_rng(n)
     for _ in range(20):
         nodes = [Node(j, honest=False, cheat=_random_unitary(gen)) for j in range(n)]
@@ -524,6 +521,42 @@ def test_two_branch_mean_pass_probability_matches_dense(n):
         form = consensus._play(ghz_state(n), nodes)
         mean = consensus.mean_pass_probability(form)
         assert mean == pytest.approx(consensus.mean_pass_probability(dense), abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8),
+    noise=st.floats(0.0, 1.0),
+    cli_cheat=st.booleans(),
+    cheaters=st.sets(st.integers(0, 7)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, noise=0.0, cli_cheat=True, cheaters=set(range(8)), seed=1)
+@example(n=5, noise=1.0, cli_cheat=True, cheaters={0, 1}, seed=2)
+@example(n=3, noise=1.0, cli_cheat=False, cheaters={0, 2}, seed=3)
+@example(n=4, noise=0.0, cli_cheat=False, cheaters=set(range(4)), seed=4)
+def test_weighted_form_matches_the_dense_noisy_candidate(n, noise, cli_cheat, cheaters, seed):
+    # The GHZ form at weight 1 - p against C((1 - p)|GHZ><GHZ| + p I/2^n)C^dag:
+    # P(theta) on random angle rows, the mean pass probability, and, under
+    # the CLI cheat on nodes 0..k-1, the corrected fidelity 1 - p + p/2^n.
+    gen = np.random.default_rng(seed)
+    cheaters = {j for j in cheaters if j < n}
+    k = len(cheaters)
+    if cli_cheat:
+        nodes = cli._build_network(n, k, RandomSource(0, 0)).nodes
+    else:
+        nodes = _cheating_nodes(n, cheaters, gen)
+    form = consensus._play(ghz_state(n), nodes)._replace(weight=1.0 - noise)
+    played = consensus._apply_cheats(noisy_ghz_density(n, noise), nodes)
+    angles, m = consensus._complete_angles(gen.uniform(0.0, math.pi, (20, n - 1)))
+    got = consensus._pass_probabilities(form, angles, m)
+    assert np.max(np.abs(got - consensus._pass_probabilities(played, angles, m))) <= 1e-12
+    mean = consensus.mean_pass_probability(form)
+    assert abs(mean - consensus.mean_pass_probability(played)) <= 1e-12
+    if cli_cheat:
+        closed = cli_candidate_closed_forms(n, k, noise)[0]
+        corrected = optimize_corrected_fidelity(played, range(k))
+        assert closed - 1e-9 <= corrected <= closed + 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
