@@ -22,7 +22,6 @@ security feature itself.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .qcore import (
     PAULI_X,
     RandomSource,
     StateVector,
+    _INV_SQRT2,
     _SparseKet,
     _branch_index,
     branch_pair,
@@ -45,8 +45,6 @@ from .temporal import (
     create_pair,
     delay,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 FUSION_RETRY_CAP = 64
 VALIDITY_FIDELITY = 1.0 - 1e-6

@@ -636,7 +636,7 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 
 @_command(gleason_group, "roundtrip", 8)
 @click.option("--dim", type=click.IntRange(1, 32), default=3, show_default=True)
-# A frame at --dim 32 costs about 0.14 ms: 2 * 10^4 frames take about 3-3.5 s.
+# A frame at --dim 32 costs about 0.12 ms: 2 * 10^4 frames take about 2.5 s.
 @click.option("--frames", type=click.IntRange(1, 20_000), default=2000, show_default=True)
 def gleason_roundtrip(rng, dim, frames):
     """Reconstruct a random density matrix from its valuation; frame-average check."""

@@ -40,12 +40,12 @@ from .qcore import (
     DensityOperator,
     RandomSource,
     StateVector,
+    _INV_SQRT2,
     _rescale_factor,
     is_unitary,
 )
 
 TWO_PI = 2.0 * math.pi
-_GHZ_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
 
 class ConsensusError(ValueError):
@@ -346,7 +346,7 @@ def ghz_fidelity(rho) -> float:
     if isinstance(rho, StateVector):
         amps = rho.amplitudes
         return float(abs(amps[0] + amps[-1]) ** 2 / 2.0)
-    mat, g = rho.matrix, _GHZ_AMPLITUDE
+    mat, g = rho.matrix, _INV_SQRT2
     first = g * mat[0, 0].real + g * mat[-1, 0].real
     last = g * mat[0, -1].real + g * mat[-1, -1].real
     return float(first * g + last * g)
@@ -429,7 +429,7 @@ def optimize_corrected_fidelity(rho: DensityOperator, dishonest: Sequence[int]) 
             kets = (kets * right[:, :, None, None, :, None]).reshape(len(live), 2, -1, 4)
             # No honest node: the two halves index the same basis states, so their kets add.
             kets = kets.reshape(len(live), -1, 4) if honest_ones else kets[:, 0] + kets[:, 1]
-            kets = kets * _GHZ_AMPLITUDE
+            kets = kets * _INV_SQRT2
             bras = kets.conj().transpose(0, 2, 1)
             form = np.real((bras.reshape(-1, len(block)) @ block).reshape(bras.shape) @ kets)
             eigvals, eigvecs = np.linalg.eigh((form + form.transpose(0, 2, 1)) / 2.0)

@@ -9,13 +9,15 @@ standard errors is the standing cross-check, carried in :class:`GameStats`.
 
 A Monte Carlo game is a rule over a few independent discrete draws: the
 doors, the coins, a Born-sampled outcome.  A cell is one combination of
-their values, and its probability is the product of theirs.  The engine
-scores the rule once per cell and draws how many trials fall in each cell
-as one ``Generator.multinomial`` over the cells, which has the distribution
-of the counts of a trial-by-trial loop and costs O(cells) at any number of
-trials.  QKD sessions return the keys themselves, so they draw their qubits
-in fixed-size blocks of arrays and sift them with a mask: a session makes a
-few numpy calls however many key bits it keeps.
+their values, and its probability is the product of theirs.  A game's plan
+holds its rule scored once per cell and the cells' probabilities; it is
+built once per setting, with the analytic value, and cached.  A call draws
+how many trials fall in each cell as one ``Generator.multinomial`` over the
+cells, which has the distribution of the counts of a trial-by-trial loop
+and costs O(cells) at any number of trials.  QKD sessions return the keys
+themselves, so they draw their qubits in fixed-size blocks of arrays and
+sift them with a mask: a session makes a few numpy calls however many key
+bits it keeps.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from .qcore import (
     PAULI_Z,
     RandomSource,
     StateVector,
+    _INV_SQRT2,
     bell_state,
     born_distribution,
     partial_trace,
     product_probabilities,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 STICK, SWITCH = "stick", "switch"
 
@@ -83,20 +84,42 @@ def _check_strategy(strategy: str):
         raise GameError(f"strategy must be {STICK!r} or {SWITCH!r}")
 
 
-def _tally(rule, trials: int, rng: RandomSource, *draws) -> list[int]:
-    """How many of ``trials`` trials ``rule`` maps to each result: 0 lost,
-    1 won, 2 void.
+@dataclass(frozen=True)
+class _Plan:
+    """A game's exact model, every array read-only.  ``draws`` are the
+    probabilities of its independent draws as given (``Fraction`` objects
+    where the game is rational), ``cells`` the flat float probability of
+    every cell, and ``table`` the result of the rule at every cell: 0 lost,
+    1 won, 2 void."""
+
+    draws: tuple
+    cells: np.ndarray
+    table: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _plan(rule, *draws) -> _Plan:
+    """The plan of ``rule`` over ``draws``.
 
     Each of ``draws`` is the probability array of one independent draw, one
     axis per key it draws (a 2-D array is a joint draw of two keys).  The
     cells are every combination of keys in mixed-radix order, the first key
-    most significant, and a cell's probability is the product of its draws'.
-    The trials per cell are one multinomial draw, summed per result over one
-    flat table of ``rule`` at every cell."""
-    p = reduce(np.multiply.outer, [np.asarray(d, dtype=float) for d in draws])
-    table = [rule(*key) for key in np.ndindex(p.shape)]
-    counts = rng.generator.multinomial(trials, p.ravel())
-    return np.bincount(table, weights=counts, minlength=3).astype(int).tolist()
+    most significant, and a cell's probability is the product of its draws'."""
+    p = reduce(np.multiply.outer, [np.array(d, dtype=float) for d in draws])
+    table = np.array([rule(*key) for key in np.ndindex(p.shape)], dtype=np.intp)
+    exact = tuple(_read_only(np.array(d, dtype=object)) for d in draws)
+    return _Plan(exact, _read_only(p.ravel()), _read_only(table))
+
+
+def _draw(plan: _Plan, trials: int, rng: RandomSource) -> list[int]:
+    """How many of ``trials`` trials fall in each result of ``plan``: one
+    multinomial draw of the trials per cell, summed per result."""
+    counts = rng.generator.multinomial(trials, plan.cells)
+    return np.bincount(plan.table, weights=counts, minlength=3).astype(int).tolist()
 
 
 def _uniform(k: int) -> list[Fraction]:
@@ -129,16 +152,22 @@ def monty_classic_analytic(strategy: str) -> Fraction:
     return win
 
 
-def monty_classic(strategy: str, trials: int, rng: RandomSource) -> GameStats:
-    _check_strategy(strategy)
-
+@lru_cache(maxsize=None)
+def _monty_classic_model(strategy: str) -> tuple[_Plan, Fraction]:
     def won(prize, choice, coin):
         # Monty's goat door: forced when choice != prize, a fair pick otherwise.
         monty = [d for d in range(3) if d not in (choice, prize)][coin if choice == prize else 0]
         return (choice if strategy == STICK else 3 - choice - monty) == prize
 
-    _, wins, _ = _tally(won, trials, rng, _uniform(3), _uniform(3), _uniform(2))
-    return _stats("monty_classic", strategy, wins, trials, monty_classic_analytic(strategy))
+    plan = _plan(won, _uniform(3), _uniform(3), _uniform(2))
+    return plan, monty_classic_analytic(strategy)
+
+
+def monty_classic(strategy: str, trials: int, rng: RandomSource) -> GameStats:
+    _check_strategy(strategy)
+    plan, analytic = _monty_classic_model(strategy)
+    _, wins, _ = _draw(plan, trials, rng)
+    return _stats("monty_classic", strategy, wins, trials, analytic)
 
 
 def monty_ignorant_analytic(strategy: str) -> dict:
@@ -161,16 +190,21 @@ def monty_ignorant_analytic(strategy: str) -> dict:
     return {"conditional": win / goat, "prize_accident": 1 - goat}
 
 
-def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
-    _check_strategy(strategy)
-
+@lru_cache(maxsize=None)
+def _monty_ignorant_model(strategy: str) -> tuple[_Plan, dict]:
     def result(prize, choice, coin):  # void when Monty opens the prize door
         monty = [d for d in range(3) if d != choice][coin]
         final = choice if strategy == STICK else 3 - choice - monty
         return 2 if monty == prize else final == prize
 
-    lost, won, accidents = _tally(result, trials, rng, _uniform(3), _uniform(3), _uniform(2))
-    analytic = monty_ignorant_analytic(strategy)
+    plan = _plan(result, _uniform(3), _uniform(3), _uniform(2))
+    return plan, monty_ignorant_analytic(strategy)
+
+
+def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
+    _check_strategy(strategy)
+    plan, analytic = _monty_ignorant_model(strategy)
+    lost, won, accidents = _draw(plan, trials, rng)
     return {
         "conditional": _stats("monty_ignorant", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -272,17 +306,19 @@ _MONTY_THIRD_HALF = [
 ]
 
 
-def monty_teleport(
-    strategy: str, trials: int, rng: RandomSource, xy: tuple[int, int] = (0, 0)
-) -> GameStats:
-    """Full quantum protocol: the chosen Bell channel is used for an actual
-    teleportation circuit; Alice's Born-sampled outcome is the prize door."""
-    _check_strategy(strategy)
-    channel = f"{xy[0]}{xy[1]}"
-    xy_door = 2 * xy[0] + xy[1]
-    # A generic input state; the outcome distribution is uniform regardless.
+@lru_cache(maxsize=None)
+def _alice_outcomes(channel: str) -> np.ndarray:
+    """The Born weights of Alice's outcome ab when she teleports over the
+    Bell channel beta_channel, a read-only array: a generic input state's
+    branch probabilities, which are uniform regardless of the input."""
     psi = StateVector(np.array([0.6, 0.8j]), normalize=True)
-    probs = np.array([b["probability"] for b in teleport_branches(psi, channel)])
+    return _read_only(np.array([b["probability"] for b in teleport_branches(psi, channel)]))
+
+
+@lru_cache(maxsize=None)
+def _monty_teleport_model(strategy: str, channel: str) -> tuple[_Plan, Fraction]:
+    probs = _alice_outcomes(channel)
+    xy_door = int(channel, 2)
     others = [d for d in range(4) if d != xy_door]
 
     def won(pick, prize, third, half):
@@ -295,8 +331,19 @@ def monty_teleport(
         monty = doors[third if prize == xy_door else half]
         return [d for d in others if d != monty][pick] == prize
 
-    _, wins, _ = _tally(won, trials, rng, _uniform(2), probs, _MONTY_THIRD_HALF)
-    return _stats("monty_teleport", strategy, wins, trials, monty_teleport_analytic(strategy))
+    plan = _plan(won, _uniform(2), probs, _MONTY_THIRD_HALF)
+    return plan, monty_teleport_analytic(strategy)
+
+
+def monty_teleport(
+    strategy: str, trials: int, rng: RandomSource, xy: tuple[int, int] = (0, 0)
+) -> GameStats:
+    """Full quantum protocol: the chosen Bell channel is used for an actual
+    teleportation circuit; Alice's Born-sampled outcome is the prize door."""
+    _check_strategy(strategy)
+    plan, analytic = _monty_teleport_model(strategy, f"{xy[0]}{xy[1]}")
+    _, wins, _ = _draw(plan, trials, rng)
+    return _stats("monty_teleport", strategy, wins, trials, analytic)
 
 
 def monty_teleport_donothing_map(xy: tuple[int, int]) -> dict:
@@ -347,20 +394,22 @@ def unreliable_teleport_analytic(strategy: str) -> dict:
     return {"conditional": win / received0, "received_bit0": received0}
 
 
-def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
-    _check_strategy(strategy)
-    psi = StateVector(np.array([0.6, 0.8]), normalize=True)
-    probs = np.array([b["probability"] for b in teleport_branches(psi, "00")])
-
-    draws = [_uniform(2), probs]
+@lru_cache(maxsize=None)
+def _unreliable_teleport_model(strategy: str) -> tuple[_Plan, dict]:
+    draws = [_uniform(2), _alice_outcomes("00")]
     if strategy == SWITCH:
         draws.append([Fraction(0), Fraction(1, 2), Fraction(1, 2)])  # door 01 or 10
 
     def result(kept_pos, ab, target=0):  # void when the received bit is 1
         return 2 if _door_bits(ab)[kept_pos] else ab == target
 
-    lost, won, _ = _tally(result, trials, rng, *draws)
-    analytic = unreliable_teleport_analytic(strategy)
+    return _plan(result, *draws), unreliable_teleport_analytic(strategy)
+
+
+def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
+    _check_strategy(strategy)
+    plan, analytic = _unreliable_teleport_model(strategy)
+    lost, won, _ = _draw(plan, trials, rng)
     return {
         "conditional": _stats("unreliable_teleport", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -419,6 +468,24 @@ def chsh_game_analytic(strategy: str) -> float:
     raise GameError("strategy must be 'classical' or 'quantum'")
 
 
+@lru_cache(maxsize=None)
+def _chsh_plan(strategy: str) -> _Plan:
+    if strategy == "classical":
+        # The referee's x*y is 1 with probability 1/4.
+        return _plan(lambda xy: xy == 0, [Fraction(3, 4), Fraction(1, 4)])
+    ua, ub = ([_dichotomic_eigenbasis(obs) for obs in chsh_game_settings()[k]] for k in "AB")
+    cdfs = np.cumsum(
+        [product_probabilities(bell_state("psi-"), [a, b]) for a, b in product(ua, ub)], axis=1
+    )
+    # Row 2x + y: the setting's probability 1/4 times each outcome's.
+    cells = np.diff(np.minimum(cdfs, 1.0), prepend=0.0, append=1.0, axis=1) / 4
+
+    def won(setting, ab):  # x * y == a xor b
+        return (setting == 3) == ((ab >> 1) ^ (ab & 1))
+
+    return _plan(won, cells)
+
+
 def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     """Referee sends x, y uniform; players win iff x*y == a xor b.
 
@@ -428,21 +495,7 @@ def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     ab = 4, which loses.  The classical players both always answer 0, the
     best deterministic strategy, and win iff x*y == 0."""
     analytic = chsh_game_analytic(strategy)
-    if strategy == "classical":
-        # The referee's x*y is 1 with probability 1/4.
-        _, wins, _ = _tally(lambda xy: xy == 0, trials, rng, [Fraction(3, 4), Fraction(1, 4)])
-    else:
-        ua, ub = ([_dichotomic_eigenbasis(obs) for obs in chsh_game_settings()[k]] for k in "AB")
-        cdfs = np.cumsum(
-            [product_probabilities(bell_state("psi-"), [a, b]) for a, b in product(ua, ub)], axis=1
-        )
-        # Row 2x + y: the setting's probability 1/4 times each outcome's.
-        cells = np.diff(np.minimum(cdfs, 1.0), prepend=0.0, append=1.0, axis=1) / 4
-
-        def won(setting, ab):  # x * y == a xor b
-            return (setting == 3) == ((ab >> 1) ^ (ab & 1))
-
-        _, wins, _ = _tally(won, trials, rng, cells)
+    _, wins, _ = _draw(_chsh_plan(strategy), trials, rng)
     return _stats("chsh_game", strategy, wins, trials, analytic)
 
 
@@ -480,9 +533,7 @@ def pbr_measurement_basis() -> list[StateVector]:
 def _pbr_born_prize() -> np.ndarray:
     """The ontic game's prize door distribution, a read-only array: the Born
     weights of Psi_1 measured in the antidistinguishing basis."""
-    probs = born_distribution(pbr_states()[0], pbr_measurement_basis())
-    probs.flags.writeable = False
-    return probs
+    return _read_only(born_distribution(pbr_states()[0], pbr_measurement_basis()))
 
 
 def pbr_prize_distribution(ontology: str, q=Fraction(0), split=None) -> list[Fraction]:
@@ -534,17 +585,9 @@ def pbr_analytic(strategy: str, ontology: str, q=Fraction(0), split=None) -> dic
     return {"conditional": win / goat, "opens_prize": opens_prize}
 
 
-def pbr_game(
-    ontology: str,
-    strategy: str,
-    trials: int,
-    rng: RandomSource,
-    q=Fraction(0),
-    split=None,
-) -> dict:
-    """Monte Carlo engine; the ontic prize door is Born-sampled from the
-    actual measurement of Psi_1 in the antidistinguishing basis."""
-    _check_strategy(strategy)
+# The epistemic models are keyed by the caller's q and split: a bounded cache.
+@lru_cache(maxsize=64)
+def _pbr_model(ontology: str, strategy: str, q: Fraction, split) -> tuple[_Plan, dict]:
     if ontology == "ontic":
         prize_probs = _pbr_born_prize()
     else:
@@ -560,10 +603,30 @@ def pbr_game(
         options = [d for d in range(4) if d not in (contestant, monty)]
         return (contestant if strategy == STICK else options[switch_pick]) == prize
 
-    lost, won, opened = _tally(
-        result, trials, rng, _uniform(4), _uniform(3), _uniform(2), prize_probs
-    )
-    analytic = pbr_analytic(strategy, ontology, q, split)
+    plan = _plan(result, _uniform(4), _uniform(3), _uniform(2), prize_probs)
+    return plan, pbr_analytic(strategy, ontology, q, split)
+
+
+def pbr_game(
+    ontology: str,
+    strategy: str,
+    trials: int,
+    rng: RandomSource,
+    q=Fraction(0),
+    split=None,
+) -> dict:
+    """Monte Carlo engine; the ontic prize door is Born-sampled from the
+    actual measurement of Psi_1 in the antidistinguishing basis.  The
+    epistemic ``split`` may be any sequence of three numbers."""
+    _check_strategy(strategy)
+    if ontology == "epistemic":
+        q, split = Fraction(q), None if split is None else tuple(map(Fraction, split))
+    elif ontology == "ontic":
+        q, split = Fraction(0), None  # the ontic prize ignores q and split
+    else:
+        raise GameError("ontology must be 'ontic' or 'epistemic'")
+    plan, analytic = _pbr_model(ontology, strategy, q, split)
+    lost, won, opened = _draw(plan, trials, rng)
     return {
         "conditional": _stats(f"pbr_{ontology}", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -591,6 +654,17 @@ _BB84_P0 = np.array([
      for prep in (0, 1)]
     for basis in (0, 1)
 ])
+
+
+@lru_cache(maxsize=None)
+def _e91_weights() -> tuple[np.ndarray, np.ndarray]:
+    """Born weights of the four outcome pairs of phi+, both sides measuring Z,
+    then both measuring X, as read-only arrays."""
+    pair = bell_state("phi+")
+    return tuple(
+        _read_only(product_probabilities(pair, [ua, ua]))
+        for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
+    )
 
 
 def qkd_session(
@@ -629,12 +703,7 @@ def qkd_session(
     elif protocol == "E91":
         if eve:
             raise GameError("the eavesdropper model is only wired for BB84")
-        pair = bell_state("phi+")
-        # Born weights of the four outcome pairs, both sides measuring Z or X.
-        weights = [
-            product_probabilities(pair, [ua, ua])
-            for ua in (_dichotomic_eigenbasis(PAULI_Z), _dichotomic_eigenbasis(PAULI_X))
-        ]
+        weights = _e91_weights()
 
         def sifted(size):
             bases = rng.integers(0, 2, (size, 2))

@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,23 +178,26 @@ def _multinomial(n: int, counts: tuple) -> int:
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array of non-negative ints, in lexicographic
+    """Distinct rows of a 2-D array of ints in [0, 2**53), in lexicographic
     order, each row's position among them, and how often each occurs.
 
-    Each row's digits in base ``max + 1`` are packed into int64 words, as
-    many digits per word as fit, the first digit most significant.  The rows
-    are sorted by their last word, then stably by each earlier word, so a
-    row of up to 63 binary symbols is one integer sort."""
+    Each row's digits in base ``max + 1`` are packed into float64 words, as
+    many digits per word as keep the word below 2**53, the first digit most
+    significant: one matrix product with a (digits, words) table of powers.
+    Every partial sum is an integer below 2**53, so the words are exact in
+    any summation order.  The rows are sorted by their last word, then
+    stably by each earlier word, so a row of up to 53 binary symbols is one
+    sort."""
     m, n = a.shape
     base = max(int(a.max()) + 1, 2)
     per_word = 1
-    while base ** (per_word + 1) <= 2**63:
+    while base ** (per_word + 1) <= 2**53:
         per_word += 1
-    words = [
-        a[:, lo : lo + per_word].astype(np.int64)
-        @ base ** np.arange(min(per_word, n - lo) - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, n, per_word)
-    ]
+    digit = np.arange(n)
+    word = digit // per_word
+    powers = np.zeros((n, word[-1] + 1))
+    powers[digit, word] = base ** (np.minimum(word * per_word + per_word, n) - 1 - digit)
+    words = (a.astype(np.float64) @ powers).T
     order = np.argsort(words[-1])
     for word in words[-2::-1]:
         order = order[np.argsort(word[order], kind="stable")]
@@ -210,6 +213,12 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a[np.minimum.reduceat(order, starts)], inverse, np.diff(starts, append=m)
 
 
+def _floor_share(t: np.ndarray, c, d: int) -> np.ndarray:
+    """t * c // d in int64, for t >= 0 and 0 <= c <= d, where no product
+    t * c passes 2**63 - 1."""
+    return t * c // d
+
+
 def _exact_share(t: np.ndarray, c, d: int) -> np.ndarray:
     """t * c // d in int64 for t >= 0 and 0 <= c <= d, without forming the
     product, which may pass 2**63: with q = t // d, it is q c + (t - q d) c // d,
@@ -217,6 +226,14 @@ def _exact_share(t: np.ndarray, c, d: int) -> np.ndarray:
     int d, not ``np.divmod``, which costs about three times as much."""
     q = t // d
     return q * c + (t - q * d) * c // d
+
+
+def _share_rule(largest: int, n: int):
+    """The share rule of a length-``n`` book whose largest class holds
+    ``largest`` sequences.  A share t * c // d has t at most a class size and
+    c <= d <= n, so its product fits in int64 while ``largest * n`` does;
+    above that, as for 9 symbols at n = 24, it takes :func:`_exact_share`."""
+    return _floor_share if largest * n < 1 << 63 else _exact_share
 
 
 @dataclass
@@ -239,7 +256,10 @@ class TypicalCodec:
     their one-row case.  They are exact in int64: construction proves that
     no count class holds 2**63 sequences or more, and every intermediate
     value is at most a class size.  Each share of a class, T * c / left, is
-    a floor division by the Python int ``left`` (:func:`_exact_share`).
+    floor-divided by the Python int ``left`` under one rule picked per book
+    (:func:`_share_rule`): the plain ``T * c // left`` wherever the product
+    fits in int64, which covers every book of at most 8 symbols, and
+    :func:`_exact_share` otherwise.
     Ranking keeps a running table of the remaining symbols below each
     symbol instead of recounting the rest of the row; unranking sums the
     blocks of arrangements that start with each symbol as a running total
@@ -258,6 +278,8 @@ class TypicalCodec:
     # count tuples: decode bisects the offsets.
     _offsets: list = field(init=False, repr=False)
     _offset_classes: list = field(init=False, repr=False)
+    # t * c // d over int64 arrays, exact for this book (_share_rule).
+    _share: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_CODEC_BLOCK:
@@ -268,11 +290,13 @@ class TypicalCodec:
         # The largest count class splits n as evenly as possible over the k
         # symbols; ranks within a class are exact in int64 below 2**63.
         q, r = divmod(self.n, k)
-        if _multinomial(self.n, (q + 1,) * r + (q,) * (k - r)) >= 1 << 63:
+        largest = _multinomial(self.n, (q + 1,) * r + (q,) * (k - r))
+        if largest >= 1 << 63:
             raise InfoTheoryError(
                 f"{k} symbols are too many for block length {self.n}: "
                 "a count class would hold 2**63 sequences or more"
             )
+        self._share = _share_rule(largest, self.n)
         h = shannon_entropy(p)
         self.width = max(0, math.ceil(self.n * (h + self.epsilon) - 1e-12))
         max_width = math.ceil(self.n * math.log2(k))
@@ -310,8 +334,8 @@ class TypicalCodec:
     # -- ranking of multiset permutations (lexicographic), many rows at once --
 
     def _book_entries(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Symbol counts of each row, and its class's offset, included count
-        and size (zeros for a class outside the codebook), looked up once
+        """Symbol counts of each row, and its class's included count and size
+        as int64 (zeros for a class outside the codebook), looked up once
         per distinct class."""
         k = len(self.source)
         m = rows.shape[0]
@@ -320,11 +344,11 @@ class TypicalCodec:
         ).reshape(m, k)
         classes, which, _ = _distinct_rows(counts)
         entries = np.array(
-            [self._classes.get(c, (0, 0, 0)) for c in map(tuple, classes.tolist())],
-            dtype=object,
-        )[which]
-        take, size = entries[:, 1].astype(np.int64), entries[:, 2].astype(np.int64)
-        return counts, entries[:, 0], take, size
+            [self._classes.get(c, (0, 0, 0))[1:] for c in map(tuple, classes.tolist())],
+            dtype=np.int64,
+        )
+        take, size = entries.T[:, which]
+        return counts, take, size
 
     def _ranks(self, rows: np.ndarray, counts: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Lexicographic rank of each row among the arrangements of its own
@@ -352,8 +376,8 @@ class TypicalCodec:
             flat = symbol * np.intp(m) + at
             less = smaller.ravel()[flat]
             left = self.n - j
-            rank += _exact_share(arrangements, less, left)
-            arrangements = _exact_share(arrangements, smaller.ravel()[flat + m] - less, left)
+            rank += self._share(arrangements, less, left)
+            arrangements = self._share(arrangements, smaller.ravel()[flat + m] - less, left)
             # The row's symbol leaves the count below every larger symbol.
             smaller[1:] -= symbols >= symbol
         return rank
@@ -370,7 +394,7 @@ class TypicalCodec:
             # Arrangements that start with each symbol, and their running
             # total, summed row by row over the k symbols: over so short an
             # axis, k - 1 in-place adds cost less than one ``np.cumsum``.
-            blocks = _exact_share(arrangements, remaining, self.n - j)
+            blocks = self._share(arrangements, remaining, self.n - j)
             upto = blocks.copy()
             for before, row in zip(upto[:-1], upto[1:]):
                 row += before
@@ -389,11 +413,11 @@ class TypicalCodec:
         rows = np.asarray(seq, dtype=np.int64).reshape(1, self.n)
         if np.any((rows < 0) | (rows >= len(self.source))):
             raise InfoTheoryError(f"symbols must lie in 0..{len(self.source) - 1}")
-        counts, offset, take, size = self._book_entries(rows)
+        counts, take, size = self._book_entries(rows)
         rank = self._ranks(rows, counts, size)[0]
         if rank >= take[0]:
             raise CodecFailure("sequence outside codebook")
-        return offset[0] + int(rank)
+        return self._classes[tuple(counts[0].tolist())][0] + int(rank)
 
     def decode(self, index: int) -> tuple:
         at = bisect_right(self._offsets, index) - 1
@@ -428,7 +452,7 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
     # sequence is encoded and decoded once, weighted by how often it was drawn.
     draws = rng.choice_index(codec.source, rng.generator.random((trials, codec.n)))
     rows, _, weight = _distinct_rows(draws)
-    counts, _, take, size = codec._book_entries(rows)
+    counts, take, size = codec._book_entries(rows)
     rank = codec._ranks(rows, counts, size)
     book = rank < take
     decoded = codec._unrank(counts[book], size[book], rank[book])

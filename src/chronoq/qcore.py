@@ -56,6 +56,8 @@ DEFAULT_ROUNDS = 100
 DEFAULT_THRESHOLD = 0.99
 MAX_CODEC_BLOCK = 24
 
+# The package's one 1/sqrt(2), imported by chain, consensus and games.  It is
+# one ulp below the correctly rounded math.sqrt(0.5); pinned outputs use it.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Counting costs one pass over the doubles per CDF entry, searchsorted a
 # mispredicted branch per probe.  On a 2-CPU x86 host, counting over 16

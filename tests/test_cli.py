@@ -60,6 +60,22 @@ def test_game_monty_teleport_analytic_value():
     assert json.loads(res.output)["analytic"] == 0.375
 
 
+@pytest.mark.parametrize("seed", ["1", "42"])
+def test_game_teleport_and_superdense_run_and_repeat(seed):
+    for game in ("teleport", "superdense"):
+        args = ["game", game, "--seed", seed, "--json"]
+        first, second = run(args), run(args)
+        assert first.exit_code == 0, first.output
+        blob = json.loads(first.output)
+        assert blob["game"] == game
+        assert first.output.encode() == second.output.encode()
+        if game == "teleport":
+            assert blob["states"] == 200
+            assert abs(blob["min_fidelity"] - 1.0) <= 1e-9
+        else:
+            assert blob["roundtrip"] == {bits: bits for bits in ("00", "01", "10", "11")}
+
+
 def test_chain_demo_worked_example():
     res = run(["chain", "demo", "--records", "00,10,11", "--json"])
     assert res.exit_code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chronoq import games
 from chronoq.games import (
     GameError,
     _pbr_born_prize,
@@ -229,3 +230,89 @@ def test_qkd_e91_clean():
     session = qkd_session("E91", 128, "none", rng)
     assert session["alice_key"] == session["bob_key"]
     assert session["qber"] == 0.0
+
+
+# One call of every cached model, each at a setting other than its default.
+CACHED_GAMES = {
+    "monty_classic": lambda rng: monty_classic("stick", 1000, rng),
+    "monty_ignorant": lambda rng: monty_ignorant("switch", 1000, rng),
+    "monty_teleport": lambda rng: monty_teleport("switch", 1000, rng, (1, 0)),
+    "unreliable_teleport": lambda rng: unreliable_teleport("switch", 1000, rng),
+    "chsh_quantum": lambda rng: chsh_game("quantum", 1000, rng),
+    "pbr_ontic": lambda rng: pbr_game("ontic", "switch", 1000, rng),
+    "pbr_epistemic": lambda rng: pbr_game(
+        "epistemic", "stick", 1000, rng, q=Fraction(1, 8), split=[Fraction(1, 8), 0, 0]
+    ),
+    "qkd_e91": lambda rng: qkd_session("E91", 64, "none", rng),
+}
+MODEL_CACHES = (
+    games._monty_classic_model,
+    games._monty_ignorant_model,
+    games._alice_outcomes,
+    games._monty_teleport_model,
+    games._unreliable_teleport_model,
+    games._chsh_plan,
+    games._pbr_born_prize,
+    games._pbr_model,
+    games._e91_weights,
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42])
+@pytest.mark.parametrize("name", CACHED_GAMES)
+def test_a_game_repeats_from_its_cached_plan_and_after_cache_clear(name, seed):
+    play = CACHED_GAMES[name]
+    first = play(RandomSource(seed, 3))
+    assert play(RandomSource(seed, 3)) == first
+    for cache in MODEL_CACHES:
+        cache.cache_clear()
+    assert play(RandomSource(seed, 3)) == first
+
+
+def test_cached_plans_and_weights_are_read_only():
+    plans = [
+        games._monty_classic_model("switch")[0],
+        games._monty_ignorant_model("stick")[0],
+        games._monty_teleport_model("stick", "11")[0],
+        games._unreliable_teleport_model("switch")[0],
+        games._chsh_plan("classical"),
+        games._chsh_plan("quantum"),
+        games._pbr_model("epistemic", "switch", Fraction(1, 8), None)[0],
+    ]
+    arrays = [a for plan in plans for a in (plan.cells, plan.table, *plan.draws)]
+    for a in [*arrays, games._alice_outcomes("01"), *games._e91_weights()]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+@pytest.mark.parametrize(
+    "q, split",
+    [
+        (Fraction(-1, 8), None),
+        (Fraction(1), None),
+        (Fraction(1, 8), [Fraction(1, 8), 0, Fraction(1, 8)]),
+        (Fraction(3, 4), (0, 0, Fraction(3, 4))),
+    ],
+)
+def test_pbr_game_rejects_a_bad_q_or_split_on_every_call(q, split):
+    for _ in range(3):
+        with pytest.raises(GameError):
+            pbr_game("epistemic", "switch", 10, RandomSource(1, 0), q=q, split=split)
+
+
+def test_pbr_game_takes_a_split_as_a_list():
+    q, split = Fraction(1, 8), [Fraction(1, 16), 0, Fraction(1, 16)]
+    as_list = pbr_game("epistemic", "switch", 1000, RandomSource(5, 0), q=q, split=split)
+    as_tuple = pbr_game("epistemic", "switch", 1000, RandomSource(5, 0), q=q, split=tuple(split))
+    assert as_list == as_tuple
+    want = pbr_analytic("switch", "epistemic", q, split)
+    assert as_list["conditional"].analytic == float(want["conditional"])
+
+
+def test_the_pbr_model_cache_keyed_by_q_is_bounded():
+    limit = games._pbr_model.cache_info().maxsize
+    assert limit is not None
+    for i in range(limit + 10):
+        pbr_game("epistemic", "stick", 1, RandomSource(1, 0), q=Fraction(i, 8 * (limit + 10)))
+    assert games._pbr_model.cache_info().currsize == limit

@@ -4,15 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronoq.infotheory import (
     CodecFailure,
     InfoTheoryError,
     TypicalCodec,
+    _distinct_rows,
     _exact_share,
+    _floor_share,
     _multinomial,
+    _share_rule,
     derived_entropies,
     entropic_uncertainty_bound,
     quantum_conditional_entropy,
@@ -180,13 +183,18 @@ def test_unrank_inverts_ranks_within_every_class(k, n, seed):
     rows = np.random.default_rng(seed).integers(0, k, size=(40, n), dtype=np.uint8)
     counts = (rows[:, :, None] == np.arange(k)).sum(axis=1)
     size = np.array([_multinomial(n, c) for c in map(tuple, counts.tolist())], dtype=np.int64)
-    # Ranking reads only the block length, so no codebook is built: a
-    # 7-symbol book near n = 24 holds about 6 * 10**5 classes.
-    block = SimpleNamespace(n=n)
+    # Ranking reads only the block length and the share rule, so no codebook
+    # is built: a 7-symbol book near n = 24 holds about 6 * 10**5 classes.
+    # Every such book takes the floor share; the exact share must agree.
+    assert _share_rule(_multinomial(n, (q + 1,) * r + (q,) * (k - r)), n) is _floor_share
+    block = SimpleNamespace(n=n, _share=_floor_share)
     rank = TypicalCodec._ranks(block, rows, counts, size)
     assert np.all((0 <= rank) & (rank < size))
     assert np.array_equal(TypicalCodec._ranks(block, rows.astype(np.int64), counts, size), rank)
     assert np.array_equal(TypicalCodec._unrank(block, counts, size, rank), rows)
+    exact = SimpleNamespace(n=n, _share=_exact_share)
+    assert np.array_equal(TypicalCodec._ranks(exact, rows, counts, size), rank)
+    assert np.array_equal(TypicalCodec._unrank(exact, counts, size, rank), rows)
     for row, c, got in zip(rows[:3].tolist(), counts.tolist(), rank.tolist()):
         assert got == rank_in_class(n, row, c)
 
@@ -199,6 +207,59 @@ def test_exact_share_is_the_floor_of_the_product(d, dtype, data):
     got = _exact_share(np.array(ts, dtype=np.int64), np.array(cs, dtype=dtype), d)
     assert got.dtype == np.int64
     assert got.tolist() == [t * c // d for t, c in zip(ts, cs)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 24), dtype=st.sampled_from([np.uint8, np.int64]), data=st.data())
+def test_floor_share_is_the_exact_share_wherever_the_product_fits(d, dtype, data):
+    # t <= (2**63 - 1) // d and c <= d keep every product t * c in int64.
+    ts = data.draw(st.lists(st.integers(0, (2**63 - 1) // d), min_size=1, max_size=8))
+    cs = data.draw(st.lists(st.integers(0, d), min_size=len(ts), max_size=len(ts)))
+    t, c = np.array(ts, dtype=np.int64), np.array(cs, dtype=dtype)
+    got = _floor_share(t, c, d)
+    assert got.dtype == np.int64
+    assert got.tolist() == _exact_share(t, c, d).tolist() == [t * c // d for t, c in zip(ts, cs)]
+
+
+def test_share_rule_takes_the_exact_share_only_past_int64():
+    for n in (1, 20, 23, 24):
+        assert _share_rule((2**63 - 1) // n, n) is _floor_share
+        assert _share_rule((2**63 - 1) // n + 1, n) is _exact_share
+    # The smallest alphabet whose largest class times n passes 2**63 - 1:
+    # 9 symbols at n = 24 (1.05 * 10**7 classes).
+    assert _share_rule(_multinomial(24, (3,) * 6 + (2,) * 3), 24) is _exact_share
+    assert _share_rule(_multinomial(24, (3,) * 8), 24) is _floor_share
+    assert TypicalCodec(n=20, epsilon=0.25, source=[0.89, 0.11])._share is _floor_share
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(0, 40),
+    n=st.integers(1, 70),
+    base=st.sampled_from([2, 3, 7, 25, 256, 2**20]),
+    others=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=64, base=2, others=0, seed=1)
+def test_distinct_rows_is_numpy_unique(m, n, base, others, seed):
+    # A row and, for each digit, the row with that digit changed, whichever
+    # word it falls in (70 binary digits fill two words), plus a few other
+    # rows; every one of them appears, m more times at random.
+    gen = np.random.default_rng(seed)
+    row = gen.integers(0, base, size=n)
+    near = np.repeat(row[None], n + 1, axis=0)
+    near[np.arange(1, n + 1), np.arange(n)] = (row + gen.integers(1, base, size=n)) % base
+    pool = np.concatenate([near, gen.integers(0, base, size=(others, n))])
+    rows = np.concatenate([pool, pool[gen.integers(0, len(pool), size=m)]])
+    rows = rows[gen.permutation(len(rows))]
+    for a in (rows, rows.astype(np.uint8)) if base <= 256 else (rows,):
+        got, inverse, counts = _distinct_rows(a)
+        want, want_inverse, want_counts = np.unique(
+            a, axis=0, return_inverse=True, return_counts=True
+        )
+        assert np.array_equal(got, want) and got.dtype == a.dtype
+        assert inverse.tolist() == want_inverse.ravel().tolist()
+        assert counts.tolist() == want_counts.tolist()
 
 
 def test_von_neumann_entropy():

@@ -309,15 +309,17 @@ def frame_average_loop(rho, n_frames, rng):
 
 def played_with_cells(play):
     """The result of ``play()``, and P(lost), P(won), P(void) over the cells
-    that its one ``games._tally`` call drew from: Fractions wherever every
-    draw's probabilities are."""
-    with mock.patch.object(games, "_tally", wraps=games._tally) as tally:
+    of the plan that its one ``games._draw`` call drew from: Fractions
+    wherever every draw's probabilities are."""
+    with mock.patch.object(games, "_draw", wraps=games._draw) as draw:
         result = play()
-    ((rule, _, _, *draws),) = [call.args for call in tally.call_args_list]
-    p = reduce(np.multiply.outer, [np.array(d, dtype=object) for d in draws])
+    ((plan, _, _),) = [call.args for call in draw.call_args_list]
+    p = reduce(np.multiply.outer, plan.draws).ravel()
+    assert p.shape == plan.cells.shape == plan.table.shape
+    assert np.allclose(p.astype(float), plan.cells, rtol=1e-14, atol=0.0)
     results = [0, 0, 0]
-    for key in np.ndindex(p.shape):
-        results[rule(*key)] += p[key]
+    for cell, result_of_cell in zip(p, plan.table.tolist()):
+        results[result_of_cell] += cell
     return result, results
 
 
@@ -407,8 +409,9 @@ def test_tally_puts_every_trial_in_the_certain_cell():
     def rule(a, b, c):
         return 2 if (a, b, c) == (1, 0, 2) else 1
 
-    certain = ([0.0, 1.0], [[0.0, 0.0, 1.0], [0.0] * 3])
-    assert games._tally(rule, 1000, RandomSource(1, 0), *certain) == [0, 0, 1000]
+    plan = games._plan(rule, [0.0, 1.0], [[0.0, 0.0, 1.0], [0.0] * 3])
+    assert plan.table.tolist() == [1] * 8 + [2] + [1] * 3
+    assert games._draw(plan, 1000, RandomSource(1, 0)) == [0, 0, 1000]
 
 
 def assert_within_five_se_of_cells(engine, loop):
@@ -575,6 +578,10 @@ def test_wide_codebook_holds_every_class_once():
     assert len(sizes) == math.comb(23 + 6, 6)
     assert sum(sizes) == 7**23
     assert codec._offsets == [0, *accumulate(sizes)][:-1]
+    # Its codeword indices pass 2**63, but its largest class times 23 is
+    # below 2**57, so every share t * c // d fits in int64.
+    assert max(sizes) * 23 < 2**57
+    assert codec._share is infotheory._floor_share
 
 
 @pytest.mark.parametrize("seed", SEEDS)
