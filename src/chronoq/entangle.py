@@ -30,6 +30,9 @@ from .qcore import (
 
 SQRT2 = math.sqrt(2.0)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_i (x) sigma_j at [i, j] over the Pauli triple, read-only.
+PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
+PAULI_PAIRS.flags.writeable = False
 
 
 class EntangleError(ValueError):
@@ -236,9 +239,7 @@ def correlation_matrix(rho: DensityOperator) -> np.ndarray:
     """T_ij = tr(rho sigma_i (x) sigma_j) over the Pauli triple (x, y, z)."""
     if rho.dim != 4:
         raise EntangleError("requires a 2-qubit state")
-    return np.array(
-        [[correlator(rho, si, sj) for sj in PAULIS] for si in PAULIS], dtype=float
-    )
+    return np.trace(rho.matrix @ PAULI_PAIRS, axis1=-2, axis2=-1).real.copy()
 
 
 def _axis_observable(axis: np.ndarray) -> np.ndarray:

@@ -12,12 +12,21 @@ measured projectively (invasively) with observable sigma_z.  This is the
 canonical minimal two-level realization that reaches K3 = 3/2.  The K3 and
 entropic-LG optima are closed forms in omega tau for this sigma_z readout;
 the values at those optima are measured through the sequential engine.
+
+The sequential engine steps through the measurement depths: the 2^k branch
+matrices of depth k are one stack, and each depth is one stacked product
+with both projectors (and one with the unitary before it), the same products
+as measuring branch by branch.  Observables are checked dichotomic once, at
+the public entry points; a model builds its initial density matrix and its
+observable's projectors once and reuses them on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -221,14 +230,37 @@ def frame_average_reconstruct(
 # ---------------------------------------------------------------------------
 
 
-def _dichotomic_projectors(obs: np.ndarray) -> dict:
-    """Projectors onto the +1 and -1 eigenspaces of a dichotomic observable."""
+def _projector_pair(obs: np.ndarray) -> np.ndarray:
+    """The projectors (I + O)/2 and (I - O)/2 onto the +1 and -1 eigenspaces
+    of a dichotomic complex observable O, stacked in that order."""
+    eye = np.eye(obs.shape[0])
+    return np.stack([(eye + obs) / 2.0, (eye - obs) / 2.0])
+
+
+def _dichotomic_projectors(obs) -> np.ndarray:
+    """:func:`_projector_pair` of ``obs``, once it is checked dichotomic."""
     obs = np.asarray(obs, dtype=np.complex128)
     if not is_dichotomic(obs):
         raise FoundationsError("observable must be Hermitian and square to the identity")
-    plus = (np.eye(obs.shape[0]) + obs) / 2.0
-    minus = (np.eye(obs.shape[0]) - obs) / 2.0
-    return {+1: plus, -1: minus}
+    return _projector_pair(obs)
+
+
+def _stacked_joint(rho: np.ndarray, pairs: Sequence[np.ndarray], unitaries) -> dict:
+    """The joint distribution of measuring the projector pairs ``pairs`` in
+    turn on ``rho``, the unitaries of ``unitaries`` between them.
+
+    The branches of one depth are one stack of matrices, the +1 branch of
+    each before its -1 branch; each depth takes (P @ rho) @ P for both
+    projectors and (U @ rho) @ U^dagger before it, for the whole stack at
+    once, so the outcome tuples come out depth first with +1 before -1."""
+    stack = rho[None]
+    for depth, pair in enumerate(pairs):
+        if depth:
+            u = unitaries[depth - 1]
+            stack = (u @ stack) @ u.conj().T
+        stack = ((pair @ stack[:, None]) @ pair).reshape((-1,) + rho.shape)
+    probs = np.trace(stack, axis1=-2, axis2=-1).real.tolist()
+    return dict(zip(itertools.product((+1, -1), repeat=len(pairs)), probs))
 
 
 def sequential_joint(
@@ -242,21 +274,9 @@ def sequential_joint(
     if len(unitaries) != len(observables) - 1:
         raise FoundationsError("need one unitary between consecutive measurements")
     rho0 = initial.to_density().matrix if isinstance(initial, StateVector) else initial.matrix
-    projectors = [_dichotomic_projectors(o) for o in observables]
-    dist: dict[tuple, float] = {}
-
-    def recurse(rho, outcomes, depth):
-        if depth == len(observables):
-            dist[outcomes] = float(np.real(np.trace(rho)))
-            return
-        if depth > 0:
-            u = np.asarray(unitaries[depth - 1], dtype=np.complex128)
-            rho = u @ rho @ u.conj().T
-        for q, p in projectors[depth].items():
-            recurse(p @ rho @ p, outcomes + (q,), depth + 1)
-
-    recurse(rho0, (), 0)
-    return dist
+    pairs = [_dichotomic_projectors(o) for o in observables]
+    unitaries = [np.asarray(u, dtype=np.complex128) for u in unitaries]
+    return _stacked_joint(rho0, pairs, unitaries)
 
 
 def correlator_from_joint(dist: dict, i: int, j: int) -> float:
@@ -294,17 +314,42 @@ class PrecessionModel:
         """Rotation about x by angle omega * dt."""
         return rotation(PAULI_X, self.omega * dt)
 
+    @cached_property
+    def _rho0(self) -> np.ndarray:
+        """The initial density matrix, read-only."""
+        return self.initial.to_density().matrix
 
-def _two_time_joint(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) -> dict:
-    """Joint outcome distribution of measuring a_obs at t1, then b_obs at t2."""
-    state = model.initial.to_density().apply(model.unitary(t1))
-    return sequential_joint(state, [a_obs, b_obs], [model.unitary(t2 - t1)])
+    @cached_property
+    def _projectors(self) -> np.ndarray:
+        """The observable's projector pair, read-only; the observable was
+        checked dichotomic on construction."""
+        pair = _projector_pair(np.asarray(self.observable, dtype=np.complex128))
+        pair.flags.writeable = False
+        return pair
+
+
+def _evolved(model: PrecessionModel, t1: float, t2: float) -> tuple[np.ndarray, tuple]:
+    """The model's density matrix at t1, (U rho0) U^dagger, and the one
+    unitary from t1 to t2, as the engine takes it.  The rotation is unitary
+    at every finite angle (an infinite one raises in math.cos); a nan t1
+    makes it all nan, which is rejected as not unitary."""
+    u = model.unitary(t1)
+    if math.isnan(t1):
+        raise QcoreError("operator is not unitary")
+    return (u @ model._rho0) @ u.conj().T, (model.unitary(t2 - t1),)
+
+
+def _two_time_correlator(rho: np.ndarray, u: tuple, a: np.ndarray, b: np.ndarray) -> float:
+    """E(A, then B) for the projector pairs a and b: measured on rho, with
+    u between the two measurements."""
+    return correlator_from_joint(_stacked_joint(rho, (a, b), u), 0, 1)
 
 
 def two_time_correlator(model: PrecessionModel, t_i: float, t_j: float) -> float:
     """C_ij from an actual two-measurement sequential run (measure at t_i,
     evolve, measure at t_j)."""
-    return sequential_correlator(model, model.observable, model.observable, t_i, t_j)
+    p = model._projectors
+    return _two_time_correlator(*_evolved(model, t_i, t_j), p, p)
 
 
 def lg_k3(model: PrecessionModel, tau: float) -> float:
@@ -336,18 +381,27 @@ def lg_k3_max(model: PrecessionModel) -> dict:
 
 def sequential_correlator(model: PrecessionModel, a_obs, b_obs, t1: float, t2: float) -> float:
     """E(A at t1, then B at t2) via the sequential engine."""
-    return correlator_from_joint(_two_time_joint(model, a_obs, b_obs, t1, t2), 0, 1)
+    rho, u = _evolved(model, t1, t2)
+    a, b = _dichotomic_projectors(a_obs), _dichotomic_projectors(b_obs)
+    return _two_time_correlator(rho, u, a, b)
+
+
+def _temporal_chsh(rho: np.ndarray, u: tuple, pairs: dict) -> float:
+    """Temporal CHSH of the settings' projector pairs, all four correlators
+    measured on rho, with u between the two measurements."""
+
+    def corr(a: str, b: str) -> float:
+        return _two_time_correlator(rho, u, pairs[a], pairs[b])
+
+    return corr("A1", "B1") + corr("A2", "B1") + corr("A2", "B2") - corr("A1", "B2")
 
 
 def temporal_chsh(model: PrecessionModel, settings: dict, t1: float, t2: float) -> float:
     """<B1 A1> + <B1 A2> + <B2 A2> - <B2 A1> from sequential measurements."""
-    a1, a2 = settings["A1"], settings["A2"]
-    b1, b2 = settings["B1"], settings["B2"]
-    return (
-        sequential_correlator(model, a1, b1, t1, t2)
-        + sequential_correlator(model, a2, b1, t1, t2)
-        + sequential_correlator(model, a2, b2, t1, t2)
-        - sequential_correlator(model, a1, b2, t1, t2)
+    observables = {name: settings[name] for name in ("A1", "A2", "B1", "B2")}
+    rho, u = _evolved(model, t1, t2)
+    return _temporal_chsh(
+        rho, u, {name: _dichotomic_projectors(o) for name, o in observables.items()}
     )
 
 
@@ -358,7 +412,8 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
     E(a, b) = a . R b with R the Heisenberg rotation between the two
     measurement times, independent of the state; the closed-form CHSH
     maximum of the spatial case applies to R.  The value is then measured
-    with those settings through the sequential engine.
+    with those settings, unit-axis observables and so dichotomic, through
+    the sequential engine.
     """
     u = model.unitary(t2 - t1)
     r = np.zeros((3, 3))
@@ -368,8 +423,8 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
             r[j, i] = float(np.real(np.trace(evolved @ sj))) / 2.0
     result = chsh_axis_optimize(r)
     settings = {name: _axis_observable(axis) for name, axis in result["axes"].items()}
-    value = temporal_chsh(model, settings, t1, t2)
-    return {"value": value, "settings": settings}
+    pairs = {name: _projector_pair(o) for name, o in settings.items()}
+    return {"value": _temporal_chsh(*_evolved(model, t1, t2), pairs), "settings": settings}
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +434,8 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
 
 def _pair_joint_table(model: PrecessionModel, ti: float, tj: float) -> np.ndarray:
     """2x2 table p(Q_j, Q_i) (later outcome indexes rows) from a two-time run."""
-    dist = _two_time_joint(model, model.observable, model.observable, ti, tj)
+    rho, u = _evolved(model, ti, tj)
+    dist = _stacked_joint(rho, (model._projectors, model._projectors), u)
     table = np.zeros((2, 2))
     for (qi, qj), p in dist.items():
         table[(1 - qj) // 2, (1 - qi) // 2] += p

@@ -43,12 +43,21 @@ def _validate_dist(p) -> np.ndarray:
     total = arr.sum()
     if abs(total - 1.0) > 1e-6:
         raise InfoTheoryError(f"probabilities must sum to 1 (got {total!r})")
+    return _renormalized(arr)
+
+
+def _renormalized(arr: np.ndarray) -> np.ndarray:
+    """Clipped at zero and divided by its sum: how a checked distribution is kept."""
     return np.clip(arr, 0.0, None) / arr.sum()
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
     """H(X) = -sum p log2 p in bits; a certain outcome gives +0.0."""
-    arr = _validate_dist(p)
+    return _entropy(_validate_dist(p))
+
+
+def _entropy(arr: np.ndarray) -> float:
+    """:func:`shannon_entropy` of a checked, renormalized distribution."""
     nz = arr[arr > TOL_ALG]
     return 0.0 - float(np.sum(nz * np.log2(nz)))
 
@@ -56,7 +65,9 @@ def shannon_entropy(p: Sequence[float]) -> float:
 def derived_entropies(joint) -> dict:
     """Joint, conditional H(X|Y), mutual, and relative-to-product entropies.
 
-    ``joint`` is a 2-D table p(x, y).
+    ``joint`` is a 2-D table p(x, y).  Once the table is checked, its
+    marginals and their product are distributions too, so they are
+    renormalized as the public entropies do but not checked again.
     """
     table = np.asarray(joint, dtype=float)
     if table.ndim != 2:
@@ -65,14 +76,17 @@ def derived_entropies(joint) -> dict:
     table = flat.reshape(table.shape)
     px = table.sum(axis=1)
     py = table.sum(axis=0)
-    h_joint = shannon_entropy(flat)
-    h_x = shannon_entropy(px)
-    h_y = shannon_entropy(py)
+    p_xy = _renormalized(flat)
+    h_joint = _entropy(p_xy)
+    h_x = _entropy(_renormalized(px))
+    h_y = _entropy(_renormalized(py))
     return {
         "joint": h_joint,
         "conditional": h_joint - h_y,  # H(X|Y)
         "mutual": h_x + h_y - h_joint,
-        "relative_to_product": relative_entropy(flat, np.outer(px, py).reshape(-1)),
+        "relative_to_product": _relative_entropy(
+            p_xy, _renormalized(np.outer(px, py).reshape(-1))
+        ),
     }
 
 
@@ -82,6 +96,11 @@ def relative_entropy(p, q) -> float:
     q = _validate_dist(q)
     if p.shape != q.shape:
         raise InfoTheoryError("distributions must have equal length")
+    return _relative_entropy(p, q)
+
+
+def _relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`relative_entropy` of checked, renormalized distributions."""
     mask = p > TOL_ALG
     if np.any(q[mask] <= TOL_ALG):
         return math.inf

@@ -461,3 +461,31 @@ def scanned_decode(codec, index: int) -> tuple:
             rank = np.array([index - offset])
             return tuple(codec._unrank(np.array([counts]), np.array([size]), rank)[0].tolist())
     raise InfoTheoryError("codeword index out of range")
+
+
+def recursive_sequential_joint(initial, observables, unitaries) -> dict:
+    """The sequential engine branch by branch: each branch recurses into its
+    +1 and then its -1 outcome, one (P @ rho) @ P per branch, one trace per
+    leaf."""
+    if len(unitaries) != len(observables) - 1:
+        raise ValueError("need one unitary between consecutive measurements")
+    rho0 = initial.to_density().matrix if isinstance(initial, StateVector) else initial.matrix
+    projectors = []
+    for obs in observables:
+        obs = np.asarray(obs, dtype=np.complex128)
+        eye = np.eye(obs.shape[0])
+        projectors.append({+1: (eye + obs) / 2.0, -1: (eye - obs) / 2.0})
+    dist = {}
+
+    def recurse(rho, outcomes, depth):
+        if depth == len(observables):
+            dist[outcomes] = float(np.real(np.trace(rho)))
+            return
+        if depth > 0:
+            u = np.asarray(unitaries[depth - 1], dtype=np.complex128)
+            rho = u @ rho @ u.conj().T
+        for q, p in projectors[depth].items():
+            recurse(p @ rho @ p, outcomes + (q,), depth + 1)
+
+    recurse(rho0, (), 0)
+    return dist

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoq.entangle import (
+    PAULI_PAIRS,
+    PAULIS,
     EntangleError,
     ObservableSettings,
     WernerState,
@@ -14,6 +16,7 @@ from chronoq.entangle import (
     chsh_value,
     concurrence,
     correlation_matrix,
+    correlator,
     fidelity,
     partial_transpose,
     ppt_min_eigenvalue,
@@ -148,6 +151,32 @@ def test_chsh_classical_state_bounded():
 def test_correlation_matrix_singlet():
     t = correlation_matrix(bell_state("psi-").to_density())
     assert np.allclose(t, -np.eye(3), atol=1e-9)
+
+
+def test_correlation_matrix_is_the_pairwise_kron_correlator():
+    # Bit for bit: the stacked product with the Pauli-pair constant takes the
+    # same 4x4 products and traces as nine correlators with np.kron.
+    gen = RandomSource(8, 0).generator
+    states = [_random_state(4, gen).to_density() for _ in range(20)]
+    for _ in range(20):
+        g = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+        m = g @ g.conj().T
+        states.append(DensityOperator(m / np.trace(m)))
+    states += [WernerState(0.8).rho, DensityOperator.maximally_mixed(4)]
+    for rho in states:
+        want = np.array([[correlator(rho, si, sj) for sj in PAULIS] for si in PAULIS])
+        got = correlation_matrix(rho)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+def test_pauli_pairs_are_read_only_kron_products():
+    for i, si in enumerate(PAULIS):
+        for j, sj in enumerate(PAULIS):
+            np.testing.assert_array_equal(PAULI_PAIRS[i, j], np.kron(si, sj))
+    assert not PAULI_PAIRS.flags.writeable
+    with pytest.raises(ValueError):
+        PAULI_PAIRS[0, 0, 0, 0] = 2.0
 
 
 def test_chsh_optimize_reaches_tsirelson():

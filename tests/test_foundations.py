@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronoq import foundations
 from chronoq.foundations import (
@@ -22,6 +24,7 @@ from chronoq.foundations import (
     lg_k3_analytic,
     lg_k3_max,
     sample_haar_frame,
+    sequential_correlator,
     sequential_joint,
     temporal_chsh,
     temporal_chsh_optimize,
@@ -36,6 +39,8 @@ from chronoq.qcore import (
     RandomSource,
     StateVector,
 )
+
+from dense_reference import recursive_sequential_joint
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -111,6 +116,90 @@ def test_sequential_joint_is_distribution():
     assert len(dist) == 8
 
 
+def _haar_unitary(d, gen):
+    z = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 6),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    pure=st.booleans(),
+)
+@example(d=2, depth=4, seed=0, pure=True)
+@example(d=6, depth=4, seed=1, pure=False)
+def test_sequential_joint_matches_the_recursive_engine(d, depth, seed, pure):
+    # Bit for bit, with the same keys in the same (depth-first, +1 first)
+    # order: random states, dichotomic observables of any spectrum (I and -I
+    # included, whose -1 or +1 branches are all zero) and unitaries.
+    gen = np.random.default_rng(seed)
+    if pure:
+        initial = StateVector(gen.normal(size=d) + 1j * gen.normal(size=d), normalize=True)
+    else:
+        g = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        m = g @ g.conj().T
+        initial = DensityOperator(m / np.trace(m))
+    observables = []
+    for _ in range(depth):
+        v = _haar_unitary(d, gen)
+        o = (v * gen.choice([-1.0, 1.0], size=d)) @ v.conj().T
+        observables.append((o + o.conj().T) / 2.0)
+    unitaries = [_haar_unitary(d, gen) for _ in range(depth - 1)]
+    got = sequential_joint(initial, observables, unitaries)
+    want = recursive_sequential_joint(initial, observables, unitaries)
+    assert list(got.items()) == list(want.items())
+    assert all(type(p) is float for p in got.values())
+
+
+def test_sequential_joint_rejects_a_non_dichotomic_observable():
+    model = PrecessionModel()
+    for obs in (np.array([[1, 1], [0, -1]]), 2.0 * PAULI_Z, np.eye(3)[:2]):
+        with pytest.raises(FoundationsError, match="Hermitian"):
+            sequential_joint(model.initial, [PAULI_Z, obs], [model.unitary(0.4)])
+
+
+def test_temporal_chsh_rejects_a_non_hermitian_setting():
+    model = PrecessionModel()
+    good = {"A1": PAULI_Z, "A2": PAULI_X, "B1": PAULI_Z, "B2": PAULI_X}
+    bad = np.array([[1, 1], [0, -1]])  # squares to I
+    for name in good:
+        with pytest.raises(FoundationsError, match="Hermitian"):
+            temporal_chsh(model, {**good, name: bad}, 0.0, 0.7)
+    for a, b in ((bad, PAULI_Z), (PAULI_Z, bad)):
+        with pytest.raises(FoundationsError, match="Hermitian"):
+            sequential_correlator(model, a, b, 0.0, 0.7)
+
+
+def test_a_nan_time_is_rejected_as_a_non_unitary_evolution():
+    model = PrecessionModel()
+    with pytest.raises(QcoreError, match="unitary"):
+        lg_k3(model, math.nan)
+    with pytest.raises(QcoreError, match="unitary"):
+        two_time_correlator(model, math.nan, 1.0)
+    with pytest.raises(QcoreError, match="unitary"):
+        temporal_chsh(model, {"A1": PAULI_Z, "A2": PAULI_X, "B1": PAULI_Z, "B2": PAULI_X},
+                      math.nan, 1.0)
+
+
+def test_a_model_builds_its_state_and_projectors_once_read_only():
+    model = PrecessionModel(omega=1.3, initial=StateVector([0.6, 0.8j]), observable=PAULI_Y)
+    first = lg_k3_max(model)
+    rho0, projectors = model._rho0, model._projectors
+    assert lg_k3_max(model) == first
+    assert model._rho0 is rho0 and model._projectors is projectors
+    np.testing.assert_array_equal(rho0, model.initial.to_density().matrix)
+    np.testing.assert_array_equal(projectors, [(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
+    for a in (rho0, projectors):
+        assert not a.flags.writeable
+    # The model's correlator is the public one on its own observable.
+    assert two_time_correlator(model, 0.2, 0.9) == sequential_correlator(
+        model, PAULI_Y, PAULI_Y, 0.2, 0.9
+    )
+
+
 def test_two_time_correlator_closed_form():
     model = PrecessionModel(omega=1.3)
     for t1, t2 in ((0.0, 0.5), (0.2, 1.1), (1.0, 2.7)):
@@ -160,6 +249,7 @@ def test_temporal_chsh_optimum():
         # sequential measurements.
         direct = temporal_chsh(model, res["settings"], 0.0, dt)
         assert direct == pytest.approx(res["value"], abs=1e-9)
+        assert direct == res["value"]
 
 
 def test_entropic_lg_violation_found():

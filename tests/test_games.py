@@ -107,6 +107,36 @@ def test_monty_teleport_donothing_map():
     assert m11[(1, 1)] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("xy", [(2, 0), (0, -1), (0.5, 1), ("0", "1"), (0, 1, 0), (1,), 7, None])
+def test_monty_teleport_rejects_xy_that_is_not_two_bits(xy):
+    with pytest.raises(GameError, match="two bits"):
+        monty_teleport("switch", 1000, RandomSource(1, 0), xy)
+    with pytest.raises(GameError, match="two bits"):
+        monty_teleport_donothing_map(xy)
+
+
+def test_monty_teleport_reads_bools_and_numpy_ints_as_bits():
+    want = monty_teleport("switch", 1000, RandomSource(1, 0), (1, 0))
+    for xy in ((True, False), (np.int64(1), np.int64(0)), [1, 0], (1.0, 0.0)):
+        assert monty_teleport("switch", 1000, RandomSource(1, 0), xy) == want
+        assert monty_teleport_donothing_map(xy) == monty_teleport_donothing_map((1, 0))
+
+
+def test_game_stats_to_dict_is_its_fields_in_declaration_order():
+    from dataclasses import asdict
+
+    for stats in (
+        monty_classic("switch", 1000, RandomSource(3, 0)),
+        *monty_ignorant("stick", 0, RandomSource(3, 0)).values(),
+        chsh_game("quantum", 500, RandomSource(3, 0)),
+    ):
+        d = stats.to_dict()
+        assert list(d.items()) == list(asdict(stats).items())
+        assert list(d) == [
+            "game", "strategy", "trials", "wins", "empirical", "analytic", "std_err", "passed"
+        ]
+
+
 def test_unreliable_teleport_analytic_exact():
     stick = unreliable_teleport_analytic("stick")
     switch = unreliable_teleport_analytic("switch")

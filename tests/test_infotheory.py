@@ -63,6 +63,44 @@ def test_derived_entropies_chain_rule():
     assert d["mutual"] >= -1e-12
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=2, cols=2, seed=0)
+def test_derived_entropies_are_the_public_entropies_of_its_table(rows, cols, seed):
+    # Bit for bit what the public functions give on the checked table, its
+    # marginals and their product: the marginals are renormalized, not
+    # checked again.  Zeros and entries just below zero are included.
+    gen = np.random.default_rng(seed)
+    table = gen.random((rows, cols)) ** 3
+    table[gen.random((rows, cols)) < 0.3] = 0.0
+    table[0, 0] += 1e-3
+    table /= table.sum()
+    table[(table == 0.0) & (gen.random((rows, cols)) < 0.5)] = -1e-13
+    d = derived_entropies(table)
+    flat = np.clip(table.reshape(-1), 0.0, None) / table.sum()
+    checked = flat.reshape(rows, cols)
+    px, py = checked.sum(axis=1), checked.sum(axis=0)
+    h_joint, h_x, h_y = shannon_entropy(flat), shannon_entropy(px), shannon_entropy(py)
+    assert d == {
+        "joint": h_joint,
+        "conditional": h_joint - h_y,
+        "mutual": h_x + h_y - h_joint,
+        "relative_to_product": relative_entropy(flat, np.outer(px, py).reshape(-1)),
+    }
+
+
+def test_derived_entropies_rejects_a_table_that_is_not_a_distribution():
+    for table in ([[0.5, 0.6], [0.0, 0.0]], [[0.5, -0.1], [0.6, 0.0]], np.zeros((0, 2))):
+        with pytest.raises(InfoTheoryError):
+            derived_entropies(table)
+    with pytest.raises(InfoTheoryError, match="2-D"):
+        derived_entropies([0.5, 0.5])
+
+
 def test_relative_entropy_properties():
     p, q = [0.7, 0.3], [0.5, 0.5]
     assert relative_entropy(p, p) == pytest.approx(0.0)
