@@ -21,13 +21,11 @@ security feature itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import (
-    HADAMARD,
     PAULI_X,
     RandomSource,
     StateVector,
@@ -35,7 +33,6 @@ from .qcore import (
     _SparseKet,
     _branch_index,
     branch_pair,
-    product_probabilities,
 )
 from .temporal import (
     TemporalError,
@@ -116,7 +113,9 @@ class QuantumChain:
         return "".join(r.bits for r in self.records)
 
     def _expected_branch(self) -> tuple[list[int], int]:
-        """Leading-branch bits and relative sign of :meth:`expected_state`."""
+        """Leading-branch bits and relative sign of the expected chain state,
+        which :meth:`fidelity` reads at two indices and :meth:`expected_state`
+        builds as a dense vector."""
         if not self.records:
             raise ChainError("empty chain")
         # The leading branch starts at 0 and then lists every record bit but
@@ -140,17 +139,6 @@ class QuantumChain:
         last = (1 << state.num_qubits) - 1
         overlap = _INV_SQRT2 * state.entry(lead) + sign * _INV_SQRT2 * state.entry(last - lead)
         return float(abs(overlap) ** 2)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "records": [r.bits for r in self.records],
-                "timestamps": self.timestamps,
-                "valid": bool(self.valid),
-                "fidelity": self.fidelity(),
-            },
-            sort_keys=True,
-        )
 
 
 def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumChain:
@@ -258,39 +246,6 @@ def tamper(chain: QuantumChain, spatial: str, op: np.ndarray) -> QuantumChain:
     apply_op(chain.register, op, [spatial])
     chain.valid = chain.fidelity() >= VALIDITY_FIDELITY
     return chain
-
-
-def decode_by_statistics(state: StateVector, num_copies: int, rng: RandomSource) -> str:
-    """Many-copy decoder: Z-basis shots give the branch bit pattern, X-basis
-    parity gives the relative sign (r1).
-
-    Every copy is ``state``, the chain's state, as a dense vector: each
-    basis's Born distribution is computed once, and its shots are picked
-    from it by ``RandomSource.choice_index`` at one array of doubles.
-    """
-    if num_copies < 2:
-        raise ChainError("need at least two copies")
-    z_shots = num_copies // 2
-    x_shots = num_copies - z_shots
-    n = state.num_qubits
-
-    # Z-basis: every shot lands in one of the two branches; canonicalize to
-    # the branch whose leading bit is 0, the smaller of the two indices.
-    z_probs = np.abs(state.amplitudes) ** 2
-    draws = rng.choice_index(z_probs, rng.generator.random(z_shots)).tolist()
-    patterns = {min(idx, (1 << n) - 1 - idx) for idx in draws}
-    if len(patterns) != 1:
-        raise DecodeMismatch("inconsistent branch patterns across copies")
-    lead = patterns.pop()
-    bits = [(lead >> (n - 1 - q)) & 1 for q in range(n)]
-
-    # X-basis: the product of the +-1 outcomes estimates the branch sign;
-    # r1 = 0 when most shots have even parity.
-    x_probs = product_probabilities(state, [HADAMARD] * n)
-    x_draws = rng.choice_index(x_probs, rng.generator.random(x_shots)).tolist()
-    odd = sum(bin(idx).count("1") % 2 for idx in x_draws)
-    r1 = 0 if 2 * odd < x_shots else 1
-    return "".join(str(b) for b in [r1] + bits[1:])
 
 
 # ---------------------------------------------------------------------------

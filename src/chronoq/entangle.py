@@ -1,8 +1,7 @@
 """Entanglement detection and measures.
 
-Schmidt decomposition, PPT criterion, concurrence, fidelity / trace distance,
-entanglement witnesses, and CHSH evaluation with the closed-form (Horodecki)
-maximum and settings.
+PPT criterion, concurrence, fidelity / trace distance, and CHSH evaluation
+with the closed-form (Horodecki) maximum and settings.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
-    QcoreError,
     StateVector,
     bell_state,
-    ghz_state,
     is_dichotomic,
-    is_hermitian,
     _normalized,
     partial_trace,
 )
@@ -37,45 +33,6 @@ PAULI_PAIRS.flags.writeable = False
 
 class EntangleError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Schmidt decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    coefficients: np.ndarray  # descending positive reals, sum of squares = 1
-    left_basis: list
-    right_basis: list
-
-    @property
-    def rank(self) -> int:
-        return int(np.sum(self.coefficients > 1e-9))
-
-    def reconstruct(self) -> StateVector:
-        dim_a = self.left_basis[0].dim
-        dim_b = self.right_basis[0].dim
-        amp = np.zeros(dim_a * dim_b, dtype=np.complex128)
-        for lam, a, b in zip(self.coefficients, self.left_basis, self.right_basis):
-            amp += lam * np.kron(a.amplitudes, b.amplitudes)
-        return StateVector(amp, normalize=True)
-
-
-def schmidt(state: StateVector, dims: Sequence[int]) -> SchmidtDecomposition:
-    """Schmidt decomposition of a bipartite pure state."""
-    if len(dims) != 2 or dims[0] * dims[1] != state.dim:
-        raise EntangleError("dims must be a bipartition of the state")
-    coeff = state.amplitudes.reshape(dims[0], dims[1])
-    u, s, vh = np.linalg.svd(coeff)
-    order = np.argsort(-s)
-    s = s[order]
-    keep = s > 1e-12
-    s = s[keep]
-    left = [StateVector(u[:, i], normalize=True) for i in order[keep]]
-    right = [StateVector(vh[i, :], normalize=True) for i in order[keep]]
-    return SchmidtDecomposition(s, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +126,8 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.dim != sigma.dim:
         raise EntangleError("dimension mismatch")
     sr = _psd_sqrt(rho.matrix)
-    inner = _psd_sqrt(sr @ sigma.matrix @ sr)
-    val = float(np.real(np.trace(inner)))
+    root = _psd_sqrt(sr @ sigma.matrix @ sr)
+    val = float(np.real(np.trace(root)))
     return float(min(max(val, 0.0), 1.0) ** 2)
 
 
@@ -181,10 +138,6 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     diff = rho.matrix - sigma.matrix
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def state_distance(rho: DensityOperator, sigma: DensityOperator) -> dict:
-    return {"fidelity": fidelity(rho, sigma), "trace_distance": trace_distance(rho, sigma)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +235,3 @@ def werner_chsh_crossing() -> float:
     """
     return (1.0 + 3.0 / SQRT2) / 4.0
 
-
-# ---------------------------------------------------------------------------
-# Witnesses
-# ---------------------------------------------------------------------------
-
-
-def ghz_witness(n: int = 3) -> np.ndarray:
-    """(3/4) I - |GHZ_n><GHZ_n|; negative expectation certifies the GHZ class."""
-    g = ghz_state(n)
-    dim = g.dim
-    return 0.75 * np.eye(dim, dtype=np.complex128) - np.outer(
-        g.amplitudes, g.amplitudes.conj()
-    )
-
-
-def witness_value(w: np.ndarray, rho: DensityOperator) -> float:
-    w = np.asarray(w, dtype=np.complex128)
-    if not is_hermitian(w):
-        raise QcoreError("witness must be Hermitian")
-    if w.shape[0] != rho.dim:
-        raise EntangleError("dimension mismatch")
-    return float(np.real(np.trace(w @ rho.matrix)))

@@ -276,6 +276,11 @@ def sequential_joint(
     rho0 = initial.to_density().matrix if isinstance(initial, StateVector) else initial.matrix
     pairs = [_dichotomic_projectors(o) for o in observables]
     unitaries = [np.asarray(u, dtype=np.complex128) for u in unitaries]
+    dim = rho0.shape[0]
+    for op in [pair[0] for pair in pairs] + unitaries:
+        if op.shape != (dim, dim):
+            shape = "x".join(map(str, op.shape))
+            raise FoundationsError(f"a {shape} operator cannot act on a state of dimension {dim}")
     return _stacked_joint(rho0, pairs, unitaries)
 
 

@@ -339,44 +339,21 @@ def _monty_teleport_model(strategy: str, channel: str) -> tuple[_Plan, Fraction]
     return plan, monty_teleport_analytic(strategy)
 
 
-def _channel_label(xy) -> str:
-    """The Bell label xy of channel beta_xy, for x and y each 0 or 1."""
-    try:
-        x, y = xy
-    except (TypeError, ValueError):
-        raise GameError(f"xy must be two bits, got {xy!r}") from None
-    if x not in (0, 1) or y not in (0, 1):
-        raise GameError(f"xy must be two bits, got {xy!r}")
-    return f"{int(x)}{int(y)}"
-
-
 def monty_teleport(
     strategy: str, trials: int, rng: RandomSource, xy: tuple[int, int] = (0, 0)
 ) -> GameStats:
     """Full quantum protocol: the chosen Bell channel is used for an actual
     teleportation circuit; Alice's Born-sampled outcome is the prize door."""
     _check_strategy(strategy)
-    plan, analytic = _monty_teleport_model(strategy, _channel_label(xy))
+    try:
+        x, y = xy
+    except (TypeError, ValueError):
+        raise GameError(f"xy must be two bits, got {xy!r}") from None
+    if x not in (0, 1) or y not in (0, 1):
+        raise GameError(f"xy must be two bits, got {xy!r}")
+    plan, analytic = _monty_teleport_model(strategy, f"{int(x)}{int(y)}")
     _, wins, _ = _draw(plan, trials, rng)
     return _stats("monty_teleport", strategy, wins, trials, analytic)
-
-
-def monty_teleport_donothing_map(xy: tuple[int, int]) -> dict:
-    """For channel beta_xy: which outcomes ab let Bob do nothing.
-
-    Returns per-outcome fidelity of Bob's uncorrected state with psi; the
-    uncorrected fidelity is 1 exactly when ab == xy (for beta_11 the match is
-    up to the global sign -1, which is physically equivalent)."""
-    channel = _channel_label(xy)
-    psi = StateVector(np.array([0.28, 0.96]), normalize=True)
-    state = _teleport_premeasure(psi, channel)
-    amps = state.amplitudes.reshape(4, 2)
-    out = {}
-    for branch in range(4):
-        bob = amps[branch]
-        bob = bob / np.linalg.norm(bob)
-        out[_door_bits(branch)] = float(abs(np.vdot(psi.amplitudes, bob)) ** 2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Shannon and von Neumann entropy families, typical-set coding, uncertainty bound.
+"""Shannon entropy family, typical-set coding, entropic uncertainty bound.
 
 All entropies are in bits (log base 2).  The ``0 * log 0 = 0`` convention is
-applied by clamping probabilities/eigenvalues below ``TOL_ALG`` to zero.
+applied by clamping probabilities below ``TOL_ALG`` to zero.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ import numpy as np
 from .qcore import (
     MAX_CODEC_BLOCK,
     TOL_ALG,
-    DensityOperator,
     QcoreError,
     RandomSource,
     StateVector,
     is_unitary,
-    partial_trace,
 )
 
 
@@ -38,8 +36,8 @@ class InfoTheoryError(ValueError):
 
 def _validate_dist(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.size == 0 or np.any(arr < -TOL_ALG):
-        raise InfoTheoryError("probabilities must be nonnegative")
+    if arr.size == 0 or not np.all(np.isfinite(arr) & (arr >= -TOL_ALG)):
+        raise InfoTheoryError("probabilities must be finite and nonnegative")
     total = arr.sum()
     if abs(total - 1.0) > 1e-6:
         raise InfoTheoryError(f"probabilities must sum to 1 (got {total!r})")
@@ -267,9 +265,6 @@ class TypicalCodec:
     the unreliable regime.  Sequences outside the codebook raise
     :class:`CodecFailure` — the codec declares an error and gives up.
 
-    Codewords serialize as fixed-width little-endian bit strings: bit ``i`` of
-    the integer index is character ``i`` of the string.
-
     Ranks within a class are computed for many sequences at once
     (:meth:`_ranks`, :meth:`_unrank`); :meth:`encode` and :meth:`decode` are
     their one-row case.  They are exact in int64: construction proves that
@@ -448,15 +443,6 @@ class TypicalCodec:
                 return tuple(self._unrank(np.array([counts]), np.array([size]), rank)[0].tolist())
         raise InfoTheoryError("codeword index out of range")
 
-    def codeword_bits(self, index: int) -> str:
-        """Fixed-width little-endian bit string for a codeword index."""
-        return "".join(str((index >> i) & 1) for i in range(self.width))
-
-    def index_from_bits(self, bits: str) -> int:
-        if len(bits) != self.width:
-            raise InfoTheoryError("codeword width mismatch")
-        return sum((1 << i) for i, b in enumerate(bits) if b == "1")
-
 
 class CodecFailure(InfoTheoryError):
     """The codec declares an error: the input sequence is not in the codebook."""
@@ -483,35 +469,8 @@ def typical_codec_roundtrip(codec: TypicalCodec, trials: int, rng: RandomSource)
 
 
 # ---------------------------------------------------------------------------
-# Quantum entropies
+# Entropic uncertainty
 # ---------------------------------------------------------------------------
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) in bits: Shannon entropy of the eigenvalue spectrum; a pure
-    state gives +0.0."""
-    eigs = np.clip(rho.eigenvalues(), 0.0, None)
-    eigs = eigs / eigs.sum()
-    nz = eigs[eigs > TOL_ALG]
-    return 0.0 - float(np.sum(nz * np.log2(nz)))
-
-
-def quantum_conditional_entropy(rho_ab: DensityOperator, dims: Sequence[int]) -> float:
-    """S(A|B) = S(A,B) - S(B); negative values witness entanglement."""
-    if len(dims) != 2 or dims[0] * dims[1] != rho_ab.dim:
-        raise InfoTheoryError("dims must be a bipartition of the operator")
-    rho_b = partial_trace(rho_ab, dims, keep=[1])
-    return von_neumann_entropy(rho_ab) - von_neumann_entropy(rho_b)
-
-
-def quantum_mutual_information(rho_ab: DensityOperator, dims: Sequence[int]) -> float:
-    rho_a = partial_trace(rho_ab, dims, keep=[0])
-    rho_b = partial_trace(rho_ab, dims, keep=[1])
-    return (
-        von_neumann_entropy(rho_a)
-        + von_neumann_entropy(rho_b)
-        - von_neumann_entropy(rho_ab)
-    )
 
 
 def entropic_uncertainty_bound(

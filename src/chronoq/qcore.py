@@ -21,7 +21,7 @@ Conventions used throughout the package:
 * Density operators are checked once, at the boundary: the public
   ``DensityOperator`` constructor checks its matrix, with an O(d^3)
   ``eigvalsh``.  A result valid by construction (a ket's outer product, a
-  tensor product, a partial trace, a conjugation, a pinching) goes through
+  partial trace, a conjugation, a pinching) goes through
   ``DensityOperator._adopt``, which freezes its new array unchecked.
 * The squared norm of a ket, dense or sparse, is the ``np.vdot`` of its
   nonzero entries in index order (``_norm_sq``); so is each Born weight
@@ -79,18 +79,13 @@ class RandomSource:
     """Seeded pseudo-random stream.
 
     Identical ``(seed, stream)`` pairs always produce identical draw
-    sequences.  Parallel Monte Carlo should use one source per trial via
-    :meth:`spawn`.  The generator is built on the first draw, so a source
-    that never draws never imports ``numpy.random``.
+    sequences.  The generator is built on the first draw, so a source that
+    never draws never imports ``numpy.random``.
     """
 
     def __init__(self, seed: int = 42, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-
-    def spawn(self, stream: int) -> "RandomSource":
-        """A fresh, independent source derived from the same master seed."""
-        return RandomSource(self.seed, stream)
 
     @cached_property
     def generator(self) -> np.random.Generator:
@@ -199,10 +194,6 @@ class StateVector:
         vec[index] = 1.0
         return cls(vec)
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "StateVector":
-        return cls.basis(1 << len(bits), _branch_index([int(b) & 1 for b in bits]))
-
     # -- algebra --
 
     def tensor(self, other: "StateVector") -> "StateVector":
@@ -216,9 +207,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def apply(self, op: np.ndarray, targets: Sequence[int] | None = None) -> "StateVector":
         """Apply a unitary to the whole register or to the given qubits."""
@@ -685,9 +673,6 @@ class DensityOperator:
             raise QcoreError(f"dimension must be at least 1 (got {dim!r})")
         return cls._adopt(_normalized(np.eye(dim) / dim))
 
-    def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator._adopt(_normalized(np.kron(self.matrix, other.matrix)))
-
     def apply(self, op: np.ndarray, targets: Sequence[int] | None = None) -> "DensityOperator":
         """U rho U^dagger for a unitary on the whole register or on the given
         qubits: U on their ket axes, then U conjugated on their bra axes."""
@@ -704,9 +689,6 @@ class DensityOperator:
         flat = _apply_to_targets(self.matrix.reshape(-1), 2 * n, mat, targets)
         flat = _apply_to_targets(flat, 2 * n, mat.conj(), [n + t for t in targets])
         return DensityOperator._adopt(flat.reshape(self.dim, self.dim))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityOperator(dim={self.dim})"

@@ -17,7 +17,6 @@ branches, and dense only on request.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,9 +138,6 @@ class TemporalRegister:
         copy.event_log = [dict(e, modes=list(e["modes"])) for e in self.event_log]
         copy.valid = self.valid
         return copy
-
-    def event_log_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.event_log)
 
 
 # ---------------------------------------------------------------------------

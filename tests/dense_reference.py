@@ -20,7 +20,6 @@ from chronoq.chain import (
 )
 from chronoq.infotheory import InfoTheoryError, _multinomial
 from chronoq.qcore import (
-    HADAMARD,
     PAULI_X,
     TOL_ALG,
     DensityOperator,
@@ -134,25 +133,6 @@ def dense_decode(chain) -> str:
     if decoded != chain.record_string:
         raise DecodeMismatch("decoded record string does not match the chain")
     return decoded
-
-
-def per_shot_decode_by_statistics(state, num_copies: int, rng) -> str:
-    """The many-copy decoder with one ``Generator.choice`` call per shot."""
-    n, z_shots = state.num_qubits, num_copies // 2
-    gen = rng.generator
-
-    def shot(weights):
-        return int(gen.choice(len(weights), p=weights / weights.sum()))
-
-    z_probs = np.abs(state.amplitudes) ** 2
-    patterns = {min(idx, (1 << n) - 1 - idx) for idx in (shot(z_probs) for _ in range(z_shots))}
-    if len(patterns) != 1:
-        raise DecodeMismatch("inconsistent branch patterns across copies")
-    lead = patterns.pop()
-    x_probs = np.abs(kron_all([HADAMARD] * n) @ state.amplitudes) ** 2
-    odd = sum(bin(shot(x_probs)).count("1") % 2 for _ in range(num_copies - z_shots))
-    r1 = 0 if 2 * odd < num_copies - z_shots else 1
-    return str(r1) + "".join(str((lead >> (n - 1 - q)) & 1) for q in range(1, n))
 
 
 def per_round_theta_angles(n: int, rng) -> tuple[list[float], int]:

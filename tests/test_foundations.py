@@ -161,6 +161,19 @@ def test_sequential_joint_rejects_a_non_dichotomic_observable():
             sequential_joint(model.initial, [PAULI_Z, obs], [model.unitary(0.4)])
 
 
+def test_sequential_joint_rejects_an_operator_of_another_dimension():
+    model = PrecessionModel()
+    qutrit_z = np.diag([1.0, -1.0, 1.0])
+    cases = [
+        ([PAULI_Z, qutrit_z], [model.unitary(0.4)], "3x3"),
+        ([PAULI_Z, PAULI_Z], [np.eye(3)], "3x3"),
+        ([PAULI_Z, PAULI_Z], [np.eye(2)[0]], "2 operator"),
+    ]
+    for observables, unitaries, shape in cases:
+        with pytest.raises(FoundationsError, match=f"{shape}.*dimension 2"):
+            sequential_joint(model.initial, observables, unitaries)
+
+
 def test_temporal_chsh_rejects_a_non_hermitian_setting():
     model = PrecessionModel()
     good = {"A1": PAULI_Z, "A2": PAULI_X, "B1": PAULI_Z, "B2": PAULI_X}

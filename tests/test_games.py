@@ -17,7 +17,6 @@ from chronoq.games import (
     monty_ignorant_analytic,
     monty_teleport,
     monty_teleport_analytic,
-    monty_teleport_donothing_map,
     pbr_analytic,
     pbr_game,
     pbr_measurement_basis,
@@ -96,30 +95,16 @@ def test_monty_teleport_monte_carlo():
         assert monty_teleport(strategy, TRIALS, rng).passed
 
 
-def test_monty_teleport_donothing_map():
-    # For channel beta_00 Bob's do-nothing succeeds only on outcome 00.
-    m = monty_teleport_donothing_map((0, 0))
-    assert m[(0, 0)] == pytest.approx(1.0, abs=1e-9)
-    for ab in ((0, 1), (1, 0), (1, 1)):
-        assert m[ab] < 1.0 - 1e-6
-    # For beta_11 the matching outcome is 11 (up to the sign convention).
-    m11 = monty_teleport_donothing_map((1, 1))
-    assert m11[(1, 1)] == pytest.approx(1.0, abs=1e-9)
-
-
 @pytest.mark.parametrize("xy", [(2, 0), (0, -1), (0.5, 1), ("0", "1"), (0, 1, 0), (1,), 7, None])
 def test_monty_teleport_rejects_xy_that_is_not_two_bits(xy):
     with pytest.raises(GameError, match="two bits"):
         monty_teleport("switch", 1000, RandomSource(1, 0), xy)
-    with pytest.raises(GameError, match="two bits"):
-        monty_teleport_donothing_map(xy)
 
 
 def test_monty_teleport_reads_bools_and_numpy_ints_as_bits():
     want = monty_teleport("switch", 1000, RandomSource(1, 0), (1, 0))
     for xy in ((True, False), (np.int64(1), np.int64(0)), [1, 0], (1.0, 0.0)):
         assert monty_teleport("switch", 1000, RandomSource(1, 0), xy) == want
-        assert monty_teleport_donothing_map(xy) == monty_teleport_donothing_map((1, 0))
 
 
 def test_game_stats_to_dict_is_its_fields_in_declaration_order():

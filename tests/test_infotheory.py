@@ -18,23 +18,18 @@ from chronoq.infotheory import (
     _share_rule,
     derived_entropies,
     entropic_uncertainty_bound,
-    quantum_conditional_entropy,
-    quantum_mutual_information,
     relative_entropy,
     sequence_surprisal,
     shannon_entropy,
     typical_codec_roundtrip,
     typical_membership,
     typical_set_size,
-    von_neumann_entropy,
 )
 from chronoq.qcore import (
     HADAMARD,
     MAX_CODEC_BLOCK,
-    DensityOperator,
     RandomSource,
     StateVector,
-    bell_state,
 )
 from dense_reference import rank_in_class
 
@@ -101,6 +96,24 @@ def test_derived_entropies_rejects_a_table_that_is_not_a_distribution():
         derived_entropies([0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entropy",
+    [
+        shannon_entropy,
+        lambda p: relative_entropy(p, [0.25] * 4),
+        lambda p: relative_entropy([0.25] * 4, p),
+        lambda p: derived_entropies(np.reshape(p, (2, 2))),
+    ],
+    ids=["shannon", "relative-p", "relative-q", "derived"],
+)
+def test_a_non_finite_probability_is_rejected(entropy, bad):
+    # A nan entry fails every comparison and makes the sum nan, so only an
+    # explicit finiteness check rejects it.
+    with pytest.raises(InfoTheoryError, match="finite"):
+        entropy([bad, 0.5, 0.5, 0.0])
+
+
 def test_relative_entropy_properties():
     p, q = [0.7, 0.3], [0.5, 0.5]
     assert relative_entropy(p, p) == pytest.approx(0.0)
@@ -160,9 +173,7 @@ def test_codec_width_and_roundtrip_exact_members():
     seq = (0,) * 12
     idx = codec.encode(seq)
     assert codec.decode(idx) == seq
-    bits = codec.codeword_bits(idx)
-    assert len(bits) == codec.width
-    assert codec.index_from_bits(bits) == idx
+    assert 0 <= idx < 2**codec.width
 
 
 def test_codec_encode_decode_bijection_prefix():
@@ -300,28 +311,15 @@ def test_distinct_rows_is_numpy_unique(m, n, base, others, seed):
         assert counts.tolist() == want_counts.tolist()
 
 
-def test_von_neumann_entropy():
-    assert von_neumann_entropy(bell_state("phi+").to_density()) == pytest.approx(0.0)
-    assert von_neumann_entropy(DensityOperator.maximally_mixed(4)) == pytest.approx(2.0)
-
-
 def test_entropy_of_a_certain_outcome_is_positive_zero():
     for h in (
         shannon_entropy([1.0, 0.0]),
         shannon_entropy([0.0, 1.0, 0.0]),
-        von_neumann_entropy(bell_state("phi+").to_density()),
-        von_neumann_entropy(StateVector([0.6, 0.8]).to_density()),
     ):
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
     # Every other value keeps its bits: 0.0 - s is -s exactly when s != 0.
     p = np.array([0.1, 0.2, 0.7])
     assert shannon_entropy(p) == float(-np.sum(p * np.log2(p)))
-
-
-def test_quantum_conditional_entropy_negative_for_entangled():
-    rho = bell_state("phi+").to_density()
-    assert quantum_conditional_entropy(rho, [2, 2]) == pytest.approx(-1.0)
-    assert quantum_mutual_information(rho, [2, 2]) == pytest.approx(2.0)
 
 
 def test_entropic_uncertainty_mub():

@@ -62,8 +62,7 @@ def test_event_log_monotone_time():
     create_pair(reg, "phi+", ("c", "d"), t=1)
     times = [e["t"] for e in reg.event_log]
     assert times == sorted(times)
-    lines = reg.event_log_jsonl().splitlines()
-    assert all(json.loads(line) for line in lines)
+    assert json.loads(json.dumps(reg.event_log)) == reg.event_log
 
 
 def test_create_in_the_past_rejected():
