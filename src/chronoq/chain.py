@@ -11,7 +11,10 @@ other record bit appears literally in the leading branch.
 The register holds that state as a ``qcore._SparseKet``: its two branches,
 or after a tamper on the live photon at most four entries.  Appends, decode
 and fidelity read and write those entries; the dense 2^n vector is built
-only on request (``state.amplitudes``).
+only on request (``state.amplitudes``).  An append is one fused step
+(``temporal.fuse_fresh_pair``): each chain entry keeps the one entry of the
+fresh pair that the PBS lets through, and the register takes the new state,
+modes and events only once a post-selection draw succeeds.
 
 Temporal discipline: all photons remain part of the state, but only photons
 at the chain's current (latest) time step are physically present; tampering
@@ -37,10 +40,10 @@ from .qcore import (
 from .temporal import (
     TemporalError,
     TemporalRegister,
-    _post_selected_fuse,
     apply_op,
     create_pair,
     delay,
+    fuse_fresh_pair,
 )
 
 FUSION_RETRY_CAP = 64
@@ -150,8 +153,10 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
     bit, an X correction is applied to the first new photon after fusion.
     Post-selection failures are retried with fresh randomness, up to
     FUSION_RETRY_CAP draws.  Every retry would rebuild the same candidate, so
-    it is built and projected once and each retry is one draw against the
-    same success probability.
+    the fused, corrected state is built once, without touching the register,
+    and each retry is one draw against the same success probability; the
+    register changes only on a success.  Past the cap ChainError is raised
+    and the chain is as it was.
     """
     if not chain.valid:
         raise ChainError("cannot append to an invalidated chain")
@@ -163,18 +168,14 @@ def append(chain: QuantumChain, record: Record, rng: RandomSource) -> QuantumCha
 
     k = len(chain.records)
     last_bit = chain.records[-1].r2
-    last_label = f"p{2 * k}"
-    new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
     pair = Record(0, record.r2 ^ last_bit)
-
-    candidate = chain.register.snapshot()
-    create_pair(candidate, pair.bits, (new1, new2), t=k)
-    delay(candidate, new2, 1)
-    if not _post_selected_fuse(candidate, last_label, new1, rng, FUSION_RETRY_CAP):
+    new_pair = (f"p{2 * k + 1}", f"p{2 * k + 2}")
+    fused = fuse_fresh_pair(
+        chain.register, pair.bits, new_pair, k, f"p{2 * k}", rng, FUSION_RETRY_CAP,
+        flip=record.r1 != last_bit,
+    )
+    if not fused:
         raise ChainError("fusion retry cap exceeded")
-    if record.r1 != last_bit:
-        apply_op(candidate, PAULI_X, [new1])
-    chain.register = candidate
     chain.records.append(record)
     return chain
 

@@ -335,12 +335,12 @@ class PrecessionModel:
 
 def _evolved(model: PrecessionModel, t1: float, t2: float) -> tuple[np.ndarray, tuple]:
     """The model's density matrix at t1, (U rho0) U^dagger, and the one
-    unitary from t1 to t2, as the engine takes it.  The rotation is unitary
-    at every finite angle (an infinite one raises in math.cos); a nan t1
-    makes it all nan, which is rejected as not unitary."""
+    unitary from t1 to t2, as the engine takes it.  Both rotation angles
+    must be finite, and so both times: math.cos raises on an infinite angle
+    and returns nan on a nan one."""
+    if not (math.isfinite(model.omega * t1) and math.isfinite(model.omega * (t2 - t1))):
+        raise FoundationsError(f"measurement times must be finite, got ({t1!r}, {t2!r})")
     u = model.unitary(t1)
-    if math.isnan(t1):
-        raise QcoreError("operator is not unitary")
     return (u @ model._rho0) @ u.conj().T, (model.unitary(t2 - t1),)
 
 
@@ -420,7 +420,8 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
     with those settings, unit-axis observables and so dichotomic, through
     the sequential engine.
     """
-    u = model.unitary(t2 - t1)
+    rho, evolution = _evolved(model, t1, t2)
+    u = evolution[0]
     r = np.zeros((3, 3))
     for i, si in enumerate(PAULIS):
         evolved = u.conj().T @ si @ u
@@ -429,7 +430,7 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
     result = chsh_axis_optimize(r)
     settings = {name: _axis_observable(axis) for name, axis in result["axes"].items()}
     pairs = {name: _projector_pair(o) for name, o in settings.items()}
-    return {"value": _temporal_chsh(*_evolved(model, t1, t2), pairs), "settings": settings}
+    return {"value": _temporal_chsh(rho, evolution, pairs), "settings": settings}
 
 
 # ---------------------------------------------------------------------------

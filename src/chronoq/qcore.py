@@ -325,8 +325,9 @@ class _SparseKet:
     and their complex128 amplitudes, for states with few branches.
 
     It offers the register operations a temporal chain needs: ``tensor``
-    with a dense state, ``apply`` of a 2x2 operator on one target and
-    ``project_equal_bits``, plus ``amplitudes``, the dense 2^n vector built
+    with a dense state, ``apply`` of a 2x2 operator on one target,
+    ``project_equal_bits`` and ``fuse_pair``, the three steps of a chain
+    append fused into one, plus ``amplitudes``, the dense 2^n vector built
     on request.  It renormalizes when :class:`StateVector` does, from the
     same squared norm, so the two forms agree as the module docstring says.
     """
@@ -418,6 +419,42 @@ class _SparseKet:
         indices, values = self.indices[equal], self.values[equal]
         p = _norm_sq(values)
         return p, partial(_SparseKet, n, indices, values, normalize=True, norm_sq=p)
+
+    def fuse_pair(
+        self, q: int, pair: StateVector, flip: bool
+    ) -> tuple[float, Callable[[], "_SparseKet"]]:
+        """``self.tensor(pair).project_equal_bits(q, m)`` for a Bell state
+        ``pair``, m being its first qubit (``self.num_qubits``), and with
+        ``flip`` that qubit then flipped as ``apply(PAULI_X, [m])`` flips it,
+        without building either intermediate ket.
+
+        A Bell state has one entry j for each value of its first bit, so each
+        entry i keeps the one whose first bit equals its bit q: entry
+        ``(i << 2) | j``, its amplitude the complex128 product that
+        :meth:`tensor` forms.  ``self`` is normalized, so its product with the
+        pair is within ``TOL_NORM`` of norm 1, which :meth:`tensor` keeps
+        unscaled.  Returns ``(p, build)`` as :meth:`project_equal_bits` does.
+        """
+        _check_qubits(self.num_qubits, [q])
+        j = np.flatnonzero(pair.amplitudes)[(self.indices >> (self.num_qubits - 1 - q)) & 1]
+        indices, values = (self.indices << 2) | j, self.values * pair.amplitudes[j]
+        n = self.num_qubits + 2
+        p = _norm_sq(values)
+
+        def build() -> "_SparseKet":
+            if not flip:
+                return _SparseKet(n, indices, values, normalize=True, norm_sq=p)
+            # X on qubit n - 2 flips bit 2 of each index, after the fusion's
+            # rescale and before apply's own renormalization.  Each output of
+            # apply's product sums an exact +0 with the entry, which turns a
+            # -0 part into +0, as adding 0 does.
+            scale = _rescale_factor(p, True)
+            scaled = values if scale is None else values * scale
+            flipped = indices ^ 2
+            order = np.argsort(flipped)
+            return _SparseKet(n, flipped[order], scaled[order] + 0.0, normalize=True)
+
+        return p, build
 
 
 # ---------------------------------------------------------------------------

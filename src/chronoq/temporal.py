@@ -69,8 +69,9 @@ class TemporalRegister:
 
     Two indexes spare the operations a scan of ``modes``: each spatial label
     maps to its entry's position, and each live label to its qubit in the
-    state.  :func:`create_pair` adds to both and the measurements renumber
-    the live qubits as they consume modes; assigning ``modes`` rebuilds both.
+    state.  :func:`create_pair` and :func:`fuse_fresh_pair` add to both, the
+    measurements renumber the live qubits as they consume modes, and
+    assigning ``modes`` rebuilds both.
     The operations replace a mode entry rather than write into it, so a
     snapshot shares the entries of its original.
     """
@@ -155,6 +156,16 @@ def create_pair(
     reg: TemporalRegister, label: str, spatial_pair: Sequence[str], t: int
 ) -> TemporalRegister:
     """Add two fresh live modes in the chosen Bell state at time step t."""
+    _check_new_pair(reg, spatial_pair, t)
+    pair = bell_state(label)
+    reg.state = pair if reg.state is None else reg.state.tensor(pair)
+    _add_pair_modes(reg, spatial_pair, (t, t))
+    reg._log("create", spatial_pair, t)
+    return reg
+
+
+def _check_new_pair(reg: TemporalRegister, spatial_pair: Sequence[str], t: int):
+    """Raise unless a pair can be created on ``spatial_pair`` at time step t."""
     if not reg.valid:
         raise TemporalError("register invalidated by a failed fusion")
     if len(spatial_pair) != 2 or spatial_pair[0] == spatial_pair[1]:
@@ -166,14 +177,14 @@ def create_pair(
         raise TemporalError("cannot create a pair before the last event")
     if len(reg._qubit) + 2 > MAX_QUBITS:
         raise TemporalError(f"register would exceed {MAX_QUBITS} qubits")
-    pair = bell_state(label)
-    reg.state = pair if reg.state is None else reg.state.tensor(pair)
-    for s in spatial_pair:
+
+
+def _add_pair_modes(reg: TemporalRegister, spatial_pair: Sequence[str], times: Sequence[int]):
+    """Append two live modes, the last qubits of the state, to both indexes."""
+    for s, t in zip(spatial_pair, times):
         reg._position[s] = len(reg.modes)
         reg._qubit[s] = len(reg._qubit)
         reg.modes.append([ModeId(s, int(t)), False])
-    reg._log("create", spatial_pair, t)
-    return reg
 
 
 def delay(reg: TemporalRegister, spatial: str, dt: int) -> TemporalRegister:
@@ -259,22 +270,10 @@ def bell_measure(
 def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
     """Post-selected PBS fusion F = |hh><hh| + |vv><vv| on two live modes.
 
-    On success the state is projected and renormalized; both modes stay
-    live.  On failure the register is marked invalid — retrying is the
-    caller's policy (typically from a prior snapshot).
-    """
-    return _post_selected_fuse(reg, s1, s2, rng, attempts=1)
-
-
-def _post_selected_fuse(
-    reg: TemporalRegister, s1: str, s2: str, rng: RandomSource, attempts: int
-) -> bool:
-    """:func:`pbs_fuse` retried up to ``attempts`` times on the same input.
-
-    F|psi> and p_success = <psi|F|psi> are computed once; each attempt is one
-    ``rng.uniform()`` draw, which succeeds below p_success.  The draws, the
-    one "fuse" event and the resulting register are those of calling
-    :func:`pbs_fuse` on fresh snapshots of ``reg`` until one succeeds.
+    One ``rng.uniform()`` draw succeeds below p_success = <psi|F|psi>.  On
+    success the state is projected and renormalized; both modes stay live.
+    On failure the register is marked invalid — retrying is the caller's
+    policy (typically from a prior snapshot).
     """
     if not reg.valid:
         raise TemporalError("register invalidated by a failed fusion")
@@ -284,10 +283,57 @@ def _post_selected_fuse(
     t = _event_time(reg, [s1, s2])
     p_success, fused = reg.state.project_equal_bits(q1, q2)
     reg._log("fuse", [s1, s2], t)
-    if not any(rng.uniform() < p_success for _ in range(attempts)):
+    if not rng.uniform() < p_success:
         reg.valid = False
         return False
     reg.state = fused()
+    return True
+
+
+def fuse_fresh_pair(
+    reg: TemporalRegister,
+    label: str,
+    spatial_pair: Sequence[str],
+    t: int,
+    onto: str,
+    rng: RandomSource,
+    attempts: int,
+    *,
+    flip: bool,
+) -> bool:
+    """Fuse a fresh Bell pair onto the live mode ``onto``, committed only on
+    success.
+
+    The pair, in Bell state ``label``, is created at time step t and its
+    second photon delayed one step; its first photon is PBS-fused with
+    ``onto``, and with ``flip`` X then acts on that photon.  The fused state
+    and its success probability are built once from the register's state, a
+    ``qcore._SparseKet``, without touching the register; each attempt is one
+    ``rng.uniform()`` draw below that probability, up to ``attempts``.
+
+    On a success the register changes in place as :func:`create_pair`,
+    :func:`delay`, :func:`pbs_fuse` on snapshots until one succeeds and
+    :func:`apply_op` would change it, with the same "create", "delay" and
+    "fuse" events, and True is returned.  If every attempt misses, the
+    register is untouched and False is returned.
+    """
+    _check_new_pair(reg, spatial_pair, t)
+    if not isinstance(reg.state, _SparseKet):
+        raise TemporalError("fuse_fresh_pair needs a register holding a sparse ket")
+    first, second = spatial_pair
+    q = reg._live_index(onto)
+    fuse_t = max(reg.modes[reg._find(onto)][0].time_step, t)
+    p_success, fused = reg.state.fuse_pair(q, bell_state(label), flip)
+    for _ in range(attempts):
+        if rng.uniform() < p_success:
+            break
+    else:
+        return False
+    reg.state = fused()
+    _add_pair_modes(reg, spatial_pair, (t, t + 1))
+    reg._log("create", spatial_pair, t)
+    reg._log("delay", [second], t)
+    reg._log("fuse", [onto, first], fuse_t)
     return True
 
 

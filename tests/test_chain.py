@@ -181,22 +181,43 @@ class _CountingDraw:
         return self.u
 
 
-def test_fusion_retry_cap_enforced():
-    chain = build_chain(["01", "10"], RandomSource(30, 0))
+_TEN_RECORDS = ["01", "10", "11", "00", "10", "01", "11", "00", "10", "11"]
+
+
+def _assert_append_leaves_chain_untouched(chain, record, draw, error, match):
     register, state = chain.register, chain.register.state
+    records, text = list(chain.records), chain.record_string
     log = copy.deepcopy(register.event_log)
     modes = copy.deepcopy(register.modes)
-    # Fusing a fresh Bell pair onto the chain succeeds with p = 1/2.
-    draw = _CountingDraw(0.75)
-    with pytest.raises(ChainError, match="retry cap"):
-        append(chain, Record(1, 1), draw)
-    assert draw.draws == FUSION_RETRY_CAP
-    assert chain.records == [Record(0, 1), Record(1, 0)]
+    position, qubit = dict(register._position), dict(register._qubit)
+    with pytest.raises(error, match=match):
+        append(chain, record, draw)
+    assert chain.records == records
     assert chain.valid
     assert chain.register is register and register.state is state
     assert register.event_log == log and register.modes == modes
+    assert register._position == position and register._qubit == qubit
     assert register.valid
-    assert decode(chain) == "0110"
+    assert decode(chain) == text
+
+
+def test_fusion_retry_cap_enforced():
+    # Fusing a fresh Bell pair onto the chain succeeds with p = 1/2, so a
+    # draw of 0.75 misses every attempt, at every chain length.
+    for length in range(1, 10):
+        chain = build_chain(_TEN_RECORDS[:length], RandomSource(30, length))
+        draw = _CountingDraw(0.75)
+        _assert_append_leaves_chain_untouched(chain, Record(1, 1), draw, ChainError, "retry cap")
+        assert draw.draws == FUSION_RETRY_CAP
+
+
+def test_eleventh_append_raises_before_any_draw():
+    chain = build_chain(_TEN_RECORDS, RandomSource(31, 0))
+    draw = _CountingDraw(0.0)
+    _assert_append_leaves_chain_untouched(
+        chain, Record(0, 1), draw, TemporalError, "exceed 20 qubits"
+    )
+    assert draw.draws == 0
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -318,6 +339,25 @@ def test_build_then_decode_returns_the_records(records, seed):
     assert chain.valid and chain.fidelity() == pytest.approx(1.0, abs=1e-12)
     assert chain.timestamps == [(k + 1) // 2 for k in range(2 * len(records))]
     _assert_index_matches_scan(chain.register)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(records=_RECORDS, seed=_SEEDS)
+def test_fused_append_matches_dense_chain_bit_for_bit(records, seed):
+    rng, ref_rng = RandomSource(seed, 5), RandomSource(seed, 5)
+    chain = build_chain(records, rng)
+    ref = dense_chain([Record.parse(r) for r in records], ref_rng)
+    got, want = chain.register.state.amplitudes, ref.register.state.amplitudes
+    # The nonzero amplitudes agree to the bit; elsewhere the dense vector may
+    # hold -0.0 where the sparse one reads +0.0.
+    branches = chain.register.state.indices
+    assert got[branches].tobytes() == want[branches].tobytes()
+    assert np.array_equal(got, want) and np.count_nonzero(want) == branches.size
+    assert chain.register.event_log == ref.register.event_log
+    assert chain.register.modes == ref.register.modes
+    assert chain.register._position == ref.register._position
+    assert chain.register._qubit == ref.register._qubit
+    assert rng.uniform() == ref_rng.uniform()
 
 
 def _copy(chain):

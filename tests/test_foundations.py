@@ -186,15 +186,32 @@ def test_temporal_chsh_rejects_a_non_hermitian_setting():
             sequential_correlator(model, a, b, 0.0, 0.7)
 
 
-def test_a_nan_time_is_rejected_as_a_non_unitary_evolution():
+_SETTINGS = {"A1": PAULI_Z, "A2": PAULI_X, "B1": PAULI_Z, "B2": PAULI_X}
+# Each call puts the time where the argument checks before the evolution pass it.
+_TIMED_CALLS = {
+    "two_time_correlator": lambda m, t: two_time_correlator(m, 0.0, t),
+    "two_time_correlator_first": lambda m, t: two_time_correlator(m, t, 1.0),
+    "lg_k3": lambda m, t: lg_k3(m, t),
+    "entropic_lg_check": lambda m, t: entropic_lg_check(m, 0.0, 1.0, t),
+    "sequential_correlator": lambda m, t: sequential_correlator(m, PAULI_Z, PAULI_X, t, 1.0),
+    "temporal_chsh": lambda m, t: temporal_chsh(m, _SETTINGS, t, 1.0),
+    "temporal_chsh_optimize": lambda m, t: temporal_chsh_optimize(m, 0.0, t),
+}
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", list(_TIMED_CALLS))
+def test_a_non_finite_time_raises_foundations_error(call, time):
+    with pytest.raises(FoundationsError):
+        _TIMED_CALLS[call](PrecessionModel(), time)
+
+
+def test_an_overflowing_time_difference_raises_foundations_error():
     model = PrecessionModel()
-    with pytest.raises(QcoreError, match="unitary"):
-        lg_k3(model, math.nan)
-    with pytest.raises(QcoreError, match="unitary"):
-        two_time_correlator(model, math.nan, 1.0)
-    with pytest.raises(QcoreError, match="unitary"):
-        temporal_chsh(model, {"A1": PAULI_Z, "A2": PAULI_X, "B1": PAULI_Z, "B2": PAULI_X},
-                      math.nan, 1.0)
+    with pytest.raises(FoundationsError, match="finite"):
+        two_time_correlator(model, -1e308, 1e308)
+    with pytest.raises(FoundationsError, match="finite"):
+        temporal_chsh_optimize(model, -1e308, 1e308)
 
 
 def test_a_model_builds_its_state_and_projectors_once_read_only():

@@ -622,6 +622,43 @@ def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
                     build()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 18),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    signed_zeros=st.booleans(),
+    bell=st.sampled_from(BELL_LABELS),
+    flip=st.booleans(),
+    data=st.data(),
+)
+def test_fuse_pair_matches_tensor_projection_and_flip(
+    n, count, seed, signed_zeros, bell, flip, data
+):
+    gen = np.random.default_rng(seed)
+    if signed_zeros:
+        # Real amplitudes whose imaginary parts are +0 or -0, as on the chain.
+        indices = np.sort(gen.choice(1 << n, size=min(count, 1 << n), replace=False))
+        real = gen.choice([-1.0, 1.0], size=indices.size) * gen.uniform(0.1, 1.0, indices.size)
+        values = real.astype(np.complex128)
+        values.imag = gen.choice([0.0, -0.0], size=indices.size)
+        ket = _SparseKet(n, indices, values, normalize=True)
+    else:
+        ket, _ = _sparse_and_dense(gen, n, count)
+    pair = bell_state(bell)
+    q = data.draw(st.integers(0, n - 1))
+    p, build = ket.fuse_pair(q, pair, flip)
+    p_ref, build_ref = ket.tensor(pair).project_equal_bits(q, n)
+    # Every entry keeps one Bell entry, of squared magnitude 1/2.
+    assert p == p_ref == pytest.approx(0.5, abs=1e-15)
+    got, ref = build(), build_ref()
+    if flip:
+        ref = ref.apply(PAULI_X, [n])
+    assert got.num_qubits == ref.num_qubits == n + 2
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf, 1e200])
 @pytest.mark.parametrize("normalize", [False, True])
 def test_sparse_ket_rejects_what_state_vector_rejects(bad, normalize):

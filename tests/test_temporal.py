@@ -30,6 +30,7 @@ from chronoq.temporal import (
     bell_measure,
     create_pair,
     delay,
+    fuse_fresh_pair,
     ghz_density_recursive,
     measure_mode,
     pbs_fuse,
@@ -220,6 +221,51 @@ def test_snapshot_supports_retry():
             break
         reg = snap.snapshot()
     assert reg.valid
+
+
+def _sparse_pair_register(label):
+    """A register holding one sparse pair (a, b), b delayed to time step 3."""
+    reg = TemporalRegister()
+    create_pair(reg, label, ("a", "b"), t=0)
+    reg.state = _SparseKet.from_state(reg.state)
+    delay(reg, "b", 3)
+    return reg
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("label", BELL_LABELS)
+@pytest.mark.parametrize("seed", range(4))
+def test_fuse_fresh_pair_matches_snapshot_retries(seed, label, flip):
+    # The fused mode b sits later (t=3) than the new pair (t=1), so the fuse
+    # event takes b's time step.
+    reg, ref = _sparse_pair_register("psi-"), _sparse_pair_register("psi-")
+    rng, ref_rng = RandomSource(seed, 8), RandomSource(seed, 8)
+    assert fuse_fresh_pair(reg, label, ("c", "d"), 1, "b", rng, 64, flip=flip)
+    for _ in range(64):
+        snap = ref.snapshot()
+        create_pair(snap, label, ("c", "d"), t=1)
+        delay(snap, "d", 1)
+        if pbs_fuse(snap, "b", "c", ref_rng):
+            if flip:
+                apply_op(snap, PAULI_X, ["c"])
+            ref = snap
+            break
+    assert ref.valid and reg.valid
+    assert np.array_equal(reg.state.indices, ref.state.indices)
+    assert reg.state.values.tobytes() == ref.state.values.tobytes()
+    assert reg.event_log == ref.event_log
+    assert reg.event_log[-1] == {"event": "fuse", "modes": ["b", "c"], "t": 3}
+    assert reg.modes == ref.modes
+    assert reg._position == ref._position and reg._qubit == ref._qubit
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def test_fuse_fresh_pair_refuses_a_dense_register():
+    reg = TemporalRegister()
+    create_pair(reg, "phi+", ("a", "b"), t=0)
+    with pytest.raises(TemporalError, match="sparse"):
+        fuse_fresh_pair(reg, "phi+", ("c", "d"), 0, "b", RandomSource(0, 0), 5, flip=False)
+    assert reg.event_log == [{"event": "create", "modes": ["a", "b"], "t": 0}]
 
 
 def test_snapshot_is_independent_of_original():
