@@ -73,6 +73,8 @@ class Network:
     def __post_init__(self):
         if len(self.nodes) < 2:
             raise ConsensusError("network needs at least two nodes")
+        if len({node.id for node in self.nodes}) != len(self.nodes):
+            raise ConsensusError("node ids must be distinct")
         for node in self.nodes:
             self.local_chains.setdefault(node.id, [])
 
@@ -504,6 +506,8 @@ def admit_block(
     not held through them.  On acceptance every honest node appends the
     block to its local chain.
     """
+    if not math.isfinite(threshold):
+        raise ConsensusError(f"threshold must be finite, got {threshold!r}")
     if threshold <= 0.0:
         # Degenerate configuration: everything is accepted.
         import warnings

@@ -40,6 +40,7 @@ from .qcore import (
     QcoreError,
     RandomSource,
     StateVector,
+    _INV_SQRT2,
     is_dichotomic,
     is_unitary,
     _normalized,
@@ -117,13 +118,12 @@ def gleason_vectors(frame: Sequence[np.ndarray]) -> list[np.ndarray]:
     d = len(frame)
     vecs = _check_frame(frame, d)
     out = list(vecs)
-    inv = 1.0 / math.sqrt(2.0)
     for j in range(d):
         for k in range(j + 1, d):
-            out.append((vecs[j] + vecs[k]) * inv)
-            out.append((vecs[j] - vecs[k]) * inv)
-            out.append((vecs[j] + 1j * vecs[k]) * inv)
-            out.append((vecs[j] - 1j * vecs[k]) * inv)
+            out.append((vecs[j] + vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] - vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] + 1j * vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] - 1j * vecs[k]) * _INV_SQRT2)
     return out
 
 

@@ -122,6 +122,8 @@ def _plan(rule, *draws) -> _Plan:
 def _draw(plan: _Plan, trials: int, rng: RandomSource) -> list[int]:
     """How many of ``trials`` trials fall in each result of ``plan``: one
     multinomial draw of the trials per cell, summed per result."""
+    if trials < 0:
+        raise GameError(f"trials must be nonnegative, got {trials}")
     counts = rng.generator.multinomial(trials, plan.cells)
     return np.bincount(plan.table, weights=counts, minlength=3).astype(int).tolist()
 
@@ -528,16 +530,24 @@ def _pbr_born_prize() -> np.ndarray:
     return _read_only(born_distribution(pbr_states()[0], pbr_measurement_basis()))
 
 
+def _exact(x) -> Fraction:
+    """``x`` as an exact Fraction; a nan or infinite float raises GameError."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError):
+        raise GameError(f"q and its split must be finite numbers, got {x!r}") from None
+
+
 def pbr_prize_distribution(ontology: str, q=Fraction(0), split=None) -> list[Fraction]:
     """Door probabilities P(A_1..A_4) for the chosen ontology."""
     if ontology == "ontic":
         return [Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
     if ontology != "epistemic":
         raise GameError("ontology must be 'ontic' or 'epistemic'")
-    q = Fraction(q)
+    q = _exact(q)
     if split is None:
         split = (q / 3, q / 3, q / 3)
-    q1, q2, q3 = (Fraction(s) for s in split)
+    q1, q2, q3 = (_exact(s) for s in split)
     if q1 + q2 + q3 != q:
         raise GameError("split must sum to q")
     dist = [q, Fraction(1, 4) - q1, Fraction(1, 4) - q2, Fraction(1, 2) - q3]
@@ -612,7 +622,7 @@ def pbr_game(
     epistemic ``split`` may be any sequence of three numbers."""
     _check_strategy(strategy)
     if ontology == "epistemic":
-        q, split = Fraction(q), None if split is None else tuple(map(Fraction, split))
+        q, split = _exact(q), None if split is None else tuple(map(_exact, split))
     elif ontology == "ontic":
         q, split = Fraction(0), None  # the ontic prize ignores q and split
     else:

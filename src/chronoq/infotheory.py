@@ -298,6 +298,8 @@ class TypicalCodec:
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_CODEC_BLOCK:
             raise InfoTheoryError(f"block length must be in [1, {MAX_CODEC_BLOCK}]")
+        if not math.isfinite(self.epsilon):
+            raise InfoTheoryError(f"epsilon must be finite, got {self.epsilon!r}")
         p = _validate_dist(self.source)
         self.source = tuple(float(x) for x in p)
         k = len(p)

@@ -28,8 +28,9 @@ Conventions used throughout the package:
   that :func:`collapse` draws from.
 * The private ``_SparseKet`` holds a state as sorted basis indices and
   their amplitudes, both read-only; the temporal chain keeps its register in
-  it.  Only its ``amplitudes`` property builds the dense 2^n vector, as a
-  new read-only array on every request.  It passes the same entries as the
+  it and grows it only by the fused PBS step ``fuse_pair``.  Only its
+  ``amplitudes`` property builds the dense 2^n vector, as a new read-only
+  array on every request.  It passes the same entries as the
   dense state to ``_norm_sq``, so the two agree to the last bit wherever
   each output amplitude has one nonzero term, as on the chain's path; a
   one-target operator mixing two nonzero terms may round differently.
@@ -41,7 +42,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +57,9 @@ DEFAULT_ROUNDS = 100
 DEFAULT_THRESHOLD = 0.99
 MAX_CODEC_BLOCK = 24
 
-# The package's one 1/sqrt(2), imported by chain, consensus and games.  It is
-# one ulp below the correctly rounded math.sqrt(0.5); pinned outputs use it.
+# The package's one 1/sqrt(2), imported by chain, consensus, foundations and
+# games.  It is one ulp below the correctly rounded math.sqrt(0.5); pinned
+# outputs use it.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Counting costs one pass over the doubles per CDF entry, searchsorted a
 # mispredicted branch per probe.  On a 2-CPU x86 host, counting over 16
@@ -220,16 +222,6 @@ class StateVector:
             normalize=True,
         )
 
-    def project_equal_bits(self, q1: int, q2: int) -> tuple[float, Callable[[], "StateVector"]]:
-        """F = |00><00| + |11><11| on qubits (q1, q2): p = <psi|F|psi> and a
-        callable that builds F|psi>/sqrt(p), so that a failed post-selection
-        builds no state."""
-        _check_qubits(self.num_qubits, [q1, q2])
-        projected = self.amplitudes.copy()
-        _project_equal_bits(projected, self.num_qubits, q1, q2)
-        p = _norm_sq(projected)
-        return p, partial(StateVector._adopt, projected, normalize=True, norm_sq=p)
-
     def equals_up_to_phase(self, other: "StateVector") -> bool:
         """Global-phase-insensitive equality predicate: |<self|other>| = 1 to 1e-8."""
         if self.dim != other.dim:
@@ -324,12 +316,11 @@ class _SparseKet:
     """A normalized ket stored as its nonzero entries: sorted basis indices
     and their complex128 amplitudes, for states with few branches.
 
-    It offers the register operations a temporal chain needs: ``tensor``
-    with a dense state, ``apply`` of a 2x2 operator on one target,
-    ``project_equal_bits`` and ``fuse_pair``, the three steps of a chain
-    append fused into one, plus ``amplitudes``, the dense 2^n vector built
-    on request.  It renormalizes when :class:`StateVector` does, from the
-    same squared norm, so the two forms agree as the module docstring says.
+    It offers the register operations a temporal chain needs: ``fuse_pair``,
+    a chain append in one step, ``apply`` of a 2x2 operator on one target,
+    ``entry`` and ``amplitudes``, the dense 2^n vector built on request.  It
+    renormalizes when :class:`StateVector` does, from the same squared norm,
+    so the two forms agree as the module docstring says.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
@@ -377,15 +368,6 @@ class _SparseKet:
             return self.values[k]
         return np.complex128(0)
 
-    def tensor(self, other: StateVector) -> "_SparseKet":
-        m = other.num_qubits
-        if self.num_qubits + m > MAX_QUBITS:
-            raise QcoreError(f"register would exceed {MAX_QUBITS} qubits")
-        right = np.flatnonzero(other.amplitudes)
-        indices = (self.indices[:, None] << m) | right
-        values = self.values[:, None] * other.amplitudes[right]
-        return _SparseKet(self.num_qubits + m, indices.reshape(-1), values.reshape(-1))
-
     def apply(self, op: np.ndarray, targets: Sequence[int]) -> "_SparseKet":
         """A 2x2 operator on one target qubit."""
         mat = np.asarray(op, dtype=np.complex128)
@@ -411,29 +393,24 @@ class _SparseKet:
             self.num_qubits, [indices[j] for j in order], values[order], normalize=True
         )
 
-    def project_equal_bits(self, q1: int, q2: int) -> tuple[float, Callable[[], "_SparseKet"]]:
-        """:meth:`StateVector.project_equal_bits` on the stored entries."""
-        n = self.num_qubits
-        _check_qubits(n, [q1, q2])
-        equal = ((self.indices >> (n - 1 - q1)) ^ (self.indices >> (n - 1 - q2))) & 1 == 0
-        indices, values = self.indices[equal], self.values[equal]
-        p = _norm_sq(values)
-        return p, partial(_SparseKet, n, indices, values, normalize=True, norm_sq=p)
-
     def fuse_pair(
         self, q: int, pair: StateVector, flip: bool
     ) -> tuple[float, Callable[[], "_SparseKet"]]:
-        """``self.tensor(pair).project_equal_bits(q, m)`` for a Bell state
-        ``pair``, m being its first qubit (``self.num_qubits``), and with
-        ``flip`` that qubit then flipped as ``apply(PAULI_X, [m])`` flips it,
-        without building either intermediate ket.
+        """PBS fusion of a Bell state ``pair`` onto qubit q: the product
+        state with ``pair``, whose first qubit is m = ``self.num_qubits``,
+        projected by F = |00><00| + |11><11| on qubits (q, m), and with
+        ``flip`` qubit m then flipped as ``apply(PAULI_X, [m])`` flips it.
 
-        A Bell state has one entry j for each value of its first bit, so each
-        entry i keeps the one whose first bit equals its bit q: entry
+        Returns ``(p, build)``: p = <psi|F|psi>, and a callable that builds
+        F|psi>/sqrt(p), so that a failed post-selection builds no state.
+        Neither the product nor the projection is built as a ket.  A Bell
+        state has one entry j for each value of its first bit, so each entry
+        i keeps the one whose first bit equals its bit q: entry
         ``(i << 2) | j``, its amplitude the complex128 product that
-        :meth:`tensor` forms.  ``self`` is normalized, so its product with the
-        pair is within ``TOL_NORM`` of norm 1, which :meth:`tensor` keeps
-        unscaled.  Returns ``(p, build)`` as :meth:`project_equal_bits` does.
+        :meth:`StateVector.tensor` forms.  ``self`` is normalized, so that
+        product is within ``TOL_NORM`` of norm 1, which
+        :meth:`StateVector.tensor` keeps unscaled; p and the rescale are
+        those of the dense projection, which zeroes the other entries.
         """
         _check_qubits(self.num_qubits, [q])
         j = np.flatnonzero(pair.amplitudes)[(self.indices >> (self.num_qubits - 1 - q)) & 1]

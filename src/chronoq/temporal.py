@@ -9,10 +9,11 @@ tensor factors, which is what lets protocols entangle photons that never
 coexist while staying inside the dense-simulation qubit budget.
 
 The register's state is a :class:`qcore.StateVector`, or a
-``qcore._SparseKet`` that holds only its nonzero entries; pair creation,
-one-mode operators and fusion call it through the methods both forms
-provide.  A temporal chain keeps its state sparse: it is two complementary
-branches, and dense only on request.
+``qcore._SparseKet`` that holds only its nonzero entries.  A dense register
+grows by :func:`create_pair`; a sparse one, the temporal chain's two
+complementary branches, grows only by :func:`fuse_fresh_pair`, the PBS
+fusion of a fresh pair.  One-mode operators and measurements take either
+form.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .qcore import (
     bell_state,
     branch_pair,
     collapse,
+    is_unitary,
 )
 
 
@@ -63,24 +65,21 @@ class TemporalRegister:
 
     ``modes`` is an ordered list of ``[ModeId, consumed]`` entries; the state
     covers the live (unconsumed) modes in list order.  ``event_log``
-    is append-only with non-decreasing time steps.  ``valid`` flips to False
-    when a fusion attempt fails (post-selection miss); retry policy belongs
-    to the caller, who should work from a :meth:`snapshot`.
+    is append-only with non-decreasing time steps.  An operation that
+    raises, or a fusion whose every post-selection draw misses, leaves the
+    register as it was.
 
     Two indexes spare the operations a scan of ``modes``: each spatial label
     maps to its entry's position, and each live label to its qubit in the
     state.  :func:`create_pair` and :func:`fuse_fresh_pair` add to both, the
     measurements renumber the live qubits as they consume modes, and
     assigning ``modes`` rebuilds both.
-    The operations replace a mode entry rather than write into it, so a
-    snapshot shares the entries of its original.
     """
 
     def __init__(self):
         self.state: StateVector | _SparseKet | None = None
         self.modes = []
         self.event_log: list[dict] = []
-        self.valid: bool = True
 
     @property
     def modes(self) -> list[list]:
@@ -124,22 +123,6 @@ class TemporalRegister:
             raise TemporalError("event time ordering violated")
         self.event_log.append({"event": event, "modes": sorted(spatials), "t": int(t)})
 
-    def snapshot(self) -> "TemporalRegister":
-        """Independent copy: its own mode list, indexes, event log and
-        validity flag.
-
-        The immutable state and the mode entries, which the operations
-        replace rather than write into, are shared, not copied.
-        """
-        copy = TemporalRegister.__new__(TemporalRegister)
-        copy.state = self.state
-        copy._modes = list(self._modes)
-        copy._position = dict(self._position)
-        copy._qubit = dict(self._qubit)
-        copy.event_log = [dict(e, modes=list(e["modes"])) for e in self.event_log]
-        copy.valid = self.valid
-        return copy
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -155,8 +138,13 @@ def _event_time(reg: TemporalRegister, spatials: Sequence[str]) -> int:
 def create_pair(
     reg: TemporalRegister, label: str, spatial_pair: Sequence[str], t: int
 ) -> TemporalRegister:
-    """Add two fresh live modes in the chosen Bell state at time step t."""
+    """Add two fresh live modes in the chosen Bell state at time step t.
+
+    The register holds no state or a dense one; a sparse ket grows only by
+    :func:`fuse_fresh_pair`."""
     _check_new_pair(reg, spatial_pair, t)
+    if isinstance(reg.state, _SparseKet):
+        raise TemporalError("a register holding a sparse ket grows only by fuse_fresh_pair")
     pair = bell_state(label)
     reg.state = pair if reg.state is None else reg.state.tensor(pair)
     _add_pair_modes(reg, spatial_pair, (t, t))
@@ -166,8 +154,6 @@ def create_pair(
 
 def _check_new_pair(reg: TemporalRegister, spatial_pair: Sequence[str], t: int):
     """Raise unless a pair can be created on ``spatial_pair`` at time step t."""
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
     if len(spatial_pair) != 2 or spatial_pair[0] == spatial_pair[1]:
         raise TemporalError("need two distinct spatial labels")
     for s in spatial_pair:
@@ -206,10 +192,11 @@ def apply_op(reg: TemporalRegister, op: np.ndarray, spatials: Sequence[str]) -> 
     """Apply a unitary to the given live modes (not logged: local instantaneous op).
 
     A sparse state takes one mode at a time."""
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
+    mat = np.asarray(op, dtype=np.complex128)
+    if not is_unitary(mat):
+        raise TemporalError("operator is not unitary")
     targets = [reg._live_index(s) for s in spatials]
-    reg.state = reg.state.apply(np.asarray(op, dtype=np.complex128), targets)
+    reg.state = reg.state.apply(mat, targets)
     return reg
 
 
@@ -219,8 +206,6 @@ def _measure(
     """:func:`qcore.collapse` on live modes, which are consumed and dropped
     from the state vector: row k of ``bras`` is the k-th outcome's bra on
     ``spatials``.  Returns ``(row, probability)``."""
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
     targets = [reg._live_index(s) for s in spatials]
     t = _event_time(reg, spatials)
     try:
@@ -267,29 +252,6 @@ def bell_measure(
     return BellOutcome(BELL_LABELS[row], prob)
 
 
-def pbs_fuse(reg: TemporalRegister, s1: str, s2: str, rng: RandomSource) -> bool:
-    """Post-selected PBS fusion F = |hh><hh| + |vv><vv| on two live modes.
-
-    One ``rng.uniform()`` draw succeeds below p_success = <psi|F|psi>.  On
-    success the state is projected and renormalized; both modes stay live.
-    On failure the register is marked invalid — retrying is the caller's
-    policy (typically from a prior snapshot).
-    """
-    if not reg.valid:
-        raise TemporalError("register invalidated by a failed fusion")
-    if s1 == s2:
-        raise TemporalError("cannot fuse a mode with itself")
-    q1, q2 = reg._live_index(s1), reg._live_index(s2)
-    t = _event_time(reg, [s1, s2])
-    p_success, fused = reg.state.project_equal_bits(q1, q2)
-    reg._log("fuse", [s1, s2], t)
-    if not rng.uniform() < p_success:
-        reg.valid = False
-        return False
-    reg.state = fused()
-    return True
-
-
 def fuse_fresh_pair(
     reg: TemporalRegister,
     label: str,
@@ -302,19 +264,19 @@ def fuse_fresh_pair(
     flip: bool,
 ) -> bool:
     """Fuse a fresh Bell pair onto the live mode ``onto``, committed only on
-    success.
+    success: the package's one PBS fusion.
 
     The pair, in Bell state ``label``, is created at time step t and its
-    second photon delayed one step; its first photon is PBS-fused with
-    ``onto``, and with ``flip`` X then acts on that photon.  The fused state
-    and its success probability are built once from the register's state, a
-    ``qcore._SparseKet``, without touching the register; each attempt is one
-    ``rng.uniform()`` draw below that probability, up to ``attempts``.
+    second photon delayed one step.  Its first photon and ``onto`` pass the
+    post-selected PBS fusion F = |hh><hh| + |vv><vv|, and with ``flip`` X
+    then acts on that photon.  The fused state F|psi>/sqrt(p) and its
+    success probability p = <psi|F|psi> are built once from the register's
+    state, a ``qcore._SparseKet``, without touching the register; each
+    attempt is one ``rng.uniform()`` draw below p, up to ``attempts``.
 
-    On a success the register changes in place as :func:`create_pair`,
-    :func:`delay`, :func:`pbs_fuse` on snapshots until one succeeds and
-    :func:`apply_op` would change it, with the same "create", "delay" and
-    "fuse" events, and True is returned.  If every attempt misses, the
+    On a success the register takes the fused state and the two new modes,
+    and logs "create" and "delay" at t and "fuse" at the later of t and
+    ``onto``'s time step; True is returned.  If every attempt misses, the
     register is untouched and False is returned.
     """
     _check_new_pair(reg, spatial_pair, t)
@@ -346,8 +308,8 @@ def ghz_density_recursive(pair_rho: DensityOperator, n_pairs: int) -> DensityOpe
     """Fuse n identical two-photon density operators into a 2n-photon state.
 
     Applies the PBS projector between each adjacent pair boundary and
-    renormalizes; on pure Bell-pair inputs this matches repeated
-    :func:`pbs_fuse` successes.
+    renormalizes; on pure Bell-pair inputs this is the state that repeated
+    successful fusions build.
     """
     if pair_rho.dim != 4:
         raise TemporalError("pair_rho must be a 2-qubit density operator")

@@ -5,7 +5,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from chronoq.qcore import (
     DensityOperator,
     StateVector,
     _branch_index,
+    _norm_sq,
     bell_state,
     product_probabilities,
 )
-from chronoq.temporal import apply_op, create_pair, delay, pbs_fuse
+from chronoq.temporal import _event_time, apply_op, create_pair, delay
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -67,6 +68,28 @@ def project_equal_bits(amplitudes, n_qubits: int, q1: int, q2: int) -> np.ndarra
     return np.where(equal_bits(n_qubits, q1, q2), amplitudes, 0.0)
 
 
+def fuse_equal_bits(state, q1: int, q2: int):
+    """PBS fusion F = |hh><hh| + |vv><vv| on qubits (q1, q2) of a dense
+    StateVector, through the mask: p = <psi|F|psi> and a callable that
+    builds F|psi>/sqrt(p) by renormalizing the projected copy in place."""
+    projected = project_equal_bits(state.amplitudes, state.num_qubits, q1, q2)
+    p = _norm_sq(projected)
+    return p, partial(StateVector._adopt, projected, normalize=True, norm_sq=p)
+
+
+def dense_fuse(reg, s1: str, s2: str, rng) -> bool:
+    """The post-selected PBS fusion of two live modes of a register that
+    holds a dense StateVector: one ``rng.uniform()`` draw below p.  A success
+    takes the fused state and logs "fuse"; a miss changes nothing."""
+    p, fused = fuse_equal_bits(reg.state, reg._live_index(s1), reg._live_index(s2))
+    if not rng.uniform() < p:
+        return False
+    t = _event_time(reg, [s1, s2])
+    reg.state = fused()
+    reg._log("fuse", [s1, s2], t)
+    return True
+
+
 def dense_append(chain, record, rng):
     """The chain append on a dense register: each fusion retry deep-copies the
     register and repeats the pair creation, delay and fusion."""
@@ -79,13 +102,13 @@ def dense_append(chain, record, rng):
     new1, new2 = f"p{2 * k + 1}", f"p{2 * k + 2}"
     pair = Record(0, record.r2 ^ last_bit)
     for _ in range(FUSION_RETRY_CAP):
-        snap = copy.deepcopy(chain.register)
-        create_pair(snap, pair.bits, (new1, new2), t=k)
-        delay(snap, new2, 1)
-        if pbs_fuse(snap, f"p{2 * k}", new1, rng):
+        attempt = copy.deepcopy(chain.register)
+        create_pair(attempt, pair.bits, (new1, new2), t=k)
+        delay(attempt, new2, 1)
+        if dense_fuse(attempt, f"p{2 * k}", new1, rng):
             if record.r1 != last_bit:
-                apply_op(snap, PAULI_X, [new1])
-            chain.register = snap
+                apply_op(attempt, PAULI_X, [new1])
+            chain.register = attempt
             chain.records.append(record)
             return chain
     raise ChainError("fusion retry cap exceeded")

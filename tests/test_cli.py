@@ -390,7 +390,15 @@ PINNED_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("args, expected", PINNED_OUTPUTS)
+def _argv_id(args):
+    """A pinned test's id: its argv, so that a re-pin edits only the value.
+    The README reports all run at seed 42, which their ids leave out."""
+    return " ".join(args)
+
+
+@pytest.mark.parametrize(
+    "args, expected", PINNED_OUTPUTS, ids=[_argv_id(args) for args, _ in PINNED_OUTPUTS]
+)
 def test_pinned_monte_carlo_outputs(args, expected):
     res = run([*args, "--json"])
     assert res.exit_code == 0
@@ -507,7 +515,11 @@ PINNED_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("seed, dishonest, expected", PINNED_BOUNDS)
+@pytest.mark.parametrize(
+    "seed, dishonest, expected",
+    PINNED_BOUNDS,
+    ids=[f"--dishonest {dishonest} --seed {seed}" for seed, dishonest, _ in PINNED_BOUNDS],
+)
 def test_pinned_consensus_bounds_outputs(seed, dishonest, expected):
     args = ["consensus", "bounds", "--dishonest", str(dishonest), "--seed", str(seed), "--json"]
     res = run(args)
@@ -623,7 +635,9 @@ def assert_same_report(got, want, path="report"):
         assert got == want, path
 
 
-@pytest.mark.parametrize("args, expected", PINNED_REPORTS)
+@pytest.mark.parametrize(
+    "args, expected", PINNED_REPORTS, ids=[_argv_id(args) for args, _ in PINNED_REPORTS]
+)
 def test_pinned_readme_reports(args, expected):
     res = run([*args, "--seed", "42", "--json"])
     assert res.exit_code == 0

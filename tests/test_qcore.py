@@ -41,7 +41,7 @@ from chronoq.qcore import (
 )
 from chronoq.temporal import ghz_density_recursive, temporal_ghz_closed_form
 
-from dense_reference import apply_to_targets_transposed, kron_all
+from dense_reference import apply_to_targets_transposed, fuse_equal_bits, kron_all
 
 
 def test_random_source_reproducible():
@@ -592,15 +592,8 @@ def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
     assert np.array_equal(ket.amplitudes, psi.amplitudes)
     assert ket.num_qubits == psi.num_qubits == n
 
-    m = data.draw(st.integers(1, min(2, MAX_QUBITS - n))) if n < MAX_QUBITS else 0
-    if m:
-        # Some of its amplitudes are zero, as in a Bell pair.
-        amps = gen.normal(size=1 << m) * gen.integers(0, 2, size=1 << m)
-        amps[0] += 1.0
-        pair = StateVector(amps, normalize=True)
-        got, ref = ket.tensor(pair), psi.tensor(pair)
-        assert got.num_qubits == n + m
-        assert np.array_equal(got.amplitudes, ref.amplitudes)
+    index = data.draw(st.integers(0, (1 << n) - 1))
+    assert ket.entry(index) == psi.amplitudes[index]
 
     q = data.draw(st.integers(0, n - 1))
     op = _random_operator(gen, 2, unitary)
@@ -608,18 +601,6 @@ def test_sparse_ket_matches_state_vector(n, count, seed, unitary, data):
     # Each output amplitude mixes two inputs, which the two kernels may round
     # differently.
     assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-15
-
-    if n >= 2:
-        q1, q2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        p, fused = ket.project_equal_bits(q1, q2)
-        p_ref, fused_ref = psi.project_equal_bits(q1, q2)
-        assert p == p_ref
-        if p > 0.0:
-            assert np.array_equal(fused().amplitudes, fused_ref().amplitudes)
-        else:
-            for build in (fused, fused_ref):
-                with pytest.raises(QcoreError, match="zero"):
-                    build()
 
 
 @settings(max_examples=150, deadline=None)
@@ -648,15 +629,16 @@ def test_fuse_pair_matches_tensor_projection_and_flip(
     pair = bell_state(bell)
     q = data.draw(st.integers(0, n - 1))
     p, build = ket.fuse_pair(q, pair, flip)
-    p_ref, build_ref = ket.tensor(pair).project_equal_bits(q, n)
+    # The dense product state, projected through the mask reference.
+    p_ref, build_ref = fuse_equal_bits(StateVector(ket.amplitudes).tensor(pair), q, n)
     # Every entry keeps one Bell entry, of squared magnitude 1/2.
     assert p == p_ref == pytest.approx(0.5, abs=1e-15)
     got, ref = build(), build_ref()
     if flip:
         ref = ref.apply(PAULI_X, [n])
     assert got.num_qubits == ref.num_qubits == n + 2
-    assert np.array_equal(got.indices, ref.indices)
-    assert got.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(got.indices, np.flatnonzero(ref.amplitudes))
+    assert got.values.tobytes() == ref.amplitudes[got.indices].tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf, 1e200])
@@ -676,10 +658,10 @@ def test_sparse_ket_rejects_zero_norm_as_state_vector_does():
     for state in (ket, psi):
         with pytest.raises(QcoreError, match="zero"):
             state.apply(np.zeros((2, 2)), [1])
-        # |010> and |101> both differ in qubits 0 and 1.
-        p, fused = state.project_equal_bits(0, 1)
-        assert p == 0.0
-        with pytest.raises(QcoreError, match="zero"):
-            fused()
+    # |010> and |101> both differ in qubits 0 and 1.
+    p, fused = fuse_equal_bits(psi, 0, 1)
+    assert p == 0.0
+    with pytest.raises(QcoreError, match="zero"):
+        fused()
     with pytest.raises(QcoreError, match="zero"):
         _SparseKet(3, [1], [0.0], normalize=True)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -33,12 +34,11 @@ from chronoq.temporal import (
     fuse_fresh_pair,
     ghz_density_recursive,
     measure_mode,
-    pbs_fuse,
     swap_demo,
     temporal_ghz_closed_form,
 )
 
-from dense_reference import equal_bits, project_equal_bits
+from dense_reference import dense_fuse, equal_bits, project_equal_bits
 
 
 def test_create_pair_and_modes():
@@ -188,46 +188,10 @@ def test_bell_measure_all_outcomes():
         assert out.probability == pytest.approx(1.0)
 
 
-def test_pbs_fuse_success_and_failure():
-    rng = RandomSource(13, 0)
-    successes = 0
-    trials = 400
-    for _ in range(trials):
-        reg = TemporalRegister()
-        create_pair(reg, "phi+", ("a", "b"), t=0)
-        create_pair(reg, "phi+", ("c", "d"), t=0)
-        ok = pbs_fuse(reg, "b", "c", rng)
-        if ok:
-            successes += 1
-            assert reg.valid
-            # Fused result is the 4-photon GHZ state.
-            ghz4 = np.zeros(16, dtype=np.complex128)
-            ghz4[0] = ghz4[15] = 1 / math.sqrt(2)
-            assert reg.state.equals_up_to_phase(StateVector(ghz4))
-        else:
-            assert not reg.valid
-    se = math.sqrt(0.25 / trials)
-    assert abs(successes / trials - 0.5) <= 3 * se
-
-
-def test_snapshot_supports_retry():
-    rng = RandomSource(14, 0)
-    reg = TemporalRegister()
-    create_pair(reg, "phi+", ("a", "b"), t=0)
-    create_pair(reg, "phi+", ("c", "d"), t=0)
-    snap = reg.snapshot()
-    for _ in range(64):
-        if pbs_fuse(reg, "b", "c", rng):
-            break
-        reg = snap.snapshot()
-    assert reg.valid
-
-
-def _sparse_pair_register(label):
-    """A register holding one sparse pair (a, b), b delayed to time step 3."""
+def _pair_register(label):
+    """A register holding one pair (a, b), b delayed to time step 3."""
     reg = TemporalRegister()
     create_pair(reg, label, ("a", "b"), t=0)
-    reg.state = _SparseKet.from_state(reg.state)
     delay(reg, "b", 3)
     return reg
 
@@ -236,23 +200,25 @@ def _sparse_pair_register(label):
 @pytest.mark.parametrize("label", BELL_LABELS)
 @pytest.mark.parametrize("seed", range(4))
 def test_fuse_fresh_pair_matches_snapshot_retries(seed, label, flip):
-    # The fused mode b sits later (t=3) than the new pair (t=1), so the fuse
-    # event takes b's time step.
-    reg, ref = _sparse_pair_register("psi-"), _sparse_pair_register("psi-")
+    # The reference retries the dense fusion on a fresh copy of a dense
+    # register.  The fused mode b sits later (t=3) than the new pair (t=1),
+    # so the fuse event takes b's time step.
+    reg, ref = _pair_register("psi-"), _pair_register("psi-")
+    reg.state = _SparseKet.from_state(reg.state)
     rng, ref_rng = RandomSource(seed, 8), RandomSource(seed, 8)
     assert fuse_fresh_pair(reg, label, ("c", "d"), 1, "b", rng, 64, flip=flip)
     for _ in range(64):
-        snap = ref.snapshot()
-        create_pair(snap, label, ("c", "d"), t=1)
-        delay(snap, "d", 1)
-        if pbs_fuse(snap, "b", "c", ref_rng):
+        attempt = copy.deepcopy(ref)
+        create_pair(attempt, label, ("c", "d"), t=1)
+        delay(attempt, "d", 1)
+        if dense_fuse(attempt, "b", "c", ref_rng):
             if flip:
-                apply_op(snap, PAULI_X, ["c"])
-            ref = snap
+                apply_op(attempt, PAULI_X, ["c"])
+            ref = attempt
             break
-    assert ref.valid and reg.valid
-    assert np.array_equal(reg.state.indices, ref.state.indices)
-    assert reg.state.values.tobytes() == ref.state.values.tobytes()
+    dense = ref.state.amplitudes
+    assert np.array_equal(reg.state.indices, np.flatnonzero(dense))
+    assert reg.state.values.tobytes() == dense[reg.state.indices].tobytes()
     assert reg.event_log == ref.event_log
     assert reg.event_log[-1] == {"event": "fuse", "modes": ["b", "c"], "t": 3}
     assert reg.modes == ref.modes
@@ -268,29 +234,13 @@ def test_fuse_fresh_pair_refuses_a_dense_register():
     assert reg.event_log == [{"event": "create", "modes": ["a", "b"], "t": 0}]
 
 
-def test_snapshot_is_independent_of_original():
-    reg = TemporalRegister()
-    create_pair(reg, "phi+", ("a", "b"), t=0)
-    create_pair(reg, "psi-", ("c", "d"), t=0)
-    state = reg.state
-    amplitudes = state.amplitudes.copy()
-    modes = [list(entry) for entry in reg.modes]
-    log = [dict(e, modes=list(e["modes"])) for e in reg.event_log]
-
-    for act in (
-        lambda snap: delay(snap, "b", 2),
-        lambda snap: measure_mode(snap, "a", RandomSource(17, 0)),
-        lambda snap: pbs_fuse(snap, "b", "c", _FixedDraw(1.0)),
-        lambda snap: snap.event_log[0]["modes"].append("z"),
-    ):
-        snap = reg.snapshot()
-        assert snap.state is state
-        act(snap)
-        assert reg.modes == modes
-        assert reg.event_log == log
-        assert reg.valid
-        assert reg.state is state
-        assert np.array_equal(state.amplitudes, amplitudes)
+def test_create_pair_refuses_a_sparse_register():
+    reg = _pair_register("phi+")
+    reg.state = _SparseKet.from_state(reg.state)
+    state, modes, log = reg.state, copy.deepcopy(reg.modes), copy.deepcopy(reg.event_log)
+    with pytest.raises(TemporalError, match="fuse_fresh_pair"):
+        create_pair(reg, "phi+", ("c", "d"), t=3)
+    assert reg.state is state and reg.modes == modes and reg.event_log == log
 
 
 def _dense_fusion_projector(n_qubits, q1, q2):
@@ -303,49 +253,6 @@ def _dense_fusion_projector(n_qubits, q1, q2):
         if bit1 == bit2:
             proj[b, b] = 1.0
     return proj
-
-
-class _FixedDraw:
-    """Stands in for RandomSource: uniform() always returns the same value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_pbs_fuse_matches_dense_projector(n, seed, data):
-    q1, q2 = data.draw(
-        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-    )
-    gen = np.random.default_rng(seed)
-    psi = StateVector(gen.normal(size=2**n) + 1j * gen.normal(size=2**n), normalize=True)
-    projected = _dense_fusion_projector(n, q1, q2) @ psi.amplitudes
-    p_dense = float(np.vdot(projected, projected).real)
-
-    def register():
-        reg = TemporalRegister()
-        reg.state = psi
-        reg.modes = [[ModeId(f"m{q}", 0), False] for q in range(n)]
-        return reg
-
-    # A draw of 0 always succeeds (p_success > 0 for a generic state).
-    reg = register()
-    assert pbs_fuse(reg, f"m{q1}", f"m{q2}", _FixedDraw(0.0))
-    assert np.max(np.abs(reg.state.amplitudes - projected / math.sqrt(p_dense))) <= 1e-12
-    assert reg.event_log == [{"event": "fuse", "modes": sorted([f"m{q1}", f"m{q2}"]), "t": 0}]
-    # The draw succeeds exactly below p_success.
-    assert pbs_fuse(register(), f"m{q1}", f"m{q2}", _FixedDraw(p_dense - 1e-12))
-    failed = register()
-    assert not pbs_fuse(failed, f"m{q1}", f"m{q2}", _FixedDraw(p_dense + 1e-12))
-    assert not failed.valid
 
 
 @settings(max_examples=100, deadline=None)
