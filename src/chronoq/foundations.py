@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -42,6 +42,7 @@ from .qcore import (
     StateVector,
     _INV_SQRT2,
     is_dichotomic,
+    is_integer,
     is_unitary,
     _normalized,
     rotation,
@@ -60,43 +61,25 @@ class FoundationsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _vector_key(vec: np.ndarray) -> tuple:
-    """Canonical hashable key: unit norm, fixed global phase, rounded."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
-        raise FoundationsError("zero vector has no valuation")
-    v = v / norm
-    pivot = next(x for x in v if abs(x) > 1e-9)
-    v = v * (abs(pivot) / pivot)
-    return tuple((round(float(x.real), 12), round(float(x.imag), 12)) for x in v)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Valuation:
-    """A probability assignment on unit vectors (rank-1 projectors)."""
+    """Gleason's valuation v(x) = <x|rho|x> on one frame, its vectors the rows of
+    ``frame``: ``values[i]`` is v of row i of ``gleason_vectors(frame)``."""
 
     dim: int
-    table: dict = field(default_factory=dict)
-
-    def set(self, vec, value: float):
-        if not -1e-9 <= value <= 1.0 + 1e-9:
-            raise FoundationsError("valuation values must lie in [0, 1]")
-        self.table[_vector_key(vec)] = float(value)
-
-    def get(self, vec) -> float:
-        key = _vector_key(vec)
-        if key not in self.table:
-            raise FoundationsError("missing valuation entry")
-        return self.table[key]
+    frame: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def from_density(cls, rho: DensityOperator, frame: Sequence[np.ndarray]) -> "Valuation":
         """Evaluate v(x) = <x|rho|x> on all reconstruction vectors of a frame."""
-        val = cls(rho.dim)
-        for vec in gleason_vectors(frame):
-            val.set(vec, float(np.real(vec.conj() @ rho.matrix @ vec)))
-        return val
+        if len(frame) != rho.dim:
+            raise QcoreError(
+                f"frame has {len(frame)} vectors, the density matrix dimension is {rho.dim}"
+            )
+        vecs = gleason_vectors(frame)
+        values = np.array([vec.conj() @ rho.matrix @ vec for vec in vecs]).real
+        return cls(rho.dim, vecs[: rho.dim].copy(), values)
 
 
 def _check_frames(rows: np.ndarray, dim: int) -> None:
@@ -106,29 +89,32 @@ def _check_frames(rows: np.ndarray, dim: int) -> None:
         raise QcoreError("frame is not an orthonormal basis")
 
 
-def _check_frame(frame: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
+def _frame_rows(frame: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors of ``frame`` as the rows of one complex array, unchecked."""
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in frame]
-    _check_frames(np.stack(vecs), dim)
-    return vecs
+    if not vecs:
+        raise QcoreError("a frame needs at least one vector")
+    if len({v.shape for v in vecs}) > 1:
+        raise QcoreError("frame is not an orthonormal basis")
+    return np.stack(vecs)
 
 
-def gleason_vectors(frame: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The 2 d^2 - d unit vectors the reconstruction formula evaluates:
-    each n_j, and (n_j +- n_k)/sqrt(2), (n_j +- i n_k)/sqrt(2) for j < k."""
-    d = len(frame)
-    vecs = _check_frame(frame, d)
-    out = list(vecs)
-    for j in range(d):
-        for k in range(j + 1, d):
-            out.append((vecs[j] + vecs[k]) * _INV_SQRT2)
-            out.append((vecs[j] - vecs[k]) * _INV_SQRT2)
-            out.append((vecs[j] + 1j * vecs[k]) * _INV_SQRT2)
-            out.append((vecs[j] - 1j * vecs[k]) * _INV_SQRT2)
-    return out
+def gleason_vectors(frame: Sequence[np.ndarray]) -> np.ndarray:
+    """The 2 d^2 - d unit vectors the reconstruction formula evaluates, as
+    the rows of one (2 d^2 - d, d) array: the frame's vectors n_j, then for
+    each j < k in ``np.triu_indices`` order (n_j + n_k)/sqrt(2),
+    (n_j - n_k)/sqrt(2), (n_j + i n_k)/sqrt(2) and (n_j - i n_k)/sqrt(2)."""
+    rows = _frame_rows(frame)
+    d = len(rows)
+    _check_frames(rows, d)
+    a, b = rows[np.array(np.triu_indices(d, 1))]
+    pairs = np.stack([a + b, a - b, a + 1j * b, a - 1j * b], axis=1) * _INV_SQRT2
+    return np.concatenate([rows, pairs.reshape(-1, d)])
 
 
 def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityOperator:
-    """Rebuild rho from its valuation on the reconstruction vectors.
+    """Rebuild rho from its valuation on the reconstruction vectors of the
+    frame it was taken on; any other frame raises FoundationsError.
 
     Diagonal entries in the frame are v(n_j); off-diagonals come from the
     four superposition valuations:
@@ -137,18 +123,17 @@ def gleason_reconstruct(val: Valuation, frame: Sequence[np.ndarray]) -> DensityO
     d = val.dim
     if len(frame) != d:
         raise QcoreError(f"frame has {len(frame)} vectors, the valuation dimension is {d}")
-    vecs = gleason_vectors(frame)
-    values = iter([val.get(vec) for vec in vecs])
-    coeff = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        coeff[j, j] = next(values)
-    for j in range(d):
-        for k in range(j + 1, d):
-            vp, vm, vpi, vmi = next(values), next(values), next(values), next(values)
-            coeff[j, k] = 0.5 * (vp - vm) - 0.5j * (vpi - vmi)
-            coeff[k, j] = np.conj(coeff[j, k])
-    basis = np.stack(vecs[:d]).T  # columns are frame vectors
-    rho = basis @ coeff @ basis.conj().T
+    rows = _frame_rows(frame)
+    _check_frames(rows, d)
+    if not np.array_equal(rows, val.frame):
+        raise FoundationsError("the valuation was taken on another frame")
+    vp, vm, vpi, vmi = val.values[d:].reshape(-1, 4).T
+    upper = 0.5 * (vp - vm) - 0.5j * (vpi - vmi)
+    j, k = np.triu_indices(d, 1)
+    coeff = np.diag(val.values[:d]).astype(np.complex128)
+    coeff[j, k] = upper
+    coeff[k, j] = upper.conj()
+    rho = rows.T @ coeff @ rows.conj()  # the columns of rows.T are the frame vectors
     rho = (rho + rho.conj().T) / 2.0
 
     eigs, evecs = np.linalg.eigh(rho)
@@ -177,8 +162,7 @@ def _decohere(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def gleason_decohere(rho: DensityOperator, frame: Sequence[np.ndarray]) -> DensityOperator:
     """rho_P = sum_i v(P_i) P_i: the state decohered in the frame."""
-    rows = np.stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in frame])
-    return DensityOperator._adopt(_normalized(_decohere(rho.matrix, rows[None])))
+    return DensityOperator._adopt(_normalized(_decohere(rho.matrix, _frame_rows(frame)[None])))
 
 
 def _haar_frames(count: int, d: int, rng: RandomSource) -> np.ndarray:
@@ -193,6 +177,8 @@ def _haar_frames(count: int, d: int, rng: RandomSource) -> np.ndarray:
 
 def sample_haar_frame(d: int, rng: RandomSource) -> list[np.ndarray]:
     """Columns of a Haar-random unitary (QR of a complex Gaussian matrix)."""
+    if not is_integer(d) or d < 1:
+        raise FoundationsError(f"frame dimension must be a positive integer, got {d!r}")
     return [v.copy() for v in _haar_frames(1, d, rng)[0]]
 
 
@@ -209,8 +195,8 @@ def frame_average_reconstruct(
 
     Frames are drawn, checked and decohered a block at a time, and the sums
     of the blocks are added in frame order."""
-    if n_frames < 1:
-        raise FoundationsError("n_frames must be at least 1")
+    if not is_integer(n_frames) or n_frames < 1:
+        raise FoundationsError(f"n_frames must be a positive integer, got {n_frames!r}")
     d = rho.dim
     block = min(_FRAME_BLOCK, max(1, _FRAME_BLOCK * 9 // (d * d)))
     acc = np.zeros_like(rho.matrix)

@@ -40,6 +40,7 @@ from .qcore import (
     _INV_SQRT2,
     bell_state,
     born_distribution,
+    is_integer,
     partial_trace,
     product_probabilities,
 )
@@ -122,6 +123,8 @@ def _plan(rule, *draws) -> _Plan:
 def _draw(plan: _Plan, trials: int, rng: RandomSource) -> list[int]:
     """How many of ``trials`` trials fall in each result of ``plan``: one
     multinomial draw of the trials per cell, summed per result."""
+    if not is_integer(trials):
+        raise GameError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise GameError(f"trials must be nonnegative, got {trials}")
     counts = rng.generator.multinomial(trials, plan.cells)
@@ -683,8 +686,8 @@ def qkd_session(
     and] Bob's measurement draws, each outcome 0 below its tabulated Born
     probability.  An E91 pair's coins are the two bases; its one double picks
     the outcome pair through ``RandomSource.choice_index``."""
-    if key_bits < 1:
-        raise GameError("key_bits must be positive")
+    if not is_integer(key_bits) or key_bits < 1:
+        raise GameError(f"key_bits must be a positive integer, got {key_bits!r}")
     if eavesdropper not in ("none", "intercept_resend"):
         raise GameError("eavesdropper must be 'none' or 'intercept_resend'")
     eve = eavesdropper == "intercept_resend"

@@ -42,6 +42,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -437,6 +438,12 @@ class _SparseKet:
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
+
+
+def is_integer(x) -> bool:
+    """A Python or numpy integer; a bool, a float (nan included) or anything
+    else is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def is_unitary(m: np.ndarray) -> bool:

@@ -36,6 +36,7 @@ from .qcore import (
     bell_state,
     branch_pair,
     collapse,
+    is_integer,
     is_unitary,
 )
 
@@ -159,6 +160,8 @@ def _check_new_pair(reg: TemporalRegister, spatial_pair: Sequence[str], t: int):
     for s in spatial_pair:
         if s in reg._position:
             raise TemporalError(f"spatial label {s!r} already in use")
+    if not is_integer(t):
+        raise TemporalError(f"time step must be an integer, got {t!r}")
     if t < reg.last_event_time:
         raise TemporalError("cannot create a pair before the last event")
     if len(reg._qubit) + 2 > MAX_QUBITS:
@@ -175,8 +178,8 @@ def _add_pair_modes(reg: TemporalRegister, spatial_pair: Sequence[str], times: S
 
 def delay(reg: TemporalRegister, spatial: str, dt: int) -> TemporalRegister:
     """Shift a live mode later in time; amplitudes are untouched."""
-    if dt <= 0:
-        raise TemporalError("delay must be positive")
+    if not is_integer(dt) or dt <= 0:
+        raise TemporalError(f"delay must be a positive integer, got {dt!r}")
     idx = reg._find(spatial)
     mode, consumed = reg.modes[idx]
     if consumed:

@@ -492,3 +492,18 @@ def recursive_sequential_joint(initial, observables, unitaries) -> dict:
 
     recurse(rho0, (), 0)
     return dist
+
+
+def looped_gleason_vectors(frame) -> list:
+    """The reconstruction vectors pair by pair: each n_j, then for each
+    j < k (n_j + n_k)/sqrt(2), (n_j - n_k)/sqrt(2), (n_j + i n_k)/sqrt(2)
+    and (n_j - i n_k)/sqrt(2)."""
+    vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in frame]
+    out = list(vecs)
+    for j in range(len(vecs)):
+        for k in range(j + 1, len(vecs)):
+            out.append((vecs[j] + vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] - vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] + 1j * vecs[k]) * _INV_SQRT2)
+            out.append((vecs[j] - 1j * vecs[k]) * _INV_SQRT2)
+    return out

@@ -40,7 +40,7 @@ from chronoq.qcore import (
     StateVector,
 )
 
-from dense_reference import recursive_sequential_joint
+from dense_reference import looped_gleason_vectors, recursive_sequential_joint
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -57,6 +57,25 @@ def test_gleason_vectors_count():
     for d in (2, 3, 4):
         frame = sample_haar_frame(d, rng)
         assert len(gleason_vectors(frame)) == 2 * d * d - d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_gleason_vectors_match_the_pair_by_pair_loop(d):
+    frame = sample_haar_frame(d, RandomSource(76, d))
+    vecs = gleason_vectors(frame)
+    assert vecs.shape == (2 * d * d - d, d)
+    assert vecs.tobytes() == np.stack(looped_gleason_vectors(frame)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_valuation_values_are_the_per_vector_born_values(d):
+    rng = RandomSource(77, d)
+    rho = _random_density(d, rng)
+    frame = sample_haar_frame(d, rng)
+    val = Valuation.from_density(rho, frame)
+    per_vector = [vec.conj() @ rho.matrix @ vec for vec in looped_gleason_vectors(frame)]
+    assert val.values.tobytes() == np.array(per_vector).real.tobytes()
+    assert val.frame.tobytes() == np.stack(frame).tobytes()
 
 
 def test_gleason_roundtrip_random_densities():
@@ -78,12 +97,23 @@ def test_reconstruct_rejects_a_frame_of_another_dimension():
         gleason_reconstruct(val, sample_haar_frame(3, rng))
 
 
-def test_valuation_missing_entry():
+def test_valuation_rejects_a_frame_of_another_dimension():
+    rng = RandomSource(75, 0)
+    rho = _random_density(2, rng)
+    with pytest.raises(QcoreError, match="frame has 3 vectors, the density matrix dimension is 2"):
+        Valuation.from_density(rho, sample_haar_frame(3, rng))
+
+
+def test_reconstruct_refuses_another_frame():
     rng = RandomSource(73, 0)
+    rho = _random_density(2, rng)
     frame = sample_haar_frame(2, rng)
-    val = Valuation(2)
-    with pytest.raises(FoundationsError):
-        gleason_reconstruct(val, frame)
+    val = Valuation.from_density(rho, frame)
+    with pytest.raises(FoundationsError, match="another frame"):
+        gleason_reconstruct(val, sample_haar_frame(2, rng))
+    # The same rays with another global phase are another frame too.
+    with pytest.raises(FoundationsError, match="another frame"):
+        gleason_reconstruct(val, [1j * v for v in frame])
 
 
 def test_gleason_decohere_diagonalizes():
@@ -102,6 +132,34 @@ def test_frame_average_identity():
     rho = _random_density(2, rng)
     est = frame_average_reconstruct(rho, 3000, rng)
     assert np.max(np.abs(est.matrix - rho.matrix)) < 0.05
+
+
+def _mub_frames(d: int) -> np.ndarray:
+    """The d + 1 mutually unbiased bases of a prime d, vectors as rows: the
+    standard basis, and for a = 0..d-1 the vectors
+    omega^(a k^2 + b k) / sqrt(d), omega = exp(2 pi i / d), over b; at d = 2
+    the phases are i^(a k) (-1)^(b k) (Wootters & Fields 1989)."""
+    k = np.arange(d)
+    frames = [np.eye(d, dtype=np.complex128)]
+    for a in range(d):
+        quad = a * k * k / 4.0 if d == 2 else a * k * k / d
+        frames.append(
+            np.array([np.exp(2j * np.pi * (quad + b * k / d)) for b in range(d)]) / math.sqrt(d)
+        )
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_mutually_unbiased_bases_reproduce_rho_exactly(d):
+    frames = _mub_frames(d)
+    overlaps = np.abs(np.einsum("aik,bjk->abij", frames.conj(), frames)) ** 2
+    for a in range(d + 1):
+        for b in range(d + 1):
+            expected = np.eye(d) if a == b else np.full((d, d), 1.0 / d)
+            assert np.max(np.abs(overlaps[a, b] - expected)) <= 1e-12
+    rho = _random_density(d, RandomSource(78, d))
+    mean = foundations._decohere(rho.matrix, frames) / (d + 1)
+    assert np.max(np.abs((d + 1) * mean - np.eye(d) - rho.matrix)) <= 1e-12
 
 
 def test_sequential_joint_is_distribution():
