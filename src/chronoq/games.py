@@ -120,15 +120,17 @@ def _plan(rule, *draws) -> _Plan:
     return _Plan(exact, _read_only(p.ravel()), _read_only(table))
 
 
-def _draw(plan: _Plan, trials: int, rng: RandomSource) -> list[int]:
-    """How many of ``trials`` trials fall in each result of ``plan``: one
-    multinomial draw of the trials per cell, summed per result."""
+def _draw(plan: _Plan, trials: int, rng: RandomSource) -> tuple[int, list[int]]:
+    """``trials`` as a Python int, and how many of them fall in each result
+    of ``plan``: one multinomial draw of the trials per cell, summed per
+    result."""
     if not is_integer(trials):
         raise GameError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise GameError(f"trials must be nonnegative, got {trials}")
+    trials = int(trials)
     counts = rng.generator.multinomial(trials, plan.cells)
-    return np.bincount(plan.table, weights=counts, minlength=3).astype(int).tolist()
+    return trials, np.bincount(plan.table, weights=counts, minlength=3).astype(int).tolist()
 
 
 def _uniform(k: int) -> list[Fraction]:
@@ -175,7 +177,7 @@ def _monty_classic_model(strategy: str) -> tuple[_Plan, Fraction]:
 def monty_classic(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     _check_strategy(strategy)
     plan, analytic = _monty_classic_model(strategy)
-    _, wins, _ = _draw(plan, trials, rng)
+    trials, (_, wins, _) = _draw(plan, trials, rng)
     return _stats("monty_classic", strategy, wins, trials, analytic)
 
 
@@ -213,7 +215,7 @@ def _monty_ignorant_model(strategy: str) -> tuple[_Plan, dict]:
 def monty_ignorant(strategy: str, trials: int, rng: RandomSource) -> dict:
     _check_strategy(strategy)
     plan, analytic = _monty_ignorant_model(strategy)
-    lost, won, accidents = _draw(plan, trials, rng)
+    trials, (lost, won, accidents) = _draw(plan, trials, rng)
     return {
         "conditional": _stats("monty_ignorant", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -357,7 +359,7 @@ def monty_teleport(
     if x not in (0, 1) or y not in (0, 1):
         raise GameError(f"xy must be two bits, got {xy!r}")
     plan, analytic = _monty_teleport_model(strategy, f"{int(x)}{int(y)}")
-    _, wins, _ = _draw(plan, trials, rng)
+    trials, (_, wins, _) = _draw(plan, trials, rng)
     return _stats("monty_teleport", strategy, wins, trials, analytic)
 
 
@@ -406,7 +408,7 @@ def _unreliable_teleport_model(strategy: str) -> tuple[_Plan, dict]:
 def unreliable_teleport(strategy: str, trials: int, rng: RandomSource) -> dict:
     _check_strategy(strategy)
     plan, analytic = _unreliable_teleport_model(strategy)
-    lost, won, _ = _draw(plan, trials, rng)
+    trials, (lost, won, _) = _draw(plan, trials, rng)
     return {
         "conditional": _stats("unreliable_teleport", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -492,7 +494,7 @@ def chsh_game(strategy: str, trials: int, rng: RandomSource) -> GameStats:
     ab = 4, which loses.  The classical players both always answer 0, the
     best deterministic strategy, and win iff x*y == 0."""
     analytic = chsh_game_analytic(strategy)
-    _, wins, _ = _draw(_chsh_plan(strategy), trials, rng)
+    trials, (_, wins, _) = _draw(_chsh_plan(strategy), trials, rng)
     return _stats("chsh_game", strategy, wins, trials, analytic)
 
 
@@ -631,7 +633,7 @@ def pbr_game(
     else:
         raise GameError("ontology must be 'ontic' or 'epistemic'")
     plan, analytic = _pbr_model(ontology, strategy, q, split)
-    lost, won, opened = _draw(plan, trials, rng)
+    trials, (lost, won, opened) = _draw(plan, trials, rng)
     return {
         "conditional": _stats(f"pbr_{ontology}", strategy, won, won + lost,
                               analytic["conditional"]),
@@ -688,6 +690,7 @@ def qkd_session(
     the outcome pair through ``RandomSource.choice_index``."""
     if not is_integer(key_bits) or key_bits < 1:
         raise GameError(f"key_bits must be a positive integer, got {key_bits!r}")
+    key_bits = int(key_bits)
     if eavesdropper not in ("none", "intercept_resend"):
         raise GameError("eavesdropper must be 'none' or 'intercept_resend'")
     eve = eavesdropper == "intercept_resend"

@@ -507,3 +507,13 @@ def looped_gleason_vectors(frame) -> list:
             out.append((vecs[j] + 1j * vecs[k]) * _INV_SQRT2)
             out.append((vecs[j] - 1j * vecs[k]) * _INV_SQRT2)
     return out
+
+
+def qr_haar_frames(count: int, d: int, rng) -> np.ndarray:
+    """``count`` Haar-random frames, vectors as rows, from the same normals
+    as ``foundations._haar_frames``: one LAPACK QR per complex Gaussian
+    matrix, its columns' phases fixed by diag(R)."""
+    z = rng.generator.normal(size=(count, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.swapaxes(q * (diag / np.abs(diag))[:, None, :], -1, -2)

@@ -82,9 +82,13 @@ def test_a_non_integer_count_raises_the_module_error(error, call, count):
     "call", [call for _, _, call in COUNTED_CALLS], ids=[name for name, _, _ in COUNTED_CALLS]
 )
 def test_a_numpy_integer_count_plays_as_the_python_integer(call):
+    # The same report down to the types its repr shows, where a numpy scalar
+    # would show, and the same stream after it.
     def played(count):
-        result = call(count, RandomSource(0, 0))
-        return result.matrix.tobytes() if isinstance(result, DensityOperator) else result
+        rng = RandomSource(0, 0)
+        result = call(count, rng)
+        report = result.matrix.tobytes() if isinstance(result, DensityOperator) else repr(result)
+        return report, rng.generator.random()
 
     assert played(np.int64(5)) == played(5)
 

@@ -36,6 +36,7 @@ from chronoq.qcore import (
     purity,
     rotation,
     _COUNTED_CDF,
+    _ELEMENTWISE_DIM,
     _SparseKet,
     _apply_to_targets,
 )
@@ -518,6 +519,20 @@ def test_partial_trace_product():
 def test_kron_all():
     expected = np.kron(np.kron(PAULI_X, PAULI_Y), PAULI_Z)
     assert np.array_equal(kron_all([PAULI_X, PAULI_Y, PAULI_Z]), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, _ELEMENTWISE_DIM, _ELEMENTWISE_DIM + 1, 8])
+def test_stacked_is_unitary_is_the_per_matrix_verdict(d):
+    # 1024 unitaries; then one row of one of them scaled by 1 + 1e-9, whose
+    # Gram matrix is 2e-9 off the identity, and by 1 + 1e-7, 2e-7 off.
+    gen = np.random.default_rng(d)
+    stack = np.linalg.qr(gen.normal(size=(1024, d, d)) + 1j * gen.normal(size=(1024, d, d)))[0]
+    for skew, verdict in ((0.0, True), (1e-9, True), (1e-7, False)):
+        skewed = stack.copy()
+        skewed[517, d // 2] *= 1.0 + skew
+        assert all(is_unitary(m) for m in skewed) is verdict
+        assert is_unitary(skewed) is verdict
+        assert is_unitary(skewed.reshape(2, 512, d, d)) is verdict
 
 
 def test_operator_predicates_batched_and_square():

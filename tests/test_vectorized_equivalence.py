@@ -25,9 +25,18 @@ import numpy as np
 import pytest
 
 from chronoq import foundations, games, infotheory
-from chronoq.qcore import PAULI_X, PAULI_Z, DensityOperator, QcoreError, RandomSource, bell_state
+from chronoq.qcore import (
+    PAULI_X,
+    PAULI_Z,
+    DensityOperator,
+    QcoreError,
+    RandomSource,
+    _ELEMENTWISE_DIM,
+    bell_state,
+)
 from dense_reference import (
     looped_codebook_classes,
+    qr_haar_frames,
     rank_in_class,
     scanned_decode,
     unrank_in_class,
@@ -411,7 +420,7 @@ def test_tally_puts_every_trial_in_the_certain_cell():
 
     plan = games._plan(rule, [0.0, 1.0], [[0.0, 0.0, 1.0], [0.0] * 3])
     assert plan.table.tolist() == [1] * 8 + [2] + [1] * 3
-    assert games._draw(plan, 1000, RandomSource(1, 0)) == [0, 0, 1000]
+    assert games._draw(plan, 1000, RandomSource(1, 0)) == (1000, [0, 0, 1000])
 
 
 def assert_within_five_se_of_cells(engine, loop):
@@ -654,14 +663,29 @@ def test_frame_average_matches_per_frame_loop(d, n_frames):
     assert np.max(np.abs(got.matrix - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 4, _ELEMENTWISE_DIM, _ELEMENTWISE_DIM + 1, 8])
 def test_single_frame_sampler_is_the_batched_draw(d):
-    frame = foundations.sample_haar_frame(d, RandomSource(9, d))
-    gen = RandomSource(9, d).generator
-    z = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    assert all(np.array_equal(v, q[:, i]) for i, v in enumerate(frame))
+    # A single draw takes the next 2 d^2 normals, so the k-th of a run of
+    # single frames is row k of one batched draw, bit for bit.
+    rng = RandomSource(9, d)
+    singles = [np.stack(foundations.sample_haar_frame(d, rng)) for _ in range(3)]
+    batch = foundations._haar_frames(3, d, RandomSource(9, d))
+    assert all(np.array_equal(single, rows) for single, rows in zip(singles, batch))
+
+
+@pytest.mark.parametrize("d", range(1, _ELEMENTWISE_DIM + 1))
+def test_gram_schmidt_frames_match_lapack_qr(d):
+    got = foundations._haar_frames(10_000, d, RandomSource(11, d))
+    want = qr_haar_frames(10_000, d, RandomSource(11, d))
+    assert got.shape == (10_000, d, d) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got.conj() @ got.swapaxes(-1, -2) - np.eye(d))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [_ELEMENTWISE_DIM + 1, 32])
+def test_frames_above_the_crossover_are_lapack_qr(d):
+    got = foundations._haar_frames(9, d, RandomSource(11, d))
+    assert np.array_equal(got, qr_haar_frames(9, d, RandomSource(11, d)))
 
 
 def test_decohere_rejects_a_non_orthonormal_frame():
