@@ -9,8 +9,15 @@ Exit codes: 0 success, 1 when an empirical result disagrees with its
 analytic value beyond three standard errors (or an exact check fails),
 2 on usage errors.
 
-Only ``qcore`` loads with this module: each command imports the protocol
-modules it runs in its body, so a command, or ``--help``, pays for no other.
+Importing this module loads neither numpy nor ``qcore``: the options read
+their limits and defaults from the numpy-free ``_constants``, and each
+command imports numpy, ``qcore`` and the protocol modules it runs in its
+body.  So ``--help`` at any level loads only this module and
+``_constants``, and so does a usage error that click finds while parsing,
+except in the commands with an option callback: ``chain``'s ``--records``
+and ``lg``'s ``--omega`` callbacks load their protocol module, and with it
+numpy, and click runs them on the defaults too.  A command pays for no
+module it does not run.
 """
 
 from __future__ import annotations
@@ -22,30 +29,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from .qcore import (
-    _BELL_ALIASES,
-    DEFAULT_ROUNDS,
-    DEFAULT_THRESHOLD,
-    MAX_CODEC_BLOCK,
-    MAX_QUBITS,
-    TOL_ALG,
-    PAULI_X,
-    PAULI_Z,
-    HADAMARD,
-    DensityOperator,
-    RandomSource,
-    StateVector,
-    bell_state,
-    computational_basis,
-    ghz_state,
-)
+from ._constants import _BELL_ALIASES, DEFAULT_ROUNDS, DEFAULT_THRESHOLD, MAX_CODEC_BLOCK, MAX_QUBITS
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import chain as chain_mod
     from . import consensus as consensus_mod
     from . import foundations
+    from .qcore import DensityOperator, RandomSource
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -62,21 +55,30 @@ _ROWS = 1 << 14
 def _plain(obj, arrays: bool = False):
     """Normalize a report tree to JSON-serializable python scalars.  A real
     array becomes nested lists in one ``tolist``, with no walk per entry;
-    with ``arrays`` an array of one or more dimensions is kept as it is."""
+    with ``arrays`` an array of one or more dimensions is kept as it is.
+    Adding 0.0 to every float leaf, float array and complex leaf turns -0.0
+    into 0.0, so no rendering prints ``-0.0``; ints and bools keep their
+    types."""
+    import numpy as np
+
     if isinstance(obj, dict):
         return {str(k): _plain(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v, arrays) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            obj = obj + 0.0
         return obj if arrays and obj.ndim else obj.tolist()
     if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return float(obj) + 0.0
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if isinstance(obj, float):
+        return obj + 0.0
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [obj.real + 0.0, obj.imag + 0.0]
     return obj
 
 
@@ -92,6 +94,8 @@ def _flatten(obj, prefix: str, leaves: list):
     """Append the leaves of ``obj``, a plain report tree that keeps its
     arrays, to ``leaves`` in sorted key order: ``(dotted key, JSON text)``,
     or ``(dotted key, array)`` for an array, whose entries are leaves."""
+    import numpy as np
+
     for k, v in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
         if isinstance(v, (dict, list)):
             _flatten(v, f"{prefix}{k}.", leaves)
@@ -101,7 +105,7 @@ def _flatten(obj, prefix: str, leaves: list):
 
 def _key_width(key: str, leaf) -> int:
     """The length of the longest key among a leaf's entries."""
-    if not isinstance(leaf, np.ndarray):
+    if isinstance(leaf, str):
         return len(key)
     if not leaf.size:
         return 0
@@ -113,6 +117,8 @@ def _array_lines(key: str, array: np.ndarray, width: int, sep: str, lines: list)
     keyed by its indices.  Keys and texts are made by comprehensions over a
     block of ``_ROWS`` rows, with no recursive walk and no nested lists, so
     the lines are the one list as long as the array."""
+    import numpy as np
+
     kind = array.dtype.kind
     plain = kind in "iu" or kind == "f" and bool(np.isfinite(array).all())
     for start in range(0, len(array), _ROWS):
@@ -135,10 +141,10 @@ def render_report(report: dict, fmt: str) -> str:
     else:
         width, sep, lines = max((_key_width(*leaf) for leaf in leaves), default=0), "  ", []
     for key, leaf in leaves:
-        if isinstance(leaf, np.ndarray):
-            _array_lines(key, leaf, width, sep, lines)
-        else:
+        if isinstance(leaf, str):
             lines.append(f"{key.ljust(width)}{sep}{leaf}")
+        else:
+            _array_lines(key, leaf, width, sep, lines)
     return "\n".join(lines)
 
 
@@ -162,6 +168,8 @@ def _command(group: click.Group, name: str, stream: int):
         def run(seed, as_json, as_csv, out, **options):
             if as_json and as_csv:
                 raise click.UsageError("--json and --csv are mutually exclusive")
+            from .qcore import RandomSource
+
             report, ok = fn(RandomSource(seed, stream), **options)
             text = render_report(report, "json" if as_json else "csv" if as_csv else "table")
             if out:
@@ -210,6 +218,10 @@ def main():
 )
 def state_cmd(rng, bell_label, ghz_n):
     """Inspect a Bell or GHZ state (amplitudes and Born probabilities)."""
+    import numpy as np
+
+    from .qcore import bell_state, ghz_state
+
     if bell_label is not None and ghz_n is not None:
         raise click.UsageError("--bell and --ghz are mutually exclusive")
     if ghz_n is not None:
@@ -236,7 +248,10 @@ def state_cmd(rng, bell_label, ghz_n):
 @click.option("--werner-points", type=click.IntRange(1, 10_000), default=11, show_default=True)
 def entangle_cmd(rng, werner_points):
     """PPT / CHSH / concurrence scans and the Werner crossing."""
+    import numpy as np
+
     from . import entangle
+    from .qcore import TOL_ALG, bell_state
 
     psi_minus = bell_state("psi-").to_density()
     chsh = entangle.chsh_value(psi_minus, entangle.canonical_chsh_settings())
@@ -274,7 +289,10 @@ def entangle_cmd(rng, werner_points):
 @click.option("--trials", type=click.IntRange(1, 10_000), default=10_000, show_default=True)
 def entropy_cmd(rng, n, p, rate, trials):
     """Typical-set codec demo plus the entropic uncertainty bound."""
+    import numpy as np
+
     from . import infotheory
+    from .qcore import HADAMARD, TOL_ALG, StateVector, computational_basis
 
     source = [1.0 - p, p]
     h = infotheory.shannon_entropy(source)
@@ -303,6 +321,7 @@ def entropy_cmd(rng, n, p, rate, trials):
 def swap_cmd(rng):
     """Entanglement-swap demo with the temporal event log."""
     from . import temporal
+    from .qcore import TOL_ALG
 
     demo = temporal.swap_demo(rng)
     ok = (
@@ -362,6 +381,7 @@ def chain_demo(rng, records):
 def chain_tamper(rng, records, target):
     """Tamper one photon and report the damage."""
     from . import chain as chain_mod
+    from .qcore import PAULI_X
 
     photons = [f"p{i}" for i in range(1, 2 * len(records) + 1)]
     target = target or photons[-1]
@@ -419,6 +439,7 @@ _ROUNDS = click.IntRange(1, 100_000)
 
 def _build_network(nodes: int, dishonest: int, rng: RandomSource) -> consensus_mod.Network:
     from . import consensus as consensus_mod
+    from .qcore import PAULI_X, PAULI_Z
 
     if not 0 <= dishonest <= nodes:
         raise click.UsageError("--dishonest must lie in [0, nodes]")
@@ -442,6 +463,7 @@ def consensus_group():
 def consensus_run(rng, nodes, rounds, dishonest):
     """Estimate a GHZ candidate's pass rate; check it against its exact mean."""
     from . import consensus as consensus_mod
+    from .qcore import ghz_state
 
     network = _build_network(nodes, dishonest, rng)
     played = consensus_mod._play(ghz_state(nodes), network.nodes)
@@ -460,6 +482,7 @@ def consensus_run(rng, nodes, rounds, dishonest):
 def consensus_bounds(rng, nodes, rounds, dishonest, noise):
     """Check the pass-rate fidelity bounds on a noisy GHZ candidate."""
     from . import consensus as consensus_mod
+    from .qcore import ghz_state
 
     network = _build_network(nodes, dishonest, rng)
     # (1 - noise)|GHZ><GHZ| + noise I/2^n is the GHZ form at weight 1 - noise.
@@ -483,6 +506,7 @@ def consensus_bounds(rng, nodes, rounds, dishonest, noise):
 def consensus_admit(rng, nodes, rounds, threshold):
     """Admit a block backed by fresh GHZ copies."""
     from . import consensus as consensus_mod
+    from .qcore import ghz_state
 
     network = _build_network(nodes, 0, rng)
     report = consensus_mod.admit_block(
@@ -500,6 +524,10 @@ def consensus_admit(rng, nodes, rounds, threshold):
 
 
 def _teleport(games, rng, trials, **unused):
+    import numpy as np
+
+    from .qcore import TOL_ALG, StateVector
+
     worst = 1.0
     max_premeasure_dev = 0.0
     gen = rng.generator
@@ -628,6 +656,10 @@ def gleason_group():
 
 
 def _random_density(d: int, rng: RandomSource) -> DensityOperator:
+    import numpy as np
+
+    from .qcore import DensityOperator
+
     gen = rng.generator
     g = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     m = g @ g.conj().T
@@ -640,6 +672,8 @@ def _random_density(d: int, rng: RandomSource) -> DensityOperator:
 @click.option("--frames", type=click.IntRange(1, 20_000), default=2000, show_default=True)
 def gleason_roundtrip(rng, dim, frames):
     """Reconstruct a random density matrix from its valuation; frame-average check."""
+    import numpy as np
+
     from . import foundations
 
     rho = _random_density(dim, rng)

@@ -34,8 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .infotheory import derived_entropies
-from .entangle import PAULIS, _axis_observable, chsh_axis_optimize
 from .qcore import (
     PAULI_X,
     PAULI_Z,
@@ -434,6 +432,8 @@ def temporal_chsh_optimize(model: PrecessionModel, t1: float, t2: float) -> dict
     with those settings, unit-axis observables and so dichotomic, through
     the sequential engine.
     """
+    from .entangle import PAULIS, _axis_observable, chsh_axis_optimize
+
     rho, evolution = _evolved(model, t1, t2)
     u = evolution[0]
     r = np.zeros((3, 3))
@@ -464,6 +464,8 @@ def _pair_joint_table(model: PrecessionModel, ti: float, tj: float) -> np.ndarra
 
 def entropic_lg_check(model: PrecessionModel, t1: float, t2: float, t3: float) -> dict:
     """H(Q3|Q1) <= H(Q3|Q2) + H(Q2|Q1): evaluate both sides and flag violation."""
+    from .infotheory import derived_entropies
+
     if not t1 < t2 < t3:
         raise FoundationsError("need strictly ordered times")
     lhs = derived_entropies(_pair_joint_table(model, t1, t3))["conditional"]

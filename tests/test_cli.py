@@ -11,6 +11,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronoq
 from chronoq import cli
@@ -265,31 +267,67 @@ import json, sys
 from chronoq.cli import main
 try:
     main(sys.argv[1:], prog_name="chronoq")
-except SystemExit:
-    pass
+except SystemExit as exc:
+    code = exc.code
 print()
-print(json.dumps([sorted(m for m in sys.modules if m.startswith("chronoq.")),
-                  "numpy.random" in sys.modules]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chronoq.")),
+                  "numpy" in sys.modules, "numpy.random" in sys.modules]))
 """
 
 
 # Each command loads the chronoq modules it runs and no other, so that a
-# child process does not compile code it never calls.
+# child process does not compile code it never calls.  A usage error that
+# click finds before the command runs loads neither numpy nor qcore, unless
+# an option callback has loaded them: click runs --records' and --omega's on
+# their defaults too.  (--help is covered at every level below.)
 @pytest.mark.parametrize(
-    "args, modules, random",
+    "args, code, modules, numpy, random",
     [
-        (["--help"], [], False),
-        (["state", "--json"], [], False),
-        (["consensus", "run", "--rounds", "5"], ["consensus"], True),
-        (["chain", "demo"], ["chain", "temporal"], True),
-        (["game", "qkd"], ["games"], True),
-        (["entropy", "--block", "4", "--trials", "50"], ["infotheory"], True),
-        (["lg", "k3"], ["entangle", "foundations", "infotheory"], False),
+        (["state", "--ghz", "99"], 2, [], False, False),
+        (["state", "--json", "--csv"], 2, [], False, False),
+        (["chain", "demo", "--json", "--csv"], 2, ["chain", "qcore", "temporal"], True, False),
+        (["lg", "k3", "--json", "--csv"], 2, ["foundations", "qcore"], True, False),
+        (["state", "--json"], 0, ["qcore"], True, False),
+        (["consensus", "run", "--rounds", "5"], 0, ["consensus", "qcore"], True, True),
+        (["chain", "demo"], 0, ["chain", "qcore", "temporal"], True, True),
+        (["game", "qkd"], 0, ["games", "qcore"], True, True),
+        (["entropy", "--block", "4", "--trials", "50"], 0, ["infotheory", "qcore"], True, True),
+        (["lg", "k3"], 0, ["foundations", "qcore"], True, False),
+        (["gleason", "roundtrip", "--frames", "10"], 0, ["foundations", "qcore"], True, True),
     ],
 )
-def test_command_import_footprint(args, modules, random):
-    expected = sorted(f"chronoq.{m}" for m in ["cli", "qcore", *modules])
-    assert _child(_FOOTPRINT, *args) == [expected, random]
+def test_command_import_footprint(args, code, modules, numpy, random):
+    expected = sorted(f"chronoq.{m}" for m in ["_constants", "cli", *modules])
+    assert _child(_FOOTPRINT, *args) == [code, expected, numpy, random]
+
+
+def test_help_at_every_level_loads_no_numpy():
+    code = """
+import json, sys
+import click
+from chronoq.cli import main
+
+def paths(group, prefix):
+    for name, cmd in group.commands.items():
+        yield [*prefix, name]
+        if isinstance(cmd, click.Group):
+            yield from paths(cmd, [*prefix, name])
+
+codes = []
+for path in [[], *paths(main, [])]:
+    try:
+        main([*path, "--help"], prog_name="chronoq")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print()
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("chronoq.")),
+                  "numpy" in sys.modules]))
+"""
+    codes, modules, numpy = _child(code)
+    # The group, its 4 subgroups and 15 commands.
+    assert codes == [0] * 20
+    assert modules == ["chronoq._constants", "chronoq.cli"]
+    assert numpy is False
 
 
 def test_chain_demo_leaves_numpy_ma_unloaded():
@@ -319,7 +357,8 @@ print(json.dumps([before, sorted(m for m in sys.modules if m.startswith("chronoq
 """
     before, after, listed = _child(code)
     assert before == []
-    assert after == ["chronoq.chain", "chronoq.games", "chronoq.qcore", "chronoq.temporal"]
+    assert after == ["chronoq._constants", "chronoq.chain", "chronoq.games", "chronoq.qcore",
+                     "chronoq.temporal"]
     assert listed == chronoq.__all__
     with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
         chronoq.nosuch
@@ -473,6 +512,45 @@ def test_table_and_csv_array_entries_are_their_json_text(fmt):
         "mixed": [{"a": np.array([1e-300, 1e300])}, 7],
     }
     assert render_report(report, fmt) == _per_leaf_rendering(_plain(report), fmt)
+
+
+_SIGNED_ZEROS = [0.0, -0.0, np.float64(-0.0), np.float32(-0.0), complex(-0.0, -0.0), -0.0j]
+_REPORT_LEAVES = st.one_of(
+    st.sampled_from(_SIGNED_ZEROS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text("ab z", max_size=3),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), max_size=6).map(np.array),
+    st.lists(st.sampled_from([0, -3]), max_size=3).map(np.array),
+)
+_REPORTS = st.dictionaries(
+    st.text("abc", min_size=1, max_size=2),
+    st.recursive(
+        _REPORT_LEAVES,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text("abc", min_size=1, max_size=2), inner, max_size=3),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+_NEGATIVE_ZERO = re.compile(r"-0\.0(?![0-9])")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(report=_REPORTS)
+def test_no_rendering_prints_negative_zero(report):
+    for fmt in ("json", "csv", "table"):
+        assert not _NEGATIVE_ZERO.search(render_report(report, fmt))
+    assert json.loads(render_report(report, "json")) == _plain(report)
+
+
+def test_plain_keeps_int_and_bool_leaves():
+    plain = _plain({"i": 3, "b": True, "n": np.int64(-2), "nb": np.bool_(False)})
+    assert [(v, type(v)) for v in plain.values()] == [(3, int), (True, bool), (-2, int),
+                                                       (False, bool)]
 
 
 # The seeded QKD and θ-round commands, whose draws are fixed-shape blocks,

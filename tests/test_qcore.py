@@ -37,8 +37,10 @@ from chronoq.qcore import (
     rotation,
     _COUNTED_CDF,
     _ELEMENTWISE_DIM,
+    _NORMALIZED_STRIP,
     _SparseKet,
     _apply_to_targets,
+    _normalized,
 )
 from chronoq.temporal import ghz_density_recursive, temporal_ghz_closed_form
 
@@ -500,6 +502,21 @@ def test_by_construction_results_pass_the_constructor(n, rank, f, seed, data):
     born = [float(np.real(v.conj() @ rho.matrix @ v)) for v in rows]
     pinched = sum(p * np.outer(v, v.conj()) for p, v in zip(born, rows))
     assert np.max(np.abs(normalized[4][0].matrix - pinched)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 3), (_NORMALIZED_STRIP + 1,) * 2, (64, 64), (1000, 1000),
+              (2048, 2048), (7, 4, 4), (5, 100, 100)],
+)
+def test_normalized_in_strips_keeps_the_bits_of_one_expression(shape):
+    # The sum with the conjugate transpose is made _NORMALIZED_STRIP rows at a
+    # time, in one strip or in several; every entry, of a matrix or of each
+    # matrix of a stack, must keep the bits of the one expression.
+    gen = np.random.default_rng(shape[-1])
+    mats = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    tr = mats.trace(axis1=-2, axis2=-1).real[..., None, None]
+    expected = (mats + mats.conj().swapaxes(-1, -2)) / 2.0 / tr
+    assert _normalized(mats).tobytes() == expected.tobytes()
 
 
 def test_partial_trace_bell():
